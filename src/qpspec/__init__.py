@@ -4,7 +4,6 @@ Schrodinger operators with meromorphic sampling potentials."""
 from .arithmetic import (
     ContinuedFraction,
     IndexValue,
-    TorusPoint,
     beta,
     cf_from_coeffs,
     cf_from_real,
@@ -19,7 +18,6 @@ from .arithmetic import (
     silver_cf,
     sine_product_check,
     torus_norm,
-    torus_point,
 )
 from .cocycle import (
     LyapunovEstimate,

@@ -33,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "ContinuedFraction",
-    "TorusPoint",
     "IndexValue",
     "cf_from_coeffs",
     "cf_from_real",
@@ -82,8 +81,6 @@ def exact_fraction(x):
 
 def as_mpf(x):
     """Convert to mpf at the *current* working precision."""
-    if isinstance(x, TorusPoint):
-        return x.value
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
@@ -101,29 +98,6 @@ def torus_norm(x):
 def torus_norm_exact(x: Fraction) -> Fraction:
     r = x - (x.numerator // x.denominator)
     return min(r, 1 - r)
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """A point of R/Z held at an explicit binary precision."""
-
-    value: mp.mpf
-    precision: int
-
-    def __post_init__(self):
-        if not (0 <= self.value < 1):
-            raise InvalidInputError("torus point must be reduced into [0, 1)")
-
-    @property
-    def norm(self):
-        return min(self.value, 1 - self.value)
-
-
-def torus_point(x, precision: int = 64) -> TorusPoint:
-    with mp.workprec(precision):
-        v = as_mpf(x)
-        v = v - mp.floor(v)
-    return TorusPoint(v, precision)
 
 
 # ---------------------------------------------------------------------------

@@ -51,6 +51,9 @@ _SCHEMA = {
 }
 
 
+_LYAPUNOV_KINDS = ("A", "D")
+
+
 def _fmt(x) -> str:
     x = float(x)
     if math.isinf(x):
@@ -69,7 +72,7 @@ class RunConfig:
     with the offending key on bad input."""
 
     def __init__(self, path: Path):
-        cp = configparser.ConfigParser()
+        cp = configparser.ConfigParser(interpolation=None)
         read = cp.read(path)
         if not read:
             raise ConfigError(f"config file not readable: {path}")
@@ -288,7 +291,10 @@ def cmd_lyapunov(cfg: RunConfig, out: Path, args) -> int:
     pot = cfg.potential()
     cf = cfg.alpha_cf()
     grid = cfg.run_num("lyapunov_grid", int, 64, positive=True)
-    kind = cfg.cp.get("run", "lyapunov_kind", fallback="D")
+    kind = cfg._get("run", "lyapunov_kind", default="D")
+    if kind not in _LYAPUNOV_KINDS:
+        raise ConfigError(f"[run] lyapunov_kind must be one of "
+                          f"{', '.join(_LYAPUNOV_KINDS)}, got {kind!r}")
     n = cfg.depth("lyapunov_n", 10000)
     energies = cfg.energy_grid()
     ests = lyapunov_scan(pot, cf.value, energies, n, grid=grid, kind=kind)

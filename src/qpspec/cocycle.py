@@ -21,7 +21,7 @@ import numpy as np
 
 from .arithmetic import as_mpf
 from .errors import InvalidInputError, NumericError, OrbitPoleError
-from .potential import MeromorphicPotential
+from .potential import MeromorphicPotential, site_values
 
 __all__ = [
     "TransferMatrix2",
@@ -32,6 +32,8 @@ __all__ = [
     "step_F",
     "product",
     "product_inverse",
+    "product_from_sites",
+    "inverse_from_sites",
     "lyapunov",
     "uniform_bound_check",
     "spectral_norm_2x2",
@@ -184,22 +186,37 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int,
 
 
 def product_inverse(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
-    """(A_n(x))^{-1} assembled as (F^0/f_0)(F^1/f_1)...(F^{n-1}/f_{n-1})."""
+    """(A_n(x))^{-1} = A(x)^{-1} A(x+a)^{-1} ... A(x+(n-1)a)^{-1}."""
     if n < 0:
         raise InvalidInputError("product_inverse expects n >= 0")
-    acc = TransferMatrix2.identity()
-    xv = as_mpf(x)
-    av = as_mpf(alpha)
-    for j in range(n):
-        xj = xv + j * av
-        dist = pot.pole_distance(xj)
-        if pot.m and dist <= pot.eps_floor:
-            raise OrbitPoleError(f"pole within floor at orbit step {j}",
-                                 dist=float(dist), step=j)
-        s = step_F(pot, E, xj)
-        fv = pot.f(as_mpf(xj))
-        acc = acc.matmul(s.scaled(1 / fv))
-    return acc
+    return inverse_from_sites(site_values(pot, E, x, alpha, 0, n))
+
+
+def product_from_sites(S, acc: TransferMatrix2 | None = None) -> TransferMatrix2:
+    """A(s_{n-1}) ... A(s_0) acc for site values s_j = E - V(x_j).
+
+    A(s) = [[s, -1], [1, 0]], so each step is two multiplies:
+    (a, b, c, d) <- (s a - c, s b - d, a, b).  ``acc`` defaults to the identity.
+    """
+    if acc is None:
+        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    else:
+        a, b, c, d = acc.a, acc.b, acc.c, acc.d
+    for s in S:
+        a, b, c, d = s * a - c, s * b - d, a, b
+    return TransferMatrix2(a, b, c, d)
+
+
+def inverse_from_sites(S) -> TransferMatrix2:
+    """A(s_0)^{-1} A(s_1)^{-1} ... A(s_{n-1})^{-1} for site values s_j.
+
+    A(s)^{-1} = [[0, 1], [-1, s]] multiplies on the right, two multiplies per
+    step: (a, b, c, d) <- (-b, a + b s, -d, c + d s).
+    """
+    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+    for s in S:
+        a, b, c, d = -b, a + b * s, -d, c + d * s
+    return TransferMatrix2(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

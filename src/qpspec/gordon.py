@@ -2,10 +2,26 @@
 
 The engine: at a denominator q of the frequency, the four high-precision
 matrices A_q(theta), A_{2q}(theta), A_q^{-1}(theta) and A_q^{-1}(theta - q a)
-are built in one pass (A_{2q} as a fresh 2q-step product, never as the square
-of A_q, since the certificate measures exactly the gap between the two).
-Working precision is sized from a cheap float pre-pass over the orbit so the
-exponentially small differences survive the cancellation.
+are built from one pass over the 3q orbit sites [-q, 2q) (A_{2q} as a fresh
+2q-step product, never as the square of A_q, since the certificate measures
+exactly the gap between the two).  Working precision is sized from a cheap
+float pre-pass over the orbit so the exponentially small differences survive
+the cancellation.
+
+The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
+It advances the phasor z_j = e^{i pi x_j} by one complex multiply by
+e^{i pi a}, carried with ceil(log2(3q)) + 32 guard bits and then rounded to
+the working precision; f and every built-in g are trig polynomials in z_j,
+and only a user-supplied g is evaluated directly at x_j.  Every site within
+``eps_floor`` of a pole raises OrbitPoleError.  A step of A_q is then two
+multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b), and a step of the
+inverse products (a, b, c, d) <- (-b, a + b s, -d, c + d s).
+
+Per direction, ``gordon_lhs`` applies each matrix to v once and checks the
+differences against the resolution floor
+max(ln||A_{2q}||, 1) - (precision - 48) ln 2, computed once per level; logs
+and norms that are only compared or turned into floats are taken at
+LOG_PREC bits.
 """
 
 from __future__ import annotations
@@ -19,9 +35,14 @@ import mpmath as mp
 import numpy as np
 
 from .arithmetic import ContinuedFraction, IndexValue, as_mpf, qualifying_levels
-from .cocycle import TransferMatrix2, spectral_norm_2x2, step_A, step_F
+from .cocycle import (
+    TransferMatrix2,
+    inverse_from_sites,
+    product_from_sites,
+    step_A,
+)
 from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
-from .potential import MeromorphicPotential
+from .potential import MeromorphicPotential, site_values
 
 __all__ = [
     "SolutionSegment",
@@ -41,6 +62,8 @@ __all__ = [
 ]
 
 MAX_NORM_TOL = 1e-6
+# precision of logs and norms that are only compared or turned into floats
+LOG_PREC = 113
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +161,11 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
 
 @dataclass(frozen=True)
 class GordonMatrices:
-    """The four q-scale products, at a common working precision."""
+    """The four q-scale products, at a common working precision.
+
+    ``floor_log`` is the log of the rounding floor of the products: a
+    certificate difference whose log falls below it is not resolved.
+    """
 
     q: int
     precision: int
@@ -146,6 +173,7 @@ class GordonMatrices:
     A_2q: TransferMatrix2
     Ainv_q: TransferMatrix2
     Ainv_q_shift: TransferMatrix2  # A_q^{-1}(theta - q alpha)
+    floor_log: float
 
 
 def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
@@ -161,7 +189,8 @@ def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
 
 def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
                     precision: int | None = None) -> GordonMatrices:
-    """Build A_q, A_{2q}, A_q^{-1} and the shifted A_q^{-1} in one sweep."""
+    """Build A_q, A_{2q}, A_q^{-1} and the shifted A_q^{-1} from one pass over
+    the 3q orbit sites [-q, 2q)."""
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     if precision is None:
@@ -169,47 +198,39 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
                                      float(as_mpf(theta)) % 1.0, q)
         precision = 192 + int(2.2 * s / math.log(2))
     with mp.workprec(precision):
-        av = as_mpf(alpha)
-        th = as_mpf(theta)
-        Ev = as_mpf(E)
-        acc = TransferMatrix2.identity()
-        A_q = None
-        for j in range(2 * q):
-            acc = step_A(pot, Ev, th + j * av).matmul(acc)
-            if j == q - 1:
-                A_q = acc
-        A_2q = acc
-        Ainv_q = _inverse_product(pot, Ev, th, av, q)
-        Ainv_shift = _inverse_product(pot, Ev, th - q * av, av, q)
+        S = site_values(pot, E, theta, alpha, -q, 2 * q)
+        window, forward = S[q:2 * q], S[2 * q:]  # sites [0, q) and [q, 2q)
+        A_q = product_from_sites(window)
+        A_2q = product_from_sites(forward, A_q)
+        Ainv_q = inverse_from_sites(window)
+        Ainv_shift = inverse_from_sites(S[:q])  # sites [-q, 0)
+        scale_log = _log(A_2q.norm())
+    floor_log = max(scale_log, 1.0) - precision * math.log(2) + 48 * math.log(2)
     return GordonMatrices(q=q, precision=precision, A_q=A_q, A_2q=A_2q,
-                          Ainv_q=Ainv_q, Ainv_q_shift=Ainv_shift)
-
-
-def _inverse_product(pot, E, x, alpha, q):
-    acc = TransferMatrix2.identity()
-    for j in range(q):
-        xj = x + j * alpha
-        fv = pot.f(as_mpf(xj)) if pot.m else mp.mpf(1)
-        if pot.m and abs(fv) == 0:
-            from .errors import OrbitPoleError
-
-            raise OrbitPoleError("exact pole on inverse-orbit window", step=j)
-        acc = acc.matmul(step_F(pot, E, xj).scaled(1 / fv))
-    return acc
+                          Ainv_q=Ainv_q, Ainv_q_shift=Ainv_shift,
+                          floor_log=floor_log)
 
 
 def _vec_norm(v):
     return mp.sqrt(v[0] * v[0] + v[1] * v[1])
 
 
+def _log(x) -> float:
+    """ln x as a float (-inf at 0), taken at LOG_PREC bits."""
+    with mp.workprec(LOG_PREC):
+        return float(mp.log(x))
+
+
 class GordonLhs(NamedTuple):
     """Certificate left-hand sides; the ``*_log`` fields survive float64
-    underflow (they are -inf only when no difference was detected at all)."""
+    underflow.  ``max_norm`` is the generated solution's three-norm maximum
+    max(||A_q v||, ||A_q^{-1}(theta - q alpha) v||, ||A_{2q} v||)."""
 
     square: float
     inverse: float
     square_log: float
     inverse_log: float
+    max_norm: float
 
 
 def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
@@ -217,7 +238,12 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
     """The two certificate left-hand sides at scale q for initial vector v:
 
         ||(A_q^2 - A_{2q})(theta) v||  and
-        ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v||.
+        ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v||,
+
+    with the three-norm maximum, each matrix applied to v once.  Raises
+    NumericError when a difference is below the precision floor; an exact
+    zero counts as below it, since it only says that the two products agree
+    to every working bit.
     """
     if mats is None:
         mats = gordon_matrices(pot, E, theta, alpha, q)
@@ -225,28 +251,27 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         vv = (as_mpf(v[0]), as_mpf(v[1]))
         nrm = _vec_norm(vv)
         vv = (vv[0] / nrm, vv[1] / nrm)
-        w_sq = mats.A_q.apply(mats.A_q.apply(vv))
+        w_q = mats.A_q.apply(vv)
+        w_sq = mats.A_q.apply(w_q)
         w_2q = mats.A_2q.apply(vv)
-        lhs_square = _vec_norm((w_sq[0] - w_2q[0], w_sq[1] - w_2q[1]))
         u0 = mats.Ainv_q.apply(vv)
         u1 = mats.Ainv_q_shift.apply(vv)
-        lhs_inverse = _vec_norm((u0[0] - u1[0], u0[1] - u1[1]))
-        _check_resolution(mats, lhs_square, lhs_inverse)
-        return GordonLhs(
-            square=float(lhs_square), inverse=float(lhs_inverse),
-            square_log=float(mp.log(lhs_square)) if lhs_square > 0 else -math.inf,
-            inverse_log=float(mp.log(lhs_inverse)) if lhs_inverse > 0 else -math.inf)
-
-
-def _check_resolution(mats: GordonMatrices, *values):
-    """Differences must sit clearly above the rounding floor of the products."""
-    scale = max(float(mp.log(mats.A_2q.norm())), 1.0)
-    floor_log = scale - mats.precision * math.log(2) + 48 * math.log(2)
-    for val in values:
-        if val != 0 and float(mp.log(val)) < floor_log:
+        d_sq = (w_sq[0] - w_2q[0], w_sq[1] - w_2q[1])
+        d_inv = (u0[0] - u1[0], u0[1] - u1[1])
+    # the differences above need the full precision; their norms do not
+    with mp.workprec(LOG_PREC):
+        lhs_square = _vec_norm(d_sq)
+        lhs_inverse = _vec_norm(d_inv)
+        max_norm = float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q)))
+    square_log, inverse_log = _log(lhs_square), _log(lhs_inverse)
+    for val_log in (square_log, inverse_log):
+        if val_log < mats.floor_log:
             raise NumericError(
                 "certificate difference is below the working-precision floor; "
                 "increase precision")
+    return GordonLhs(square=float(lhs_square), inverse=float(lhs_inverse),
+                     square_log=square_log, inverse_log=inverse_log,
+                     max_norm=max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -521,26 +546,13 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
         dirs.append(contracted_direction(pot, E, theta, alpha, q))
         dirs.append(bounded_candidate(pot, E, theta, alpha, q)[0])
         thr_log = -c * q
-        worst_sq = -math.inf
-        worst_inv = -math.inf
-        min_maxn = math.inf
-        all_excluded = True
+        lhs = [gordon_lhs(pot, E, theta, alpha, q, v=v, mats=mats) for v in dirs]
+        worst_sq = max(x.square_log for x in lhs)
+        worst_inv = max(x.inverse_log for x in lhs)
+        min_maxn = min(x.max_norm for x in lhs)
+        all_excluded = all(x.square_log <= thr_log and x.inverse_log <= thr_log
+                           and x.max_norm >= 0.25 - MAX_NORM_TOL for x in lhs)
         with mp.workprec(mats.precision):
-            for v in dirs:
-                lhs = gordon_lhs(pot, E, theta, alpha, q, v=v, mats=mats)
-                vv = (as_mpf(v[0]), as_mpf(v[1]))
-                nrm = _vec_norm(vv)
-                vv = (vv[0] / nrm, vv[1] / nrm)
-                n_fwd = float(_vec_norm(mats.A_q.apply(vv)))
-                n_bwd = float(_vec_norm(mats.Ainv_q_shift.apply(vv)))
-                n_2q = float(_vec_norm(mats.A_2q.apply(vv)))
-                maxn = max(n_fwd, n_bwd, n_2q)
-                worst_sq = max(worst_sq, lhs.square_log)
-                worst_inv = max(worst_inv, lhs.inverse_log)
-                min_maxn = min(min_maxn, maxn)
-                small = lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
-                if not (small and maxn >= 0.25 - MAX_NORM_TOL):
-                    all_excluded = False
             trace = float(mats.A_q.trace())
         worst = max(worst_sq, worst_inv)
         rate = -worst / q

@@ -27,6 +27,7 @@ from .arithmetic import (
 from .errors import (
     DegenerateModelError,
     InvalidInputError,
+    OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
 )
@@ -37,6 +38,7 @@ __all__ = [
     "make_maryland",
     "make_custom",
     "eval_V",
+    "site_values",
     "f_product_check",
     "G_REGISTRY",
 ]
@@ -128,16 +130,55 @@ class MeromorphicPotential:
 # built-in families and the custom registry
 
 
+def _with_phasor(g: Callable, phasor: Callable) -> Callable:
+    """Attach to ``g`` its trig-polynomial form ``g.phasor(c, s)``: the value
+    g(x) from c = cos(pi x) and s = sin(pi x), the parts of the phasor
+    z = e^{i pi x}.  ``site_values`` evaluates g along an orbit through it
+    without trig calls; a g without it is evaluated directly."""
+    g.phasor = phasor
+    return g
+
+
+def _g_const(val):
+    def g(x):
+        if _is_array(x):
+            return np.full_like(x, float(val), dtype=float)
+        return mp.mpf(val)
+    return _with_phasor(g, lambda c, s: mp.mpf(val))
+
+
+def _g_cos2pi(lam):
+    def g(x):
+        return lam * (np.cos(2 * np.pi * x) if _is_array(x) else mp.cospi(2 * as_mpf(x)))
+    return _with_phasor(g, lambda c, s: lam * (c * c - s * s))
+
+
+def _g_sin2pi(lam):
+    def g(x):
+        return lam * (np.sin(2 * np.pi * x) if _is_array(x) else mp.sinpi(2 * as_mpf(x)))
+    return _with_phasor(g, lambda c, s: lam * 2 * c * s)
+
+
+def _g_sinpi(lam):
+    def g(x):
+        return lam * _sinpi(x)
+    return _with_phasor(g, lambda c, s: lam * s)
+
+
+# factories coupling -> g; every g they return carries its phasor form
+G_REGISTRY: dict[str, Callable[[float], Callable]] = {
+    "cos2pi": _g_cos2pi,
+    "sin2pi": _g_sin2pi,
+    "sinpi": _g_sinpi,
+    "const": _g_const,
+}
+
+
 def make_amo(lam: float) -> MeromorphicPotential:
     """Cosine model: no poles, V(x) = lam * cos 2 pi x."""
     lam = float(lam)
-
-    def g(x):
-        if _is_array(x):
-            return lam * np.cos(2 * np.pi * x)
-        return lam * mp.cospi(2 * as_mpf(x))
-
-    return MeromorphicPotential(poles=(), g=g, g_lipschitz=2 * math.pi * abs(lam),
+    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam),
+                                g_lipschitz=2 * math.pi * abs(lam),
                                 label="amo", coupling=lam)
 
 
@@ -150,31 +191,9 @@ def make_maryland(lam: float) -> MeromorphicPotential:
     lam = float(lam)
     if lam == 0:
         raise DegenerateModelError("tangent model needs a nonzero coupling")
-
-    def g(x):
-        return 2 * lam * _sinpi(x)
-
-    return MeromorphicPotential(poles=(Fraction(1, 2),), g=g,
+    return MeromorphicPotential(poles=(Fraction(1, 2),), g=_g_sinpi(2 * lam),
                                 g_lipschitz=2 * math.pi * abs(lam),
                                 label="maryland", coupling=lam, f_sign=-1)
-
-
-def _g_const(c):
-    def g(x):
-        if _is_array(x):
-            return np.full_like(x, float(c), dtype=float)
-        return mp.mpf(c)
-    return g
-
-
-G_REGISTRY: dict[str, Callable[[float], Callable]] = {
-    "cos2pi": lambda lam: (lambda x: lam * (np.cos(2 * np.pi * x) if _is_array(x)
-                                            else mp.cospi(2 * as_mpf(x)))),
-    "sin2pi": lambda lam: (lambda x: lam * (np.sin(2 * np.pi * x) if _is_array(x)
-                                            else mp.sinpi(2 * as_mpf(x)))),
-    "sinpi": lambda lam: (lambda x: lam * _sinpi(x)),
-    "const": _g_const,
-}
 
 
 def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
@@ -226,6 +245,53 @@ def eval_V(pot: MeromorphicPotential, x):
                 dist=float(dist))
         return pot.g(xv) / pot.f(xv)
     return pot.g(xv)
+
+
+def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
+                stop: int) -> list:
+    """S_j = E - V(theta + j alpha) for j in [start, stop), one orbit pass,
+    rounded to the current working precision.
+
+    The phasor z_j = e^{i pi x_j} is advanced by one complex multiply by
+    e^{i pi alpha} per site, carried with ceil(log2(n)) + 32 guard bits over
+    the n sites so the accumulated rounding stays below the working
+    precision.  f and every built-in g are trig polynomials in z_j; only a
+    user-supplied g (one without ``g.phasor``) is evaluated directly at x_j.
+    A site within ``eps_floor`` of a pole raises OrbitPoleError with its j.
+    """
+    n = stop - start
+    prec = mp.mp.prec
+    g_phasor = getattr(pot.g, "phasor", None)
+    if pot.m or g_phasor is None:
+        th = as_mpf(theta)
+        av = as_mpf(alpha)
+        xs = [th + j * av for j in range(start, stop)]
+        for j, xj in enumerate(xs, start):
+            dist = pot.pole_distance(xj)
+            if dist <= pot.eps_floor:
+                raise OrbitPoleError(f"pole within floor at orbit site {j}",
+                                     dist=float(dist), step=j)
+    out = []
+    with mp.workprec(prec + (n - 1).bit_length() + 32):
+        Ev = as_mpf(E)
+        av = as_mpf(alpha)
+        x0 = as_mpf(theta) + start * av
+        c, s = mp.cospi(x0), mp.sinpi(x0)
+        cu, su = mp.cospi(av), mp.sinpi(av)
+        # 2 sin(pi (x - p)) = 2 (s cos(pi p) - c sin(pi p)) for each pole p
+        pole_phasors = [(2 * mp.cospi(as_mpf(pl)), 2 * mp.sinpi(as_mpf(pl)))
+                        for pl in pot.poles]
+        for i in range(n):
+            gv = g_phasor(c, s) if g_phasor is not None else pot.g(xs[i])
+            if pot.m:
+                fv = mp.mpf(pot.f_sign)
+                for cp, sp in pole_phasors:
+                    fv *= s * cp - c * sp
+                gv = gv / fv
+            out.append(Ev - gv)
+            c, s = c * cu - s * su, s * cu + c * su
+    with mp.workprec(prec):
+        return [+v for v in out]
 
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,

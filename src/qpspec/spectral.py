@@ -106,14 +106,15 @@ def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
 def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int,
                   method: str = "phase-average", grid: int = 64,
                   kind: str = "D") -> list[LyapunovEstimate | Exception]:
-    """Map the Lyapunov estimator over an energy grid; per-energy failures are
-    recorded in place and the scan continues.  Output order follows E_grid."""
-    out: list[LyapunovEstimate | Exception] = []
+    """Map the Lyapunov estimator over an energy grid; per-energy numerical
+    failures (NumericError) are recorded in place and the scan continues,
+    any other error propagates.  Output order follows E_grid."""
+    out: list[LyapunovEstimate | NumericError] = []
     for E in E_grid:
         try:
             out.append(lyapunov(pot, float(E), alpha, n, method=method,
                                 grid=grid, kind=kind))
-        except Exception as exc:  # recorded, scan continues
+        except NumericError as exc:  # recorded, scan continues
             out.append(exc)
     return out
 

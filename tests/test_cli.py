@@ -156,6 +156,24 @@ def test_exit_code_2_on_config_errors(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+def test_percent_in_config_value_exits_2_naming_key(gordon_cfg, tmp_path, capsys):
+    text = gordon_cfg.read_text().replace("coupling = 0.15", "coupling = 0.15%")
+    cfg = tmp_path / "percent.ini"
+    cfg.write_text(text)
+    assert main(["indices", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "[model] coupling" in capsys.readouterr().err
+
+
+def test_bad_lyapunov_kind_exits_2_naming_key(classify_cfg, tmp_path, capsys):
+    cfg = tmp_path / "kind.ini"
+    cfg.write_text(classify_cfg.read_text() + "\n[run]\nlyapunov_kind = X\n")
+    out = tmp_path / "o"
+    assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "lyapunov_kind" in capsys.readouterr().err
+    assert not (out / "lyapunov.csv").exists()
+
+
 def test_exit_code_3_on_unwritable_output(gordon_cfg, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

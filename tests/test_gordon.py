@@ -2,10 +2,12 @@ import math
 from fractions import Fraction
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 from qpspec import (
     NumericError,
+    OrbitPoleError,
     RangeError,
     SubsequenceError,
     bounded_candidate,
@@ -19,6 +21,7 @@ from qpspec import (
     liouville_cf,
     lyapunov,
     make_amo,
+    make_custom,
     make_maryland,
     max_inequality,
     product,
@@ -86,6 +89,51 @@ def test_gordon_matrices_consistency(amo2):
         assert _mat_close(mats.A_q.matmul(mats.Ainv_q),
                           TransferMatrix2.identity(), 1e-18)
         assert abs(float(mats.A_q.det()) - 1.0) < 1e-15
+
+
+def _user_g(x):
+    # deliberately without a ``phasor`` form: evaluated directly at each site
+    if isinstance(x, np.ndarray):
+        return 1.0 + 0.5 * np.cos(2 * np.pi * x)
+    return 1 + mp.cospi(2 * x) / 2
+
+
+@pytest.mark.parametrize("pot", [
+    make_amo(2.0),
+    make_maryland(0.7),
+    make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g,
+                g_lipschitz=math.pi),
+], ids=["amo", "maryland", "two-pole-cos2pi", "user-g"])
+def test_gordon_matrices_match_direct_products(pot):
+    cf = golden_cf(20)
+    q = cf.q[6]  # 13
+    E, theta = 0.4, Fraction(1, 7)
+    mats = gordon_matrices(pot, E, theta, cf.value, q)
+    with mp.workprec(mats.precision):
+        Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
+        direct = {
+            "A_q": product(pot, Ev, th, av, q),
+            "A_2q": product(pot, Ev, th, av, 2 * q),
+            "Ainv_q": product(pot, Ev, th, av, q).inv(),
+            "Ainv_q_shift": product(pot, Ev, th - q * av, av, q).inv(),
+        }
+        for name, expect in direct.items():
+            got = getattr(mats, name)
+            tol = 1e-40 * max(float(expect.norm()), 1.0)
+            assert _mat_close(got, expect, tol), name
+
+
+def test_gordon_matrices_pole_in_backward_window(maryland1):
+    cf = golden_cf(20)
+    q = cf.q[6]  # 13
+    with mp.workprec(200):
+        # site -2 lies 1e-14 from the pole at 1/2; sites [0, 2q) stay far off
+        theta = mp.mpf(1) / 2 + 2 * cf.value + mp.mpf("1e-14")
+    with pytest.raises(OrbitPoleError) as exc:
+        gordon_matrices(maryland1, 0.3, theta, cf.value, q)
+    assert exc.value.step == -2
+    assert exc.value.dist <= maryland1.eps_floor
 
 
 def test_gordon_lhs_rejects_unresolvable_difference(amo2):

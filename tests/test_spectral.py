@@ -115,6 +115,12 @@ def test_lyapunov_scan_records_failures(maryland1):
     assert all(not isinstance(o, Exception) for o in out)
 
 
+def test_lyapunov_scan_propagates_input_errors(maryland1):
+    cf = golden_cf(20)
+    with pytest.raises(InvalidInputError):
+        lyapunov_scan(maryland1, cf.value, [0.0, 1.0], 2000, kind="X")
+
+
 def test_classify_label_cases():
     assert classify_label(0.1, 0.01, 0.5, 0.6) == "sc-candidate"
     assert classify_label(0.7, 0.01, 0.5, 0.6) == "above-delta"
