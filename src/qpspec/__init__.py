@@ -50,9 +50,9 @@ from .gordon import (
     GordonLhs,
     SolutionSegment,
     bounded_candidate,
-    contracted_direction,
     exclusion_certificate,
     gordon_lhs,
+    gordon_lhs_uniform,
     gordon_matrices,
     smallness_check,
     max_inequality,

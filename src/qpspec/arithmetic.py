@@ -456,7 +456,6 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
     levels: list[float] = []
-    limited: list[int] = []
     with mp.workprec(cf.precision):
         floor = mp.mpf(2) ** (-(cf.precision // 2))
         alpha = cf.value
@@ -476,7 +475,7 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
                                       tail_start=1, terms_used=n, witness=sgn,
                                       resolution_limited=(n,))
             levels.append(float(max(-mp.log(np_), -mp.log(nm_)) / n))
-    return _surrogate(levels, resolution_limited=tuple(limited))
+    return _surrogate(levels)
 
 
 # ---------------------------------------------------------------------------

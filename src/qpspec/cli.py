@@ -39,15 +39,14 @@ from .potential import make_amo, make_custom, make_maryland
 from .spectral import classify_regime, lyapunov_scan
 
 _SCHEMA = {
-    "model": {"name", "coupling", "poles", "g", "g_lipschitz"},
+    "model": {"name", "coupling", "poles", "g"},
     "alpha": {"kind", "coefficients", "file", "value", "precision", "name",
               "beta_target", "terms", "first_coeff"},
     "phase": {"theta"},
     "energies": {"kind", "min", "max", "count", "values"},
-    "depths": {"cf_levels", "lyapunov_n", "gordon_levels", "gamma_nmax"},
+    "depths": {"lyapunov_n", "gordon_levels", "gamma_nmax"},
     "run": {"epsilon", "c_rate", "seed", "lyapunov_grid", "directions",
             "lyapunov_kind"},
-    "output": {"formats"},
 }
 
 
@@ -63,16 +62,13 @@ def _fmt(x) -> str:
     return format(x, ".17g")
 
 
-def _json_default(x):
-    return _fmt(x)
-
-
 class RunConfig:
     """Validated view over the INI file; every accessor raises ConfigError
     with the offending key on bad input."""
 
     def __init__(self, path: Path):
-        cp = configparser.ConfigParser(interpolation=None)
+        cp = configparser.ConfigParser(interpolation=None,
+                                       inline_comment_prefixes=(";",))
         read = cp.read(path)
         if not read:
             raise ConfigError(f"config file not readable: {path}")
@@ -206,9 +202,7 @@ class RunConfig:
 def _parse_number(raw: str):
     raw = raw.strip()
     try:
-        if "/" in raw:
-            return Fraction(raw)
-        return Fraction(raw)  # decimal strings parse exactly
+        return Fraction(raw)  # fractions and decimal strings parse exactly
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"bad number: {raw!r}")
 
@@ -282,7 +276,7 @@ def cmd_indices(cfg: RunConfig, out: Path, args) -> int:
     summary = {"beta": b.to_json_dict(), "gamma": g.to_json_dict(),
                "delta": d.to_json_dict(), "model": pot.label}
     _write(out / "indices.json",
-           json.dumps(summary, sort_keys=True, indent=1, default=_json_default)
+           json.dumps(summary, sort_keys=True, indent=1, default=_fmt)
            + "\n", args.verbose)
     return 0
 
@@ -321,16 +315,14 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
             raise RangeError(
                 f"gordon level {n_i} exceeds computed depth {cf.depth}")
     c = cfg.run_num("c_rate", float, 1e-2, positive=True)
-    dirs = cfg.run_num("directions", int, 360, positive=True)
     energies = cfg.energy_grid()
     all_certs = []
     for E in energies:
-        certs = exclusion_certificate(pot, E, theta, cf.value, cf, levels, c,
-                                      n_directions=dirs)
+        certs = exclusion_certificate(pot, E, theta, cf.value, cf, levels, c)
         all_certs.extend(c_.to_json_dict() for c_ in certs)
     _write(out / "certificates.json",
            json.dumps(all_certs, sort_keys=True, indent=1,
-                      default=_json_default) + "\n", args.verbose)
+                      default=_fmt) + "\n", args.verbose)
     rows = [(c_["E"], c_["q"], c_["lhs_square_log"], c_["lhs_inverse_log"],
              c_["trace"], c_["max_norm"], c_["empirical_rate"], c_["verdict"])
             for c_ in all_certs]
@@ -353,7 +345,7 @@ def cmd_classify(cfg: RunConfig, out: Path, args) -> int:
            _csv(res.rows(), ("E", "L", "margin", "label")), args.verbose)
     _write(out / "classify.json",
            json.dumps(res.to_json_dict(), sort_keys=True, indent=1,
-                      default=_json_default) + "\n", args.verbose)
+                      default=_fmt) + "\n", args.verbose)
     return 0
 
 

@@ -17,7 +17,11 @@ and only a user-supplied g is evaluated directly at x_j.  Every site within
 multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b), and a step of the
 inverse products (a, b, c, d) <- (-b, a + b s, -d, c + d s).
 
-Per direction, ``gordon_lhs`` applies each matrix to v once and checks the
+The certificate quantifies over every initial direction v in closed form
+(``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
+suprema are spectral norms, and the minimum of the three-norm maximum lies
+among nine candidates (each curve's minimum and each pairwise crossing).
+``gordon_lhs`` evaluates the same quantities at one given v.  Both check the
 differences against the resolution floor
 max(ln||A_{2q}||, 1) - (precision - 48) ln 2, computed once per level; logs
 and norms that are only compared or turned into floats are taken at
@@ -26,6 +30,7 @@ LOG_PREC bits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -39,6 +44,7 @@ from .cocycle import (
     TransferMatrix2,
     inverse_from_sites,
     product_from_sites,
+    spectral_norm_2x2,
     step_A,
 )
 from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
@@ -53,12 +59,12 @@ __all__ = [
     "solve_recurrence",
     "gordon_matrices",
     "gordon_lhs",
+    "gordon_lhs_uniform",
     "max_inequality",
     "trace_dichotomy",
     "smallness_check",
     "exclusion_certificate",
     "bounded_candidate",
-    "contracted_direction",
 ]
 
 MAX_NORM_TOL = 1e-6
@@ -233,6 +239,18 @@ class GordonLhs(NamedTuple):
     max_norm: float
 
 
+def _resolved_log(x, floor_log: float) -> float:
+    """ln x of a certificate difference; raises NumericError when it is below
+    the precision floor.  An exact zero counts as below it, since it only says
+    that the two products agree to every working bit."""
+    val_log = _log(x)
+    if val_log < floor_log:
+        raise NumericError(
+            "certificate difference is below the working-precision floor; "
+            "increase precision")
+    return val_log
+
+
 def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
                mats: GordonMatrices | None = None) -> GordonLhs:
     """The two certificate left-hand sides at scale q for initial vector v:
@@ -241,9 +259,7 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v||,
 
     with the three-norm maximum, each matrix applied to v once.  Raises
-    NumericError when a difference is below the precision floor; an exact
-    zero counts as below it, since it only says that the two products agree
-    to every working bit.
+    NumericError when a difference is below the precision floor.
     """
     if mats is None:
         mats = gordon_matrices(pot, E, theta, alpha, q)
@@ -263,19 +279,66 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         lhs_square = _vec_norm(d_sq)
         lhs_inverse = _vec_norm(d_inv)
         max_norm = float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q)))
-    square_log, inverse_log = _log(lhs_square), _log(lhs_inverse)
-    for val_log in (square_log, inverse_log):
-        if val_log < mats.floor_log:
-            raise NumericError(
-                "certificate difference is below the working-precision floor; "
-                "increase precision")
     return GordonLhs(square=float(lhs_square), inverse=float(lhs_inverse),
-                     square_log=square_log, inverse_log=inverse_log,
+                     square_log=_resolved_log(lhs_square, mats.floor_log),
+                     inverse_log=_resolved_log(lhs_inverse, mats.floor_log),
                      max_norm=max_norm)
 
 
+def _diff_norm(m1: TransferMatrix2, m2: TransferMatrix2):
+    return spectral_norm_2x2(m1.a - m2.a, m1.b - m2.b, m1.c - m2.c, m1.d - m2.d)
+
+
+def _min_max_direction(matrices):
+    """min over unit v of max_i ||M_i v||^2, with a minimising v.
+
+    At v = (cos psi, sin psi), ||M v||^2 = a + b x + c y is linear in
+    (x, y) = (cos 2psi, sin 2psi) on the unit circle.  The minimum of the
+    maximum lies at one curve's own minimum -(b, c)/|(b, c)| (anywhere for a
+    constant curve) or where two curves cross, i.e. where a line meets the
+    circle.
+    """
+    curves = []
+    for m in matrices:
+        col0, col1 = m.a * m.a + m.c * m.c, m.b * m.b + m.d * m.d
+        curves.append(((col0 + col1) / 2, (col0 - col1) / 2, m.a * m.b + m.c * m.d))
+    points = []
+    for _, b, c in curves:
+        r = mp.sqrt(b * b + c * c)
+        points.append((-b / r, -c / r) if r else (mp.one, mp.zero))
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(curves, 2):
+        a, b, c = a1 - a2, b1 - b2, c1 - c2
+        m = b * b + c * c
+        if m == 0 or a * a > m:
+            continue
+        s = mp.sqrt(m - a * a)
+        points += [((-a * b - c * s) / m, (-a * c + b * s) / m),
+                   ((-a * b + c * s) / m, (-a * c - b * s) / m)]
+    value, (x, y) = min((max(a + b * x + c * y for a, b, c in curves), (x, y))
+                        for x, y in points)
+    psi = mp.atan2(y, x) / 2
+    return value, (mp.cos(psi), mp.sin(psi))
+
+
+def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
+    """``gordon_lhs`` over every unit initial vector v at once: the suprema of
+    the two left-hand sides (the spectral norms of A_q^2 - A_{2q} and of
+    A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) and the minimum of the
+    three-norm maximum, with a minimising v at the working precision.
+    Raises NumericError when a supremum is below the precision floor."""
+    with mp.workprec(mats.precision):
+        sup_sq = _diff_norm(mats.A_q.matmul(mats.A_q), mats.A_2q)
+        sup_inv = _diff_norm(mats.Ainv_q, mats.Ainv_q_shift)
+        min_sq, v = _min_max_direction((mats.A_q, mats.Ainv_q_shift, mats.A_2q))
+        max_norm = float(mp.sqrt(min_sq))
+    return GordonLhs(square=float(sup_sq), inverse=float(sup_inv),
+                     square_log=_resolved_log(sup_sq, mats.floor_log),
+                     inverse_log=_resolved_log(sup_inv, mats.floor_log),
+                     max_norm=max_norm), v
+
+
 # ---------------------------------------------------------------------------
-# candidate directions
+# the bounded candidate of the smallness check
 
 
 def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
@@ -337,42 +400,6 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
     psi = (lo + hi) / 2
     v = (math.cos(psi), math.sin(psi))
     return v, math.exp(cost(psi))
-
-
-def contracted_direction(pot: MeromorphicPotential, E, theta, alpha,
-                         q: int, iters: int = 5) -> tuple[float, float]:
-    """Initial direction of the near-kernel vector of the window truncation,
-    found by inverse-power iteration on the tridiagonal restriction to
-    [-q-1, 2q] (Dirichlet ends)."""
-    from scipy.linalg import solve_banded
-
-    alpha_f = float(as_mpf(alpha))
-    theta_f = float(as_mpf(theta)) % 1.0
-    k_lo, k_hi = -q - 1, 2 * q
-    ks = np.arange(k_lo, k_hi + 1, dtype=float)
-    diag = pot.V_array(np.mod(theta_f + ks * alpha_f, 1.0), cap=1e12) - float(E)
-    N = diag.shape[0]
-    ab = np.zeros((3, N))
-    ab[0, 1:] = 1.0
-    ab[1, :] = diag + 1e-10  # tiny shift keeps the solve finite at exact kernels
-    ab[2, :-1] = 1.0
-    rng_free = np.cos(0.7 + 0.3 * np.arange(N))  # deterministic start
-    psi = rng_free / np.linalg.norm(rng_free)
-    for _ in range(iters):
-        try:
-            psi = solve_banded((1, 1), ab, psi)
-        except Exception:
-            break
-        nrm = np.linalg.norm(psi)
-        if not np.isfinite(nrm) or nrm == 0:
-            break
-        psi = psi / nrm
-    i0 = -k_lo  # index of site 0
-    v = np.array([psi[i0], psi[i0 - 1]])
-    nrm = np.linalg.norm(v)
-    if not np.isfinite(nrm) or nrm < 1e-12:
-        return bounded_candidate(pot, E, theta, alpha, q)[0]
-    return (float(v[0] / nrm), float(v[1] / nrm))
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +515,11 @@ def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
 
 @dataclass(frozen=True)
 class GordonCertificate:
-    """Per-level exclusion record, aggregated over the direction grid.
+    """Per-level exclusion record over every initial direction.
 
-    lhs values are worst-case (max) over directions, max_norm is the minimum
-    over directions of the three-norm maximum, so the verdict quantifies over
-    every tested initial vector.
+    lhs values are the suprema over unit initial vectors, max_norm is the
+    minimum over them of the three-norm maximum, so the verdict quantifies
+    over every solution.
     """
 
     E: float
@@ -504,34 +531,27 @@ class GordonCertificate:
     max_norm: float
     empirical_rate: float
     verdict: str  # "excluded" | "inconclusive"
-    directions_tested: int
 
     def to_json_dict(self) -> dict:
         return {"E": self.E, "q": self.q, "level": self.level,
                 "lhs_square_log": self.lhs_square_log,
                 "lhs_inverse_log": self.lhs_inverse_log,
                 "trace": self.trace, "max_norm": self.max_norm,
-                "empirical_rate": self.empirical_rate, "verdict": self.verdict,
-                "directions_tested": self.directions_tested}
+                "empirical_rate": self.empirical_rate, "verdict": self.verdict}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _direction_grid(n_directions: int) -> list[tuple[float, float]]:
-    return [(math.cos(math.pi * i / n_directions),
-             math.sin(math.pi * i / n_directions)) for i in range(n_directions)]
-
-
 def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
-                          cf: ContinuedFraction, levels, c: float,
-                          n_directions: int = 360) -> list[GordonCertificate]:
+                          cf: ContinuedFraction, levels,
+                          c: float) -> list[GordonCertificate]:
     """One certificate per requested level.
 
-    A direction is excluded at a level when both left-hand sides are
-    <= e^{-c q} and the generated solution's three-norm maximum is
-    >= 1/4 - tol; the level verdict requires this for every tested direction
-    (a uniform grid plus the window-contracted direction).
+    A level is excluded when, for every unit initial vector, both left-hand
+    sides are <= e^{-c q} and the generated solution's three-norm maximum is
+    >= 1/4 - tol; ``gordon_lhs_uniform`` gives the suprema and the minimum in
+    closed form.
     """
     if not levels:
         raise InvalidInputError("levels must be nonempty")
@@ -542,24 +562,15 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
     for n_i in levels:
         q = cf.q[n_i]
         mats = gordon_matrices(pot, E, theta, alpha, q)
-        dirs = _direction_grid(n_directions)
-        dirs.append(contracted_direction(pot, E, theta, alpha, q))
-        dirs.append(bounded_candidate(pot, E, theta, alpha, q)[0])
+        lhs, _ = gordon_lhs_uniform(mats)
         thr_log = -c * q
-        lhs = [gordon_lhs(pot, E, theta, alpha, q, v=v, mats=mats) for v in dirs]
-        worst_sq = max(x.square_log for x in lhs)
-        worst_inv = max(x.inverse_log for x in lhs)
-        min_maxn = min(x.max_norm for x in lhs)
-        all_excluded = all(x.square_log <= thr_log and x.inverse_log <= thr_log
-                           and x.max_norm >= 0.25 - MAX_NORM_TOL for x in lhs)
+        excluded = (lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
+                    and lhs.max_norm >= 0.25 - MAX_NORM_TOL)
         with mp.workprec(mats.precision):
             trace = float(mats.A_q.trace())
-        worst = max(worst_sq, worst_inv)
-        rate = -worst / q
         certs.append(GordonCertificate(
-            E=float(E), q=q, level=n_i, lhs_square_log=worst_sq,
-            lhs_inverse_log=worst_inv, trace=trace, max_norm=min_maxn,
-            empirical_rate=rate,
-            verdict="excluded" if all_excluded else "inconclusive",
-            directions_tested=len(dirs)))
+            E=float(E), q=q, level=n_i, lhs_square_log=lhs.square_log,
+            lhs_inverse_log=lhs.inverse_log, trace=trace, max_norm=lhs.max_norm,
+            empirical_rate=-max(lhs.square_log, lhs.inverse_log) / q,
+            verdict="excluded" if excluded else "inconclusive"))
     return certs

@@ -52,10 +52,6 @@ def _sinpi(x):
     return np.sin(np.pi * x) if _is_array(x) else mp.sinpi(x)
 
 
-def _cospi(x):
-    return np.cos(np.pi * x) if _is_array(x) else mp.cospi(x)
-
-
 @dataclass(frozen=True)
 class MeromorphicPotential:
     """V = g/f with poles listed with multiplicity (repeats).

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -196,3 +197,34 @@ def test_exit_code_5_on_excluded_phase(gordon_cfg, tmp_path):
     cfg.write_text(text)
     assert main(["indices", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 5
+
+
+def test_readme_example_config_runs(tmp_path):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block)
+    for sub in ("indices", "gordon"):
+        assert main([sub, "--config", str(cfg), "--out",
+                     str(tmp_path / "o")]) == 0
+    js = json.loads((tmp_path / "o" / "indices.json").read_text())
+    assert js["model"] == "maryland"
+
+
+@pytest.mark.parametrize("section,key", [
+    ("model", "g_lipschitz"), ("depths", "cf_levels"), ("output", "formats"),
+])
+def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
+                                       section, key):
+    cfg = tmp_path / "unread.ini"
+    text = gordon_cfg.read_text()
+    if f"[{section}]" in text:
+        text = text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n")
+    else:
+        text += f"\n[{section}]\n{key} = 1\n"
+    cfg.write_text(text)
+    assert main(["indices", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    # an unknown section is rejected before its keys are read
+    assert (key if section != "output" else "[output]") in err

@@ -11,10 +11,10 @@ from qpspec import (
     RangeError,
     SubsequenceError,
     bounded_candidate,
-    contracted_direction,
     delta_index,
     exclusion_certificate,
     gordon_lhs,
+    gordon_lhs_uniform,
     gordon_matrices,
     golden_cf,
     smallness_check,
@@ -154,7 +154,31 @@ def test_gordon_lhs_log_survives_underflow():
 
 
 # ---------------------------------------------------------------------------
-# candidate directions
+# every direction in closed form, and the bounded candidate
+
+
+@pytest.mark.parametrize("pot", [
+    make_amo(2.0),
+    make_maryland(1.0),
+    make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
+], ids=["amo", "maryland", "two-pole-cos2pi"])
+def test_gordon_lhs_uniform_against_direction_grid(pot):
+    cf = golden_cf(20)
+    E, theta, q, n = 0.4, Fraction(1, 7), cf.q[4], 90  # q = 5
+    mats = gordon_matrices(pot, E, theta, cf.value, q)
+    lhs, v = gordon_lhs_uniform(mats)
+    assert float(v[0]) ** 2 + float(v[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
+    grid = [gordon_lhs(pot, E, theta, cf.value, q, mats=mats,
+                       v=(math.cos(math.pi * i / n), math.sin(math.pi * i / n)))
+            for i in range(n)]
+    # the grid's nearest line is at most pi/2n off an optimal direction
+    gap = -math.log(math.cos(math.pi / (2 * n)))
+    for field in ("square_log", "inverse_log"):
+        grid_max = max(getattr(x, field) for x in grid)
+        assert grid_max - 1e-12 <= getattr(lhs, field) <= grid_max + gap, field
+    assert lhs.max_norm <= min(x.max_norm for x in grid) * (1 + 1e-12)
+    at_v = gordon_lhs(pot, E, theta, cf.value, q, v=v, mats=mats)
+    assert at_v.max_norm == pytest.approx(lhs.max_norm, rel=1e-12)
 
 
 def test_bounded_candidate_bounds_its_own_orbit(amo2):
@@ -167,13 +191,6 @@ def test_bounded_candidate_bounds_its_own_orbit(amo2):
     worst = max(seg.vec_norm(k) for k in range(-q - 1, 2 * q + 1))
     assert worst <= C * (1 + 1e-6)
 
-
-def test_contracted_direction_is_unit_and_deterministic(maryland1):
-    cf = golden_cf(20)
-    v1 = contracted_direction(maryland1, 0.2, Fraction(1, 7), cf.value, 13)
-    v2 = contracted_direction(maryland1, 0.2, Fraction(1, 7), cf.value, 13)
-    assert v1 == v2
-    assert math.hypot(*v1) == pytest.approx(1.0, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +218,15 @@ def test_max_inequality_on_frozen_config():
     pot = make_maryland(0.15)
     theta = Fraction(3, 8)
     q = cf.q[3]
-    v = contracted_direction(pot, 0.0, theta, cf.value, q)
+    mats = gordon_matrices(pot, 0.0, theta, cf.value, q)
+    lhs, v = gordon_lhs_uniform(mats)
+    # the closed-form minimiser, checked by stepping the recurrence itself
     seg = solve_recurrence(pot, 0.0, theta, v, (-q - 1, 2 * q), cf.value,
                            precision=600)
     mx, verdict = max_inequality(seg, q)
     assert verdict == "excluded"
     assert mx >= 0.25 - 1e-6
+    assert mx == pytest.approx(lhs.max_norm, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +266,19 @@ def test_exclusion_certificate_on_frozen_config():
     cf = liouville_cf(1.0, 4)
     pot = make_maryland(0.15)
     certs = exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [3],
-                                  1e-2, n_directions=60)
+                                  1e-2)
     (c,) = certs
     assert c.verdict == "excluded"
     assert c.max_norm >= 0.25 - 1e-6
-    assert c.directions_tested == 62
     assert c.empirical_rate >= 1e-2
+
+
+def test_exclusion_certificate_resolves_level_with_a_null_direction():
+    # at q=1 some direction's square difference falls below the precision
+    # floor; the supremum over directions does not, so the level is decided
+    cf = liouville_cf(math.log(4.0), 4)
+    pot = make_amo(2.0)
+    (c,) = exclusion_certificate(pot, 0.5, Fraction(1, 10), cf.value, cf, [1],
+                                 1e-2)
+    assert c.q == 1
+    assert c.verdict == "inconclusive"
