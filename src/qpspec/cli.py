@@ -69,7 +69,10 @@ class RunConfig:
     def __init__(self, path: Path):
         cp = configparser.ConfigParser(interpolation=None,
                                        inline_comment_prefixes=(";",))
-        read = cp.read(path)
+        try:
+            read = cp.read(path)
+        except configparser.Error as exc:
+            raise ConfigError(f"malformed config file: {exc}") from None
         if not read:
             raise ConfigError(f"config file not readable: {path}")
         for section in cp.sections():

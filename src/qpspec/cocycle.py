@@ -7,8 +7,11 @@ adjugate-style numerator of the inverse step (A^{-1} = F/f).
 Lyapunov exponents are always estimated through the regular part (the two
 cocycles share the exponent because ln|f| integrates to zero); A-kind
 estimates exist for cross-checks with pole windows masked out.  The float
-engine renormalises the running product to unit scale every 32 steps and
-keeps the log scale in a separate accumulator.
+engine takes one step form for both kinds, [[s, -f], [f, 0]] with the site
+arrays s = E f - g for D and s = E - V, f = 1 for A, vectorised over phases.
+It renormalises the running product to unit scale every 32 steps and keeps
+the log scale in a separate accumulator.  The single-orbit base point runs
+as one more phase next to the phase grid, so one pass gives both estimates.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
 # frequencies, so it dodges accidental rational resonances
 DEFAULT_X0 = math.sqrt(2.0) - 1.0
 RENORM_EVERY = 32
+CHUNK = 4096  # orbit steps whose site arrays the float engine builds at once
 
 
 def _sqrt(x):
@@ -224,10 +228,13 @@ def inverse_from_sites(S) -> TransferMatrix2:
 
 
 def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
-              xs: np.ndarray, n: int, kind: str,
-              chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+              xs: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(1/n) ln||M_n(x)|| for each phase in xs, plus an excluded mask for
-    A-kind phases whose orbit enters the pole floor."""
+    A-kind phases whose orbit enters the pole floor.
+
+    Both kinds take the step [[s, -f], [f, 0]]: D has s = E f - g, and A is
+    the same step with f = 1, s = E - V (multiplying by 1.0 is exact).
+    """
     K = xs.shape[0]
     a = np.ones(K)
     b = np.zeros(K)
@@ -235,44 +242,25 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     d = np.ones(K)
     logs = np.zeros(K)
     excluded = np.zeros(K, dtype=bool)
-    steps_done = 0
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        ks = np.arange(start, stop, dtype=float)
+    for start in range(0, n, CHUNK):
+        ks = np.arange(start, min(start + CHUNK, n), dtype=float)
         X = np.mod(xs[None, :] + ks[:, None] * alpha, 1.0)
         if kind == "A":
             if pot.m:
-                dmin = pot.pole_distance(X)
-                excluded |= np.any(dmin <= pot.eps_floor, axis=0)
-            V = pot.V_array(X)
-            S11 = E - V
-            for t in range(stop - start):
-                s11 = S11[t]
-                a, b, c, d = s11 * a - c, s11 * b - d, a, b
-                steps_done += 1
-                if steps_done % RENORM_EVERY == 0:
-                    m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                   np.maximum(np.abs(c), np.abs(d)))
-                    m = np.where(m == 0, 1.0, m)
-                    logs += np.log(m)
-                    a, b, c, d = a / m, b / m, c / m, d / m
-        elif kind == "D":
-            F = pot.f(X) if pot.m else np.ones_like(X)
-            G = np.asarray(pot.g(X), dtype=float)
-            S11 = E * F - G
-            for t in range(stop - start):
-                s11 = S11[t]
-                fv = F[t]
-                a, b, c, d = s11 * a - fv * c, s11 * b - fv * d, fv * a, fv * b
-                steps_done += 1
-                if steps_done % RENORM_EVERY == 0:
-                    m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                                   np.maximum(np.abs(c), np.abs(d)))
-                    m = np.where(m == 0, 1.0, m)
-                    logs += np.log(m)
-                    a, b, c, d = a / m, b / m, c / m, d / m
+                excluded |= np.any(pot.pole_distance(X) <= pot.eps_floor, axis=0)
+            F = np.broadcast_to(1.0, X.shape)
+            S = E - pot.V_array(X)
         else:
-            raise InvalidInputError(f"unknown step kind {kind!r}")
+            F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
+            S = E * F - np.asarray(pot.g(X), dtype=float)
+        for step, (s, f) in enumerate(zip(S, F), start + 1):
+            a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
+            if step % RENORM_EVERY == 0:
+                m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                               np.maximum(np.abs(c), np.abs(d)))
+                m = np.where(m == 0, 1.0, m)
+                logs += np.log(m)
+                a, b, c, d = a / m, b / m, c / m, d / m
     fro2 = a * a + b * b + c * c + d * d
     det = a * d - b * c
     disc = np.maximum(fro2 * fro2 - 4 * det * det, 0.0)
@@ -306,18 +294,19 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
         raise InvalidInputError(f"unknown method {method!r}")
     if grid < 1:
         raise InvalidInputError("grid must be >= 1")
-    alpha_f = float(as_mpf(alpha))
-    xs = phase_grid(grid, grid_shift)
-    vals, excl = _ln_norms(pot, float(E), alpha_f, xs, n, kind)
-    used = int(np.sum(~excl))
+    if kind not in ("A", "D"):
+        raise InvalidInputError(f"unknown step kind {kind!r}")
+    # one engine pass: the grid phases, then the single-orbit base point
+    xs = np.append(phase_grid(grid, grid_shift), x0 % 1.0)
+    vals, excl = _ln_norms(pot, float(E), float(as_mpf(alpha)), xs, n, kind)
+    keep = ~excl[:grid]
+    used = int(np.sum(keep))
     if used == 0:
         raise NumericError("all grid phases excluded by pole windows")
-    pa = float(np.mean(vals[~excl]))
-    so_vals, so_excl = _ln_norms(pot, float(E), alpha_f,
-                                 np.array([x0 % 1.0]), n, kind)
-    if so_excl[0]:
+    if excl[grid]:
         raise NumericError("single-orbit base point hits a pole window")
-    so = float(so_vals[0])
+    pa = float(np.mean(vals[:grid][keep]))
+    so = float(vals[grid])
     disc = abs(pa - so)
     value = pa if method == "phase-average" else so
     phases = used if method == "phase-average" else 1

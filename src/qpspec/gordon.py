@@ -350,12 +350,14 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
     """
     alpha_f = float(as_mpf(alpha))
     theta_f = float(as_mpf(theta)) % 1.0
+    # V at the window's sites k = -q-1 .. 2q-1; site k sits at V[k + q + 1]
+    ks = np.arange(-q - 1, 2 * q, dtype=float)
+    V = pot.V_array(np.mod(theta_f + ks * alpha_f, 1.0), cap=1e250)
     mats = []  # (logscale, 2x2) mapping v -> (phi_k, phi_{k-1})
     m = np.eye(2)
     ls = 0.0
-    for k in range(0, 2 * q):
-        V = float(pot.V_array(np.array([(theta_f + k * alpha_f) % 1.0]), cap=1e250)[0])
-        m = np.array([[E - V, -1.0], [1.0, 0.0]]) @ m
+    for v_k in V[q + 1:]:  # sites 0 .. 2q-1
+        m = np.array([[E - v_k, -1.0], [1.0, 0.0]]) @ m
         s = np.max(np.abs(m))
         if s > 1e100 or s < 1e-100:
             ls += math.log(s)
@@ -363,9 +365,8 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
         mats.append((ls, m.copy()))
     m = np.eye(2)
     ls = 0.0
-    for k in range(-1, -q - 2, -1):
-        V = float(pot.V_array(np.array([(theta_f + k * alpha_f) % 1.0]), cap=1e250)[0])
-        m = np.array([[0.0, 1.0], [-1.0, E - V]]) @ m  # inverse step
+    for v_k in V[q::-1]:  # sites -1 .. -q-1, inverse steps
+        m = np.array([[0.0, 1.0], [-1.0, E - v_k]]) @ m
         s = np.max(np.abs(m))
         if s > 1e100 or s < 1e-100:
             ls += math.log(s)

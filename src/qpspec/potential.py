@@ -56,14 +56,12 @@ def _sinpi(x):
 class MeromorphicPotential:
     """V = g/f with poles listed with multiplicity (repeats).
 
-    ``g`` must accept both scalars (mpf) and numpy arrays; its Lipschitz
-    constant is declared, not verified.  ``f_sign`` fixes the overall sign of
-    the normalised f.
+    ``g`` must accept both scalars (mpf) and numpy arrays.  ``f_sign`` fixes
+    the overall sign of the normalised f.
     """
 
     poles: tuple
     g: Callable
-    g_lipschitz: float
     label: str
     coupling: float = 1.0
     f_sign: int = 1
@@ -173,9 +171,8 @@ G_REGISTRY: dict[str, Callable[[float], Callable]] = {
 def make_amo(lam: float) -> MeromorphicPotential:
     """Cosine model: no poles, V(x) = lam * cos 2 pi x."""
     lam = float(lam)
-    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam),
-                                g_lipschitz=2 * math.pi * abs(lam),
-                                label="amo", coupling=lam)
+    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam), label="amo",
+                                coupling=lam)
 
 
 def make_maryland(lam: float) -> MeromorphicPotential:
@@ -188,30 +185,24 @@ def make_maryland(lam: float) -> MeromorphicPotential:
     if lam == 0:
         raise DegenerateModelError("tangent model needs a nonzero coupling")
     return MeromorphicPotential(poles=(Fraction(1, 2),), g=_g_sinpi(2 * lam),
-                                g_lipschitz=2 * math.pi * abs(lam),
                                 label="maryland", coupling=lam, f_sign=-1)
 
 
 def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
-                g_lipschitz: float | None = None,
                 g: Callable | None = None, label: str = "custom",
                 f_sign: int = 1) -> MeromorphicPotential:
     """Custom potential from a pole list and a registered (or supplied) g.
 
     Poles may repeat to encode multiplicity.  A supplied callable must handle
-    scalars and numpy arrays and must declare its Lipschitz constant.
+    scalars and numpy arrays.
     """
     if g is None:
         if g_name not in G_REGISTRY:
             raise InvalidInputError(
                 f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
         g = G_REGISTRY[g_name](coupling)
-        if g_lipschitz is None:
-            g_lipschitz = 2 * math.pi * abs(coupling)
-    elif g_lipschitz is None:
-        raise InvalidInputError("a user-supplied g needs a declared Lipschitz constant")
-    pot = MeromorphicPotential(poles=tuple(poles), g=g, g_lipschitz=float(g_lipschitz),
-                               label=label, coupling=float(coupling), f_sign=f_sign)
+    pot = MeromorphicPotential(poles=tuple(poles), g=g, label=label,
+                               coupling=float(coupling), f_sign=f_sign)
     _check_no_spurious_pole(pot)
     return pot
 

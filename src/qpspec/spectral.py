@@ -46,8 +46,6 @@ def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha, N: int,
         idx = [int(i) for i in np.nonzero(over)[0]]
         if pole_policy == "strict":
             raise RangeError(f"pole-influenced sites in window: {idx}")
-        if pole_policy != "cap":
-            raise InvalidInputError(f"unknown pole policy {pole_policy!r}")
         V = np.clip(V, -V_CAP, V_CAP)
         flagged = idx
     if not np.all(np.isfinite(V)):

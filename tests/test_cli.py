@@ -157,6 +157,19 @@ def test_exit_code_2_on_config_errors(tmp_path):
                  str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text", [
+    "[model]\nname = maryland\n[model]\ncoupling = 0.15\n",
+    "name = maryland\n[model]\ncoupling = 0.15\n",
+    "[model]\nname maryland\n",
+], ids=["duplicate-section", "no-section-header", "line-without-equals"])
+def test_malformed_ini_exits_2(tmp_path, capsys, text):
+    cfg = tmp_path / "malformed.ini"
+    cfg.write_text(text)
+    assert main(["indices", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "malformed config file" in capsys.readouterr().err
+
+
 def test_percent_in_config_value_exits_2_naming_key(gordon_cfg, tmp_path, capsys):
     text = gordon_cfg.read_text().replace("coupling = 0.15", "coupling = 0.15%")
     cfg = tmp_path / "percent.ini"

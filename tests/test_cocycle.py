@@ -23,7 +23,14 @@ from qpspec import (
     step_F,
     uniform_bound_check,
 )
-from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
+from qpspec.cocycle import (
+    CHUNK,
+    DEFAULT_X0,
+    TransferMatrix2,
+    _ln_norms,
+    phase_grid,
+    spectral_norm_2x2,
+)
 
 
 def _mat_close(m1, m2, tol):
@@ -162,6 +169,45 @@ def test_single_orbit_method(amo2):
     so = lyapunov(amo2, 0.25, cf.value, 5000, method="single-orbit")
     assert so.phases_used == 1
     assert pa.discrepancy == so.discrepancy == abs(pa.value - so.value)
+
+
+_KERNEL_POTENTIALS = pytest.mark.parametrize("pot", [
+    make_amo(2.0),
+    make_maryland(1.0),
+    make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
+], ids=["amo", "maryland", "two-pole-cos2pi"])
+
+
+@_KERNEL_POTENTIALS
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_ln_norms_columns_are_independent_phases(pot, kind):
+    # the engine's phases never mix: a base point appended as one more column
+    # gives bit for bit what a call of its own gives; 0.5 is the tangent
+    # model's pole, so the A-kind mask is exercised there
+    cf = golden_cf(30)
+    xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
+    n = CHUNK + 3  # crosses a chunk boundary and ends off the renormalisation beat
+    vals, excl = _ln_norms(pot, 0.7, float(cf.value), xs, n, kind)
+    for k, x in enumerate(xs):
+        v1, e1 = _ln_norms(pot, 0.7, float(cf.value), np.array([x]), n, kind)
+        assert np.array_equal(v1, vals[k:k + 1], equal_nan=True)
+        assert np.array_equal(e1, excl[k:k + 1])
+    assert excl[8] == (kind == "A" and pot.label == "maryland")
+
+
+# repr of the estimates before the single orbit joined the phase grid as one
+# more column; the kernel change must not move a single bit
+@pytest.mark.parametrize("pot,E,kind,value,discrepancy", [
+    (make_maryland(1.0), 0.0, "A", 0.48124290166631717, 0.00010316320246389621),
+    (make_maryland(1.0), 0.0, "D", 0.4812484331325386, 0.00017183919376234646),
+    (make_amo(2.0), 0.5, "A", 0.42575592738872076, 2.7113372381759593e-05),
+    (make_amo(2.0), 0.5, "D", 0.42575592738872076, 2.7113372381759593e-05),
+], ids=["maryland-A", "maryland-D", "amo-A", "amo-D"])
+def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy):
+    est = lyapunov(pot, E, golden_cf(30).value, 20000, kind=kind)
+    assert est.value == value
+    assert est.discrepancy == discrepancy
+    assert est.phases_used == 64
 
 
 def test_lyapunov_argument_validation(amo2):

@@ -102,8 +102,7 @@ def _user_g(x):
     make_amo(2.0),
     make_maryland(0.7),
     make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g,
-                g_lipschitz=math.pi),
+    make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g),
 ], ids=["amo", "maryland", "two-pole-cos2pi", "user-g"])
 def test_gordon_matrices_match_direct_products(pot):
     cf = golden_cf(20)

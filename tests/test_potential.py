@@ -102,11 +102,6 @@ def test_v_array_cap(maryland1):
     assert abs(v[1]) < 100.0
 
 
-def test_unsupplied_lipschitz_for_custom_g_rejected():
-    with pytest.raises(InvalidInputError):
-        make_custom([], "ignored", g=lambda x: x)
-
-
 def test_f_product_bound_holds_at_qualifying_level():
     cf = liouville_cf(1.0, 4)
     pot = make_maryland(0.15)
