@@ -3,7 +3,11 @@
 Everything arithmetic lives here: big-integer convergents p_n/q_n, exact
 rational checks of the approximation inequalities, and the three indices
 (growth index of the denominators, phase resonance index, and the combined
-pole/denominator index) as finite-depth limsup surrogates.
+pole/denominator index) as finite-depth limsup surrogates.  The exact orbit
+walks (the phase index, the sine products, and ``potential.f_product_check``)
+all step through ``torus_orbit``, the arbitrary-precision member of the orbit
+layer; its float64 member is ``potential.orbit`` and its site-value pass
+``potential.site_values``.
 
 Conventions fixed once:
   * convergents start at (p_0, q_0) = (0, 1), (p_1, q_1) = (1, a_1),
@@ -43,6 +47,7 @@ __all__ = [
     "liouville_cf",
     "torus_norm",
     "torus_norm_exact",
+    "torus_orbit",
     "beta",
     "gamma",
     "delta_index",
@@ -98,6 +103,20 @@ def torus_norm(x):
 def torus_norm_exact(x: Fraction) -> Fraction:
     r = x - (x.numerator // x.denominator)
     return min(r, 1 - r)
+
+
+def torus_orbit(theta, alpha, n: int):
+    """The orbit points x_j = theta + j alpha for j < n, reduced into [0, 1)
+    at the current working precision (for either sign of alpha).
+
+    Each point is the previous one plus alpha, reduced by x -= floor(x), so
+    the walk costs one add and one floor per point.
+    """
+    x = as_mpf(theta)
+    for _ in range(n):
+        x -= mp.floor(x)
+        yield x
+        x += alpha
 
 
 # ---------------------------------------------------------------------------
@@ -460,13 +479,10 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
         floor = mp.mpf(2) ** (-(cf.precision // 2))
         alpha = cf.value
         base = as_mpf(theta) * 2
-        xp = base
-        xm = base
-        for n in range(1, n_max + 1):
-            xp = xp + alpha
-            xp -= mp.floor(xp)
-            xm = xm - alpha
-            xm -= mp.floor(xm)
+        # the two walks 2 theta + n alpha and 2 theta - n alpha for n >= 1
+        walks = zip(torus_orbit(base + alpha, alpha, n_max),
+                    torus_orbit(base - alpha, -alpha, n_max))
+        for n, (xp, xm) in enumerate(walks, 1):
             np_ = min(xp, 1 - xp)
             nm_ = min(xm, 1 - xm)
             for sgn, nrm in ((n, np_), (-n, nm_)):
@@ -492,17 +508,8 @@ def min_sine_index(theta, cf: ContinuedFraction, n: int,
     if qn > budget:
         raise BudgetError(f"q_{n} = {qn} exceeds step budget {budget}")
     with mp.workprec(cf.precision):
-        alpha = cf.value
-        x = as_mpf(theta)
-        x -= mp.floor(x)
-        best_j, best = 0, min(x, 1 - x)
-        for j in range(1, qn):
-            x += alpha
-            if x >= 1:
-                x -= 1
-            nrm = min(x, 1 - x)
-            if nrm < best:
-                best_j, best = j, nrm
+        nrms = (min(x, 1 - x) for x in torus_orbit(theta, cf.value, qn))
+        best_j, best = min(enumerate(nrms), key=lambda jn: jn[1])
         # |sin pi t| is increasing in the torus norm of t
         return best_j, mp.sinpi(best)
 
@@ -518,15 +525,9 @@ def sine_product_check(theta, cf: ContinuedFraction, n: int,
     j0, _ = min_sine_index(theta, cf, n, budget=budget)
     qn = cf.q[n]
     with mp.workprec(cf.precision):
-        alpha = cf.value
-        x = as_mpf(theta)
-        x -= mp.floor(x)
         s = mp.mpf(0)
-        for j in range(qn):
+        for j, x in enumerate(torus_orbit(theta, cf.value, qn)):
             if j != j0:
                 s += mp.log(mp.sinpi(min(x, 1 - x)))
-            x += alpha
-            if x >= 1:
-                x -= 1
         s += (qn - 1) * mp.log(2)
         return float(s), float(mp.log(qn))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .arithmetic import as_mpf
 from .errors import InvalidInputError, NumericError, OrbitPoleError
-from .potential import MeromorphicPotential, site_values
+from .potential import MeromorphicPotential, orbit, site_values
 
 __all__ = [
     "TransferMatrix2",
@@ -67,18 +67,17 @@ def spectral_norm_2x2(a, b, c, d):
 
 @dataclass(frozen=True)
 class TransferMatrix2:
-    """2x2 real matrix with its role in the cocycle recorded."""
+    """2x2 real matrix [[a, b], [c, d]]."""
 
     a: object
     b: object
     c: object
     d: object
-    kind: str = "product"
 
-    def matmul(self, o: "TransferMatrix2", kind: str = "product") -> "TransferMatrix2":
+    def matmul(self, o: "TransferMatrix2") -> "TransferMatrix2":
         return TransferMatrix2(
             self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
-            self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d, kind)
+            self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
     def apply(self, v):
         return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
@@ -97,15 +96,14 @@ class TransferMatrix2:
         if det == 0:
             raise NumericError("singular transfer matrix")
         return TransferMatrix2(self.d / det, -self.b / det,
-                               -self.c / det, self.a / det, "product")
+                               -self.c / det, self.a / det)
 
     def scaled(self, s) -> "TransferMatrix2":
-        return TransferMatrix2(self.a * s, self.b * s, self.c * s, self.d * s,
-                               self.kind)
+        return TransferMatrix2(self.a * s, self.b * s, self.c * s, self.d * s)
 
     @staticmethod
-    def identity(kind: str = "product") -> "TransferMatrix2":
-        return TransferMatrix2(1, 0, 0, 1, kind)
+    def identity() -> "TransferMatrix2":
+        return TransferMatrix2(1, 0, 0, 1)
 
 
 @dataclass(frozen=True)
@@ -136,7 +134,7 @@ def step_A(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
 
     v = eval_V(pot, x)
     one = mp.mpf(1) if isinstance(v, mp.mpf) else 1.0
-    return TransferMatrix2(E - v, -one, one, 0 * one, "A")
+    return TransferMatrix2(E - v, -one, one, 0 * one)
 
 
 def step_D(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
@@ -144,7 +142,7 @@ def step_D(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
     xv = as_mpf(x)
     fv = pot.f(xv)
     gv = pot.g(xv)
-    return TransferMatrix2(E * fv - gv, -fv, fv, 0 * fv, "D")
+    return TransferMatrix2(E * fv - gv, -fv, fv, 0 * fv)
 
 
 def step_F(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
@@ -152,7 +150,7 @@ def step_F(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
     xv = as_mpf(x)
     fv = pot.f(xv)
     gv = pot.g(xv)
-    return TransferMatrix2(0 * fv, fv, -fv, E * fv - gv, "F")
+    return TransferMatrix2(0 * fv, fv, -fv, E * fv - gv)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +169,7 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int,
     if n < 0:
         return product(pot, E, x + n * as_mpf(alpha), alpha, -n, kind)
     step = _STEPS[kind]
-    acc = TransferMatrix2.identity(kind if n == 0 else "product")
+    acc = TransferMatrix2.identity()
     xv = as_mpf(x)
     av = as_mpf(alpha)
     for j in range(n):
@@ -243,13 +241,16 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     logs = np.zeros(K)
     excluded = np.zeros(K, dtype=bool)
     for start in range(0, n, CHUNK):
-        ks = np.arange(start, min(start + CHUNK, n), dtype=float)
-        X = np.mod(xs[None, :] + ks[:, None] * alpha, 1.0)
+        X = orbit(xs, alpha, start, min(start + CHUNK, n))
         if kind == "A":
-            if pot.m:
-                excluded |= np.any(pot.pole_distance(X) <= pot.eps_floor, axis=0)
             F = np.broadcast_to(1.0, X.shape)
             S = E - pot.V_array(X)
+            if pot.m:
+                excluded |= np.any(pot.pole_distance(X) <= pot.eps_floor, axis=0)
+                # V at a pole reaches 2e300 and would overflow the column to
+                # inf/nan (with numpy warnings); a masked column's value is
+                # discarded, so it steps with s = 0 instead
+                S[:, excluded] = 0.0
         else:
             F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
             S = E * F - np.asarray(pot.g(X), dtype=float)
@@ -360,10 +361,8 @@ def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
         if scalar_log_mean is None:
             raise InvalidInputError("scalar factor needs its mean of ln|h|")
         sm = []
-        ks = np.arange(n, dtype=float)
         for x in xs:
-            orbit = np.mod(x + ks * alpha_f, 1.0)
-            hv = np.abs(np.asarray(scalar_func(orbit), dtype=float))
+            hv = np.abs(np.asarray(scalar_func(orbit(x, alpha_f, 0, n)), dtype=float))
             hv = hv[hv > 0]
             sm.append(float(np.sum(np.log(hv)) / n - (scalar_log_mean + epsilon)))
         scalar_margins = tuple(sm)

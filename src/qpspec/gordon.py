@@ -17,6 +17,10 @@ and only a user-supplied g is evaluated directly at x_j.  Every site within
 multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b), and a step of the
 inverse products (a, b, c, d) <- (-b, a + b s, -d, c + d s).
 
+The same pass feeds ``solve_recurrence``; the float walks (the precision
+pre-pass and ``bounded_candidate``) take their phases from
+``potential.orbit``.
+
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
 suprema are spectral norms, and the minimum of the three-norm maximum lies
@@ -45,10 +49,9 @@ from .cocycle import (
     inverse_from_sites,
     product_from_sites,
     spectral_norm_2x2,
-    step_A,
 )
 from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
-from .potential import MeromorphicPotential, site_values
+from .potential import MeromorphicPotential, orbit, site_values
 
 __all__ = [
     "SolutionSegment",
@@ -68,6 +71,8 @@ __all__ = [
 ]
 
 MAX_NORM_TOL = 1e-6
+# initial directions on the grid that seeds bounded_candidate's search
+CANDIDATE_GRID = 720
 # precision of logs and norms that are only compared or turned into floats
 LOG_PREC = 113
 
@@ -125,8 +130,10 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
                      precision: int | None = None) -> SolutionSegment:
     """Fill phi over [k_min, k_max] in both directions from (phi_0, phi_{-1}).
 
-    The initial pair is normalised to unit length.  A pole inside the window
-    propagates as an orbit error.
+    The initial pair is normalised to unit length.  The values depend on the
+    sites (k_min, k_max) only, whose s_k = E - V(theta + k alpha) come from
+    one ``site_values`` pass; a pole among them raises OrbitPoleError with
+    its site index.
     """
     k_min, k_max = k_range
     if k_min > -1 or k_max < 0:
@@ -142,20 +149,15 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
         if nrm == 0:
             raise InvalidInputError("initial vector must be nonzero")
         v0, v1 = v0 / nrm, v1 / nrm
-        vals = {0: v0, -1: v1}
-        # forward: (phi_{k+1}, phi_k) = A(theta + k a) (phi_k, phi_{k-1})
-        cur = (v0, v1)
-        for k in range(0, k_max):
-            s = step_A(pot, E, th + k * av)
-            cur = s.apply(cur)
-            vals[k + 1] = cur[0]
-        # backward: (phi_k, phi_{k-1}) = A^{-1}(theta + k a) (phi_{k+1}, phi_k)
-        cur = (v0, v1)
-        for k in range(-1, k_min - 1, -1):
-            s = step_A(pot, E, th + k * av).inv()
-            cur = s.apply(cur)
-            vals[k - 1] = cur[1]
-        values = tuple(vals[k] for k in range(k_min, k_max + 1))
+        S = site_values(pot, E, theta, alpha, k_min + 1, k_max)
+        i0 = -k_min - 1  # S[i0] is site 0
+        fwd = [v1, v0]  # forward: phi_{k+1} = s_k phi_k - phi_{k-1}
+        for s in S[i0:]:
+            fwd.append(s * fwd[-1] - fwd[-2])
+        bwd = [v0, v1]  # backward: phi_{k-1} = s_k phi_k - phi_{k+1}
+        for s in reversed(S[:i0]):
+            bwd.append(s * bwd[-1] - bwd[-2])
+        values = tuple(bwd[:0:-1] + fwd[1:])  # phi_{k_min} .. phi_{k_max}
         return SolutionSegment(E=float(E), theta=th, initial=(v0, v1),
                                k_min=k_min, k_max=k_max, values=values,
                                _alpha=av)
@@ -186,9 +188,7 @@ def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
                              theta: float, q: int) -> float:
     """Float pre-pass: sum over the window [-q, 2q) of ln of a per-step norm
     bound, used only to size the working precision."""
-    ks = np.arange(-q, 2 * q, dtype=float)
-    X = np.mod(theta + ks * alpha, 1.0)
-    V = pot.V_array(X, cap=1e250)
+    V = pot.V_array(orbit(theta, alpha, -q, 2 * q), cap=1e250)
     row = np.abs(E - V) + 1.0
     return float(np.sum(np.log(np.maximum(row, 2.0))))
 
@@ -341,8 +341,8 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
 # the bounded candidate of the smallness check
 
 
-def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
-                      n_grid: int = 720) -> tuple[tuple[float, float], float]:
+def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha,
+                      q: int) -> tuple[tuple[float, float], float]:
     """Unit initial vector whose orbit stays smallest over [-q-1, 2q].
 
     Works in float64 with a separate log scale; returns (v, C) where C bounds
@@ -351,8 +351,7 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
     alpha_f = float(as_mpf(alpha))
     theta_f = float(as_mpf(theta)) % 1.0
     # V at the window's sites k = -q-1 .. 2q-1; site k sits at V[k + q + 1]
-    ks = np.arange(-q - 1, 2 * q, dtype=float)
-    V = pot.V_array(np.mod(theta_f + ks * alpha_f, 1.0), cap=1e250)
+    V = pot.V_array(orbit(theta_f, alpha_f, -q - 1, 2 * q), cap=1e250)
     mats = []  # (logscale, 2x2) mapping v -> (phi_k, phi_{k-1})
     m = np.eye(2)
     ls = 0.0
@@ -372,9 +371,9 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
             ls += math.log(s)
             m = m / s
         mats.append((ls, m.copy()))
-    psis = np.pi * np.arange(n_grid) / n_grid
-    vs = np.stack([np.cos(psis), np.sin(psis)])  # (2, n_grid)
-    worst = np.full(n_grid, -np.inf)
+    psis = np.pi * np.arange(CANDIDATE_GRID) / CANDIDATE_GRID
+    vs = np.stack([np.cos(psis), np.sin(psis)])  # (2, CANDIDATE_GRID)
+    worst = np.full(CANDIDATE_GRID, -np.inf)
     for ls, mk in mats:
         w = mk @ vs
         nn = np.sqrt(w[0] ** 2 + w[1] ** 2)
@@ -389,8 +388,8 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha, q: int,
             c = max(c, ls + math.log(max(math.hypot(w[0], w[1]), 1e-300)))
         return c
 
-    lo = psis[i] - np.pi / n_grid
-    hi = psis[i] + np.pi / n_grid
+    lo = psis[i] - np.pi / CANDIDATE_GRID
+    hi = psis[i] + np.pi / CANDIDATE_GRID
     for _ in range(40):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3

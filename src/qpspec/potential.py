@@ -4,6 +4,11 @@ f is normalised as the product over poles of 2 sin(pi (x - theta_l)) times a
 fixed sign, so that |f(x)| = prod_l |e^{2 pi i x} - e^{2 pi i theta_l}| and
 the mean of ln|f| over the torus vanishes.  Built-in families: the cosine
 model (no poles) and the tangent model (single pole at 1/2).
+
+Every walk along an orbit theta + j alpha goes through one of three
+functions: ``orbit`` (float64 phases, vectorised over base points),
+``arithmetic.torus_orbit`` (mp phases reduced mod 1, one at a time) and
+``site_values`` (the site values E - V along a window at working precision).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from .arithmetic import (
     delta_index,
     qualifying_levels,
     torus_norm,
+    torus_orbit,
 )
 from .errors import (
     DegenerateModelError,
@@ -38,6 +44,7 @@ __all__ = [
     "make_maryland",
     "make_custom",
     "eval_V",
+    "orbit",
     "site_values",
     "f_product_check",
     "G_REGISTRY",
@@ -234,6 +241,13 @@ def eval_V(pot: MeromorphicPotential, x):
     return pot.g(xv)
 
 
+def orbit(theta, alpha: float, start: int, stop: int) -> np.ndarray:
+    """Float phases (theta + j alpha) mod 1 for j in [start, stop); a 1-D
+    array of base points theta gives one column per base point."""
+    ks = np.arange(start, stop, dtype=float)
+    return np.mod(np.add.outer(ks * alpha, theta), 1.0)
+
+
 def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
                 stop: int) -> list:
     """S_j = E - V(theta + j alpha) for j in [start, stop), one orbit pass,
@@ -301,13 +315,7 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
     if pot.m == 0:
         return 0.0, bound_log
     with mp.workprec(cf.precision):
-        alpha = cf.value
-        x = as_mpf(theta)
-        x -= mp.floor(x)
         acc = mp.mpf(0)
-        for _ in range(qn):
+        for x in torus_orbit(theta, cf.value, qn):
             acc += mp.log(abs(pot.f(x)))
-            x += alpha
-            if x >= 1:
-                x -= 1
         return float(acc), bound_log

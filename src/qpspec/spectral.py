@@ -17,7 +17,7 @@ import numpy as np
 from .arithmetic import IndexValue, as_mpf
 from .cocycle import LyapunovEstimate, lyapunov
 from .errors import InvalidInputError, NumericError, RangeError
-from .potential import MeromorphicPotential
+from .potential import MeromorphicPotential, orbit
 
 __all__ = [
     "RegimeClassification",
@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 V_CAP = 1e12
+SPECTRUM_TOL = 1e-12  # bisection width of each truncated eigenvalue
 
 
 def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha, N: int,
@@ -37,9 +38,7 @@ def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha, N: int,
         raise InvalidInputError(f"unknown pole policy {pole_policy!r}")
     alpha_f = float(as_mpf(alpha))
     theta_f = float(as_mpf(theta)) % 1.0
-    ks = np.arange(N, dtype=float)
-    X = np.mod(theta_f + ks * alpha_f, 1.0)
-    V = pot.V_array(X)
+    V = pot.V_array(orbit(theta_f, alpha_f, 0, N))
     flagged: list[int] = []
     over = np.abs(V) > V_CAP
     if np.any(over):
@@ -70,16 +69,11 @@ def sturm_count(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
-                       boundary: str = "dirichlet",
-                       pole_policy: str = "cap",
-                       tol: float = 1e-12) -> tuple[np.ndarray, list[int]]:
-    """All N eigenvalues of the window truncation, ascending, plus the list of
-    pole-influenced (capped) sites."""
+                       pole_policy: str = "cap") -> tuple[np.ndarray, list[int]]:
+    """All N eigenvalues of the Dirichlet window truncation, ascending, plus
+    the list of pole-influenced (capped) sites."""
     if N < 2:
         raise InvalidInputError("N must be >= 2")
-    if boundary != "dirichlet":
-        raise InvalidInputError(
-            f"unsupported boundary {boundary!r}; only 'dirichlet' is implemented")
     diag, flagged = _orbit_diagonal(pot, theta, alpha, N, pole_policy)
     lo0 = float(np.min(diag) - 2.0)
     hi0 = float(np.max(diag) + 2.0)
@@ -87,7 +81,7 @@ def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
     hi = np.full(N, hi0)
     ks = np.arange(N)
     span = hi0 - lo0
-    iters = max(1, int(math.ceil(math.log2(max(span, 1e-30) / tol))) + 2)
+    iters = max(1, int(math.ceil(math.log2(max(span, 1e-30) / SPECTRUM_TOL))) + 2)
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         cnt = sturm_count(diag, mid)

@@ -236,3 +236,15 @@ def test_sine_product_centering(golden40):
     S, lnq = sine_product_check(Fraction(1, 7), golden40, 8)
     assert lnq == pytest.approx(math.log(golden40.q[8]))
     assert abs(S) / lnq < 10
+
+
+def test_orbit_walks_pinned():
+    # floats from the open-coded walks that torus_orbit replaced; theta = 7/8
+    # starts gamma's walks from 2 theta >= 1
+    g = gamma(liouville_cf(1.0, 4), Fraction(7, 8), 2000)
+    assert (g.value, g.terms_used, g.witness) == (0.005296922564833601, 2000, None)
+    assert g.per_level[0] == 5.429345628954441
+    assert g.per_level[-1] == 0.0019099538582601702
+    cf = golden_cf(40)
+    assert min_sine_index(0.1, cf, 12)[0] == 194
+    assert sine_product_check(0.1, cf, 12) == (4.913755587892461, 5.4510384535657)

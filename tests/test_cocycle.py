@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath as mp
@@ -242,3 +243,15 @@ def test_uniform_bound_scalar_factor(maryland1):
         scalar_log_mean=0.0)
     assert len(rep.scalar_margins) == 2
     assert max(rep.scalar_margins) <= 0.05
+
+
+def test_ln_norms_masked_pole_column_is_silent():
+    # V is 2e300 on the tangent model's pole, enough to overflow the A-kind
+    # column; that column is masked, so no RuntimeWarning may reach the caller
+    cf = golden_cf(40)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, excl = _ln_norms(make_maryland(1.0), 2.0, float(cf.value),
+                               np.array([0.5, 0.25]), 5003, "A")
+    assert excl.tolist() == [True, False]
+    assert np.isfinite(vals[1])

@@ -60,6 +60,26 @@ def test_solve_recurrence_matches_product(amo2):
         assert abs(float(got[1] - expect[1])) < 1e-25
 
 
+# theta + k alpha hits the tangent model's pole 1/2 exactly at k = -3 (and
+# next at k = 5); phi over [k_min, k_max] depends on the sites strictly
+# between k_min and k_max only
+_POLE_AT_MINUS_3 = (Fraction(13, 8), Fraction(3, 8))
+
+
+def test_solve_recurrence_ignores_pole_at_k_min(maryland1):
+    theta, alpha = _POLE_AT_MINUS_3
+    seg = solve_recurrence(maryland1, 0.3, theta, (1, 0), (-3, 4), alpha,
+                           precision=120)
+    assert seg.max_residual(maryland1, precision=120) < 1e-25
+
+
+def test_solve_recurrence_names_pole_site(maryland1):
+    theta, alpha = _POLE_AT_MINUS_3
+    with pytest.raises(OrbitPoleError) as exc:
+        solve_recurrence(maryland1, 0.3, theta, (1, 0), (-4, 4), alpha)
+    assert exc.value.step == -3
+
+
 def test_solve_recurrence_window_guard(amo2):
     cf = golden_cf(20)
     with pytest.raises(RangeError):

@@ -13,12 +13,13 @@ from qpspec import (
     delta_index,
     eval_V,
     f_product_check,
+    golden_cf,
     liouville_cf,
     make_amo,
     make_custom,
     make_maryland,
 )
-from qpspec.potential import G_REGISTRY
+from qpspec.potential import G_REGISTRY, orbit
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -125,3 +126,26 @@ def test_pole_free_product_check_is_trivial(amo2):
     cf = liouville_cf(1.0, 4)
     lhs_log, bound_log = f_product_check(amo2, Fraction(3, 8), cf, 3, 0.3)
     assert lhs_log == 0.0
+
+
+def test_orbit_matches_open_coded_walks():
+    # orbit is bit for bit the walks it replaced: the scalar form
+    # (theta + ks alpha) mod 1 and the phase-grid form with one column per
+    # base point, here over a window that starts below zero
+    alpha = float(liouville_cf(1.0, 4).value)
+    ks = np.arange(-17, 40, dtype=float)
+    for theta in (0.1, 0.8731, 0.0):
+        assert np.array_equal(orbit(theta, alpha, -17, 40),
+                              np.mod(theta + ks * alpha, 1.0))
+    xs = np.array([0.5, 0.013, 0.999, math.sqrt(2.0) - 1.0])
+    got = orbit(xs, alpha, -17, 40)
+    assert got.shape == (57, 4)
+    assert np.array_equal(got, np.mod(xs[None, :] + ks[:, None] * alpha, 1.0))
+
+
+def test_f_product_check_pinned(maryland1):
+    # floats from the open-coded add-and-wrap walk the torus orbit replaced
+    cf = golden_cf(40)
+    d = delta_index(cf, 0.1, maryland1.poles)
+    assert f_product_check(maryland1, 0.1, cf, 5, 0.5, delta_iv=d) == (
+        0.9704327097451656, -6.558469802948412)

@@ -99,8 +99,6 @@ def test_truncation_argument_validation(amo2):
     with pytest.raises(InvalidInputError):
         truncated_spectrum(amo2, 0.1, cf.value, 1)
     with pytest.raises(InvalidInputError):
-        truncated_spectrum(amo2, 0.1, cf.value, 8, boundary="periodic")
-    with pytest.raises(InvalidInputError):
         truncated_spectrum(amo2, 0.1, cf.value, 8, pole_policy="bogus")
 
 
