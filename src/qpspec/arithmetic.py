@@ -59,6 +59,21 @@ __all__ = [
 ]
 
 
+# precision of logs and norms that are only compared or turned into floats
+LOG_PREC = 113
+
+
+def ln_low(x):
+    """ln x at LOG_PREC bits, x first rounded to LOG_PREC bits.
+
+    Unrounded, mpmath 1.3's log mistakes an x just above 1/4 whose mantissa
+    is much wider than the precision for a number near 1, and returns about
+    x - 1/4 instead of about -ln 4.
+    """
+    with mp.workprec(LOG_PREC):
+        return mp.log(+x)
+
+
 # ---------------------------------------------------------------------------
 # number plumbing
 
@@ -152,10 +167,6 @@ class ContinuedFraction:
     def as_fraction(self) -> Fraction:
         """The deepest convergent p_N/q_N, the exact finite surrogate."""
         return Fraction(self.p[-1], self.q[-1])
-
-    def knorm_exact(self, k: int) -> Fraction:
-        """Exact ||k*alpha|| for the finite surrogate alpha = p_N/q_N."""
-        return torus_norm_exact(k * self.as_fraction())
 
     def approx_dist_exact(self, n: int) -> Fraction:
         """Exact |q_n alpha - p_n| for the finite surrogate.
@@ -403,28 +414,21 @@ def _require_depth(cf: ContinuedFraction, need: int):
 def _delta_per_level(cf: ContinuedFraction, theta, poles) -> tuple[list[float], list[int]]:
     """Per-level sequence (sum_i ln||q_n (theta-theta_i)|| + ln q_{n+1}) / q_n.
 
-    Runs at cf.precision; results whose torus norms fall below the resolution
-    floor 2^(-precision/2) are flagged rather than trusted.  With no poles the
-    pole sum is empty and the sequence is exactly ln q_{n+1} / q_n.
+    The torus norms are taken at cf.precision, their logs at LOG_PREC; norms
+    below the resolution floor 2^(-precision/2) are flagged rather than
+    trusted.  With no poles the pole sum is empty and the sequence is exactly
+    ln q_{n+1} / q_n.
     """
     levels: list[float] = []
     limited: list[int] = []
     with mp.workprec(cf.precision):
         floor = mp.mpf(2) ** (-(cf.precision // 2))
-        diffs = None
-        if poles:
-            th = as_mpf(theta)
-            diffs = [th - as_mpf(pl) for pl in poles]
+        diffs = [as_mpf(theta) - as_mpf(pl) for pl in poles]
         for n in range(1, cf.depth):
             qn = cf.q[n]
-            acc = mp.mpf(0)
-            if diffs:
-                for dd in diffs:
-                    nrm = torus_norm(qn * dd)
-                    if 0 < nrm < floor:
-                        limited.append(n)
-                    acc += mp.log(nrm)
-            acc += mp.log(mp.mpf(cf.q[n + 1]))
+            nrms = [torus_norm(qn * dd) for dd in diffs]
+            limited.extend(n for nrm in nrms if 0 < nrm < floor)
+            acc = sum(map(ln_low, nrms)) + ln_low(cf.q[n + 1])
             levels.append(float(acc / qn))
     return levels, limited
 
@@ -470,7 +474,8 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     """Phase resonance index: limsup over n != 0 of -ln||2 theta + n alpha||/|n|.
 
     An exact (resolution-limited) resonance within the scan yields +inf with
-    the witnessing n recorded.
+    the witnessing n recorded.  The walks run at cf.precision, the log of the
+    smaller of the two norms at LOG_PREC.
     """
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
@@ -490,7 +495,7 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
                     return IndexValue(value=math.inf, per_level=tuple(levels),
                                       tail_start=1, terms_used=n, witness=sgn,
                                       resolution_limited=(n,))
-            levels.append(float(max(-mp.log(np_), -mp.log(nm_)) / n))
+            levels.append(float(-ln_low(min(np_, nm_)) / n))
     return _surrogate(levels)
 
 
@@ -519,15 +524,20 @@ def sine_product_check(theta, cf: ContinuedFraction, n: int,
     """Centered log sine product over one denominator window.
 
     Returns (S, ln q_n) with
-    S = sum_{j != j0} ln|sin pi(theta + j alpha)| + (q_n - 1) ln 2;
-    boundedness of |S| / ln q_n is the caller's assertion.
+    S = sum_{j != j0} ln|2 sin pi(theta + j alpha)|;
+    boundedness of |S| / ln q_n is the caller's assertion.  The walk runs at
+    cf.precision; the sines, their product (which the mp exponent range keeps
+    from underflowing) and its log at LOG_PREC.  Each norm is rounded to
+    LOG_PREC before its sine, whose cost mpmath scales with the argument's
+    width.
     """
     j0, _ = min_sine_index(theta, cf, n, budget=budget)
     qn = cf.q[n]
+    prod = mp.mpf(1)
     with mp.workprec(cf.precision):
-        s = mp.mpf(0)
         for j, x in enumerate(torus_orbit(theta, cf.value, qn)):
             if j != j0:
-                s += mp.log(mp.sinpi(min(x, 1 - x)))
-        s += (qn - 1) * mp.log(2)
-        return float(s), float(mp.log(qn))
+                nrm = min(x, 1 - x)
+                with mp.workprec(LOG_PREC):
+                    prod *= 2 * mp.sinpi(+nrm)
+    return float(ln_low(prod)), float(ln_low(qn))

@@ -43,7 +43,8 @@ from typing import NamedTuple
 import mpmath as mp
 import numpy as np
 
-from .arithmetic import ContinuedFraction, IndexValue, as_mpf, qualifying_levels
+from .arithmetic import (LOG_PREC, ContinuedFraction, IndexValue, as_mpf,
+                         ln_low, qualifying_levels)
 from .cocycle import (
     TransferMatrix2,
     inverse_from_sites,
@@ -73,8 +74,6 @@ __all__ = [
 MAX_NORM_TOL = 1e-6
 # initial directions on the grid that seeds bounded_candidate's search
 CANDIDATE_GRID = 720
-# precision of logs and norms that are only compared or turned into floats
-LOG_PREC = 113
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +209,7 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
         A_2q = product_from_sites(forward, A_q)
         Ainv_q = inverse_from_sites(window)
         Ainv_shift = inverse_from_sites(S[:q])  # sites [-q, 0)
-        scale_log = _log(A_2q.norm())
+        scale_log = float(ln_low(A_2q.norm()))
     floor_log = max(scale_log, 1.0) - precision * math.log(2) + 48 * math.log(2)
     return GordonMatrices(q=q, precision=precision, A_q=A_q, A_2q=A_2q,
                           Ainv_q=Ainv_q, Ainv_q_shift=Ainv_shift,
@@ -219,12 +218,6 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
 
 def _vec_norm(v):
     return mp.sqrt(v[0] * v[0] + v[1] * v[1])
-
-
-def _log(x) -> float:
-    """ln x as a float (-inf at 0), taken at LOG_PREC bits."""
-    with mp.workprec(LOG_PREC):
-        return float(mp.log(x))
 
 
 class GordonLhs(NamedTuple):
@@ -243,7 +236,7 @@ def _resolved_log(x, floor_log: float) -> float:
     """ln x of a certificate difference; raises NumericError when it is below
     the precision floor.  An exact zero counts as below it, since it only says
     that the two products agree to every working bit."""
-    val_log = _log(x)
+    val_log = float(ln_low(x))
     if val_log < floor_log:
         raise NumericError(
             "certificate difference is below the working-precision floor; "

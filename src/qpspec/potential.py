@@ -26,6 +26,7 @@ from .arithmetic import (
     IndexValue,
     as_mpf,
     delta_index,
+    ln_low,
     qualifying_levels,
     torus_norm,
     torus_orbit,
@@ -304,6 +305,7 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
 
     at a qualifying level n_i.  Returns (lhs_log, bound_log); the caller
     asserts lhs_log >= bound_log.  Pole-free potentials return trivially.
+    f is evaluated at cf.precision, its logs are taken at LOG_PREC.
     """
     if delta_iv is None:
         delta_iv = delta_index(cf, theta, pot.poles)
@@ -317,5 +319,5 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
     with mp.workprec(cf.precision):
         acc = mp.mpf(0)
         for x in torus_orbit(theta, cf.value, qn):
-            acc += mp.log(abs(pot.f(x)))
+            acc += ln_low(abs(pot.f(x)))
         return float(acc), bound_log

@@ -1,18 +1,23 @@
 """Finite truncations, energy scans, and the low-exponent regime labelling.
 
-Truncated spectra come from Sturm-sequence bisection on the symmetric
-tridiagonal restriction (diagonal V along the orbit, off-diagonal 1).  The
-classifier brackets both the Lyapunov estimate and the arithmetic index and
-only ever emits candidate labels.
+Truncated spectra of the symmetric tridiagonal restriction (diagonal V along
+the orbit, off-diagonal 1) come from LAPACK ``dsterf``, the root-free QR
+eigenvalue solver, found through ctypes in the LAPACK that numpy's linalg
+links against; a numpy whose LAPACK does not export it falls back to the dense
+``numpy.linalg.eigvalsh``.  ``sturm_count`` stays as the independent counting
+oracle.  The classifier brackets both the Lyapunov estimate and the arithmetic
+index and only ever emits candidate labels.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .arithmetic import IndexValue, as_mpf
 from .cocycle import LyapunovEstimate, lyapunov
@@ -29,7 +34,6 @@ __all__ = [
 ]
 
 V_CAP = 1e12
-SPECTRUM_TOL = 1e-12  # bisection width of each truncated eigenvalue
 
 
 def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha, N: int,
@@ -68,27 +72,43 @@ def sturm_count(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
     return count
 
 
+@functools.cache
+def _dsterf():
+    """LAPACKE ``dsterf(n, d, e) -> info`` from numpy's LAPACK, or None.
+
+    Looked up on first use: the ILP64 name numpy's bundled OpenBLAS exports,
+    then the LP64 name of a plain LAPACKE.
+    """
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    for name, int_t in (("scipy_LAPACKE_dsterf64_", ctypes.c_int64),
+                        ("LAPACKE_dsterf", ctypes.c_int)):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes = (int_t, vec, vec)
+            fn.restype = int_t
+            return fn
+    return None
+
+
 def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
                        pole_policy: str = "cap") -> tuple[np.ndarray, list[int]]:
     """All N eigenvalues of the Dirichlet window truncation, ascending, plus
-    the list of pole-influenced (capped) sites."""
+    the list of pole-influenced (capped) sites.
+
+    One LAPACK ``dsterf`` call, O(N^2) time; without it, ``eigvalsh`` of the
+    dense matrix, O(N^3) time and O(N^2) memory.
+    """
     if N < 2:
         raise InvalidInputError("N must be >= 2")
     diag, flagged = _orbit_diagonal(pot, theta, alpha, N, pole_policy)
-    lo0 = float(np.min(diag) - 2.0)
-    hi0 = float(np.max(diag) + 2.0)
-    lo = np.full(N, lo0)
-    hi = np.full(N, hi0)
-    ks = np.arange(N)
-    span = hi0 - lo0
-    iters = max(1, int(math.ceil(math.log2(max(span, 1e-30) / SPECTRUM_TOL))) + 2)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        cnt = sturm_count(diag, mid)
-        below = cnt <= ks  # fewer than k+1 eigenvalues under mid -> lambda_k >= mid
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    return 0.5 * (lo + hi), flagged
+    dsterf = _dsterf()
+    if dsterf is None:  # eigvalsh reads the lower triangle only
+        return np.linalg.eigvalsh(np.diag(diag) + np.eye(N, k=-1)), flagged
+    eigs = diag.copy()  # dsterf overwrites both arrays
+    if dsterf(N, eigs, np.ones(N - 1)) != 0:
+        raise NumericError("LAPACK dsterf did not converge")
+    return eigs, flagged
 
 
 # ---------------------------------------------------------------------------

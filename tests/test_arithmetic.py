@@ -238,6 +238,17 @@ def test_sine_product_centering(golden40):
     assert abs(S) / lnq < 10
 
 
+def test_gamma_logs_match_full_precision_logs():
+    # 956-bit walks, 113-bit logs; ||207 alpha|| lies just above 1/4, where
+    # mpmath's 113-bit log of the unrounded 956-bit norm returns about 0
+    cf = liouville_cf(1.12, 4)
+    g = gamma(cf, 0, 300)
+    with mp.workprec(cf.precision):
+        direct = [float(-mp.log(torus_norm(n * cf.value)) / n)
+                  for n in range(1, 301)]
+    assert g.per_level == pytest.approx(direct, rel=1e-13)
+
+
 def test_orbit_walks_pinned():
     # floats from the open-coded walks that torus_orbit replaced; theta = 7/8
     # starts gamma's walks from 2 theta >= 1

@@ -22,6 +22,7 @@ from qpspec import (
     step_A,
     step_D,
     step_F,
+    truncated_spectrum,
     uniform_bound_check,
 )
 from qpspec.cocycle import (
@@ -162,6 +163,32 @@ def test_supercritical_cosine_lower_bound():
     for E in (-1.0, 0.0, 2.0):
         est = lyapunov(pot, E, cf.value, 20000)
         assert est.value >= math.log(2.0) - 0.02
+
+
+def _maryland_exponent(lam, E):
+    """Figotin-Pastur closed form of L(E) for V = lam tan(pi x), any
+    irrational frequency."""
+    return math.acosh((math.hypot(2 + E, lam) + math.hypot(2 - E, lam)) / 4)
+
+
+@pytest.mark.parametrize("lam", [0.15, 1.0, 3.0])
+def test_maryland_exponent_matches_closed_form(lam):
+    cf = golden_cf(30)
+    pot = make_maryland(lam)
+    for E in (-2.0, 0.0, 1.5):
+        est = lyapunov(pot, E, cf.value, 20000, kind="D").value
+        # the finite-n estimate sits above L by a bias of about 1/n
+        assert 0 < est - _maryland_exponent(lam, E) <= 2e-4, E
+
+
+@pytest.mark.parametrize("lam", [3.0, 4.0])
+def test_cosine_exponent_meets_herman_bound_on_the_spectrum(lam):
+    # Herman: L(E) >= ln(lam / 2) for V = lam cos 2 pi x, at every E
+    cf = golden_cf(30)
+    pot = make_amo(lam)
+    eigs, _ = truncated_spectrum(pot, 0.1, cf.value, 256)
+    for E in eigs[::64]:
+        assert lyapunov(pot, E, cf.value, 20000).value >= math.log(lam / 2), E
 
 
 def test_single_orbit_method(amo2):

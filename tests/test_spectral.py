@@ -6,6 +6,7 @@ import pytest
 
 from qpspec import (
     InvalidInputError,
+    NumericError,
     RangeError,
     delta_index,
     classify_regime,
@@ -17,6 +18,7 @@ from qpspec import (
     sturm_count,
     truncated_spectrum,
 )
+from qpspec import spectral
 from qpspec.spectral import classify_label
 
 
@@ -92,6 +94,27 @@ def test_pole_policy_strict_raises(maryland1):
     with pytest.raises(RangeError):
         truncated_spectrum(maryland1, Fraction(1, 2), cf.value, 8,
                            pole_policy="strict")
+
+
+@pytest.mark.parametrize("N", [8, 256])
+@pytest.mark.parametrize("pot, theta, capped", [
+    (make_amo(2.0), 0.1, []), (make_maryland(1.0), Fraction(1, 2), [0])],
+    ids=["amo", "maryland"])
+def test_lapack_path_matches_dense_fallback(monkeypatch, pot, theta, capped, N):
+    # the fast path must be the one taken, not a silent O(N^3) fallback
+    assert spectral._dsterf() is not None
+    alpha = golden_cf(20).value
+    eigs, flagged = truncated_spectrum(pot, theta, alpha, N)
+    monkeypatch.setattr(spectral, "_dsterf", lambda: None)
+    dense, dense_flagged = truncated_spectrum(pot, theta, alpha, N)
+    assert flagged == dense_flagged == capped
+    np.testing.assert_allclose(eigs, dense, rtol=1e-12, atol=1e-10)
+
+
+def test_lapack_failure_raises(monkeypatch, amo2):
+    monkeypatch.setattr(spectral, "_dsterf", lambda: lambda n, d, e: 1)
+    with pytest.raises(NumericError):
+        truncated_spectrum(amo2, 0.1, golden_cf(20).value, 8)
 
 
 def test_truncation_argument_validation(amo2):
