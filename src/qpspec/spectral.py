@@ -2,8 +2,8 @@
 
 Truncated spectra of the symmetric tridiagonal restriction (diagonal V along
 the orbit, off-diagonal 1) come from LAPACK ``dsterf``, the root-free QR
-eigenvalue solver, found through ctypes in the LAPACK that numpy's linalg
-links against; a numpy whose LAPACK does not export it falls back to the dense
+eigenvalue solver, found through ctypes in the ILP64 OpenBLAS bundled with
+numpy's wheels; a numpy built against another LAPACK falls back to the dense
 ``numpy.linalg.eigvalsh``.  ``sturm_count`` stays as the independent counting
 oracle.  The classifier brackets both the Lyapunov estimate and the arithmetic
 index and only ever emits candidate labels.
@@ -74,21 +74,15 @@ def sturm_count(diag: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _dsterf():
-    """LAPACKE ``dsterf(n, d, e) -> info`` from numpy's LAPACK, or None.
-
-    Looked up on first use: the ILP64 name numpy's bundled OpenBLAS exports,
-    then the LP64 name of a plain LAPACKE.
-    """
-    lib = ctypes.CDLL(_umath_linalg.__file__)
-    vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    for name, int_t in (("scipy_LAPACKE_dsterf64_", ctypes.c_int64),
-                        ("LAPACKE_dsterf", ctypes.c_int)):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            fn.argtypes = (int_t, vec, vec)
-            fn.restype = int_t
-            return fn
-    return None
+    """LAPACKE ``dsterf(n, d, e) -> info`` from the ILP64 OpenBLAS bundled
+    with numpy's wheels, or None; looked up on first use."""
+    fn = getattr(ctypes.CDLL(_umath_linalg.__file__),
+                 "scipy_LAPACKE_dsterf64_", None)
+    if fn is not None:
+        vec = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        fn.argtypes = (ctypes.c_int64, vec, vec)
+        fn.restype = ctypes.c_int64
+    return fn
 
 
 def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
@@ -104,7 +98,9 @@ def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
     diag, flagged = _orbit_diagonal(pot, theta, alpha, N, pole_policy)
     dsterf = _dsterf()
     if dsterf is None:  # eigvalsh reads the lower triangle only
-        return np.linalg.eigvalsh(np.diag(diag) + np.eye(N, k=-1)), flagged
+        T = np.diag(diag)
+        T[np.arange(1, N), np.arange(N - 1)] = 1.0
+        return np.linalg.eigvalsh(T), flagged
     eigs = diag.copy()  # dsterf overwrites both arrays
     if dsterf(N, eigs, np.ones(N - 1)) != 0:
         raise NumericError("LAPACK dsterf did not converge")
