@@ -27,7 +27,6 @@ from .cocycle import (
     product_inverse,
     step_A,
     step_D,
-    step_F,
     uniform_bound_check,
 )
 from .errors import (

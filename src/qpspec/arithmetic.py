@@ -4,10 +4,13 @@ Everything arithmetic lives here: big-integer convergents p_n/q_n, exact
 rational checks of the approximation inequalities, and the three indices
 (growth index of the denominators, phase resonance index, and the combined
 pole/denominator index) as finite-depth limsup surrogates.  The exact orbit
-walks (the phase index, the sine products, and ``potential.f_product_check``)
-all step through ``torus_orbit``, the arbitrary-precision member of the orbit
-layer; its float64 member is ``potential.orbit`` and its site-value pass
-``potential.site_values``.
+walks (the phase index, the resonant-phase check, the minimal sine and the
+sine product) all step through ``torus_orbit``, the arbitrary-precision
+member of the orbit layer; its float64 member is ``potential.orbit`` and its
+site-value pass ``potential.site_values``.  ``sine_product`` is the one walk
+that forms the orbit sine product, for both ``sine_product_check`` and, one
+pole at a time, ``potential.f_product_check``, since
+|f(x)| = prod_l 2 sin(pi ||x - theta_l||).
 
 Conventions fixed once:
   * convergents start at (p_0, q_0) = (0, 1), (p_1, q_1) = (1, a_1),
@@ -459,12 +462,13 @@ def delta_index(cf: ContinuedFraction, theta, poles: Sequence,
 def _check_excluded_phase(cf: ContinuedFraction, theta, poles, horizon: int):
     with mp.workprec(cf.precision):
         floor = mp.mpf(2) ** (-(cf.precision // 2))
-        th = as_mpf(theta)
         alpha = cf.value
         for pl in poles:
-            base = th - as_mpf(pl)
-            for k in range(-horizon, horizon + 1):
-                if torus_norm(base - k * alpha) < floor:
+            # the translates theta - theta_l - k alpha for k = -horizon..horizon
+            start = as_mpf(theta) - as_mpf(pl) + horizon * alpha
+            for i, x in enumerate(torus_orbit(start, -alpha, 2 * horizon + 1)):
+                if min(x, 1 - x) < floor:
+                    k = i - horizon
                     raise ExcludedPhaseError(
                         f"phase is within resolution of pole {pl} translated by "
                         f"{k}*alpha", pole=pl, translate=k)
@@ -503,15 +507,46 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
 # sine products (orbit products over one denominator window)
 
 
-def min_sine_index(theta, cf: ContinuedFraction, n: int,
-                   budget: int = 2_000_000) -> tuple[int, mp.mpf]:
-    """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
-    smallest j, together with the attained value."""
+def _window(cf: ContinuedFraction, n: int, budget: int) -> int:
+    """q_n, the length of the level-n window, within the depth and budget."""
     if not 0 <= n <= cf.depth:
         raise RangeError(f"level {n} outside stored depth {cf.depth}")
     qn = cf.q[n]
     if qn > budget:
         raise BudgetError(f"q_{n} = {qn} exceeds step budget {budget}")
+    return qn
+
+
+def sine_product(theta, cf: ContinuedFraction, q: int) -> tuple[mp.mpf, mp.mpf]:
+    """The orbit sine product prod_{j<q} 2 sin(pi ||theta + j alpha||) as
+    (rest, least): least is the factor of the smallest norm (the first on
+    ties) and rest the product of the other q - 1 factors.
+
+    least is kept apart rather than divided out, since it is exactly 0 where
+    the orbit hits an integer.  The walk and the norm comparisons run at
+    cf.precision; each norm is rounded to LOG_PREC before its sine, whose
+    cost mpmath scales with the argument's width, and the sines and their
+    product (which the mp exponent range keeps from underflowing) are taken
+    at LOG_PREC.
+    """
+    rest = least = mp.mpf(1)
+    best = 1  # above every torus norm: the first factor displaces least = 1
+    with mp.workprec(cf.precision):
+        for x in torus_orbit(theta, cf.value, q):
+            nrm = min(x, 1 - x)
+            with mp.workprec(LOG_PREC):
+                s = 2 * mp.sinpi(+nrm)
+                if nrm < best:  # s becomes least, the displaced least joins rest
+                    best, least, s = nrm, s, least
+                rest *= s
+    return rest, least
+
+
+def min_sine_index(theta, cf: ContinuedFraction, n: int,
+                   budget: int = 2_000_000) -> tuple[int, mp.mpf]:
+    """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
+    smallest j, together with the attained value."""
+    qn = _window(cf, n, budget)
     with mp.workprec(cf.precision):
         nrms = (min(x, 1 - x) for x in torus_orbit(theta, cf.value, qn))
         best_j, best = min(enumerate(nrms), key=lambda jn: jn[1])
@@ -524,20 +559,10 @@ def sine_product_check(theta, cf: ContinuedFraction, n: int,
     """Centered log sine product over one denominator window.
 
     Returns (S, ln q_n) with
-    S = sum_{j != j0} ln|2 sin pi(theta + j alpha)|;
-    boundedness of |S| / ln q_n is the caller's assertion.  The walk runs at
-    cf.precision; the sines, their product (which the mp exponent range keeps
-    from underflowing) and its log at LOG_PREC.  Each norm is rounded to
-    LOG_PREC before its sine, whose cost mpmath scales with the argument's
-    width.
+    S = sum_{j != j0} ln|2 sin pi(theta + j alpha)|, j0 the index of
+    ``min_sine_index``; boundedness of |S| / ln q_n is the caller's
+    assertion.  S is the log of the ``rest`` of ``sine_product``.
     """
-    j0, _ = min_sine_index(theta, cf, n, budget=budget)
-    qn = cf.q[n]
-    prod = mp.mpf(1)
-    with mp.workprec(cf.precision):
-        for j, x in enumerate(torus_orbit(theta, cf.value, qn)):
-            if j != j0:
-                nrm = min(x, 1 - x)
-                with mp.workprec(LOG_PREC):
-                    prod *= 2 * mp.sinpi(+nrm)
-    return float(ln_low(prod)), float(ln_low(qn))
+    qn = _window(cf, n, budget)
+    rest, _ = sine_product(theta, cf, qn)
+    return float(ln_low(rest)), float(ln_low(qn))

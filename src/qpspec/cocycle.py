@@ -1,8 +1,8 @@
 """Transfer-matrix cocycles and Lyapunov exponent estimation.
 
-Single steps come in three flavours: the unimodular step A = [[E-V, -1],
-[1, 0]], its pole-free regular part D = f*A with det = f^2, and F, the
-adjugate-style numerator of the inverse step (A^{-1} = F/f).
+Single steps come in two flavours: the unimodular step A = [[E-V, -1],
+[1, 0]] and its pole-free regular part D = f*A with det = f^2.  Inverse
+products come from the site values through ``inverse_from_sites``.
 
 Lyapunov exponents are always estimated through the regular part (the two
 cocycles share the exponent because ln|f| integrates to zero); A-kind
@@ -32,7 +32,6 @@ __all__ = [
     "UniformBoundReport",
     "step_A",
     "step_D",
-    "step_F",
     "product",
     "product_inverse",
     "product_from_sites",
@@ -143,14 +142,6 @@ def step_D(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
     fv = pot.f(xv)
     gv = pot.g(xv)
     return TransferMatrix2(E * fv - gv, -fv, fv, 0 * fv)
-
-
-def step_F(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
-    """Numerator of the inverse step: A^{-1} = F / f."""
-    xv = as_mpf(x)
-    fv = pot.f(xv)
-    gv = pot.g(xv)
-    return TransferMatrix2(0 * fv, fv, -fv, E * fv - gv)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +264,14 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     return out, excluded
 
 
-def phase_grid(K: int, shift: float = 0.0) -> np.ndarray:
-    """Equidistributed grid (k + 1/2)/K + shift on the torus."""
-    return np.mod((np.arange(K) + 0.5) / K + shift, 1.0)
+def phase_grid(K: int) -> np.ndarray:
+    """Equidistributed grid (k + 1/2)/K on the torus."""
+    return (np.arange(K) + 0.5) / K
 
 
 def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
              method: str = "phase-average", grid: int = 64,
-             kind: str = "D", x0: float = DEFAULT_X0,
-             grid_shift: float = 0.0) -> LyapunovEstimate:
+             kind: str = "D", x0: float = DEFAULT_X0) -> LyapunovEstimate:
     """Lyapunov exponent estimate at length n.
 
     phase-average: mean over an equidistributed phase grid of
@@ -298,7 +288,7 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
     # one engine pass: the grid phases, then the single-orbit base point
-    xs = np.append(phase_grid(grid, grid_shift), x0 % 1.0)
+    xs = np.append(phase_grid(grid), x0 % 1.0)
     vals, excl = _ln_norms(pot, float(E), float(as_mpf(alpha)), xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))

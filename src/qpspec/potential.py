@@ -28,8 +28,8 @@ from .arithmetic import (
     delta_index,
     ln_low,
     qualifying_levels,
+    sine_product,
     torus_norm,
-    torus_orbit,
 )
 from .errors import (
     DegenerateModelError,
@@ -71,7 +71,6 @@ class MeromorphicPotential:
     poles: tuple
     g: Callable
     label: str
-    coupling: float = 1.0
     f_sign: int = 1
     eps_floor: float = 1e-12
 
@@ -179,8 +178,7 @@ G_REGISTRY: dict[str, Callable[[float], Callable]] = {
 def make_amo(lam: float) -> MeromorphicPotential:
     """Cosine model: no poles, V(x) = lam * cos 2 pi x."""
     lam = float(lam)
-    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam), label="amo",
-                                coupling=lam)
+    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam), label="amo")
 
 
 def make_maryland(lam: float) -> MeromorphicPotential:
@@ -193,7 +191,7 @@ def make_maryland(lam: float) -> MeromorphicPotential:
     if lam == 0:
         raise DegenerateModelError("tangent model needs a nonzero coupling")
     return MeromorphicPotential(poles=(Fraction(1, 2),), g=_g_sinpi(2 * lam),
-                                label="maryland", coupling=lam, f_sign=-1)
+                                label="maryland", f_sign=-1)
 
 
 def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
@@ -210,7 +208,7 @@ def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
                 f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
         g = G_REGISTRY[g_name](coupling)
     pot = MeromorphicPotential(poles=tuple(poles), g=g, label=label,
-                               coupling=float(coupling), f_sign=f_sign)
+                               f_sign=f_sign)
     _check_no_spurious_pole(pot)
     return pot
 
@@ -305,7 +303,9 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
 
     at a qualifying level n_i.  Returns (lhs_log, bound_log); the caller
     asserts lhs_log >= bound_log.  Pole-free potentials return trivially.
-    f is evaluated at cf.precision, its logs are taken at LOG_PREC.
+    ln|f| is summed over the poles, repeats included, each term the log of
+    the orbit sine product of ``arithmetic.sine_product`` at theta - theta_l:
+    the orbit runs at cf.precision, its sines and logs at LOG_PREC.
     """
     if delta_iv is None:
         delta_iv = delta_index(cf, theta, pot.poles)
@@ -318,6 +318,7 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
         return 0.0, bound_log
     with mp.workprec(cf.precision):
         acc = mp.mpf(0)
-        for x in torus_orbit(theta, cf.value, qn):
-            acc += ln_low(abs(pot.f(x)))
+        for pl in pot.poles:
+            rest, least = sine_product(as_mpf(theta) - as_mpf(pl), cf, qn)
+            acc += ln_low(rest * least)
         return float(acc), bound_log

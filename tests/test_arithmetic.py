@@ -27,7 +27,7 @@ from qpspec import (
     sine_product_check,
     torus_norm,
 )
-from qpspec.arithmetic import exact_fraction, torus_norm_exact
+from qpspec.arithmetic import as_mpf, exact_fraction, torus_norm_exact
 
 coeff_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=2,
                        max_size=12)
@@ -192,9 +192,25 @@ def test_delta_equals_beta_without_poles(golden40):
 
 
 def test_delta_excluded_phase():
+    # theta = pole + k alpha is rejected, naming the pole and k, exactly
+    # when |k| is within the default horizon of 1000
     cf = golden_cf(20)
-    with pytest.raises(ExcludedPhaseError):
-        delta_index(cf, Fraction(1, 2), [Fraction(1, 2)])
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    cases = [(half, 0, [half], (half, 0)),
+             (half, 3, [half], (half, 3)),
+             (half, 1000, [half], (half, 1000)),
+             (half, -1000, [third, half], (half, -1000)),
+             (third, 7, [third, half], (third, 7)),
+             (half, 1001, [half], None)]
+    for pole, k, poles, hit in cases:
+        with mp.workprec(cf.precision):
+            theta = as_mpf(pole) + k * cf.value
+        if hit is None:
+            delta_index(cf, theta, poles)
+            continue
+        with pytest.raises(ExcludedPhaseError) as exc:
+            delta_index(cf, theta, poles)
+        assert (exc.value.pole, exc.value.translate) == hit
 
 
 def test_gamma_exact_resonance_reports_witness():
@@ -259,3 +275,6 @@ def test_orbit_walks_pinned():
     cf = golden_cf(40)
     assert min_sine_index(0.1, cf, 12)[0] == 194
     assert sine_product_check(0.1, cf, 12) == (4.913755587892461, 5.4510384535657)
+    # at theta = 0 the left-out j = 0 factor is exactly 0
+    assert sine_product_check(0, cf, 12) == (5.2971114194237146, 5.4510384535657)
+    assert sine_product_check(0, cf, 1) == (0.0, 0.0)

@@ -21,7 +21,6 @@ from qpspec import (
     product_inverse,
     step_A,
     step_D,
-    step_F,
     truncated_spectrum,
     uniform_bound_check,
 )
@@ -55,15 +54,6 @@ def test_step_D_det_is_f_squared(maryland1):
         x = mp.mpf(0.3)
         s = step_D(maryland1, mp.mpf(1.5), x)
         assert abs(s.det() - maryland1.f(x) ** 2) < mp.mpf(2) ** -70
-
-
-def test_step_F_over_f_is_inverse_step(maryland1):
-    with mp.workprec(80):
-        x = mp.mpf(0.3)
-        E = mp.mpf(1.5)
-        a = step_A(maryland1, E, x)
-        finv = step_F(maryland1, E, x).scaled(1 / maryland1.f(x))
-        assert _mat_close(a.matmul(finv), TransferMatrix2.identity(), 1e-20)
 
 
 def test_step_D_is_f_times_A(maryland1):

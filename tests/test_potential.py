@@ -149,3 +149,17 @@ def test_f_product_check_pinned(maryland1):
     d = delta_index(cf, 0.1, maryland1.poles)
     assert f_product_check(maryland1, 0.1, cf, 5, 0.5, delta_iv=d) == (
         0.9704327097451656, -6.558469802948412)
+
+
+def test_f_product_check_pinned_at_full_precision():
+    # floats from the per-site evaluation of f that the sine-product walk
+    # replaced: 9148 bits, and a repeated pole
+    cf = liouville_cf(1.12, 5)
+    pot = make_maryland(1.0)
+    d = delta_index(cf, Fraction(3, 8), pot.poles)
+    assert f_product_check(pot, Fraction(3, 8), cf, 3, 0.2, delta_iv=d) == (
+        0.6931471805599453, -55.89314718055988)
+    cf = golden_cf(30)
+    pot = make_custom([Fraction(1, 3), Fraction(1, 3)], "cos2pi", coupling=0.8)
+    assert f_product_check(pot, 0.1, cf, 10, 0.2) == (
+        -0.08862378409384158, -22.32184333805511)
