@@ -26,7 +26,6 @@ from .cocycle import (
     product,
     product_inverse,
     step_A,
-    step_D,
     uniform_bound_check,
 )
 from .errors import (

@@ -22,9 +22,8 @@ Conventions fixed once:
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -64,6 +63,8 @@ __all__ = [
 
 # precision of logs and norms that are only compared or turned into floats
 LOG_PREC = 113
+# delta_index rejects a phase on a pole's translate by k alpha, |k| <= HORIZON
+HORIZON = 1000
 
 
 def ln_low(x):
@@ -230,14 +231,14 @@ def _expand_fraction(x: Fraction, max_terms: int) -> list[int]:
     return coeffs
 
 
-def cf_from_real(alpha, max_terms: int, precision: int | None = None,
-                 exact: bool = False) -> ContinuedFraction:
+def cf_from_real(alpha, max_terms: int,
+                 precision: int | None = None) -> ContinuedFraction:
     """Expand a real alpha in (0, 1), emitting only precision-certified terms.
 
     The input is treated as a dyadic/rational point known to +-1 ulp at
     ``precision`` bits; coefficients are kept while the expansions of both
-    interval endpoints agree.  With ``exact=True`` (or a Fraction input) the
-    value is taken at face value and the terminating expansion is returned.
+    interval endpoints agree.  A Fraction (or str) input is taken at face
+    value and its terminating expansion is returned.
     """
     if max_terms < 1:
         raise InvalidInputError("max_terms must be >= 1")
@@ -251,7 +252,7 @@ def cf_from_real(alpha, max_terms: int, precision: int | None = None,
     x = exact_fraction(alpha)
     if not 0 < x < 1:
         raise InvalidInputError("alpha must lie in (0, 1)")
-    if exact or isinstance(alpha, (Fraction, str)):
+    if isinstance(alpha, (Fraction, str)):
         coeffs = _expand_fraction(x, max_terms)
     else:
         ulp = Fraction(1, 1 << precision)
@@ -368,9 +369,6 @@ class IndexValue:
             "resolution_limited": list(self.resolution_limited),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
@@ -443,32 +441,31 @@ def beta(cf: ContinuedFraction) -> IndexValue:
     return _surrogate(levels)
 
 
-def delta_index(cf: ContinuedFraction, theta, poles: Sequence,
-                horizon: int = 1000) -> IndexValue:
+def delta_index(cf: ContinuedFraction, theta, poles: Sequence) -> IndexValue:
     """Combined pole-resonance/denominator-growth index.
 
     ``poles`` lists pole positions with multiplicity (repeats).  The phase is
     rejected if it sits, within resolution, on a lattice translate
-    theta_l + k*alpha + Z for |k| <= horizon.
+    theta_l + k*alpha + Z for |k| <= HORIZON.
     """
     _require_depth(cf, 2)
     poles = list(poles)
     if poles:
-        _check_excluded_phase(cf, theta, poles, horizon)
+        _check_excluded_phase(cf, theta, poles)
     levels, limited = _delta_per_level(cf, theta, poles)
     return _surrogate(levels, resolution_limited=tuple(limited))
 
 
-def _check_excluded_phase(cf: ContinuedFraction, theta, poles, horizon: int):
+def _check_excluded_phase(cf: ContinuedFraction, theta, poles):
     with mp.workprec(cf.precision):
         floor = mp.mpf(2) ** (-(cf.precision // 2))
         alpha = cf.value
         for pl in poles:
-            # the translates theta - theta_l - k alpha for k = -horizon..horizon
-            start = as_mpf(theta) - as_mpf(pl) + horizon * alpha
-            for i, x in enumerate(torus_orbit(start, -alpha, 2 * horizon + 1)):
+            # the translates theta - theta_l - k alpha for k = -HORIZON..HORIZON
+            start = as_mpf(theta) - as_mpf(pl) + HORIZON * alpha
+            for i, x in enumerate(torus_orbit(start, -alpha, 2 * HORIZON + 1)):
                 if min(x, 1 - x) < floor:
-                    k = i - horizon
+                    k = i - HORIZON
                     raise ExcludedPhaseError(
                         f"phase is within resolution of pole {pl} translated by "
                         f"{k}*alpha", pole=pl, translate=k)

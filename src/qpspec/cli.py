@@ -101,6 +101,8 @@ class RunConfig:
             val = conv(raw)
         except ValueError:
             raise ConfigError(f"bad numeric value for [{section}] {key}: {raw!r}")
+        if isinstance(val, float) and not math.isfinite(val):
+            raise ConfigError(f"[{section}] {key} must be finite, got {raw}")
         if positive and val <= 0:
             raise ConfigError(f"[{section}] {key} must be positive, got {raw}")
         return val
@@ -118,11 +120,14 @@ class RunConfig:
             raw = self._get("model", "poles", default="")
             poles = []
             for tok in raw.replace(",", " ").split():
-                if ":" in tok:
-                    loc, mult = tok.split(":", 1)
-                    mult = int(mult)
-                else:
-                    loc, mult = tok, 1
+                loc, sep, mult = tok.partition(":")
+                try:
+                    mult = int(mult) if sep else 1
+                except ValueError:
+                    mult = 0
+                if mult < 1:
+                    raise ConfigError(
+                        f"bad pole multiplicity in [model] poles: {tok!r}")
                 poles.extend([_parse_number(loc)] * mult)
             g_name = self._get("model", "g", required=True)
             return make_custom(poles, g_name, coupling=coupling)
@@ -145,8 +150,11 @@ class RunConfig:
             raw = self._get("alpha", "value", required=True)
             prec = self._num("alpha", "precision", int, required=True,
                              positive=True)
-            with mp.workprec(prec):
-                val = mp.mpf(raw)
+            try:
+                with mp.workprec(prec):
+                    val = mp.mpf(raw)
+            except ValueError:
+                raise ConfigError(f"bad numeric value for [alpha] value: {raw!r}")
             return cf_from_real(val, terms, precision=prec)
         if kind == "named":
             name = self._get("alpha", "name", required=True)
@@ -183,9 +191,12 @@ class RunConfig:
         if kind == "list":
             raw = self._get("energies", "values", default="")
             try:
-                return [float(t) for t in raw.replace(",", " ").split()]
+                values = [float(t) for t in raw.replace(",", " ").split()]
             except ValueError:
                 raise ConfigError("bad energy list in [energies] values")
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"[energies] values must be finite, got {raw}")
+            return values
         raise ConfigError(f"unknown energies kind {kind!r}")
 
     def depth(self, key, default, positive=True):

@@ -1,14 +1,15 @@
 """Transfer-matrix cocycles and Lyapunov exponent estimation.
 
-Single steps come in two flavours: the unimodular step A = [[E-V, -1],
-[1, 0]] and its pole-free regular part D = f*A with det = f^2.  Inverse
-products come from the site values through ``inverse_from_sites``.
+The high-precision step is the unimodular A = [[E-V, -1], [1, 0]];
+products and inverse products also come from the site values through
+``product_from_sites`` and ``inverse_from_sites``.
 
-Lyapunov exponents are always estimated through the regular part (the two
-cocycles share the exponent because ln|f| integrates to zero); A-kind
-estimates exist for cross-checks with pole windows masked out.  The float
-engine takes one step form for both kinds, [[s, -f], [f, 0]] with the site
-arrays s = E f - g for D and s = E - V, f = 1 for A, vectorised over phases.
+Lyapunov exponents are estimated by default through the pole-free regular
+part D = f*A with det = f^2 (the two cocycles share the exponent because
+ln|f| integrates to zero); A-kind estimates exist for cross-checks with
+pole windows masked out.  The float engine takes one step form for both
+kinds, [[s, -f], [f, 0]] with the site arrays s = E f - g for D and
+s = E - V, f = 1 for A, vectorised over phases.
 It renormalises the running product to unit scale every 32 steps and keeps
 the log scale in a separate accumulator.  The single-orbit base point runs
 as one more phase next to the phase grid, so one pass gives both estimates.
@@ -23,7 +24,8 @@ import mpmath as mp
 import numpy as np
 
 from .arithmetic import as_mpf
-from .errors import InvalidInputError, NumericError, OrbitPoleError
+from .errors import (InvalidInputError, NumericError, OrbitPoleError,
+                     PoleProximityError)
 from .potential import MeromorphicPotential, orbit, site_values
 
 __all__ = [
@@ -31,7 +33,6 @@ __all__ = [
     "LyapunovEstimate",
     "UniformBoundReport",
     "step_A",
-    "step_D",
     "product",
     "product_inverse",
     "product_from_sites",
@@ -39,8 +40,6 @@ __all__ = [
     "lyapunov",
     "uniform_bound_check",
     "spectral_norm_2x2",
-    "DEFAULT_X0",
-    "RENORM_EVERY",
 ]
 
 # generic single-orbit base point; irrational and unrelated to the test
@@ -97,9 +96,6 @@ class TransferMatrix2:
         return TransferMatrix2(self.d / det, -self.b / det,
                                -self.c / det, self.a / det)
 
-    def scaled(self, s) -> "TransferMatrix2":
-        return TransferMatrix2(self.a * s, self.b * s, self.c * s, self.d * s)
-
     @staticmethod
     def identity() -> "TransferMatrix2":
         return TransferMatrix2(1, 0, 0, 1)
@@ -115,12 +111,6 @@ class LyapunovEstimate:
     phases_used: int
     discrepancy: float
     kind: str = "D"
-    energy: float | None = None
-
-    def to_json_dict(self) -> dict:
-        return {"E": self.energy, "value": self.value, "n": self.n,
-                "method": self.method, "phases_used": self.phases_used,
-                "discrepancy": self.discrepancy, "kind": self.kind}
 
 
 # ---------------------------------------------------------------------------
@@ -136,44 +126,24 @@ def step_A(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
     return TransferMatrix2(E - v, -one, one, 0 * one)
 
 
-def step_D(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
-    """Regular part [[E f - g, -f], [f, 0]]; finite everywhere, det = f^2."""
-    xv = as_mpf(x)
-    fv = pot.f(xv)
-    gv = pot.g(xv)
-    return TransferMatrix2(E * fv - gv, -fv, fv, 0 * fv)
-
-
 # ---------------------------------------------------------------------------
 # ordered products
 
 
-_STEPS = {"A": step_A, "D": step_D}
-
-
-def product(pot: MeromorphicPotential, E, x, alpha, n: int,
-            kind: str = "A") -> TransferMatrix2:
-    """Ordered cocycle product M_n(x) = M(x+(n-1)a) ... M(x); for n < 0 the
-    shifted-window identity M_{-m}(x) = M_m(x - m a) is applied."""
-    if kind not in _STEPS:
-        raise InvalidInputError(f"unknown step kind {kind!r}")
+def product(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
+    """Ordered cocycle product A_n(x) = A(x+(n-1)a) ... A(x); for n < 0 the
+    shifted-window identity A_{-m}(x) = A_m(x - m a) is applied."""
     if n < 0:
-        return product(pot, E, x + n * as_mpf(alpha), alpha, -n, kind)
-    step = _STEPS[kind]
+        return product(pot, E, x + n * as_mpf(alpha), alpha, -n)
     acc = TransferMatrix2.identity()
     xv = as_mpf(x)
     av = as_mpf(alpha)
     for j in range(n):
         try:
-            s = step(pot, E, xv + j * av)
-        except Exception as exc:
-            from .errors import PoleProximityError
-
-            if isinstance(exc, PoleProximityError):
-                raise OrbitPoleError(
-                    f"pole within floor at orbit step {j}", dist=exc.dist,
-                    step=j) from exc
-            raise
+            s = step_A(pot, E, xv + j * av)
+        except PoleProximityError as exc:
+            raise OrbitPoleError(f"pole within floor at orbit step {j}",
+                                 dist=exc.dist, step=j) from exc
         acc = s.matmul(acc)
     return acc
 
@@ -270,25 +240,23 @@ def phase_grid(K: int) -> np.ndarray:
 
 
 def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
-             method: str = "phase-average", grid: int = 64,
-             kind: str = "D", x0: float = DEFAULT_X0) -> LyapunovEstimate:
+             grid: int = 64, kind: str = "D") -> LyapunovEstimate:
     """Lyapunov exponent estimate at length n.
 
-    phase-average: mean over an equidistributed phase grid of
-    (1/n) ln||M_n(x)||; single-orbit: the same at one generic base point.
-    Both are always computed and their gap is reported as the discrepancy.
-    A-kind runs drop grid phases whose orbit enters the pole floor.
+    The value is the phase average: the mean over an equidistributed phase
+    grid of (1/n) ln||M_n(x)||.  The same at the generic base point
+    DEFAULT_X0 (single orbit) runs in the same pass, and the gap between the
+    two is reported as the discrepancy.  A-kind runs drop grid phases whose
+    orbit enters the pole floor.
     """
     if n < 1:
         raise InvalidInputError("n must be >= 1")
-    if method not in ("phase-average", "single-orbit"):
-        raise InvalidInputError(f"unknown method {method!r}")
     if grid < 1:
         raise InvalidInputError("grid must be >= 1")
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
     # one engine pass: the grid phases, then the single-orbit base point
-    xs = np.append(phase_grid(grid), x0 % 1.0)
+    xs = np.append(phase_grid(grid), DEFAULT_X0)
     vals, excl = _ln_norms(pot, float(E), float(as_mpf(alpha)), xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))
@@ -298,11 +266,8 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
         raise NumericError("single-orbit base point hits a pole window")
     pa = float(np.mean(vals[:grid][keep]))
     so = float(vals[grid])
-    disc = abs(pa - so)
-    value = pa if method == "phase-average" else so
-    phases = used if method == "phase-average" else 1
-    return LyapunovEstimate(value=value, n=n, method=method, phases_used=phases,
-                            discrepancy=disc, kind=kind, energy=float(E))
+    return LyapunovEstimate(value=pa, n=n, method="phase-average",
+                            phases_used=used, discrepancy=abs(pa - so), kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -331,19 +296,17 @@ class UniformBoundReport:
 
 def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
                         epsilon: float, sample_x,
-                        L: float | None = None,
                         scalar_func=None,
                         scalar_log_mean: float | None = None) -> UniformBoundReport:
     """Check ||D_n(x)|| <= C e^{n(L+eps)} at sampled phases.
 
-    L defaults to a phase-averaged estimate at the same n.  A scalar factor
+    L is the phase-averaged estimate at the same n.  A scalar factor
     (callable on numpy arrays) with its torus mean of ln|h| can be supplied
     for the one-dimensional version of the bound.
     """
     alpha_f = float(as_mpf(alpha))
     xs = np.asarray([float(as_mpf(x)) % 1.0 for x in sample_x], dtype=float)
-    if L is None:
-        L = lyapunov(pot, E, alpha, n, method="phase-average").value
+    L = lyapunov(pot, E, alpha, n).value
     vals, excl = _ln_norms(pot, float(E), alpha_f, xs, n, "D")
     margins = tuple(float(v - (L + epsilon)) for v in vals)
     scalar_margins: tuple[float, ...] = ()

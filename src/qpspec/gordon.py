@@ -35,7 +35,6 @@ LOG_PREC bits.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -192,16 +191,15 @@ def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
     return float(np.sum(np.log(np.maximum(row, 2.0))))
 
 
-def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
-                    precision: int | None = None) -> GordonMatrices:
+def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
+                    q: int) -> GordonMatrices:
     """Build A_q, A_{2q}, A_q^{-1} and the shifted A_q^{-1} from one pass over
-    the 3q orbit sites [-q, 2q)."""
+    the 3q orbit sites [-q, 2q), at a precision sized from the float pre-pass."""
     if q < 1:
         raise InvalidInputError("q must be >= 1")
-    if precision is None:
-        s = _orbit_log_norm_estimate(pot, float(E), float(as_mpf(alpha)),
-                                     float(as_mpf(theta)) % 1.0, q)
-        precision = 192 + int(2.2 * s / math.log(2))
+    s = _orbit_log_norm_estimate(pot, float(E), float(as_mpf(alpha)),
+                                 float(as_mpf(theta)) % 1.0, q)
+    precision = 192 + int(2.2 * s / math.log(2))
     with mp.workprec(precision):
         S = site_values(pot, E, theta, alpha, -q, 2 * q)
         window, forward = S[q:2 * q], S[2 * q:]  # sites [0, q) and [q, 2q)
@@ -334,65 +332,74 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
 # the bounded candidate of the smallness check
 
 
+def _walk(steps) -> tuple[np.ndarray, np.ndarray]:
+    """Running products M_k = steps[k] ... steps[0] of 2x2 float steps, each
+    rescaled to unit size whenever its entries leave [1e-100, 1e100]; returns
+    the log scales and the stacked rescaled products."""
+    ls = np.empty(len(steps))
+    mats = np.empty((len(steps), 2, 2))
+    m = np.eye(2)
+    scale = 0.0
+    for k, step in enumerate(steps):
+        m = step @ m
+        s = np.max(np.abs(m))
+        if s > 1e100 or s < 1e-100:
+            scale += math.log(s)
+            m = m / s
+        ls[k] = scale
+        mats[k] = m
+    return ls, mats
+
+
+def _ln_max_norm(ls: np.ndarray, mats: np.ndarray, psis) -> np.ndarray:
+    """max over k of ls_k + ln||M_k v|| at each v = (cos psi, sin psi)."""
+    vs = np.stack([np.cos(psis), np.sin(psis)])
+    out = np.full(vs.shape[1], -np.inf)
+    chunk = max(1, (1 << 18) // vs.shape[1])  # bounds the (k, 2, psi) block
+    for i in range(0, len(mats), chunk):
+        w = mats[i:i + chunk] @ vs
+        nn = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
+        out = np.maximum(out, np.max(ls[i:i + chunk, None]
+                                     + np.log(np.maximum(nn, 1e-300)), axis=0))
+    return out
+
+
 def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha,
                       q: int) -> tuple[tuple[float, float], float]:
     """Unit initial vector whose orbit stays smallest over [-q-1, 2q].
 
-    Works in float64 with a separate log scale; returns (v, C) where C bounds
-    ||(phi_k, phi_{k-1})|| over the window for the returned direction.
+    Works in float64 with a separate log scale; returns (v, ln C) where C
+    bounds ||(phi_k, phi_{k-1})|| over the window for the returned direction.
+    The window's 3q+1 products are stacked once; a grid of directions seeds a
+    ternary search, and the grid, the search and the bound all evaluate the
+    same ``_ln_max_norm``.
     """
+    E = float(E)
     alpha_f = float(as_mpf(alpha))
     theta_f = float(as_mpf(theta)) % 1.0
     # V at the window's sites k = -q-1 .. 2q-1; site k sits at V[k + q + 1]
     V = pot.V_array(orbit(theta_f, alpha_f, -q - 1, 2 * q), cap=1e250)
-    mats = []  # (logscale, 2x2) mapping v -> (phi_k, phi_{k-1})
-    m = np.eye(2)
-    ls = 0.0
-    for v_k in V[q + 1:]:  # sites 0 .. 2q-1
-        m = np.array([[E - v_k, -1.0], [1.0, 0.0]]) @ m
-        s = np.max(np.abs(m))
-        if s > 1e100 or s < 1e-100:
-            ls += math.log(s)
-            m = m / s
-        mats.append((ls, m.copy()))
-    m = np.eye(2)
-    ls = 0.0
-    for v_k in V[q::-1]:  # sites -1 .. -q-1, inverse steps
-        m = np.array([[0.0, 1.0], [-1.0, E - v_k]]) @ m
-        s = np.max(np.abs(m))
-        if s > 1e100 or s < 1e-100:
-            ls += math.log(s)
-            m = m / s
-        mats.append((ls, m.copy()))
+    # M_k maps v to (phi_k, phi_{k-1}): forward steps over sites 0 .. 2q-1,
+    # inverse steps back over sites -1 .. -q-1
+    fwd = _walk([np.array([[E - v_k, -1.0], [1.0, 0.0]]) for v_k in V[q + 1:]])
+    bwd = _walk([np.array([[0.0, 1.0], [-1.0, E - v_k]]) for v_k in V[q::-1]])
+    ls = np.concatenate([fwd[0], bwd[0]])
+    mats = np.concatenate([fwd[1], bwd[1]])
     psis = np.pi * np.arange(CANDIDATE_GRID) / CANDIDATE_GRID
-    vs = np.stack([np.cos(psis), np.sin(psis)])  # (2, CANDIDATE_GRID)
-    worst = np.full(CANDIDATE_GRID, -np.inf)
-    for ls, mk in mats:
-        w = mk @ vs
-        nn = np.sqrt(w[0] ** 2 + w[1] ** 2)
-        worst = np.maximum(worst, ls + np.log(np.maximum(nn, 1e-300)))
-    i = int(np.argmin(worst))
-
-    def cost(psi: float) -> float:
-        v = np.array([math.cos(psi), math.sin(psi)])
-        c = -np.inf
-        for ls, mk in mats:
-            w = mk @ v
-            c = max(c, ls + math.log(max(math.hypot(w[0], w[1]), 1e-300)))
-        return c
-
+    i = int(np.argmin(_ln_max_norm(ls, mats, psis)))
     lo = psis[i] - np.pi / CANDIDATE_GRID
     hi = psis[i] + np.pi / CANDIDATE_GRID
     for _ in range(40):
         m1 = lo + (hi - lo) / 3
         m2 = hi - (hi - lo) / 3
-        if cost(m1) <= cost(m2):
+        c1, c2 = _ln_max_norm(ls, mats, np.array([m1, m2]))
+        if c1 <= c2:
             hi = m2
         else:
             lo = m1
     psi = (lo + hi) / 2
     v = (math.cos(psi), math.sin(psi))
-    return v, math.exp(cost(psi))
+    return v, float(_ln_max_norm(ls, mats, np.array([psi]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +426,11 @@ class TraceReport:
     residual_square: float   # B^2 - tr(B) B + I
 
 
-def trace_dichotomy(pot: MeromorphicPotential, E, theta, alpha, q: int,
-                    mats: GordonMatrices | None = None) -> TraceReport:
+def trace_dichotomy(pot: MeromorphicPotential, E, theta, alpha,
+                    q: int) -> TraceReport:
     """Trace of A_q with the two Cayley-Hamilton residuals (relative), which
     are exact identities for unit-determinant matrices."""
-    if mats is None:
-        mats = gordon_matrices(pot, E, theta, alpha, q)
+    mats = gordon_matrices(pot, E, theta, alpha, q)
     with mp.workprec(mats.precision):
         B = mats.A_q
         tr = B.trace()
@@ -468,29 +474,25 @@ class SmallnessCheck:
     vacuous: bool
     passed: bool | None
     candidate: tuple[float, float]
-    candidate_bound: float
     empirical_rate: float
 
 
 def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
                   cf: ContinuedFraction, n_i: int, epsilon: float,
-                  L: float, delta_iv: IndexValue,
-                  v=None, mats: GordonMatrices | None = None) -> SmallnessCheck:
+                  L: float, delta_iv: IndexValue) -> SmallnessCheck:
     """Evaluate the smallness estimates at a qualifying level.
 
-    The candidate initial vector defaults to the direction whose orbit stays
-    most bounded over the window, matching the bounded-solution hypothesis.
+    The initial vector is ``bounded_candidate``'s: the direction whose orbit
+    stays most bounded over the window, matching the bounded-solution
+    hypothesis.
     """
     if n_i not in qualifying_levels(delta_iv, epsilon):
         raise SubsequenceError(
             f"level {n_i} not in the qualifying subsequence for eps={epsilon}")
     q = cf.q[n_i]
     bound_log = q * (L - delta_iv.value + 4 * epsilon)
-    if v is None:
-        v, cbound = bounded_candidate(pot, E, theta, alpha, q)
-    else:
-        cbound = math.nan
-    lhs = gordon_lhs(pot, E, theta, alpha, q, v=v, mats=mats)
+    v, _ = bounded_candidate(pot, E, theta, alpha, q)
+    lhs = gordon_lhs(pot, E, theta, alpha, q, v=v)
     vacuous = bound_log >= 0
     lsq = lhs.square_log
     linv = lhs.inverse_log
@@ -498,8 +500,7 @@ def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
     rate = -max(lsq, linv) / q
     return SmallnessCheck(q=q, level=n_i, lhs_square_log=lsq, lhs_inverse_log=linv,
                        bound_log=float(bound_log), vacuous=vacuous, passed=passed,
-                       candidate=(float(v[0]), float(v[1])),
-                       candidate_bound=float(cbound), empirical_rate=rate)
+                       candidate=(float(v[0]), float(v[1])), empirical_rate=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +532,6 @@ class GordonCertificate:
                 "lhs_inverse_log": self.lhs_inverse_log,
                 "trace": self.trace, "max_norm": self.max_norm,
                 "empirical_rate": self.empirical_rate, "verdict": self.verdict}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,

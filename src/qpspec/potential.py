@@ -14,7 +14,7 @@ functions: ``orbit`` (float64 phases, vectorised over base points),
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -114,14 +114,14 @@ class MeromorphicPotential:
             v = np.clip(v, -cap, cap)
         return v
 
-    def log_f_integral(self, dps: int = 30) -> float:
+    def log_f_integral(self) -> float:
         """Quadrature of ln|f| over one period, split at the poles.
 
         Vanishes identically for the normalised f; returned for checking.
         """
         if self.m == 0:
             return 0.0
-        with mp.workdps(dps):
+        with mp.workdps(30):
             pts = sorted({mp.mpf(0), mp.mpf(1), *(as_mpf(pl) for pl in self.poles)})
             val = mp.quad(lambda t: mp.log(abs(self.f(t))), pts)
             return float(val)
@@ -195,8 +195,7 @@ def make_maryland(lam: float) -> MeromorphicPotential:
 
 
 def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
-                g: Callable | None = None, label: str = "custom",
-                f_sign: int = 1) -> MeromorphicPotential:
+                g: Callable | None = None) -> MeromorphicPotential:
     """Custom potential from a pole list and a registered (or supplied) g.
 
     Poles may repeat to encode multiplicity.  A supplied callable must handle
@@ -207,8 +206,7 @@ def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
             raise InvalidInputError(
                 f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
         g = G_REGISTRY[g_name](coupling)
-    pot = MeromorphicPotential(poles=tuple(poles), g=g, label=label,
-                               f_sign=f_sign)
+    pot = MeromorphicPotential(poles=tuple(poles), g=g, label="custom")
     _check_no_spurious_pole(pot)
     return pot
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +20,7 @@ from numpy.linalg import _umath_linalg
 
 from .arithmetic import IndexValue, as_mpf
 from .cocycle import LyapunovEstimate, lyapunov
-from .errors import InvalidInputError, NumericError, RangeError
+from .errors import InvalidInputError, NumericError
 from .potential import MeromorphicPotential, orbit
 
 __all__ = [
@@ -30,27 +29,18 @@ __all__ = [
     "sturm_count",
     "classify_regime",
     "lyapunov_scan",
-    "V_CAP",
 ]
 
 V_CAP = 1e12
 
 
-def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha, N: int,
-                    pole_policy: str) -> tuple[np.ndarray, list[int]]:
-    if pole_policy not in ("cap", "strict"):
-        raise InvalidInputError(f"unknown pole policy {pole_policy!r}")
+def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha,
+                    N: int) -> tuple[np.ndarray, list[int]]:
     alpha_f = float(as_mpf(alpha))
     theta_f = float(as_mpf(theta)) % 1.0
     V = pot.V_array(orbit(theta_f, alpha_f, 0, N))
-    flagged: list[int] = []
-    over = np.abs(V) > V_CAP
-    if np.any(over):
-        idx = [int(i) for i in np.nonzero(over)[0]]
-        if pole_policy == "strict":
-            raise RangeError(f"pole-influenced sites in window: {idx}")
-        V = np.clip(V, -V_CAP, V_CAP)
-        flagged = idx
+    flagged = [int(i) for i in np.nonzero(np.abs(V) > V_CAP)[0]]
+    V = np.clip(V, -V_CAP, V_CAP)
     if not np.all(np.isfinite(V)):
         raise NumericError("non-finite potential value in truncation window")
     return V, flagged
@@ -85,17 +75,17 @@ def _dsterf():
     return fn
 
 
-def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
-                       pole_policy: str = "cap") -> tuple[np.ndarray, list[int]]:
+def truncated_spectrum(pot: MeromorphicPotential, theta, alpha,
+                       N: int) -> tuple[np.ndarray, list[int]]:
     """All N eigenvalues of the Dirichlet window truncation, ascending, plus
-    the list of pole-influenced (capped) sites.
+    the list of pole-influenced sites, whose |V| is capped at V_CAP.
 
     One LAPACK ``dsterf`` call, O(N^2) time; without it, ``eigvalsh`` of the
     dense matrix, O(N^3) time and O(N^2) memory.
     """
     if N < 2:
         raise InvalidInputError("N must be >= 2")
-    diag, flagged = _orbit_diagonal(pot, theta, alpha, N, pole_policy)
+    diag, flagged = _orbit_diagonal(pot, theta, alpha, N)
     dsterf = _dsterf()
     if dsterf is None:  # eigvalsh reads the lower triangle only
         T = np.diag(diag)
@@ -111,8 +101,7 @@ def truncated_spectrum(pot: MeromorphicPotential, theta, alpha, N: int,
 # scans and classification
 
 
-def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int,
-                  method: str = "phase-average", grid: int = 64,
+def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int, grid: int = 64,
                   kind: str = "D") -> list[LyapunovEstimate | Exception]:
     """Map the Lyapunov estimator over an energy grid; per-energy numerical
     failures (NumericError) are recorded in place and the scan continues,
@@ -120,8 +109,7 @@ def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int,
     out: list[LyapunovEstimate | NumericError] = []
     for E in E_grid:
         try:
-            out.append(lyapunov(pot, float(E), alpha, n, method=method,
-                                grid=grid, kind=kind))
+            out.append(lyapunov(pot, float(E), alpha, n, grid=grid, kind=kind))
         except NumericError as exc:  # recorded, scan continues
             out.append(exc)
     return out
@@ -165,9 +153,6 @@ class RegimeClassification:
                      for e, L, u, lab in self.rows()],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def classify_label(L: float, u: float, lower: float, upper: float) -> str:
     if L + u < lower:
@@ -192,8 +177,7 @@ def classify_regime(pot: MeromorphicPotential, theta, alpha, E_grid,
     lower, upper = delta_hat.band()
     energies, Ls, us, labels = [], [], [], []
     for E in E_grid:
-        est = lyapunov(pot, float(E), alpha, n_lyap, method="phase-average",
-                       grid=grid)
+        est = lyapunov(pot, float(E), alpha, n_lyap, grid=grid)
         energies.append(float(E))
         Ls.append(est.value)
         us.append(est.discrepancy)

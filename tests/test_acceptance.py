@@ -100,7 +100,7 @@ def test_criterion_02_matrix_identities(amo2, maryland1):
             x = mp.mpf(rng.uniform(0.01, 0.99))
             n = rng.choice([k for k in range(-q8, q8 + 1) if k != 0])
             try:
-                B = qp.product(pot, E, x, alpha, n, kind="A")
+                B = qp.product(pot, E, x, alpha, n)
             except qp.OrbitPoleError:
                 continue
             tr = B.trace()

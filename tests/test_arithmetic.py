@@ -193,7 +193,7 @@ def test_delta_equals_beta_without_poles(golden40):
 
 def test_delta_excluded_phase():
     # theta = pole + k alpha is rejected, naming the pole and k, exactly
-    # when |k| is within the default horizon of 1000
+    # when |k| is within the horizon of 1000
     cf = golden_cf(20)
     half, third = Fraction(1, 2), Fraction(1, 3)
     cases = [(half, 0, [half], (half, 0)),

@@ -241,3 +241,28 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
     err = capsys.readouterr().err
     # an unknown section is rejected before its keys are read
     assert (key if section != "output" else "[output]") in err
+
+
+@pytest.mark.parametrize("sub,old,new,key", [
+    ("gordon", "values = 0.0", "values = nan", "[energies] values"),
+    ("gordon", "values = 0.0", "values = 0.0 inf", "[energies] values"),
+    ("lyapunov", "values = 0.0", "values = inf", "[energies] values"),
+    ("gordon", "coupling = 0.15", "coupling = nan", "[model] coupling"),
+    ("gordon", "name = maryland", "name = custom\npoles = 1/2:x\ng = sinpi",
+     "[model] poles"),
+    ("gordon", "name = maryland", "name = custom\npoles = 1/2:0\ng = sinpi",
+     "[model] poles"),
+    ("gordon", "name = maryland", "name = custom\npoles = 1/2:-2\ng = sinpi",
+     "[model] poles"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = decimal\nvalue = abc\nprecision = 64", "[alpha] value"),
+], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
+        "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc"])
+def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
+                                       sub, old, new, key):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(gordon_cfg.read_text().replace(old, new, 1))
+    out = tmp_path / "o"
+    assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not any(out.iterdir())

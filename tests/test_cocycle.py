@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from qpspec import (
     InvalidInputError,
-    NumericError,
     OrbitPoleError,
     golden_cf,
     lyapunov,
@@ -20,7 +19,6 @@ from qpspec import (
     product,
     product_inverse,
     step_A,
-    step_D,
     truncated_spectrum,
     uniform_bound_check,
 )
@@ -47,21 +45,6 @@ def test_step_A_is_unimodular(maryland1):
     with mp.workprec(80):
         s = step_A(maryland1, mp.mpf(1.5), mp.mpf(0.3))
         assert abs(s.det() - 1) < mp.mpf(2) ** -70
-
-
-def test_step_D_det_is_f_squared(maryland1):
-    with mp.workprec(80):
-        x = mp.mpf(0.3)
-        s = step_D(maryland1, mp.mpf(1.5), x)
-        assert abs(s.det() - maryland1.f(x) ** 2) < mp.mpf(2) ** -70
-
-
-def test_step_D_is_f_times_A(maryland1):
-    with mp.workprec(80):
-        x = mp.mpf(0.3)
-        E = mp.mpf(1.5)
-        assert _mat_close(step_D(maryland1, E, x),
-                          step_A(maryland1, E, x).scaled(maryland1.f(x)), 1e-20)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +164,6 @@ def test_cosine_exponent_meets_herman_bound_on_the_spectrum(lam):
         assert lyapunov(pot, E, cf.value, 20000).value >= math.log(lam / 2), E
 
 
-def test_single_orbit_method(amo2):
-    cf = golden_cf(30)
-    pa = lyapunov(amo2, 0.25, cf.value, 5000, method="phase-average")
-    so = lyapunov(amo2, 0.25, cf.value, 5000, method="single-orbit")
-    assert so.phases_used == 1
-    assert pa.discrepancy == so.discrepancy == abs(pa.value - so.value)
-
-
 _KERNEL_POTENTIALS = pytest.mark.parametrize("pot", [
     make_amo(2.0),
     make_maryland(1.0),
@@ -232,8 +207,6 @@ def test_lyapunov_argument_validation(amo2):
     cf = golden_cf(20)
     with pytest.raises(InvalidInputError):
         lyapunov(amo2, 0.0, cf.value, 0)
-    with pytest.raises(InvalidInputError):
-        lyapunov(amo2, 0.0, cf.value, 10, method="bogus")
     with pytest.raises(InvalidInputError):
         lyapunov(amo2, 0.0, cf.value, 10, kind="Z")
 

@@ -203,12 +203,30 @@ def test_gordon_lhs_uniform_against_direction_grid(pot):
 def test_bounded_candidate_bounds_its_own_orbit(amo2):
     cf = golden_cf(20)
     q = 5
-    v, C = bounded_candidate(amo2, 0.5, Fraction(1, 7), cf.value, q)
+    v, ln_C = bounded_candidate(amo2, 0.5, Fraction(1, 7), cf.value, q)
     assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
     seg = solve_recurrence(amo2, 0.5, Fraction(1, 7), v, (-q - 2, 2 * q),
                            cf.value, precision=120)
     worst = max(seg.vec_norm(k) for k in range(-q - 1, 2 * q + 1))
-    assert worst <= C * (1 + 1e-6)
+    # the float bound is the orbit's largest norm, to rounding on this window
+    assert ln_C == pytest.approx(math.log(worst), abs=1e-12)
+
+
+def test_bounded_candidate_log_bound_past_float_range(maryland1):
+    # at q=987 the window's growth exceeds e^709, where C itself overflows a
+    # float; its log stays finite and matches the high-precision orbit up to
+    # the float walk's rounding, amplified by that growth
+    cf = golden_cf(30)
+    q = 987
+    v, ln_C = bounded_candidate(maryland1, 0.3, Fraction(1, 7), cf.value, q)
+    assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
+    assert 709 < ln_C < math.inf
+    seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), v, (-q - 2, 2 * q),
+                           cf.value, precision=4000)
+    with mp.workprec(64):
+        worst = max(mp.log(mp.hypot(*seg.vec(k)))
+                    for k in range(-q - 1, 2 * q + 1))
+    assert float(worst) == pytest.approx(ln_C, abs=1e-2)
 
 
 

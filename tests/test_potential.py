@@ -15,7 +15,6 @@ from qpspec import (
     f_product_check,
     golden_cf,
     liouville_cf,
-    make_amo,
     make_custom,
     make_maryland,
 )

@@ -7,7 +7,6 @@ import pytest
 from qpspec import (
     InvalidInputError,
     NumericError,
-    RangeError,
     delta_index,
     classify_regime,
     golden_cf,
@@ -83,17 +82,9 @@ def test_sturm_count_against_dense_eigenvalues(amo2):
 
 def test_pole_policy_cap_flags_sites(maryland1):
     cf = golden_cf(20)
-    eigs, flagged = truncated_spectrum(maryland1, Fraction(1, 2), cf.value, 8,
-                                       pole_policy="cap")
+    eigs, flagged = truncated_spectrum(maryland1, Fraction(1, 2), cf.value, 8)
     assert flagged == [0]
     assert np.all(np.isfinite(eigs))
-
-
-def test_pole_policy_strict_raises(maryland1):
-    cf = golden_cf(20)
-    with pytest.raises(RangeError):
-        truncated_spectrum(maryland1, Fraction(1, 2), cf.value, 8,
-                           pole_policy="strict")
 
 
 @pytest.mark.parametrize("N", [8, 256])
@@ -125,8 +116,6 @@ def test_truncation_argument_validation(amo2):
     cf = golden_cf(20)
     with pytest.raises(InvalidInputError):
         truncated_spectrum(amo2, 0.1, cf.value, 1)
-    with pytest.raises(InvalidInputError):
-        truncated_spectrum(amo2, 0.1, cf.value, 8, pole_policy="bogus")
 
 
 # ---------------------------------------------------------------------------
