@@ -128,7 +128,7 @@ class RunConfig:
                 if mult < 1:
                     raise ConfigError(
                         f"bad pole multiplicity in [model] poles: {tok!r}")
-                poles.extend([_parse_number(loc)] * mult)
+                poles.extend([_parse_number(loc, "model", "poles")] * mult)
             g_name = self._get("model", "g", required=True)
             return make_custom(poles, g_name, coupling=coupling)
         raise ConfigError(f"unknown model name {name!r}")
@@ -155,6 +155,8 @@ class RunConfig:
                     val = mp.mpf(raw)
             except ValueError:
                 raise ConfigError(f"bad numeric value for [alpha] value: {raw!r}")
+            if not 0 < val < 1:  # false for nan as well
+                raise ConfigError(f"[alpha] value must lie in (0, 1), got {raw}")
             return cf_from_real(val, terms, precision=prec)
         if kind == "named":
             name = self._get("alpha", "name", required=True)
@@ -173,7 +175,7 @@ class RunConfig:
 
     def theta(self):
         raw = self._get("phase", "theta", default="0")
-        return _parse_number(raw)
+        return _parse_number(raw, "phase", "theta")
 
     def energy_grid(self):
         kind = self._get("energies", "kind", default="list")
@@ -213,12 +215,12 @@ class RunConfig:
             raise ConfigError("bad level list in [depths] gordon_levels")
 
 
-def _parse_number(raw: str):
+def _parse_number(raw: str, section: str, key: str):
     raw = raw.strip()
     try:
         return Fraction(raw)  # fractions and decimal strings parse exactly
     except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"bad number: {raw!r}")
+        raise ConfigError(f"bad number in [{section}] {key}: {raw!r}")
 
 
 # ---------------------------------------------------------------------------

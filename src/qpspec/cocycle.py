@@ -9,10 +9,15 @@ part D = f*A with det = f^2 (the two cocycles share the exponent because
 ln|f| integrates to zero); A-kind estimates exist for cross-checks with
 pole windows masked out.  The float engine takes one step form for both
 kinds, [[s, -f], [f, 0]] with the site arrays s = E f - g for D and
-s = E - V, f = 1 for A, vectorised over phases.
-It renormalises the running product to unit scale every 32 steps and keeps
-the log scale in a separate accumulator.  The single-orbit base point runs
-as one more phase next to the phase grid, so one pass gives both estimates.
+s = E - V, f = 1 for A, vectorised over phases.  Each orbit's n steps are
+cut into SEGMENTS = 16 consecutive stretches of ceil(n / 16) steps (the sites
+past n pad the last ones with s = 0, f = 1, an exact quarter turn), and the
+stretches of all phases step side by side, so a step costs one numpy call
+over 16 times the phases.  Each stretch product is renormalised to unit
+scale every 32 steps, with the log scale in a separate accumulator; the 16
+stretch products of a phase are then chained with one renormalisation per
+link.  The single-orbit base point runs as one more phase next to the phase
+grid, so one pass gives both estimates.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ __all__ = [
 # frequencies, so it dodges accidental rational resonances
 DEFAULT_X0 = math.sqrt(2.0) - 1.0
 RENORM_EVERY = 32
-CHUNK = 4096  # orbit steps whose site arrays the float engine builds at once
+SEGMENTS = 16  # stretches of each orbit that the float engine steps side by side
+CHUNK = 4096 * 32  # sites (rows x columns) whose arrays the float engine builds at once
 
 
 def _sqrt(x):
@@ -186,49 +192,81 @@ def inverse_from_sites(S) -> TransferMatrix2:
 # Lyapunov engine (float64, vectorised over phases)
 
 
+def _rescale(a, b, c, d):
+    """Divide [[a, b], [c, d]] by its largest entry (1 where all vanish);
+    returns the scaled entries and the log of the divisor."""
+    m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
+                   np.maximum(np.abs(c), np.abs(d)))
+    m = np.where(m == 0, 1.0, m)
+    return a / m, b / m, c / m, d / m, np.log(m)
+
+
 def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
               xs: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(1/n) ln||M_n(x)|| for each phase in xs, plus an excluded mask for
-    A-kind phases whose orbit enters the pole floor.
+    A-kind phases whose orbit enters the pole floor; excluded phases read nan.
 
     Both kinds take the step [[s, -f], [f, 0]]: D has s = E f - g, and A is
     the same step with f = 1, s = E - V (multiplying by 1.0 is exact).
+    Each orbit's n steps run as SEGMENTS stretches of ceil(n / SEGMENTS)
+    steps, all stretches of all phases side by side; the sites past n step
+    with s = 0, f = 1, an exact quarter turn.  The stretch products are then
+    chained per phase.  The layout depends on n only: the rows built per
+    chunk change the speed, never the values.
     """
     K = xs.shape[0]
-    a = np.ones(K)
-    b = np.zeros(K)
-    c = np.zeros(K)
-    d = np.ones(K)
-    logs = np.zeros(K)
+    stretch = -(-n // SEGMENTS)  # steps per stretch
+    cols = SEGMENTS * K
+    rows = max(1, CHUNK // cols)
+    a = np.ones(cols)
+    b = np.zeros(cols)
+    c = np.zeros(cols)
+    d = np.ones(cols)
+    logs = np.zeros(cols)
     excluded = np.zeros(K, dtype=bool)
-    for start in range(0, n, CHUNK):
-        X = orbit(xs, alpha, start, min(start + CHUNK, n))
+    for start in range(0, stretch, rows):
+        # step j of stretch i is orbit step i * stretch + j
+        steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
+                             stretch * np.arange(SEGMENTS))
+        pad = (steps >= n)[:, :, None]
+        X = orbit(xs, alpha, steps)
         if kind == "A":
             F = np.broadcast_to(1.0, X.shape)
             S = E - pot.V_array(X)
             if pot.m:
-                excluded |= np.any(pot.pole_distance(X) <= pot.eps_floor, axis=0)
+                near = (pot.pole_distance(X) <= pot.eps_floor) & ~pad
+                excluded |= np.any(near, axis=(0, 1))
                 # V at a pole reaches 2e300 and would overflow the column to
                 # inf/nan (with numpy warnings); a masked column's value is
                 # discarded, so it steps with s = 0 instead
-                S[:, excluded] = 0.0
+                S[:, :, excluded] = 0.0
         else:
             F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
             S = E * F - np.asarray(pot.g(X), dtype=float)
-        for step, (s, f) in enumerate(zip(S, F), start + 1):
+        if pad.any():
+            S = np.where(pad, 0.0, S)
+            F = np.where(pad, 1.0, F)
+        for step, (s, f) in enumerate(zip(S.reshape(-1, cols),
+                                          F.reshape(-1, cols)), start + 1):
             a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
             if step % RENORM_EVERY == 0:
-                m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                               np.maximum(np.abs(c), np.abs(d)))
-                m = np.where(m == 0, 1.0, m)
-                logs += np.log(m)
-                a, b, c, d = a / m, b / m, c / m, d / m
-    fro2 = a * a + b * b + c * c + d * d
-    det = a * d - b * c
+                a, b, c, d, ln_m = _rescale(a, b, c, d)
+                logs += ln_m
+    # chain the stretch products of each phase, the first one rightmost
+    # (elementwise throughout, so a phase's value does not depend on K)
+    a, b, c, d, seg_logs = (v.reshape(SEGMENTS, K) for v in (a, b, c, d, logs))
+    pa, pb, pc, pd, logs = a[0], b[0], c[0], d[0], seg_logs[0]
+    for i in range(1, SEGMENTS):
+        pa, pb, pc, pd, ln_m = _rescale(a[i] * pa + b[i] * pc, a[i] * pb + b[i] * pd,
+                                        c[i] * pa + d[i] * pc, c[i] * pb + d[i] * pd)
+        logs = logs + seg_logs[i] + ln_m
+    fro2 = pa * pa + pb * pb + pc * pc + pd * pd
+    det = pa * pd - pb * pc
     disc = np.maximum(fro2 * fro2 - 4 * det * det, 0.0)
     sn = np.sqrt((fro2 + np.sqrt(disc)) / 2)
     with np.errstate(divide="ignore"):
         out = (logs + np.log(sn)) / n
+    out[excluded] = np.nan
     if not np.all(np.isfinite(out[~excluded])):
         raise NumericError("non-finite product norm in the Lyapunov engine")
     return out, excluded
@@ -249,14 +287,22 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
     two is reported as the discrepancy.  A-kind runs drop grid phases whose
     orbit enters the pole floor.
     """
+    return _estimate(pot, E, alpha, n, grid, kind)[0]
+
+
+def _estimate(pot: MeromorphicPotential, E: float, alpha, n: int, grid: int,
+              kind: str, extra=()) -> tuple[LyapunovEstimate, np.ndarray]:
+    """``lyapunov``'s estimate, with (1/n) ln||M_n(x)|| at the phases
+    ``extra`` taken from the same engine pass (columns never mix, so those
+    values equal a call of their own bit for bit)."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if grid < 1:
         raise InvalidInputError("grid must be >= 1")
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
-    # one engine pass: the grid phases, then the single-orbit base point
-    xs = np.append(phase_grid(grid), DEFAULT_X0)
+    # one engine pass: the grid phases, the single-orbit base point, extra
+    xs = np.concatenate([phase_grid(grid), [DEFAULT_X0], extra])
     vals, excl = _ln_norms(pot, float(E), float(as_mpf(alpha)), xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))
@@ -266,8 +312,9 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
         raise NumericError("single-orbit base point hits a pole window")
     pa = float(np.mean(vals[:grid][keep]))
     so = float(vals[grid])
-    return LyapunovEstimate(value=pa, n=n, method="phase-average",
-                            phases_used=used, discrepancy=abs(pa - so), kind=kind)
+    est = LyapunovEstimate(value=pa, n=n, method="phase-average",
+                           phases_used=used, discrepancy=abs(pa - so), kind=kind)
+    return est, vals[grid + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -300,14 +347,15 @@ def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
                         scalar_log_mean: float | None = None) -> UniformBoundReport:
     """Check ||D_n(x)|| <= C e^{n(L+eps)} at sampled phases.
 
-    L is the phase-averaged estimate at the same n.  A scalar factor
-    (callable on numpy arrays) with its torus mean of ln|h| can be supplied
-    for the one-dimensional version of the bound.
+    L is the phase-averaged estimate at the same n, from the same engine
+    pass as the sampled phases.  A scalar factor (callable on numpy arrays)
+    with its torus mean of ln|h| can be supplied for the one-dimensional
+    version of the bound.
     """
     alpha_f = float(as_mpf(alpha))
     xs = np.asarray([float(as_mpf(x)) % 1.0 for x in sample_x], dtype=float)
-    L = lyapunov(pot, E, alpha, n).value
-    vals, excl = _ln_norms(pot, float(E), alpha_f, xs, n, "D")
+    est, vals = _estimate(pot, E, alpha, n, 64, "D", xs)
+    L = est.value
     margins = tuple(float(v - (L + epsilon)) for v in vals)
     scalar_margins: tuple[float, ...] = ()
     if scalar_func is not None:

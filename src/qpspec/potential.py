@@ -238,10 +238,15 @@ def eval_V(pot: MeromorphicPotential, x):
     return pot.g(xv)
 
 
-def orbit(theta, alpha: float, start: int, stop: int) -> np.ndarray:
+def orbit(theta, alpha: float, start, stop: int | None = None) -> np.ndarray:
     """Float phases (theta + j alpha) mod 1 for j in [start, stop); a 1-D
-    array of base points theta gives one column per base point."""
-    ks = np.arange(start, stop, dtype=float)
+    array of base points theta gives one column per base point.
+
+    With ``stop`` omitted, ``start`` is an array of steps j of any shape,
+    and the base points' axis comes last.  Either way the phase at step j
+    is mod(float(j) alpha + theta, 1)."""
+    ks = (np.arange(start, stop, dtype=float) if stop is not None
+          else np.asarray(start, dtype=float))
     return np.mod(np.add.outer(ks * alpha, theta), 1.0)
 
 

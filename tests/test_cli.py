@@ -256,8 +256,16 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
      "[model] poles"),
     ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
      "kind = decimal\nvalue = abc\nprecision = 64", "[alpha] value"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = decimal\nvalue = 1.5\nprecision = 64", "[alpha] value"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = decimal\nvalue = nan\nprecision = 64", "[alpha] value"),
+    ("indices", "theta = 3/8", "theta = abc", "[phase] theta"),
+    ("gordon", "name = maryland", "name = custom\npoles = x:2\ng = sinpi",
+     "[model] poles"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
-        "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc"])
+        "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
+        "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

@@ -22,6 +22,7 @@ from qpspec import (
     truncated_spectrum,
     uniform_bound_check,
 )
+from qpspec import cocycle
 from qpspec.cocycle import (
     CHUNK,
     DEFAULT_X0,
@@ -30,6 +31,7 @@ from qpspec.cocycle import (
     phase_grid,
     spectral_norm_2x2,
 )
+from qpspec.potential import orbit
 
 
 def _mat_close(m1, m2, tol):
@@ -188,19 +190,30 @@ def test_ln_norms_columns_are_independent_phases(pot, kind):
     assert excl[8] == (kind == "A" and pot.label == "maryland")
 
 
-# repr of the estimates before the single orbit joined the phase grid as one
-# more column; the kernel change must not move a single bit
-@pytest.mark.parametrize("pot,E,kind,value,discrepancy", [
-    (make_maryland(1.0), 0.0, "A", 0.48124290166631717, 0.00010316320246389621),
-    (make_maryland(1.0), 0.0, "D", 0.4812484331325386, 0.00017183919376234646),
-    (make_amo(2.0), 0.5, "A", 0.42575592738872076, 2.7113372381759593e-05),
-    (make_amo(2.0), 0.5, "D", 0.42575592738872076, 2.7113372381759593e-05),
+# repr of the estimates of the time-split engine (16 stretches per orbit,
+# chained), then of the plain step-by-step product it replaced: chaining
+# reassociates the product, which moved the last bits only
+@pytest.mark.parametrize("pot,E,kind,value,discrepancy,seq_value,seq_discrepancy", [
+    (make_maryland(1.0), 0.0, "A", 0.48124290166631717, 0.00010316320246389621,
+     0.48124290166631717, 0.00010316320246389621),
+    (make_maryland(1.0), 0.0, "D", 0.48124843313253873, 0.00017183919376262402,
+     0.4812484331325386, 0.00017183919376234646),
+    (make_amo(2.0), 0.5, "A", 0.4257559273887207, 2.7113372381537548e-05,
+     0.42575592738872076, 2.7113372381759593e-05),
+    (make_amo(2.0), 0.5, "D", 0.4257559273887207, 2.7113372381537548e-05,
+     0.42575592738872076, 2.7113372381759593e-05),
 ], ids=["maryland-A", "maryland-D", "amo-A", "amo-D"])
-def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy):
+def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy, seq_value,
+                                   seq_discrepancy):
     est = lyapunov(pot, E, golden_cf(30).value, 20000, kind=kind)
     assert est.value == value
     assert est.discrepancy == discrepancy
     assert est.phases_used == 64
+    assert est.value == pytest.approx(seq_value, rel=1e-13, abs=0)
+    # the discrepancy is the gap between two estimates, so it is held to the
+    # same absolute error as they are
+    assert est.discrepancy == pytest.approx(seq_discrepancy, rel=0,
+                                            abs=1e-13 * seq_value)
 
 
 def test_lyapunov_argument_validation(amo2):
@@ -233,6 +246,91 @@ def test_uniform_bound_scalar_factor(maryland1):
         scalar_log_mean=0.0)
     assert len(rep.scalar_margins) == 2
     assert max(rep.scalar_margins) <= 0.05
+
+
+def _sequential_ln_norm(pot, E, alpha, x, n, kind):
+    """Oracle: (1/n) ln||M_n(x)|| from the plain step-by-step float product."""
+    X = orbit(x, alpha, 0, n)
+    F = pot.f(X) if kind == "D" and pot.m else np.ones(n)
+    S = E - pot.V_array(X) if kind == "A" else E * F - pot.g(X)
+    a, b, c, d, log = 1.0, 0.0, 0.0, 1.0, 0.0
+    for s, f in zip(S.tolist(), F.tolist()):
+        a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
+        m = max(abs(a), abs(b), abs(c), abs(d))
+        a, b, c, d, log = a / m, b / m, c / m, d / m, log + math.log(m)
+    return (log + math.log(spectral_norm_2x2(a, b, c, d))) / n
+
+
+@_KERNEL_POTENTIALS
+@pytest.mark.parametrize("kind", ["A", "D"])
+@pytest.mark.parametrize("n", [1, 5, 17, 4097, 5003])
+def test_ln_norms_matches_sequential_product(pot, kind, n):
+    # n < SEGMENTS leaves whole stretches as padding; the other n are not
+    # multiples of SEGMENTS, so the last stretch is padded
+    alpha = float(golden_cf(30).value)
+    xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
+    vals, excl = _ln_norms(pot, 0.7, alpha, xs, n, kind)
+    for k, x in enumerate(xs):
+        if not excl[k]:
+            oracle = _sequential_ln_norm(pot, 0.7, alpha, x, n, kind)
+            assert vals[k] == pytest.approx(oracle, rel=1e-12, abs=0), x
+    assert np.all(np.isnan(vals[excl]))
+
+
+def test_ln_norms_where_the_exponent_vanishes():
+    # on the spectrum of the critical cosine model L = 0, and the chained
+    # stretch products cancel: the per-phase values keep about 1e-12 absolute
+    # (3e-9 relative) against the plain product, far below the finite-n bias
+    # of order 1/n that they carry anyway
+    pot, n = make_amo(2.0), 5003
+    alpha = float(golden_cf(30).value)
+    xs = np.append(phase_grid(8), DEFAULT_X0)
+    vals, _ = _ln_norms(pot, 0.0, alpha, xs, n, "D")
+    oracle = [_sequential_ln_norm(pot, 0.0, alpha, x, n, "D") for x in xs]
+    assert np.max(np.abs(vals - oracle)) <= 1e-11
+    assert max(oracle) < 10 / n  # the estimates themselves are O(1/n)
+
+
+@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 32 + 5])
+def test_ln_norms_values_do_not_depend_on_the_chunk_rows(monkeypatch, budget):
+    # 1, 3 and 32 rows per chunk against the default
+    alpha = float(golden_cf(30).value)
+    xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
+    pot = make_maryland(1.0)
+    ref = [_ln_norms(pot, 0.7, alpha, xs, 1031, kind) for kind in "AD"]
+    monkeypatch.setattr(cocycle, "CHUNK", budget)
+    for kind, (vals, excl) in zip("AD", ref):
+        v, e = _ln_norms(pot, 0.7, alpha, xs, 1031, kind)
+        assert np.array_equal(v, vals, equal_nan=True)
+        assert np.array_equal(e, excl)
+
+
+def test_ln_norms_ignores_a_pole_in_the_padding():
+    # n = 17 runs as 16 stretches of 2 steps, so steps 17..31 are padding;
+    # the phase x sits on the tangent model's pole at step 20 and nowhere
+    # before step 17, so it is not masked and steps silently
+    alpha = float(golden_cf(40).value)
+    pot = make_maryland(1.0)
+    x = (0.5 - 20 * alpha) % 1.0
+    assert pot.pole_distance(orbit(x, alpha, 20, 21)[0]) <= pot.eps_floor
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, excl = _ln_norms(pot, 2.0, alpha, np.array([x]), 17, "A")
+    assert not excl[0]
+    assert vals[0] == pytest.approx(
+        _sequential_ln_norm(pot, 2.0, alpha, x, 17, "A"), rel=1e-12, abs=0)
+
+
+def test_uniform_bound_is_one_pass_of_lyapunov(amo2):
+    # the sampled phases ride along with lyapunov's grid as extra columns
+    cf = golden_cf(30)
+    samples = [0.1, 0.37, 0.62, 0.9]
+    rep = uniform_bound_check(amo2, 0.25, cf.value, 4000, epsilon=0.05,
+                              sample_x=samples)
+    L = lyapunov(amo2, 0.25, cf.value, 4000).value
+    vals, _ = _ln_norms(amo2, 0.25, float(cf.value), np.array(samples), 4000, "D")
+    assert rep.L == L
+    assert rep.matrix_margins == tuple(float(v - (L + 0.05)) for v in vals)
 
 
 def test_ln_norms_masked_pole_column_is_silent():
