@@ -83,6 +83,9 @@ class RunConfig:
                     raise ConfigError(f"unknown key {key!r} in section [{section}]")
         self.cp = cp
         self.base = path.parent
+        # read by no subcommand, but a bad value is still a config error
+        self._num("run", "epsilon", float)
+        self._num("run", "seed", int)
 
     def _get(self, section, key, default=None, required=False):
         try:
@@ -353,6 +356,8 @@ def cmd_classify(cfg: RunConfig, out: Path, args) -> int:
     cf = cfg.alpha_cf()
     theta = cfg.theta()
     n = cfg.depth("lyapunov_n", 100000)
+    if n < 10_000:
+        raise ConfigError(f"[depths] lyapunov_n must be >= 10^4 for classify, got {n}")
     grid = cfg.run_num("lyapunov_grid", int, 64, positive=True)
     energies = cfg.energy_grid()
     d = delta_index(cf, theta, pot.poles)

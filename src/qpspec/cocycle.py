@@ -18,10 +18,17 @@ scale every 32 steps, with the log scale in a separate accumulator; the 16
 stretch products of a phase are then chained with one renormalisation per
 link.  The single-orbit base point runs as one more phase next to the phase
 grid, so one pass gives both estimates.
+
+The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of all
+columns): each array then takes 128 KB, so a chunk's orbit, f, g and step
+arrays stay in a 2 MB L2 cache, and the row count never changes a value.
+A-kind chunks evaluate f once, for V and for the pole mask: the exact pole
+distance is taken only at the few sites whose |f| admits the floor.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -52,7 +59,11 @@ __all__ = [
 DEFAULT_X0 = math.sqrt(2.0) - 1.0
 RENORM_EVERY = 32
 SEGMENTS = 16  # stretches of each orbit that the float engine steps side by side
-CHUNK = 4096 * 32  # sites (rows x columns) whose arrays the float engine builds at once
+# sites (rows x columns) whose arrays the float engine builds at once: each
+# site array then takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache
+CHUNK = 4096 * 4
+# largest |s| + |f| for which RENORM_EVERY steps stay below 2^992
+SAFE_SITE = 2.0 ** 31
 
 
 def _sqrt(x):
@@ -201,6 +212,28 @@ def _rescale(a, b, c, d):
     return a / m, b / m, c / m, d / m, np.log(m)
 
 
+def _quiet(on: bool):
+    """Silence overflow and the invalid values it leads to when ``on``."""
+    return np.errstate(over="ignore", invalid="ignore") if on else contextlib.nullcontext()
+
+
+def _f_near_pole(pot: MeromorphicPotential) -> float:
+    """A bound on |f| that every site within eps_floor of a pole keeps.
+
+    Both f and pole_distance take the factor of pole p at t = fl(x - p).
+    With d = pole_distance(x) <= eps_floor, t lies within eps_floor + 2^-54
+    of an integer k (the wrap 1 - mod(t, 1) rounds once), so the factor
+    2 sin(fl(pi t)) is at most 2 (pi eps_floor + e) up to a few ulps, where
+    e covers the roundings of pi t (|t| 2^-53 pi), of pi itself
+    (|k| 1.3e-16) and the 2^-54 wrap: e < (1 + |p|) 8e-16 for x in [0, 1].
+    Every other factor is at most 2.  So |f| <= 2^m (4 eps_floor + slack)
+    with slack = (1 + max |p|) 1e-14, ten times e, and 4 - pi absorbing
+    the relative roundings of the m-factor product.
+    """
+    slack = 1e-14 * (1.0 + max(abs(float(pl)) for pl in pot.poles))
+    return 2.0 ** pot.m * (4.0 * pot.eps_floor + slack)
+
+
 def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
               xs: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
     """(1/n) ln||M_n(x)|| for each phase in xs, plus an excluded mask for
@@ -224,34 +257,50 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     d = np.ones(cols)
     logs = np.zeros(cols)
     excluded = np.zeros(K, dtype=bool)
+    f_peak = 1.0 if kind == "A" else 2.0 ** pot.m  # |f| <= 2^m
+    f_near = _f_near_pole(pot) if pot.m else 0.0
+    huge_E = not abs(E) < SAFE_SITE  # E f may overflow in the site arrays
     for start in range(0, stretch, rows):
         # step j of stretch i is orbit step i * stretch + j
         steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
                              stretch * np.arange(SEGMENTS))
-        pad = (steps >= n)[:, :, None]
         X = orbit(xs, alpha, steps)
-        if kind == "A":
-            F = np.broadcast_to(1.0, X.shape)
-            S = E - pot.V_array(X)
-            if pot.m:
-                near = (pot.pole_distance(X) <= pot.eps_floor) & ~pad
-                excluded |= np.any(near, axis=(0, 1))
-                # V at a pole reaches 2e300 and would overflow the column to
-                # inf/nan (with numpy warnings); a masked column's value is
-                # discarded, so it steps with s = 0 instead
-                S[:, :, excluded] = 0.0
-        else:
-            F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
-            S = E * F - np.asarray(pot.g(X), dtype=float)
+        with _quiet(huge_E):
+            if kind == "A":
+                F = np.broadcast_to(1.0, X.shape)
+                V, fX = pot._V_and_f(X)
+                S = E - V
+            else:
+                F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
+                S = E * F
+                S -= np.asarray(pot.g(X), dtype=float)
+        if kind == "A" and pot.m:
+            # the exact pole distance only where |f| admits the floor, and
+            # only at sites before n (not the padding)
+            cand = np.abs(fX) <= f_near
+            if cand.any():
+                i, j, k = np.nonzero(cand)
+                near = pot.pole_distance(X[i, j, k]) <= pot.eps_floor
+                excluded[k[near & (steps[i, j] < n)]] = True
+            # V at a pole reaches 2e300 and would overflow the column to
+            # inf/nan (with numpy warnings); a masked column's value is
+            # discarded, so it steps with s = 0 instead
+            S[:, :, excluded] = 0.0
+        pad = (steps >= n)[:, :, None]
         if pad.any():
             S = np.where(pad, 0.0, S)
             F = np.where(pad, 1.0, F)
-        for step, (s, f) in enumerate(zip(S.reshape(-1, cols),
-                                          F.reshape(-1, cols)), start + 1):
-            a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
-            if step % RENORM_EVERY == 0:
-                a, b, c, d, ln_m = _rescale(a, b, c, d)
-                logs += ln_m
+        # a step multiplies the largest entry by at most |s| + |f|, so with
+        # sites below SAFE_SITE no RENORM_EVERY steps can overflow; larger
+        # sites (a huge E or coupling) step with overflow silenced, and the
+        # non-finite result raises below
+        with _quiet(not max(S.max(), -S.min()) + f_peak <= SAFE_SITE):
+            for step, (s, f) in enumerate(zip(S.reshape(-1, cols),
+                                              F.reshape(-1, cols)), start + 1):
+                a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
+                if step % RENORM_EVERY == 0:
+                    a, b, c, d, ln_m = _rescale(a, b, c, d)
+                    logs += ln_m
     # chain the stretch products of each phase, the first one rightmost
     # (elementwise throughout, so a phase's value does not depend on K)
     a, b, c, d, seg_logs = (v.reshape(SEGMENTS, K) for v in (a, b, c, d, logs))
@@ -268,7 +317,8 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
         out = (logs + np.log(sn)) / n
     out[excluded] = np.nan
     if not np.all(np.isfinite(out[~excluded])):
-        raise NumericError("non-finite product norm in the Lyapunov engine")
+        raise NumericError(
+            f"non-finite product norm in the Lyapunov engine at E = {E!r}")
     return out, excluded
 
 

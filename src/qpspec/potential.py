@@ -56,8 +56,12 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _sinpi(x):
-    return np.sin(np.pi * x) if _is_array(x) else mp.sinpi(x)
+def _scaled_trig(trig, k: float, lam: float, x: np.ndarray) -> np.ndarray:
+    """lam * trig(k * x) built in one buffer (the same products, in place)."""
+    t = np.multiply(x, k)
+    trig(t, out=t)
+    t *= lam
+    return t
 
 
 @dataclass(frozen=True)
@@ -81,9 +85,21 @@ class MeromorphicPotential:
     def f(self, x):
         """Signed normalised f; |f| is the product of chord lengths."""
         if _is_array(x):
-            out = np.full_like(x, float(self.f_sign), dtype=float)
+            if not self.poles:
+                return np.full_like(x, float(self.f_sign), dtype=float)
+            # the chord product in place; the sign comes last, which is exact
+            out = None
             for pl in self.poles:
-                out = out * (2.0 * np.sin(np.pi * (x - float(pl))))
+                t = np.subtract(x, float(pl))
+                t *= np.pi
+                np.sin(t, out=t)
+                t *= 2.0
+                if out is None:
+                    out = t
+                else:
+                    out *= t
+            if self.f_sign < 0:
+                np.negative(out, out=out)
             return out
         acc = mp.mpf(self.f_sign)
         for pl in self.poles:
@@ -104,15 +120,21 @@ class MeromorphicPotential:
 
     def V_array(self, x: np.ndarray, cap: float | None = None) -> np.ndarray:
         """Vectorised V for the float engines; optionally magnitude-capped."""
-        if self.m == 0:
-            v = np.asarray(self.g(x), dtype=float)
-        else:
-            fv = self.f(x)
-            fv = np.where(np.abs(fv) < 1e-300, np.copysign(1e-300, fv + 1e-300), fv)
-            v = np.asarray(self.g(x), dtype=float) / fv
+        v = self._V_and_f(x)[0]
         if cap is not None:
             v = np.clip(v, -cap, cap)
         return v
+
+    def _V_and_f(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """V on an array together with the f it divides by (None when
+        pole-free), so a caller that also needs f evaluates it once."""
+        if self.m == 0:
+            return np.asarray(self.g(x), dtype=float), None
+        fv = self.f(x)
+        fc = fv
+        if np.any(np.abs(fv) < 1e-300):  # keep V finite on a pole
+            fc = np.where(np.abs(fv) < 1e-300, np.copysign(1e-300, fv + 1e-300), fv)
+        return np.asarray(self.g(x), dtype=float) / fc, fv
 
     def log_f_integral(self) -> float:
         """Quadrature of ln|f| over one period, split at the poles.
@@ -150,19 +172,25 @@ def _g_const(val):
 
 def _g_cos2pi(lam):
     def g(x):
-        return lam * (np.cos(2 * np.pi * x) if _is_array(x) else mp.cospi(2 * as_mpf(x)))
+        if _is_array(x):
+            return _scaled_trig(np.cos, 2 * np.pi, lam, x)
+        return lam * mp.cospi(2 * as_mpf(x))
     return _with_phasor(g, lambda c, s: lam * (c * c - s * s))
 
 
 def _g_sin2pi(lam):
     def g(x):
-        return lam * (np.sin(2 * np.pi * x) if _is_array(x) else mp.sinpi(2 * as_mpf(x)))
+        if _is_array(x):
+            return _scaled_trig(np.sin, 2 * np.pi, lam, x)
+        return lam * mp.sinpi(2 * as_mpf(x))
     return _with_phasor(g, lambda c, s: lam * 2 * c * s)
 
 
 def _g_sinpi(lam):
     def g(x):
-        return lam * _sinpi(x)
+        if _is_array(x):
+            return _scaled_trig(np.sin, np.pi, lam, x)
+        return lam * mp.sinpi(x)
     return _with_phasor(g, lambda c, s: lam * s)
 
 
@@ -247,7 +275,11 @@ def orbit(theta, alpha: float, start, stop: int | None = None) -> np.ndarray:
     is mod(float(j) alpha + theta, 1)."""
     ks = (np.arange(start, stop, dtype=float) if stop is not None
           else np.asarray(start, dtype=float))
-    return np.mod(np.add.outer(ks * alpha, theta), 1.0)
+    y = np.add.outer(ks * alpha, theta)
+    # y - floor(y) is the exact fractional part rounded once, as np.mod(y, 1)
+    # gives it, at a fraction of the cost
+    y -= np.floor(y)
+    return y
 
 
 def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,

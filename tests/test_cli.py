@@ -188,6 +188,47 @@ def test_bad_lyapunov_kind_exits_2_naming_key(classify_cfg, tmp_path, capsys):
     assert not (out / "lyapunov.csv").exists()
 
 
+@pytest.mark.parametrize("line,key", [
+    ("epsilon = abc", "[run] epsilon"),
+    ("epsilon = 0.2\nseed = xyz", "[run] seed"),
+    ("epsilon = 0.2\nseed = 1.5", "[run] seed"),
+], ids=["epsilon-abc", "seed-xyz", "seed-1.5"])
+def test_unread_run_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
+                                              line, key):
+    # no subcommand reads [run] epsilon or seed, but each must be a number
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(gordon_cfg.read_text().replace("epsilon = 0.2", line))
+    out = tmp_path / "o"
+    assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_short_classify_depth_exits_2_naming_key(classify_cfg, tmp_path, capsys):
+    cfg = tmp_path / "short.ini"
+    cfg.write_text(classify_cfg.read_text().replace("lyapunov_n = 12000",
+                                                    "lyapunov_n = 5000"))
+    assert main(["classify", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "[depths] lyapunov_n" in capsys.readouterr().err
+
+
+def test_overflowing_energy_writes_an_error_row_without_warnings(classify_cfg,
+                                                                 tmp_path):
+    # the suite turns warnings into errors, so a numpy RuntimeWarning from
+    # the kernel would fail this run; the energy's row reads "error"
+    cfg = tmp_path / "huge.ini"
+    text = classify_cfg.read_text().replace(
+        "kind = grid\nmin = -1.0\nmax = 1.0\ncount = 3",
+        "kind = list\nvalues = 0.5 1e300")
+    cfg.write_text(text.replace("lyapunov_n = 12000", "lyapunov_n = 2000"))
+    out = tmp_path / "o"
+    assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = (out / "lyapunov.csv").read_text().splitlines()
+    assert rows[1].split(",")[1] != "error"
+    assert rows[2].split(",")[:2] == ["1.0000000000000001e+300", "error"]
+
+
 def test_exit_code_3_on_unwritable_output(gordon_cfg, tmp_path):
     blocker = tmp_path / "blocked"
     blocker.write_text("a file, not a directory")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from qpspec import (
     InvalidInputError,
+    NumericError,
     OrbitPoleError,
     golden_cf,
     lyapunov,
@@ -26,6 +28,7 @@ from qpspec import cocycle
 from qpspec.cocycle import (
     CHUNK,
     DEFAULT_X0,
+    SEGMENTS,
     TransferMatrix2,
     _ln_norms,
     phase_grid,
@@ -182,6 +185,10 @@ def test_ln_norms_columns_are_independent_phases(pot, kind):
     cf = golden_cf(30)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
     n = CHUNK + 3  # crosses a chunk boundary and ends off the renormalisation beat
+    stretch = -(-n // SEGMENTS)
+    # both the 10-column call and the 1-column calls span two chunks or more
+    for cols in (SEGMENTS * len(xs), SEGMENTS):
+        assert stretch > max(1, CHUNK // cols)
     vals, excl = _ln_norms(pot, 0.7, float(cf.value), xs, n, kind)
     for k, x in enumerate(xs):
         v1, e1 = _ln_norms(pot, 0.7, float(cf.value), np.array([x]), n, kind)
@@ -291,9 +298,10 @@ def test_ln_norms_where_the_exponent_vanishes():
     assert max(oracle) < 10 / n  # the estimates themselves are O(1/n)
 
 
-@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 32 + 5])
+@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 32 + 5, 4096 * 32])
 def test_ln_norms_values_do_not_depend_on_the_chunk_rows(monkeypatch, budget):
-    # 1, 3 and 32 rows per chunk against the default
+    # 1, 3 and 32 rows per chunk and the earlier 4096 * 32 site budget
+    # against the default
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
     pot = make_maryland(1.0)
@@ -343,3 +351,49 @@ def test_ln_norms_masked_pole_column_is_silent():
                                np.array([0.5, 0.25]), 5003, "A")
     assert excl.tolist() == [True, False]
     assert np.isfinite(vals[1])
+
+
+@pytest.mark.parametrize("pot", [
+    make_maryland(1.0),
+    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5)], "cos2pi",
+                coupling=0.8),
+    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
+    dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
+], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
+def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot):
+    # phases whose orbit passes each pole, on either side, at eps_floor
+    # (1 -+ 1e-3) at step j: the engine reads f to pick the sites it measures,
+    # so its mask must equal the exact distance test at every site; the pole
+    # near 0 puts sites just below 1, where the distance wraps.  A small
+    # alpha keeps j alpha below 1, so the sites land within an ulp of where
+    # they are placed, in the first and in a later chunk
+    alpha, n, eps = float(golden_cf(30).value) / 1024, 1031, pot.eps_floor
+    xs = []
+    for pl in pot.poles:
+        for side in (-1, 1):
+            for tilt in (-1e-3, 1e-3):
+                site = (float(pl) + side * eps * (1 + tilt)) % 1.0
+                for j in (0, 517, n - 1):
+                    x = (site - j * alpha) % 1.0
+                    xs.append(x + (site - orbit(x, alpha, j, j + 1)[0]))
+    xs = np.array(xs + list(phase_grid(8)))
+    brute = np.array([np.any(pot.pole_distance(orbit(x, alpha, 0, n)) <= eps)
+                      for x in xs])
+    # the placed phases fall on both sides of the floor: inside, outside
+    assert brute[:-8].reshape(-1, 2, 3).tolist() == [
+        [[True] * 3, [False] * 3]] * (2 * pot.m)
+    assert SEGMENTS * -(-n // SEGMENTS) > n  # the last stretch is padded
+    assert -(-n // SEGMENTS) > CHUNK // (SEGMENTS * len(xs))  # two chunks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, excl = _ln_norms(pot, 0.7, alpha, xs, n, "A")
+    assert np.array_equal(excl, brute)
+    assert np.array_equal(np.isnan(vals), brute)
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_ln_norms_overflow_is_a_numeric_error_naming_the_energy(kind):
+    # at E = 1e300 the step overflows within a renormalisation beat; the
+    # engine silences that chunk's overflow and raises on the result
+    with pytest.raises(NumericError, match=r"E = 1e\+300"):
+        lyapunov(make_maryland(1.0), 1e300, golden_cf(30).value, 5003, kind=kind)

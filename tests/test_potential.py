@@ -18,7 +18,7 @@ from qpspec import (
     make_custom,
     make_maryland,
 )
-from qpspec.potential import G_REGISTRY, orbit
+from qpspec.potential import G_REGISTRY, MeromorphicPotential, orbit
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -140,6 +140,35 @@ def test_orbit_matches_open_coded_walks():
     got = orbit(xs, alpha, -17, 40)
     assert got.shape == (57, 4)
     assert np.array_equal(got, np.mod(xs[None, :] + ks[:, None] * alpha, 1.0))
+    # a (rows, 16) step array as the Lyapunov engine builds it, out to steps
+    # near 1e6, and base points just below 1 (1 - 2^-53 wraps at once)
+    steps = np.add.outer(np.arange(-3, 40), 62500 * np.arange(16))
+    assert steps.max() > 0.9e6
+    for theta in (0.999999, 1.0 - 2.0 ** -53):
+        assert np.array_equal(
+            orbit(theta, alpha, steps),
+            np.mod(np.add.outer(steps * alpha, theta), 1.0))
+    xs = np.array([0.999999, 1.0 - 2.0 ** -53, 0.0, 0.5])
+    got = orbit(xs, alpha, steps)
+    assert got.shape == steps.shape + (4,)
+    assert np.array_equal(got, np.mod(np.add.outer(steps * alpha, xs), 1.0))
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3])
+@pytest.mark.parametrize("f_sign", [1, -1])
+def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
+    # f builds the chord product in place and applies the sign last; the
+    # sign is exact, so the values are those of the form it replaced
+    poles = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))[:m]
+    pot = MeromorphicPotential(poles=poles, g=G_REGISTRY["const"](1.0),
+                               label="custom", f_sign=f_sign)
+    X = np.concatenate([np.random.default_rng(7).random(997),
+                        [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53]])
+    X = X.reshape(6, 167)
+    old = np.full_like(X, float(f_sign))
+    for pl in poles:
+        old = old * (2.0 * np.sin(np.pi * (X - float(pl))))
+    assert np.array_equal(pot.f(X), old)
 
 
 def test_f_product_check_pinned(maryland1):
