@@ -5,12 +5,13 @@ rational checks of the approximation inequalities, and the three indices
 (growth index of the denominators, phase resonance index, and the combined
 pole/denominator index) as finite-depth limsup surrogates.  The exact orbit
 walks (the phase index, the resonant-phase check, the minimal sine and the
-sine product) all step through ``torus_orbit``, the arbitrary-precision
-member of the orbit layer; its float64 member is ``potential.orbit`` and its
-site-value pass ``potential.site_values``.  ``sine_product`` is the one walk
-that forms the orbit sine product, for both ``sine_product_check`` and, one
-pole at a time, ``potential.f_product_check``, since
-|f(x)| = prod_l 2 sin(pi ||x - theta_l||).
+sine product) all step through ``orbit_norms``, the exact member of the
+orbit layer: a P-bit fixed-point integer walk mod 2^P, P = cf.precision,
+that yields torus norms as integers in units of 2^-P.  Its float64 member is
+``potential.orbit`` and its site-value pass ``potential.site_values``.
+``sine_product`` is the one walk that forms the orbit sine product, for both
+``sine_product_check`` and, one pole at a time,
+``potential.f_product_check``, since |f(x)| = prod_l 2 sin(pi ||x - theta_l||).
 
 Conventions fixed once:
   * convergents start at (p_0, q_0) = (0, 1), (p_1, q_1) = (1, a_1),
@@ -28,6 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 import mpmath as mp
+from mpmath.libmp import from_int, from_man_exp, mpf_div, mpf_log, mpf_neg, to_float
 
 from .errors import (
     BudgetError,
@@ -49,7 +51,6 @@ __all__ = [
     "liouville_cf",
     "torus_norm",
     "torus_norm_exact",
-    "torus_orbit",
     "beta",
     "gamma",
     "delta_index",
@@ -124,18 +125,25 @@ def torus_norm_exact(x: Fraction) -> Fraction:
     return min(r, 1 - r)
 
 
-def torus_orbit(theta, alpha, n: int):
-    """The orbit points x_j = theta + j alpha for j < n, reduced into [0, 1)
-    at the current working precision (for either sign of alpha).
+def fixed_point(x, prec: int) -> int:
+    """x mod 1 as a prec-bit fixed-point integer in [0, 2^prec), from the
+    exact value of x rounded to the nearest multiple of 2^-prec."""
+    return round(exact_fraction(x) * (1 << prec)) & ((1 << prec) - 1)
 
-    Each point is the previous one plus alpha, reduced by x -= floor(x), so
-    the walk costs one add and one floor per point.
+
+def orbit_norms(x: int, step: int, n: int, prec: int):
+    """Torus norms of the orbit x + j step mod 2^prec for j < n, as integers
+    in units of 2^-prec; x and step are fixed-point integers of either sign.
+
+    The walk is exact: each point is the previous one plus step, reduced by a
+    mask, and its norm is min(x, 2^prec - x).
     """
-    x = as_mpf(theta)
+    full = 1 << prec
+    mask, half = full - 1, full >> 1
+    x &= mask
     for _ in range(n):
-        x -= mp.floor(x)
-        yield x
-        x += alpha
+        yield x if x <= half else full - x
+        x = (x + step) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -457,46 +465,48 @@ def delta_index(cf: ContinuedFraction, theta, poles: Sequence) -> IndexValue:
 
 
 def _check_excluded_phase(cf: ContinuedFraction, theta, poles):
-    with mp.workprec(cf.precision):
-        floor = mp.mpf(2) ** (-(cf.precision // 2))
-        alpha = cf.value
-        for pl in poles:
-            # the translates theta - theta_l - k alpha for k = -HORIZON..HORIZON
-            start = as_mpf(theta) - as_mpf(pl) + HORIZON * alpha
-            for i, x in enumerate(torus_orbit(start, -alpha, 2 * HORIZON + 1)):
-                if min(x, 1 - x) < floor:
-                    k = i - HORIZON
-                    raise ExcludedPhaseError(
-                        f"phase is within resolution of pole {pl} translated by "
-                        f"{k}*alpha", pole=pl, translate=k)
+    prec = cf.precision
+    floor = 1 << (prec - prec // 2)  # 2^-(prec // 2) in units of 2^-prec
+    alpha = fixed_point(cf.value, prec)
+    for pl in poles:
+        # the translates theta - theta_l - k alpha for k = -HORIZON..HORIZON
+        start = fixed_point(exact_fraction(theta) - exact_fraction(pl), prec)
+        walk = orbit_norms(start + HORIZON * alpha, -alpha, 2 * HORIZON + 1, prec)
+        for i, nrm in enumerate(walk):
+            if nrm < floor:
+                k = i - HORIZON
+                raise ExcludedPhaseError(
+                    f"phase is within resolution of pole {pl} translated by "
+                    f"{k}*alpha", pole=pl, translate=k)
 
 
 def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     """Phase resonance index: limsup over n != 0 of -ln||2 theta + n alpha||/|n|.
 
     An exact (resolution-limited) resonance within the scan yields +inf with
-    the witnessing n recorded.  The walks run at cf.precision, the log of the
-    smaller of the two norms at LOG_PREC.
+    the witnessing n recorded.  The walks are exact at cf.precision bits, the
+    log of the smaller of the two norms is taken at LOG_PREC.
     """
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
     levels: list[float] = []
-    with mp.workprec(cf.precision):
-        floor = mp.mpf(2) ** (-(cf.precision // 2))
-        alpha = cf.value
-        base = as_mpf(theta) * 2
-        # the two walks 2 theta + n alpha and 2 theta - n alpha for n >= 1
-        walks = zip(torus_orbit(base + alpha, alpha, n_max),
-                    torus_orbit(base - alpha, -alpha, n_max))
-        for n, (xp, xm) in enumerate(walks, 1):
-            np_ = min(xp, 1 - xp)
-            nm_ = min(xm, 1 - xm)
-            for sgn, nrm in ((n, np_), (-n, nm_)):
-                if nrm < floor:
-                    return IndexValue(value=math.inf, per_level=tuple(levels),
-                                      tail_start=1, terms_used=n, witness=sgn,
-                                      resolution_limited=(n,))
-            levels.append(float(-ln_low(min(np_, nm_)) / n))
+    prec = cf.precision
+    floor = 1 << (prec - prec // 2)  # 2^-(prec // 2) in units of 2^-prec
+    alpha = fixed_point(cf.value, prec)
+    base = 2 * fixed_point(theta, prec)
+    # the two walks 2 theta + n alpha and 2 theta - n alpha for n >= 1
+    walks = zip(orbit_norms(base + alpha, alpha, n_max, prec),
+                orbit_norms(base - alpha, -alpha, n_max, prec))
+    for n, (np_, nm_) in enumerate(walks, 1):
+        nrm = min(np_, nm_)
+        if nrm < floor:
+            return IndexValue(value=math.inf, per_level=tuple(levels),
+                              tail_start=1, terms_used=n,
+                              witness=n if np_ < floor else -n,
+                              resolution_limited=(n,))
+        # float(-ln_low(nrm) / n) at prec bits, on the libmp primitives
+        ln = mpf_log(from_man_exp(nrm, -prec, LOG_PREC, "n"), LOG_PREC, "n")
+        levels.append(to_float(mpf_div(mpf_neg(ln), from_int(n), prec, "n"), rnd="n"))
     return _surrogate(levels)
 
 
@@ -514,28 +524,33 @@ def _window(cf: ContinuedFraction, n: int, budget: int) -> int:
     return qn
 
 
+def _window_norms(theta, cf: ContinuedFraction, q: int):
+    """orbit_norms of theta + j alpha, j < q, at cf.precision bits."""
+    prec = cf.precision
+    return orbit_norms(fixed_point(theta, prec), fixed_point(cf.value, prec), q, prec)
+
+
 def sine_product(theta, cf: ContinuedFraction, q: int) -> tuple[mp.mpf, mp.mpf]:
     """The orbit sine product prod_{j<q} 2 sin(pi ||theta + j alpha||) as
     (rest, least): least is the factor of the smallest norm (the first on
     ties) and rest the product of the other q - 1 factors.
 
     least is kept apart rather than divided out, since it is exactly 0 where
-    the orbit hits an integer.  The walk and the norm comparisons run at
-    cf.precision; each norm is rounded to LOG_PREC before its sine, whose
-    cost mpmath scales with the argument's width, and the sines and their
-    product (which the mp exponent range keeps from underflowing) are taken
-    at LOG_PREC.
+    the orbit hits an integer.  The walk and the norm comparisons are exact
+    at cf.precision bits; each norm is rounded to LOG_PREC before its sine,
+    whose cost mpmath scales with the argument's width, and the sines and
+    their product (which the mp exponent range keeps from underflowing) are
+    taken at LOG_PREC.
     """
+    prec = cf.precision
     rest = least = mp.mpf(1)
-    best = 1  # above every torus norm: the first factor displaces least = 1
-    with mp.workprec(cf.precision):
-        for x in torus_orbit(theta, cf.value, q):
-            nrm = min(x, 1 - x)
-            with mp.workprec(LOG_PREC):
-                s = 2 * mp.sinpi(+nrm)
-                if nrm < best:  # s becomes least, the displaced least joins rest
-                    best, least, s = nrm, s, least
-                rest *= s
+    best = 1 << prec  # above every norm: the first factor displaces least = 1
+    with mp.workprec(LOG_PREC):
+        for nrm in _window_norms(theta, cf, q):
+            s = 2 * mp.sinpi(mp.make_mpf(from_man_exp(nrm, -prec, LOG_PREC, "n")))
+            if nrm < best:  # s becomes least, the displaced least joins rest
+                best, least, s = nrm, s, least
+            rest *= s
     return rest, least
 
 
@@ -544,11 +559,10 @@ def min_sine_index(theta, cf: ContinuedFraction, n: int,
     """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
     smallest j, together with the attained value."""
     qn = _window(cf, n, budget)
+    best_j, best = min(enumerate(_window_norms(theta, cf, qn)), key=lambda jn: jn[1])
+    # |sin pi t| is increasing in the torus norm of t
     with mp.workprec(cf.precision):
-        nrms = (min(x, 1 - x) for x in torus_orbit(theta, cf.value, qn))
-        best_j, best = min(enumerate(nrms), key=lambda jn: jn[1])
-        # |sin pi t| is increasing in the torus norm of t
-        return best_j, mp.sinpi(best)
+        return best_j, mp.sinpi(mp.make_mpf(from_man_exp(best, -cf.precision)))
 
 
 def sine_product_check(theta, cf: ContinuedFraction, n: int,

@@ -213,9 +213,12 @@ class RunConfig:
     def gordon_levels(self):
         raw = self._get("depths", "gordon_levels", default="")
         try:
-            return [int(t) for t in raw.replace(",", " ").split()]
+            levels = [int(t) for t in raw.replace(",", " ").split()]
         except ValueError:
             raise ConfigError("bad level list in [depths] gordon_levels")
+        if any(n < 1 for n in levels):
+            raise ConfigError(f"[depths] gordon_levels must be >= 1, got {raw}")
+        return levels
 
 
 def _parse_number(raw: str, section: str, key: str):
@@ -314,7 +317,7 @@ def cmd_lyapunov(cfg: RunConfig, out: Path, args) -> int:
     rows = []
     for E, est in zip(energies, ests):
         if isinstance(est, Exception):
-            rows.append((E, "error", n, "phase-average", "nan"))
+            rows.append((E, "error", n, type(est).__name__, "nan"))
         else:
             rows.append((E, est.value, est.n, est.method, est.discrepancy))
     _write(out / "lyapunov.csv",

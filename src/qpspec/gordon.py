@@ -548,7 +548,7 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
         raise InvalidInputError("levels must be nonempty")
     for n_i in levels:
         if not 1 <= n_i <= cf.depth:
-            raise RangeError(f"level {n_i} exceeds stored depth {cf.depth}")
+            raise RangeError(f"level {n_i} outside 1..{cf.depth}")
     certs = []
     for n_i in levels:
         q = cf.q[n_i]

@@ -7,7 +7,8 @@ model (no poles) and the tangent model (single pole at 1/2).
 
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
-``arithmetic.torus_orbit`` (mp phases reduced mod 1, one at a time) and
+``arithmetic.orbit_norms`` (exact P-bit fixed-point phases mod 2^P, as
+integer torus norms, one at a time) and
 ``site_values`` (the site values E - V along a window at working precision).
 """
 

@@ -27,7 +27,15 @@ from qpspec import (
     sine_product_check,
     torus_norm,
 )
-from qpspec.arithmetic import as_mpf, exact_fraction, torus_norm_exact
+from qpspec.arithmetic import (
+    HORIZON,
+    _surrogate,
+    as_mpf,
+    exact_fraction,
+    ln_low,
+    orbit_norms,
+    torus_norm_exact,
+)
 
 coeff_lists = st.lists(st.integers(min_value=1, max_value=9), min_size=2,
                        max_size=12)
@@ -278,3 +286,134 @@ def test_orbit_walks_pinned():
     # at theta = 0 the left-out j = 0 factor is exactly 0
     assert sine_product_check(0, cf, 12) == (5.2971114194237146, 5.4510384535657)
     assert sine_product_check(0, cf, 1) == (0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the exact orbit walk against the arbitrary-precision walk it replaced
+
+
+def _mp_orbit(theta, alpha, n):
+    """x_j = theta + j alpha for j < n, reduced into [0, 1) at the current
+    working precision: one mpf add and one floor per point."""
+    x = as_mpf(theta)
+    for _ in range(n):
+        x -= mp.floor(x)
+        yield x
+        x += alpha
+
+
+def _mp_gamma(cf, theta, n_max):
+    """gamma on two _mp_orbit walks at cf.precision, logs at LOG_PREC."""
+    levels = []
+    with mp.workprec(cf.precision):
+        floor = mp.mpf(2) ** (-(cf.precision // 2))
+        alpha = cf.value
+        base = as_mpf(theta) * 2
+        walks = zip(_mp_orbit(base + alpha, alpha, n_max),
+                    _mp_orbit(base - alpha, -alpha, n_max))
+        for n, (xp, xm) in enumerate(walks, 1):
+            np_, nm_ = min(xp, 1 - xp), min(xm, 1 - xm)
+            for sgn, nrm in ((n, np_), (-n, nm_)):
+                if nrm < floor:
+                    return IndexValue(value=math.inf, per_level=tuple(levels),
+                                      tail_start=1, terms_used=n, witness=sgn,
+                                      resolution_limited=(n,))
+            levels.append(float(-ln_low(min(np_, nm_)) / n))
+    return _surrogate(levels)
+
+
+def _mp_excluded_translate(cf, theta, pole):
+    """The k in -HORIZON..HORIZON that _mp_orbit finds with theta within
+    resolution of pole + k alpha, or None."""
+    with mp.workprec(cf.precision):
+        floor = mp.mpf(2) ** (-(cf.precision // 2))
+        start = as_mpf(theta) - as_mpf(pole) + HORIZON * cf.value
+        for i, x in enumerate(_mp_orbit(start, -cf.value, 2 * HORIZON + 1)):
+            if min(x, 1 - x) < floor:
+                return i - HORIZON
+    return None
+
+
+@given(st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       st.integers(min_value=-(1 << 70), max_value=1 << 70),
+       st.integers(min_value=2, max_value=66))
+@settings(max_examples=50, deadline=None)
+def test_orbit_norms_are_exact_torus_norms(x, step, prec):
+    got = list(orbit_norms(x, step, 20, prec))
+    unit = Fraction(1, 1 << prec)
+    assert got == [torus_norm_exact((x + j * step) * unit) / unit for j in range(20)]
+
+
+@pytest.mark.parametrize("cf_name,theta", [
+    ("liouville(1.0, 4)", "3/8"), ("liouville(1.0, 4)", "1/8"),
+    ("liouville(1.0, 4)", "5/8"), ("liouville(1.0, 4)", "7/8"),
+    ("golden(40)", "1/3"), ("liouville(1.12, 5)", "3/8"),
+])
+def test_gamma_is_bit_identical_to_the_mp_walk(cf_name, theta):
+    cf = {"liouville(1.0, 4)": lambda: liouville_cf(1.0, 4),
+          "golden(40)": lambda: golden_cf(40),
+          "liouville(1.12, 5)": lambda: liouville_cf(1.12, 5)}[cf_name]()
+    theta = Fraction(theta)
+    assert gamma(cf, theta, 2000) == _mp_gamma(cf, theta, 2000)
+
+
+def test_gamma_resonance_witness_matches_the_mp_walk():
+    # 2 theta + k alpha = 1 + c 2^-(P // 2): a resonance below the
+    # resolution floor (c < 1) is +inf with witness k, as on the mp walk
+    cf = golden_cf(20)
+    alpha = exact_fraction(cf.value)
+    floor = Fraction(1, 1 << (cf.precision // 2))
+    for k, c in ((3, 0), (-5, 0), (3, Fraction(99, 100)), (-5, Fraction(-99, 100))):
+        theta = (1 - k * alpha + c * floor) / 2
+        g = gamma(cf, theta, 50)
+        assert g == _mp_gamma(cf, theta, 50)
+        assert (g.value, g.witness) == (math.inf, k)
+    # just above the floor the level is finite: -ln(c 2^-(P // 2)) / |k|,
+    # to the 2^-P rounding of theta relative to the norm
+    for k, c in ((3, Fraction(101, 100)), (-5, Fraction(-101, 100))):
+        theta = (1 - k * alpha + c * floor) / 2
+        g = gamma(cf, theta, 50)
+        assert g.witness is None
+        assert g.per_level[abs(k) - 1] == pytest.approx(
+            -math.log(abs(c * floor)) / abs(k), rel=1e-13)
+
+
+def test_excluded_phase_translates_match_the_mp_walk():
+    # hits at the horizon's two ends pin the walk's start offset and sign
+    cf = golden_cf(20)
+    pole = Fraction(1, 2)
+    for k in (-HORIZON - 1, -HORIZON, -HORIZON + 1, -1, 0, 1, HORIZON - 1,
+              HORIZON, HORIZON + 1):
+        with mp.workprec(cf.precision):
+            theta = as_mpf(pole) + k * cf.value
+        expect = _mp_excluded_translate(cf, theta, pole)
+        assert expect == (k if abs(k) <= HORIZON else None)
+        if expect is None:
+            delta_index(cf, theta, [pole])
+            continue
+        with pytest.raises(ExcludedPhaseError) as exc:
+            delta_index(cf, theta, [pole])
+        assert (exc.value.pole, exc.value.translate) == (pole, expect)
+    # just inside and just outside the resolution floor 2^-(P // 2)
+    floor = Fraction(1, 1 << (cf.precision // 2))
+    for c, hit in ((Fraction(99, 100), True), (Fraction(101, 100), False)):
+        theta = pole + 7 * exact_fraction(cf.value) - c * floor
+        assert _mp_excluded_translate(cf, theta, pole) == (7 if hit else None)
+        if hit:
+            with pytest.raises(ExcludedPhaseError):
+                delta_index(cf, theta, [pole])
+        else:
+            delta_index(cf, theta, [pole])
+
+
+def test_min_sine_index_tie_goes_to_the_smallest_j(golden40):
+    # theta = 1/2 - 6 alpha puts the orbit of the q_6 = 13 window at
+    # 1/2 + (j - 6) alpha, so j = 6 - m and j = 6 + m have equal norms
+    alpha = exact_fraction(golden40.value)
+    theta = Fraction(1, 2) - 6 * alpha
+    norms = [torus_norm_exact(theta + j * alpha) for j in range(13)]
+    j0, val = min_sine_index(theta, golden40, 6)
+    assert norms[j0] == min(norms) == norms[12 - j0]
+    assert j0 < 6
+    assert j0 == norms.index(min(norms))
+    assert float(val) == pytest.approx(math.sin(math.pi * float(norms[j0])), rel=1e-15)

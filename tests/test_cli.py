@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -226,7 +229,9 @@ def test_overflowing_energy_writes_an_error_row_without_warnings(classify_cfg,
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 0
     rows = (out / "lyapunov.csv").read_text().splitlines()
     assert rows[1].split(",")[1] != "error"
-    assert rows[2].split(",")[:2] == ["1.0000000000000001e+300", "error"]
+    # the method cell names the failure's class
+    assert rows[2].split(",") == ["1.0000000000000001e+300", "error", "2000",
+                                  "NumericError", "nan"]
 
 
 def test_exit_code_3_on_unwritable_output(gordon_cfg, tmp_path):
@@ -243,6 +248,17 @@ def test_exit_code_4_on_out_of_range_level(gordon_cfg, tmp_path):
     cfg.write_text(text)
     assert main(["gordon", "--config", str(cfg), "--out",
                  str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.parametrize("level", ["0", "-1"])
+def test_level_below_1_exits_2_naming_key(gordon_cfg, tmp_path, capsys, level):
+    text = gordon_cfg.read_text().replace("gordon_levels = 3",
+                                          f"gordon_levels = 3 {level}")
+    cfg = tmp_path / "low.ini"
+    cfg.write_text(text)
+    assert main(["gordon", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 2
+    assert "[depths] gordon_levels" in capsys.readouterr().err
 
 
 def test_exit_code_5_on_excluded_phase(gordon_cfg, tmp_path):
@@ -315,3 +331,15 @@ def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not any(out.iterdir())
+
+
+def test_module_entry_point_runs_from_the_source_tree(gordon_cfg, tmp_path):
+    # python -m qpspec works with the source tree on PYTHONPATH, uninstalled
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpspec", "indices", "--config", str(gordon_cfg),
+         "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (out / "indices.json").exists()

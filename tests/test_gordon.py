@@ -295,8 +295,10 @@ def test_smallness_passes_on_frozen_config():
 def test_exclusion_certificate_level_guard():
     cf = liouville_cf(1.0, 4)
     pot = make_maryland(0.15)
-    with pytest.raises(RangeError):
-        exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [9], 1e-2)
+    for level in (9, 0, -1):
+        with pytest.raises(RangeError, match=rf"level {level} outside 1\.\.4$"):
+            exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [level],
+                                  1e-2)
 
 
 def test_exclusion_certificate_on_frozen_config():
