@@ -24,7 +24,6 @@ from .cocycle import (
     TransferMatrix2,
     lyapunov,
     product,
-    product_inverse,
     step_A,
     uniform_bound_check,
 )
@@ -55,7 +54,6 @@ from .gordon import (
     smallness_check,
     max_inequality,
     solve_recurrence,
-    trace_dichotomy,
 )
 from .potential import (
     MeromorphicPotential,

@@ -332,10 +332,11 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
     levels = cfg.gordon_levels()
     if not levels:
         raise ConfigError("[depths] gordon_levels is required for gordon")
+    # exclusion_certificate's own check, made here too because an empty
+    # energy list never calls it
     for n_i in levels:
         if n_i > cf.depth:
-            raise RangeError(
-                f"gordon level {n_i} exceeds computed depth {cf.depth}")
+            raise RangeError(f"level {n_i} outside 1..{cf.depth}")
     c = cfg.run_num("c_rate", float, 1e-2, positive=True)
     energies = cfg.energy_grid()
     all_certs = []

@@ -1,8 +1,9 @@
 """Transfer-matrix cocycles and Lyapunov exponent estimation.
 
 The high-precision step is the unimodular A = [[E-V, -1], [1, 0]];
-products and inverse products also come from the site values through
-``product_from_sites`` and ``inverse_from_sites``.
+products also come from the site values through ``product_from_sites``.
+A product has determinant 1, so its inverse is its adjugate, with no
+product of inverse steps.
 
 Lyapunov exponents are estimated by default through the pole-free regular
 part D = f*A with det = f^2 (the two cocycles share the exponent because
@@ -38,7 +39,7 @@ import numpy as np
 from .arithmetic import as_mpf
 from .errors import (InvalidInputError, NumericError, OrbitPoleError,
                      PoleProximityError)
-from .potential import MeromorphicPotential, orbit, site_values
+from .potential import MeromorphicPotential, orbit
 
 __all__ = [
     "TransferMatrix2",
@@ -46,9 +47,7 @@ __all__ = [
     "UniformBoundReport",
     "step_A",
     "product",
-    "product_inverse",
     "product_from_sites",
-    "inverse_from_sites",
     "lyapunov",
     "uniform_bound_check",
     "spectral_norm_2x2",
@@ -165,13 +164,6 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
     return acc
 
 
-def product_inverse(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
-    """(A_n(x))^{-1} = A(x)^{-1} A(x+a)^{-1} ... A(x+(n-1)a)^{-1}."""
-    if n < 0:
-        raise InvalidInputError("product_inverse expects n >= 0")
-    return inverse_from_sites(site_values(pot, E, x, alpha, 0, n))
-
-
 def product_from_sites(S, acc: TransferMatrix2 | None = None) -> TransferMatrix2:
     """A(s_{n-1}) ... A(s_0) acc for site values s_j = E - V(x_j).
 
@@ -184,18 +176,6 @@ def product_from_sites(S, acc: TransferMatrix2 | None = None) -> TransferMatrix2
         a, b, c, d = acc.a, acc.b, acc.c, acc.d
     for s in S:
         a, b, c, d = s * a - c, s * b - d, a, b
-    return TransferMatrix2(a, b, c, d)
-
-
-def inverse_from_sites(S) -> TransferMatrix2:
-    """A(s_0)^{-1} A(s_1)^{-1} ... A(s_{n-1})^{-1} for site values s_j.
-
-    A(s)^{-1} = [[0, 1], [-1, s]] multiplies on the right, two multiplies per
-    step: (a, b, c, d) <- (-b, a + b s, -d, c + d s).
-    """
-    a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-    for s in S:
-        a, b, c, d = -b, a + b * s, -d, c + d * s
     return TransferMatrix2(a, b, c, d)
 
 

@@ -63,15 +63,14 @@ class PoleProximityError(NumericError):
 
     exit_code = 5
 
-    def __init__(self, message, pole=None, dist=None):
+    def __init__(self, message, dist=None):
         super().__init__(message)
-        self.pole = pole
         self.dist = dist
 
 
 class OrbitPoleError(PoleProximityError):
     """A pole was hit along an orbit window; ``step`` is the offending index."""
 
-    def __init__(self, message, pole=None, dist=None, step=None):
-        super().__init__(message, pole=pole, dist=dist)
+    def __init__(self, message, dist=None, step=None):
+        super().__init__(message, dist=dist)
         self.step = step

@@ -1,21 +1,22 @@
 """Eigenvalue-exclusion certificates from near-periodicity at denominator scales.
 
-The engine: at a denominator q of the frequency, the four high-precision
-matrices A_q(theta), A_{2q}(theta), A_q^{-1}(theta) and A_q^{-1}(theta - q a)
-are built from one pass over the 3q orbit sites [-q, 2q) (A_{2q} as a fresh
-2q-step product, never as the square of A_q, since the certificate measures
-exactly the gap between the two).  Working precision is sized from a cheap
-float pre-pass over the orbit so the exponentially small differences survive
-the cancellation.
+The engine: at a denominator q of the frequency, the three high-precision
+products A_q(theta - q a), A_q(theta) and A_{2q}(theta) are built from one
+pass over the 3q orbit sites [-q, 2q) (A_{2q} as a fresh 2q-step product,
+never as the square of A_q, since the certificate measures exactly the gap
+between the two).  Every step has determinant 1, so the inverses
+A_q^{-1}(theta) and A_q^{-1}(theta - q a) are the adjugates
+[[d, -b], [-c, a]] of the first two products: exact, with no inverse walk.
+Working precision is sized from a cheap float pre-pass over the orbit so the
+exponentially small differences survive the cancellation.
 
 The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
 It advances the phasor z_j = e^{i pi x_j} by one complex multiply by
 e^{i pi a}, carried with ceil(log2(3q)) + 32 guard bits and then rounded to
 the working precision; f and every built-in g are trig polynomials in z_j,
 and only a user-supplied g is evaluated directly at x_j.  Every site within
-``eps_floor`` of a pole raises OrbitPoleError.  A step of A_q is then two
-multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b), and a step of the
-inverse products (a, b, c, d) <- (-b, a + b s, -d, c + d s).
+``eps_floor`` of a pole raises OrbitPoleError.  A step of a product is then
+two multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b).
 
 The same pass feeds ``solve_recurrence``; the float walks (the precision
 pre-pass and ``bounded_candidate``) take their phases from
@@ -44,27 +45,21 @@ import numpy as np
 
 from .arithmetic import (LOG_PREC, ContinuedFraction, IndexValue, as_mpf,
                          ln_low, qualifying_levels)
-from .cocycle import (
-    TransferMatrix2,
-    inverse_from_sites,
-    product_from_sites,
-    spectral_norm_2x2,
-)
+from .cocycle import TransferMatrix2, product_from_sites, spectral_norm_2x2
 from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
 from .potential import MeromorphicPotential, orbit, site_values
 
 __all__ = [
     "SolutionSegment",
     "GordonCertificate",
+    "GordonLhs",
     "GordonMatrices",
     "SmallnessCheck",
-    "TraceReport",
     "solve_recurrence",
     "gordon_matrices",
     "gordon_lhs",
     "gordon_lhs_uniform",
     "max_inequality",
-    "trace_dichotomy",
     "smallness_check",
     "exclusion_certificate",
     "bounded_candidate",
@@ -167,18 +162,16 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
 
 @dataclass(frozen=True)
 class GordonMatrices:
-    """The four q-scale products, at a common working precision.
+    """The three q-scale products, at a common working precision.
 
     ``floor_log`` is the log of the rounding floor of the products: a
     certificate difference whose log falls below it is not resolved.
     """
 
-    q: int
     precision: int
+    A_back: TransferMatrix2  # A_q(theta - q alpha)
     A_q: TransferMatrix2
     A_2q: TransferMatrix2
-    Ainv_q: TransferMatrix2
-    Ainv_q_shift: TransferMatrix2  # A_q^{-1}(theta - q alpha)
     floor_log: float
 
 
@@ -193,8 +186,8 @@ def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
 
 def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
                     q: int) -> GordonMatrices:
-    """Build A_q, A_{2q}, A_q^{-1} and the shifted A_q^{-1} from one pass over
-    the 3q orbit sites [-q, 2q), at a precision sized from the float pre-pass."""
+    """Build A_q(theta - q alpha), A_q and A_{2q} from one pass over the 3q
+    orbit sites [-q, 2q), at a precision sized from the float pre-pass."""
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     s = _orbit_log_norm_estimate(pot, float(E), float(as_mpf(alpha)),
@@ -202,16 +195,13 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
     precision = 192 + int(2.2 * s / math.log(2))
     with mp.workprec(precision):
         S = site_values(pot, E, theta, alpha, -q, 2 * q)
-        window, forward = S[q:2 * q], S[2 * q:]  # sites [0, q) and [q, 2q)
-        A_q = product_from_sites(window)
-        A_2q = product_from_sites(forward, A_q)
-        Ainv_q = inverse_from_sites(window)
-        Ainv_shift = inverse_from_sites(S[:q])  # sites [-q, 0)
+        A_back = product_from_sites(S[:q])  # sites [-q, 0)
+        A_q = product_from_sites(S[q:2 * q])
+        A_2q = product_from_sites(S[2 * q:], A_q)
         scale_log = float(ln_low(A_2q.norm()))
     floor_log = max(scale_log, 1.0) - precision * math.log(2) + 48 * math.log(2)
-    return GordonMatrices(q=q, precision=precision, A_q=A_q, A_2q=A_2q,
-                          Ainv_q=Ainv_q, Ainv_q_shift=Ainv_shift,
-                          floor_log=floor_log)
+    return GordonMatrices(precision=precision, A_back=A_back, A_q=A_q,
+                          A_2q=A_2q, floor_log=floor_log)
 
 
 def _vec_norm(v):
@@ -219,12 +209,10 @@ def _vec_norm(v):
 
 
 class GordonLhs(NamedTuple):
-    """Certificate left-hand sides; the ``*_log`` fields survive float64
-    underflow.  ``max_norm`` is the generated solution's three-norm maximum
+    """Certificate left-hand sides as logs, which survive float64 underflow.
+    ``max_norm`` is the generated solution's three-norm maximum
     max(||A_q v||, ||A_q^{-1}(theta - q alpha) v||, ||A_{2q} v||)."""
 
-    square: float
-    inverse: float
     square_log: float
     inverse_log: float
     max_norm: float
@@ -261,8 +249,8 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         w_q = mats.A_q.apply(vv)
         w_sq = mats.A_q.apply(w_q)
         w_2q = mats.A_2q.apply(vv)
-        u0 = mats.Ainv_q.apply(vv)
-        u1 = mats.Ainv_q_shift.apply(vv)
+        u0 = _adj(mats.A_q).apply(vv)
+        u1 = _adj(mats.A_back).apply(vv)
         d_sq = (w_sq[0] - w_2q[0], w_sq[1] - w_2q[1])
         d_inv = (u0[0] - u1[0], u0[1] - u1[1])
     # the differences above need the full precision; their norms do not
@@ -270,10 +258,14 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         lhs_square = _vec_norm(d_sq)
         lhs_inverse = _vec_norm(d_inv)
         max_norm = float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q)))
-    return GordonLhs(square=float(lhs_square), inverse=float(lhs_inverse),
-                     square_log=_resolved_log(lhs_square, mats.floor_log),
+    return GordonLhs(square_log=_resolved_log(lhs_square, mats.floor_log),
                      inverse_log=_resolved_log(lhs_inverse, mats.floor_log),
                      max_norm=max_norm)
+
+
+def _adj(m: TransferMatrix2) -> TransferMatrix2:
+    """Adjugate [[d, -b], [-c, a]]: the exact inverse of a unimodular m."""
+    return TransferMatrix2(m.d, -m.b, -m.c, m.a)
 
 
 def _diff_norm(m1: TransferMatrix2, m2: TransferMatrix2):
@@ -316,14 +308,15 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
     the two left-hand sides (the spectral norms of A_q^2 - A_{2q} and of
     A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) and the minimum of the
     three-norm maximum, with a minimising v at the working precision.
+    The adjugate is linear and keeps the spectral norm, so the inverse
+    difference has the norm of A_q(theta) - A_q(theta - q alpha).
     Raises NumericError when a supremum is below the precision floor."""
     with mp.workprec(mats.precision):
         sup_sq = _diff_norm(mats.A_q.matmul(mats.A_q), mats.A_2q)
-        sup_inv = _diff_norm(mats.Ainv_q, mats.Ainv_q_shift)
-        min_sq, v = _min_max_direction((mats.A_q, mats.Ainv_q_shift, mats.A_2q))
+        sup_inv = _diff_norm(mats.A_q, mats.A_back)
+        min_sq, v = _min_max_direction((mats.A_q, _adj(mats.A_back), mats.A_2q))
         max_norm = float(mp.sqrt(min_sq))
-    return GordonLhs(square=float(sup_sq), inverse=float(sup_inv),
-                     square_log=_resolved_log(sup_sq, mats.floor_log),
+    return GordonLhs(square_log=_resolved_log(sup_sq, mats.floor_log),
                      inverse_log=_resolved_log(sup_inv, mats.floor_log),
                      max_norm=max_norm), v
 
@@ -403,7 +396,7 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha,
 
 
 # ---------------------------------------------------------------------------
-# the max inequality and the trace dichotomy
+# the max inequality
 
 
 def max_inequality(seg: SolutionSegment, q: int) -> tuple[float, str]:
@@ -415,43 +408,6 @@ def max_inequality(seg: SolutionSegment, q: int) -> tuple[float, str]:
     mx = max(seg.vec_norm(q), seg.vec_norm(-q), seg.vec_norm(2 * q))
     verdict = "excluded" if mx >= 0.25 - MAX_NORM_TOL else "inconclusive"
     return mx, verdict
-
-
-@dataclass(frozen=True)
-class TraceReport:
-    q: int
-    trace: float
-    case: str  # "|tr|>1/2" | "|tr|<1/2" | "|tr|=1/2"
-    residual_linear: float   # B - tr(B) I + B^{-1}
-    residual_square: float   # B^2 - tr(B) B + I
-
-
-def trace_dichotomy(pot: MeromorphicPotential, E, theta, alpha,
-                    q: int) -> TraceReport:
-    """Trace of A_q with the two Cayley-Hamilton residuals (relative), which
-    are exact identities for unit-determinant matrices."""
-    mats = gordon_matrices(pot, E, theta, alpha, q)
-    with mp.workprec(mats.precision):
-        B = mats.A_q
-        tr = B.trace()
-        Binv = B.inv()
-        nrm = B.norm()
-        r1 = TransferMatrix2(B.a - tr + Binv.a, B.b + Binv.b,
-                             B.c + Binv.c, B.d - tr + Binv.d).norm()
-        B2 = B.matmul(B)
-        r2 = TransferMatrix2(B2.a - tr * B.a + 1, B2.b - tr * B.b,
-                             B2.c - tr * B.c, B2.d - tr * B.d + 1).norm()
-        res_lin = float(r1 / max(nrm, mp.mpf(1)))
-        res_sq = float(r2 / max(nrm * nrm, mp.mpf(1)))
-        trf = float(tr)
-    if abs(trf) > 0.5:
-        case = "|tr|>1/2"
-    elif abs(trf) < 0.5:
-        case = "|tr|<1/2"
-    else:
-        case = "|tr|=1/2"
-    return TraceReport(q=q, trace=trf, case=case,
-                       residual_linear=res_lin, residual_square=res_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -241,13 +241,17 @@ def test_exit_code_3_on_unwritable_output(gordon_cfg, tmp_path):
                  str(blocker)]) == 3
 
 
-def test_exit_code_4_on_out_of_range_level(gordon_cfg, tmp_path):
+def test_exit_code_4_on_out_of_range_level(gordon_cfg, tmp_path, capsys):
     text = gordon_cfg.read_text().replace("gordon_levels = 3",
                                           "gordon_levels = 9")
-    cfg = tmp_path / "deep.ini"
-    cfg.write_text(text)
-    assert main(["gordon", "--config", str(cfg), "--out",
-                 str(tmp_path / "o")]) == 4
+    # an empty energy list never reaches exclusion_certificate, and still
+    # gets its message
+    for name, energies in (("deep", "values = 0.0"), ("empty", "values =")):
+        cfg = tmp_path / f"{name}.ini"
+        cfg.write_text(text.replace("values = 0.0", energies))
+        assert main(["gordon", "--config", str(cfg), "--out",
+                     str(tmp_path / name)]) == 4
+        assert "level 9 outside 1..4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("level", ["0", "-1"])

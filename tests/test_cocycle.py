@@ -19,7 +19,6 @@ from qpspec import (
     make_custom,
     make_maryland,
     product,
-    product_inverse,
     step_A,
     truncated_spectrum,
     uniform_bound_check,
@@ -29,7 +28,6 @@ from qpspec.cocycle import (
     CHUNK,
     DEFAULT_X0,
     SEGMENTS,
-    TransferMatrix2,
     _ln_norms,
     phase_grid,
     spectral_norm_2x2,
@@ -80,22 +78,10 @@ def test_negative_window_is_shifted_positive_window(amo2):
         assert _mat_close(lhs, rhs, 1e-20)
 
 
-def test_product_inverse_inverts_product(maryland1):
-    cf = golden_cf(20)
-    with mp.workprec(120):
-        x = mp.mpf(0.11)
-        E = mp.mpf(0.4)
-        fwd = product(maryland1, E, x, cf.value, 9)
-        inv = product_inverse(maryland1, E, x, cf.value, 9)
-        assert _mat_close(fwd.matmul(inv), TransferMatrix2.identity(), 1e-20)
-
-
 def test_product_hits_pole(maryland1):
     cf = golden_cf(20)
     with pytest.raises(OrbitPoleError):
         product(maryland1, 0.0, Fraction(1, 2), cf.value, 3)
-    with pytest.raises(OrbitPoleError):
-        product_inverse(maryland1, 0.0, Fraction(1, 2), cf.value, 3)
 
 
 def test_spectral_norm_matches_numpy():

@@ -26,10 +26,10 @@ from qpspec import (
     max_inequality,
     product,
     solve_recurrence,
-    trace_dichotomy,
 )
 from qpspec.arithmetic import as_mpf
-from qpspec.cocycle import TransferMatrix2
+from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
+from qpspec.gordon import _adj
 
 
 def _mat_close(m1, m2, tol):
@@ -105,8 +105,8 @@ def test_gordon_matrices_consistency(amo2):
         shifted = product(amo2, mp.mpf(0.4),
                           as_mpf(Fraction(1, 7)) + q * cf.value, cf.value, q)
         assert _mat_close(mats.A_2q, shifted.matmul(mats.A_q), 1e-18)
-        # inverse products really invert
-        assert _mat_close(mats.A_q.matmul(mats.Ainv_q),
+        # the adjugate really inverts
+        assert _mat_close(mats.A_q.matmul(_adj(mats.A_q)),
                           TransferMatrix2.identity(), 1e-18)
         assert abs(float(mats.A_q.det()) - 1.0) < 1e-15
 
@@ -131,16 +131,24 @@ def test_gordon_matrices_match_direct_products(pot):
     mats = gordon_matrices(pot, E, theta, cf.value, q)
     with mp.workprec(mats.precision):
         Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
-        direct = {
-            "A_q": product(pot, Ev, th, av, q),
-            "A_2q": product(pot, Ev, th, av, 2 * q),
-            "Ainv_q": product(pot, Ev, th, av, q).inv(),
-            "Ainv_q_shift": product(pot, Ev, th - q * av, av, q).inv(),
+        back = product(pot, Ev, th - q * av, av, q)
+        fwd = product(pot, Ev, th, av, q)
+        inv_back, inv_fwd = back.inv(), fwd.inv()
+        cases = {
+            "A_back": (mats.A_back, back),
+            "A_q": (mats.A_q, fwd),
+            "A_2q": (mats.A_2q, product(pot, Ev, th, av, 2 * q)),
+            "adj A_q": (_adj(mats.A_q), inv_fwd),
+            "adj A_back": (_adj(mats.A_back), inv_back),
         }
-        for name, expect in direct.items():
-            got = getattr(mats, name)
+        for name, (got, expect) in cases.items():
             tol = 1e-40 * max(float(expect.norm()), 1.0)
             assert _mat_close(got, expect, tol), name
+        sup_inv = spectral_norm_2x2(inv_fwd.a - inv_back.a, inv_fwd.b - inv_back.b,
+                                    inv_fwd.c - inv_back.c, inv_fwd.d - inv_back.d)
+        expect_log = float(mp.log(sup_inv))
+    lhs, _ = gordon_lhs_uniform(mats)
+    assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
 
 
 def test_gordon_matrices_pole_in_backward_window(maryland1):
@@ -167,7 +175,6 @@ def test_gordon_lhs_log_survives_underflow():
     pot = make_amo(2.0)
     lhs = gordon_lhs(pot, 0.5, Fraction(1, 10), cf.value, cf.q[3])
     # the true differences are far below float64 range but nonzero
-    assert lhs.square == 0.0 or lhs.square < 1e-300
     assert -2500 < lhs.square_log < -100
     assert -2500 < lhs.inverse_log < -100
 
@@ -231,16 +238,7 @@ def test_bounded_candidate_log_bound_past_float_range(maryland1):
 
 
 # ---------------------------------------------------------------------------
-# trace dichotomy and the max inequality
-
-
-def test_trace_dichotomy_residuals_are_tiny(amo2, maryland1):
-    cf = golden_cf(20)
-    for pot in (amo2, maryland1):
-        rep = trace_dichotomy(pot, 0.4, Fraction(1, 7), cf.value, cf.q[6])
-        assert rep.residual_linear < 1e-12
-        assert rep.residual_square < 1e-12
-        assert rep.case in ("|tr|>1/2", "|tr|<1/2", "|tr|=1/2")
+# the max inequality
 
 
 def test_max_inequality_requires_coverage(amo2):
@@ -301,15 +299,27 @@ def test_exclusion_certificate_level_guard():
                                   1e-2)
 
 
+# certificate digits pinned exactly: how the products and their inverses
+# are formed must not move a single one
+_FROZEN_CERTIFICATES = [
+    (make_maryland(0.15), liouville_cf(1.0, 4), Fraction(3, 8), 0.0,
+     dict(q=57, lhs_square_log=-40.4679330582472,
+          lhs_inverse_log=-45.62060965535459, trace=-172.80793365127846,
+          max_norm=172.76028928791416)),
+    (make_amo(2.0), liouville_cf(1.12, 4), Fraction(1, 10), 0.5,
+     dict(q=276, lhs_square_log=-149.19667639505894,
+          lhs_inverse_log=-228.1056886643671, trace=1.8638432631950783e+34,
+          max_norm=1.8638432631950783e+34)),
+]
+
+
 def test_exclusion_certificate_on_frozen_config():
-    cf = liouville_cf(1.0, 4)
-    pot = make_maryland(0.15)
-    certs = exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [3],
-                                  1e-2)
-    (c,) = certs
-    assert c.verdict == "excluded"
-    assert c.max_norm >= 0.25 - 1e-6
-    assert c.empirical_rate >= 1e-2
+    for pot, cf, theta, E, expect in _FROZEN_CERTIFICATES:
+        (c,) = exclusion_certificate(pot, E, theta, cf.value, cf, [3], c=0.01)
+        assert {k: getattr(c, k) for k in expect} == expect
+        assert c.verdict == "excluded"
+        assert c.max_norm >= 0.25 - 1e-6
+        assert c.empirical_rate >= 1e-2
 
 
 def test_exclusion_certificate_resolves_level_with_a_null_direction():
