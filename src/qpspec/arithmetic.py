@@ -64,6 +64,8 @@ __all__ = [
 
 # precision of logs and norms that are only compared or turned into floats
 LOG_PREC = 113
+# precision of gamma's division of a LOG_PREC-bit log by its term index
+DIV_PREC = 128
 # delta_index rejects a phase on a pole's translate by k alpha, |k| <= HORIZON
 HORIZON = 1000
 
@@ -504,9 +506,13 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
                               tail_start=1, terms_used=n,
                               witness=n if np_ < floor else -n,
                               resolution_limited=(n,))
-        # float(-ln_low(nrm) / n) at prec bits, on the libmp primitives
+        # float(-ln_low(nrm) / n), on the libmp primitives; the quotient of a
+        # LOG_PREC-bit log by n < 2^59 is either a float midpoint or more than
+        # 2^-113 (relative) from every one, so its rounding to DIV_PREC >= 116
+        # bits rounds to the same float as the exact quotient
         ln = mpf_log(from_man_exp(nrm, -prec, LOG_PREC, "n"), LOG_PREC, "n")
-        levels.append(to_float(mpf_div(mpf_neg(ln), from_int(n), prec, "n"), rnd="n"))
+        levels.append(to_float(mpf_div(mpf_neg(ln), from_int(n), DIV_PREC, "n"),
+                               rnd="n"))
     return _surrogate(levels)
 
 

@@ -1,7 +1,6 @@
 """Transfer-matrix cocycles and Lyapunov exponent estimation.
 
-The high-precision step is the unimodular A = [[E-V, -1], [1, 0]];
-products also come from the site values through ``product_from_sites``.
+The high-precision step is the unimodular A = [[E-V, -1], [1, 0]].
 A product has determinant 1, so its inverse is its adjugate, with no
 product of inverse steps.
 
@@ -47,7 +46,6 @@ __all__ = [
     "UniformBoundReport",
     "step_A",
     "product",
-    "product_from_sites",
     "lyapunov",
     "uniform_bound_check",
     "spectral_norm_2x2",
@@ -162,21 +160,6 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
                                  dist=exc.dist, step=j) from exc
         acc = s.matmul(acc)
     return acc
-
-
-def product_from_sites(S, acc: TransferMatrix2 | None = None) -> TransferMatrix2:
-    """A(s_{n-1}) ... A(s_0) acc for site values s_j = E - V(x_j).
-
-    A(s) = [[s, -1], [1, 0]], so each step is two multiplies:
-    (a, b, c, d) <- (s a - c, s b - d, a, b).  ``acc`` defaults to the identity.
-    """
-    if acc is None:
-        a, b, c, d = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
-    else:
-        a, b, c, d = acc.a, acc.b, acc.c, acc.d
-    for s in S:
-        a, b, c, d = s * a - c, s * b - d, a, b
-    return TransferMatrix2(a, b, c, d)
 
 
 # ---------------------------------------------------------------------------

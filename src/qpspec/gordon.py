@@ -1,22 +1,35 @@
 """Eigenvalue-exclusion certificates from near-periodicity at denominator scales.
 
-The engine: at a denominator q of the frequency, the three high-precision
-products A_q(theta - q a), A_q(theta) and A_{2q}(theta) are built from one
-pass over the 3q orbit sites [-q, 2q) (A_{2q} as a fresh 2q-step product,
-never as the square of A_q, since the certificate measures exactly the gap
-between the two).  Every step has determinant 1, so the inverses
-A_q^{-1}(theta) and A_q^{-1}(theta - q a) are the adjugates
-[[d, -b], [-c, a]] of the first two products: exact, with no inverse walk.
-Working precision is sized from a cheap float pre-pass over the orbit so the
-exponentially small differences survive the cancellation.
+The engine: at a denominator q of the frequency, with h = q alpha - p, the
+certificate compares A_q^2 with A_{2q} and A_q(theta) with A_q(theta - q a).
+Both differences are exponentially small, so they are never formed by
+subtracting products of size e^{qL}.  One fused loop over the site values of
+[-q, 2q) steps the three products P = A_k(theta), P+ = A_k(theta + q a) and
+P- = A_k(theta - q a), k < q, and next to them the differences
+D+ = P - P+ and D- = P - P-.  A step A(s) = [[s, -1], [1, 0]] differs from
+A(s') only in its corner, so
+
+    D+ <- A(s) D+ + (s - s+) e_1 row_0(P+),  D- <- A(s) D- + (s - s-) e_1 row_0(P-),
+
+with the rows taken before P+ and P- step.  Then A_{2q} = P+ A_q exactly
+(never the square of A_q), A_q^2 - A_{2q} = D+ A_q, and since every step
+has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]: the inverse
+difference is adj(D-), with the norm of D-.
+
+Working precision is max(2 log2||M||, log2(1/|h|)) + 192 bits.  ||M|| bounds
+the three products, from a float walk over [-q, 0) and [0, 2q); the min-max
+over directions needs about 2 log2||M|| + 128 bits.  The log2(1/|h|) term
+(h taken exactly from alpha's value) keeps at least 192 bits of every site
+difference s - s+- under plain subtraction, so the differences come out to
+about 128 relative bits however small they are.  There is no resolution
+floor: only an exactly zero difference, or h = 0, raises NumericError.
 
 The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
 It advances the phasor z_j = e^{i pi x_j} by one complex multiply by
 e^{i pi a}, carried with ceil(log2(3q)) + 32 guard bits and then rounded to
 the working precision; f and every built-in g are trig polynomials in z_j,
 and only a user-supplied g is evaluated directly at x_j.  Every site within
-``eps_floor`` of a pole raises OrbitPoleError.  A step of a product is then
-two multiplies, (a, b, c, d) <- (s a - c, s b - d, a, b).
+``eps_floor`` of a pole raises OrbitPoleError.
 
 The same pass feeds ``solve_recurrence``; the float walks (the precision
 pre-pass and ``bounded_candidate``) take their phases from
@@ -26,11 +39,8 @@ The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
 suprema are spectral norms, and the minimum of the three-norm maximum lies
 among nine candidates (each curve's minimum and each pairwise crossing).
-``gordon_lhs`` evaluates the same quantities at one given v.  Both check the
-differences against the resolution floor
-max(ln||A_{2q}||, 1) - (precision - 48) ln 2, computed once per level; logs
-and norms that are only compared or turned into floats are taken at
-LOG_PREC bits.
+``gordon_lhs`` evaluates the same quantities at one given v.  Logs and norms
+that are only compared or turned into floats are taken at LOG_PREC bits.
 """
 
 from __future__ import annotations
@@ -44,8 +54,8 @@ import mpmath as mp
 import numpy as np
 
 from .arithmetic import (LOG_PREC, ContinuedFraction, IndexValue, as_mpf,
-                         ln_low, qualifying_levels)
-from .cocycle import TransferMatrix2, product_from_sites, spectral_norm_2x2
+                         exact_fraction, ln_low, qualifying_levels)
+from .cocycle import TransferMatrix2
 from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
 from .potential import MeromorphicPotential, orbit, site_values
 
@@ -162,46 +172,99 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
 
 @dataclass(frozen=True)
 class GordonMatrices:
-    """The three q-scale products, at a common working precision.
+    """The three q-scale products and the two certificate differences, at a
+    common working precision.
 
-    ``floor_log`` is the log of the rounding floor of the products: a
-    certificate difference whose log falls below it is not resolved.
+    ``D_fwd`` is A_q(theta) - A_q(theta + q alpha), so that
+    A_q^2 - A_{2q} = D_fwd A_q; ``D_back`` is A_q(theta) - A_q(theta - q alpha),
+    whose adjugate is A_q^{-1}(theta) - A_q^{-1}(theta - q alpha).
     """
 
     precision: int
     A_back: TransferMatrix2  # A_q(theta - q alpha)
     A_q: TransferMatrix2
     A_2q: TransferMatrix2
-    floor_log: float
+    D_fwd: TransferMatrix2
+    D_back: TransferMatrix2
 
 
-def _orbit_log_norm_estimate(pot: MeromorphicPotential, E: float, alpha: float,
-                             theta: float, q: int) -> float:
-    """Float pre-pass: sum over the window [-q, 2q) of ln of a per-step norm
-    bound, used only to size the working precision."""
-    V = pot.V_array(orbit(theta, alpha, -q, 2 * q), cap=1e250)
-    row = np.abs(E - V) + 1.0
-    return float(np.sum(np.log(np.maximum(row, 2.0))))
+def _shift_bits(alpha, q: int) -> int:
+    """An upper bound on log2(1/|h|) for h = q alpha - round(q alpha), from
+    the exact value of alpha (bit lengths, since |h| can underflow a float).
+    Raises NumericError when h = 0: the windows then repeat exactly and both
+    differences vanish."""
+    x = q * exact_fraction(alpha)
+    h = x - round(x)
+    if h == 0:
+        raise NumericError(
+            f"q alpha is an integer at q={q}: the certificate differences "
+            "vanish identically")
+    return h.denominator.bit_length() - abs(h.numerator).bit_length() + 1
+
+
+def _log2_norm_bound(pot: MeromorphicPotential, E: float, alpha: float,
+                     theta: float, q: int) -> float:
+    """Float pre-pass: an upper estimate of log2 of the largest of
+    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, from walks over
+    [-q, 0) and [0, 2q) rescaled whenever an entry passes 2^64."""
+    S = (E - pot.V_array(orbit(theta, alpha, -q, 2 * q), cap=1e250)).tolist()
+
+    def walk(sites, a=1.0, b=0.0, c=0.0, d=1.0, scale=0.0):
+        for s in sites:
+            a, b, c, d = s * a - c, s * b - d, a, b
+            m = max(abs(a), abs(b))
+            if m > 2.0 ** 64:
+                scale += math.log2(m)
+                a, b, c, d = a / m, b / m, c / m, d / m
+        return a, b, c, d, scale
+
+    fwd = walk(S[q:2 * q])
+    ends = (walk(S[:q]), fwd, walk(S[2 * q:], *fwd))
+    # the largest entry is within a factor 2 of the spectral norm
+    return max(scale + math.log2(max(abs(a), abs(b), abs(c), abs(d)))
+               for a, b, c, d, scale in ends) + 1
 
 
 def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
                     q: int) -> GordonMatrices:
-    """Build A_q(theta - q alpha), A_q and A_{2q} from one pass over the 3q
-    orbit sites [-q, 2q), at a precision sized from the float pre-pass."""
+    """Build A_q(theta - q alpha), A_q, A_{2q} and the two differences from
+    one pass over the 3q orbit sites [-q, 2q).
+
+    The precision is max(2 log2||M||, log2(1/|h|)) + 192 bits, with ||M||
+    the float pre-pass's bound on the three products and h = q alpha - p.
+    """
     if q < 1:
         raise InvalidInputError("q must be >= 1")
-    s = _orbit_log_norm_estimate(pot, float(E), float(as_mpf(alpha)),
+    h_bits = _shift_bits(alpha, q)
+    norm_bits = _log2_norm_bound(pot, float(E), float(as_mpf(alpha)),
                                  float(as_mpf(theta)) % 1.0, q)
-    precision = 192 + int(2.2 * s / math.log(2))
+    precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     with mp.workprec(precision):
         S = site_values(pot, E, theta, alpha, -q, 2 * q)
-        A_back = product_from_sites(S[:q])  # sites [-q, 0)
-        A_q = product_from_sites(S[q:2 * q])
-        A_2q = product_from_sites(S[2 * q:], A_q)
-        scale_log = float(ln_low(A_2q.norm()))
-    floor_log = max(scale_log, 1.0) - precision * math.log(2) + 48 * math.log(2)
-    return GordonMatrices(precision=precision, A_back=A_back, A_q=A_q,
-                          A_2q=A_2q, floor_log=floor_log)
+        one, zero = mp.mpf(1), mp.mpf(0)
+        # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
+        # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
+        # differences from A_k(theta).  A step A(s) differs from A(s') only
+        # in its corner entry, so a difference picks up (s - s') times the
+        # top row of the shifted product before that product steps
+        a, b, c, d = one, zero, zero, one
+        ap, bp, cp, dp = one, zero, zero, one
+        am, bm, cm, dm = one, zero, zero, one
+        xa = xb = xc = xd = ya = yb = yc = yd = zero
+        for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
+            t, u = s - sp, s - sm
+            xa, xb, xc, xd = s * xa - xc + t * ap, s * xb - xd + t * bp, xa, xb
+            ya, yb, yc, yd = s * ya - yc + u * am, s * yb - yd + u * bm, ya, yb
+            a, b, c, d = s * a - c, s * b - d, a, b
+            ap, bp, cp, dp = sp * ap - cp, sp * bp - dp, ap, bp
+            am, bm, cm, dm = sm * am - cm, sm * bm - dm, am, bm
+        A_q = TransferMatrix2(a, b, c, d)
+        # A_{2q}(theta) = A_q(theta + q alpha) A_q(theta), exactly
+        A_2q = TransferMatrix2(ap, bp, cp, dp).matmul(A_q)
+    return GordonMatrices(precision=precision,
+                          A_back=TransferMatrix2(am, bm, cm, dm), A_q=A_q,
+                          A_2q=A_2q, D_fwd=TransferMatrix2(xa, xb, xc, xd),
+                          D_back=TransferMatrix2(ya, yb, yc, yd))
 
 
 def _vec_norm(v):
@@ -218,27 +281,23 @@ class GordonLhs(NamedTuple):
     max_norm: float
 
 
-def _resolved_log(x, floor_log: float) -> float:
-    """ln x of a certificate difference; raises NumericError when it is below
-    the precision floor.  An exact zero counts as below it, since it only says
-    that the two products agree to every working bit."""
-    val_log = float(ln_low(x))
-    if val_log < floor_log:
-        raise NumericError(
-            "certificate difference is below the working-precision floor; "
-            "increase precision")
-    return val_log
+def _resolved_log(x) -> float:
+    """ln x of a certificate difference; raises NumericError on an exact
+    zero, which has no log to report."""
+    if x == 0:
+        raise NumericError("certificate difference is exactly zero")
+    return float(ln_low(x))
 
 
 def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
                mats: GordonMatrices | None = None) -> GordonLhs:
     """The two certificate left-hand sides at scale q for initial vector v:
 
-        ||(A_q^2 - A_{2q})(theta) v||  and
-        ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v||,
+        ||(A_q^2 - A_{2q})(theta) v|| = ||D_fwd A_q v||  and
+        ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v|| = ||adj(D_back) v||,
 
     with the three-norm maximum, each matrix applied to v once.  Raises
-    NumericError when a difference is below the precision floor.
+    NumericError when a difference is exactly zero.
     """
     if mats is None:
         mats = gordon_matrices(pot, E, theta, alpha, q)
@@ -247,29 +306,23 @@ def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
         nrm = _vec_norm(vv)
         vv = (vv[0] / nrm, vv[1] / nrm)
         w_q = mats.A_q.apply(vv)
-        w_sq = mats.A_q.apply(w_q)
         w_2q = mats.A_2q.apply(vv)
-        u0 = _adj(mats.A_q).apply(vv)
         u1 = _adj(mats.A_back).apply(vv)
-        d_sq = (w_sq[0] - w_2q[0], w_sq[1] - w_2q[1])
-        d_inv = (u0[0] - u1[0], u0[1] - u1[1])
-    # the differences above need the full precision; their norms do not
+        d_sq = mats.D_fwd.apply(w_q)
+        d_inv = _adj(mats.D_back).apply(vv)
+    # the products above need the full precision; their norms do not
     with mp.workprec(LOG_PREC):
         lhs_square = _vec_norm(d_sq)
         lhs_inverse = _vec_norm(d_inv)
         max_norm = float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q)))
-    return GordonLhs(square_log=_resolved_log(lhs_square, mats.floor_log),
-                     inverse_log=_resolved_log(lhs_inverse, mats.floor_log),
+    return GordonLhs(square_log=_resolved_log(lhs_square),
+                     inverse_log=_resolved_log(lhs_inverse),
                      max_norm=max_norm)
 
 
 def _adj(m: TransferMatrix2) -> TransferMatrix2:
     """Adjugate [[d, -b], [-c, a]]: the exact inverse of a unimodular m."""
     return TransferMatrix2(m.d, -m.b, -m.c, m.a)
-
-
-def _diff_norm(m1: TransferMatrix2, m2: TransferMatrix2):
-    return spectral_norm_2x2(m1.a - m2.a, m1.b - m2.b, m1.c - m2.c, m1.d - m2.d)
 
 
 def _min_max_direction(matrices):
@@ -305,19 +358,19 @@ def _min_max_direction(matrices):
 
 def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
     """``gordon_lhs`` over every unit initial vector v at once: the suprema of
-    the two left-hand sides (the spectral norms of A_q^2 - A_{2q} and of
-    A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) and the minimum of the
-    three-norm maximum, with a minimising v at the working precision.
-    The adjugate is linear and keeps the spectral norm, so the inverse
-    difference has the norm of A_q(theta) - A_q(theta - q alpha).
-    Raises NumericError when a supremum is below the precision floor."""
+    the two left-hand sides (the spectral norms of A_q^2 - A_{2q} = D_fwd A_q
+    and of A_q^{-1}(theta) - A_q^{-1}(theta - q alpha) = adj(D_back)) and the
+    minimum of the three-norm maximum, with a minimising v at the working
+    precision.  The adjugate keeps the spectral norm, so the inverse
+    difference has the norm of D_back.  Raises NumericError when a supremum
+    is exactly zero."""
     with mp.workprec(mats.precision):
-        sup_sq = _diff_norm(mats.A_q.matmul(mats.A_q), mats.A_2q)
-        sup_inv = _diff_norm(mats.A_q, mats.A_back)
+        sup_sq = mats.D_fwd.matmul(mats.A_q).norm()
+        sup_inv = mats.D_back.norm()
         min_sq, v = _min_max_direction((mats.A_q, _adj(mats.A_back), mats.A_2q))
         max_norm = float(mp.sqrt(min_sq))
-    return GordonLhs(square_log=_resolved_log(sup_sq, mats.floor_log),
-                     inverse_log=_resolved_log(sup_inv, mats.floor_log),
+    return GordonLhs(square_log=_resolved_log(sup_sq),
+                     inverse_log=_resolved_log(sup_inv),
                      max_norm=max_norm), v
 
 

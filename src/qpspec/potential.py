@@ -293,20 +293,27 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
     the n sites so the accumulated rounding stays below the working
     precision.  f and every built-in g are trig polynomials in z_j; only a
     user-supplied g (one without ``g.phasor``) is evaluated directly at x_j.
-    A site within ``eps_floor`` of a pole raises OrbitPoleError with its j.
+    A site within ``eps_floor`` of a pole raises OrbitPoleError with its j
+    (the first such site); float distances pick the sites that get the
+    exact check.
     """
     n = stop - start
     prec = mp.mp.prec
     g_phasor = getattr(pot.g, "phasor", None)
-    if pot.m or g_phasor is None:
-        th = as_mpf(theta)
-        av = as_mpf(alpha)
-        xs = [th + j * av for j in range(start, stop)]
-        for j, xj in enumerate(xs, start):
-            dist = pot.pole_distance(xj)
+    th = as_mpf(theta)
+    av = as_mpf(alpha)
+    if pot.m:
+        # float phases are good to about (|theta| + |j|) 2^-52, far inside the
+        # 1e-6 margin, so only the sites it flags can lie within eps_floor
+        near = pot.pole_distance(orbit(float(th), float(av), start, stop))
+        for i in np.flatnonzero(near <= pot.eps_floor + 1e-6).tolist():
+            j = start + i
+            dist = pot.pole_distance(th + j * av)
             if dist <= pot.eps_floor:
                 raise OrbitPoleError(f"pole within floor at orbit site {j}",
                                      dist=float(dist), step=j)
+    if g_phasor is None:
+        xs = [th + j * av for j in range(start, stop)]
     out = []
     with mp.workprec(prec + (n - 1).bit_length() + 32):
         Ev = as_mpf(E)

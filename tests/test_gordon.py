@@ -118,21 +118,36 @@ def _user_g(x):
     return 1 + mp.cospi(2 * x) / 2
 
 
-@pytest.mark.parametrize("pot", [
-    make_amo(2.0),
-    make_maryland(0.7),
-    make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g),
-], ids=["amo", "maryland", "two-pole-cos2pi", "user-g"])
-def test_gordon_matrices_match_direct_products(pot):
-    cf = golden_cf(20)
-    q = cf.q[6]  # 13
-    E, theta = 0.4, Fraction(1, 7)
+def _rel_gap(got, expect):
+    """Largest entry of got - expect over the largest entry of expect."""
+    gap = max(abs(got.a - expect.a), abs(got.b - expect.b),
+              abs(got.c - expect.c), abs(got.d - expect.d))
+    return gap / max(abs(expect.a), abs(expect.b), abs(expect.c), abs(expect.d))
+
+
+_GOLDEN = golden_cf(20)
+
+
+@pytest.mark.parametrize("pot, cf, q, E, theta", [
+    (make_amo(2.0), _GOLDEN, 13, 0.4, Fraction(1, 7)),
+    (make_maryland(0.7), _GOLDEN, 13, 0.4, Fraction(1, 7)),
+    (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
+     _GOLDEN, 13, 0.4, Fraction(1, 7)),
+    (make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g),
+     _GOLDEN, 13, 0.4, Fraction(1, 7)),
+    (make_amo(2.0), liouville_cf(1.12, 4), 276, 0.5, Fraction(1, 10)),
+    (make_maryland(0.15), liouville_cf(1.0, 4), 57, 0.0, Fraction(3, 8)),
+], ids=["amo", "maryland", "two-pole-cos2pi", "user-g", "amo-q276",
+        "maryland-q57"])
+def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
     mats = gordon_matrices(pot, E, theta, cf.value, q)
-    with mp.workprec(mats.precision):
+    # the oracle's direct products and plain differences, far above the
+    # working precision so that the subtraction keeps every needed bit
+    with mp.workprec(3 * mats.precision + 500):
         Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
         back = product(pot, Ev, th - q * av, av, q)
         fwd = product(pot, Ev, th, av, q)
+        ahead = product(pot, Ev, th + q * av, av, q)
         inv_back, inv_fwd = back.inv(), fwd.inv()
         cases = {
             "A_back": (mats.A_back, back),
@@ -144,11 +159,30 @@ def test_gordon_matrices_match_direct_products(pot):
         for name, (got, expect) in cases.items():
             tol = 1e-40 * max(float(expect.norm()), 1.0)
             assert _mat_close(got, expect, tol), name
+        diffs = {
+            "D_fwd": (mats.D_fwd, TransferMatrix2(
+                fwd.a - ahead.a, fwd.b - ahead.b, fwd.c - ahead.c, fwd.d - ahead.d)),
+            "D_back": (mats.D_back, TransferMatrix2(
+                fwd.a - back.a, fwd.b - back.b, fwd.c - back.c, fwd.d - back.d)),
+        }
+        for name, (got, expect) in diffs.items():
+            assert _rel_gap(got, expect) < mp.mpf(2) ** -100, name
         sup_inv = spectral_norm_2x2(inv_fwd.a - inv_back.a, inv_fwd.b - inv_back.b,
                                     inv_fwd.c - inv_back.c, inv_fwd.d - inv_back.d)
         expect_log = float(mp.log(sup_inv))
     lhs, _ = gordon_lhs_uniform(mats)
     assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
+
+
+@pytest.mark.parametrize("beta, q, bound", [(1.12, 276, 700),
+                                            (math.log(4.0), 1026, 2300)])
+def test_gordon_precision_is_sized_from_norms_and_shift(amo2, beta, q, bound):
+    # max(2 log2||M||, log2(1/|h|)) + 192 bits, not the whole cancellation
+    # between products of size e^{qL} (2526 and 8869 bits here)
+    cf = liouville_cf(beta, 4)
+    assert cf.q[3] == q
+    mats = gordon_matrices(amo2, 0.5, Fraction(1, 10), cf.value, q)
+    assert mats.precision <= bound
 
 
 def test_gordon_matrices_pole_in_backward_window(maryland1):
@@ -164,8 +198,8 @@ def test_gordon_matrices_pole_in_backward_window(maryland1):
 
 
 def test_gordon_lhs_rejects_unresolvable_difference(amo2):
-    # alpha = 1/4 exactly: the q=4 window repeats, the true difference is
-    # zero, and what remains is rounding noise below the precision floor
+    # alpha = 1/4 exactly: q alpha is an integer, the q=4 windows repeat and
+    # both differences vanish identically, so there is no log to report
     with pytest.raises(NumericError):
         gordon_lhs(amo2, 0.4, Fraction(1, 7), Fraction(1, 4), 4)
 
@@ -323,8 +357,9 @@ def test_exclusion_certificate_on_frozen_config():
 
 
 def test_exclusion_certificate_resolves_level_with_a_null_direction():
-    # at q=1 some direction's square difference falls below the precision
-    # floor; the supremum over directions does not, so the level is decided
+    # at q=1 the square difference D_fwd A_q has rank one, so some direction
+    # has no square difference at all; the supremum over directions does,
+    # so the level is decided
     cf = liouville_cf(math.log(4.0), 4)
     pot = make_amo(2.0)
     (c,) = exclusion_certificate(pot, 0.5, Fraction(1, 10), cf.value, cf, [1],

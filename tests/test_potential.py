@@ -8,6 +8,7 @@ import pytest
 from qpspec import (
     DegenerateModelError,
     InvalidInputError,
+    OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
     delta_index,
@@ -18,7 +19,7 @@ from qpspec import (
     make_custom,
     make_maryland,
 )
-from qpspec.potential import G_REGISTRY, MeromorphicPotential, orbit
+from qpspec.potential import G_REGISTRY, MeromorphicPotential, orbit, site_values
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -191,3 +192,33 @@ def test_f_product_check_pinned_at_full_precision():
     pot = make_custom([Fraction(1, 3), Fraction(1, 3)], "cos2pi", coupling=0.8)
     assert f_product_check(pot, 0.1, cf, 10, 0.2) == (
         -0.08862378409384158, -22.32184333805511)
+
+
+def _first_pole_site(pot, theta, alpha, start, stop):
+    """The mp walk the float pre-filter replaced: the first site within
+    eps_floor of a pole, with its distance, or None."""
+    for j in range(start, stop):
+        dist = pot.pole_distance(theta + j * alpha)
+        if dist <= pot.eps_floor:
+            return j, float(dist)
+    return None
+
+
+@pytest.mark.parametrize("offset", ["1e-9", "-1e-9", "1e-14", "-1e-14"])
+def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
+    # site 5 sits `offset` from the pole at 1/2: 1e-9 is outside eps_floor
+    # (but inside the float pre-filter's margin), 1e-14 inside it
+    cf = golden_cf(20)
+    with mp.workprec(200):
+        alpha = cf.value
+        theta = mp.mpf(1) / 2 - 5 * alpha + mp.mpf(offset)
+        expect = _first_pole_site(maryland1, theta, alpha, -13, 26)
+        if expect is None:
+            S = site_values(maryland1, 0.3, theta, alpha, -13, 26)
+            assert len(S) == 39
+            assert abs(S[18]) > 1e8
+        else:
+            with pytest.raises(OrbitPoleError) as exc:
+                site_values(maryland1, 0.3, theta, alpha, -13, 26)
+            assert (exc.value.step, exc.value.dist) == expect
+    assert (expect is None) == (abs(float(offset)) > maryland1.eps_floor)
