@@ -33,8 +33,8 @@ from .arithmetic import (
     liouville_cf,
     silver_cf,
 )
-from .errors import ConfigError, OutputError, QPSpecError, RangeError
-from .gordon import exclusion_certificate
+from .errors import ConfigError, OutputError, QPSpecError
+from .gordon import check_levels, exclusion_certificate
 from .potential import make_amo, make_custom, make_maryland
 from .spectral import classify_regime, lyapunov_scan
 
@@ -334,14 +334,17 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
         raise ConfigError("[depths] gordon_levels is required for gordon")
     # exclusion_certificate's own check, made here too because an empty
     # energy list never calls it
-    for n_i in levels:
-        if n_i > cf.depth:
-            raise RangeError(f"level {n_i} outside 1..{cf.depth}")
+    check_levels(cf, levels)
     c = cfg.run_num("c_rate", float, 1e-2, positive=True)
     energies = cfg.energy_grid()
     all_certs = []
     for E in energies:
         certs = exclusion_certificate(pot, E, theta, cf.value, cf, levels, c)
+        if args.verbose:
+            print(f"gordon E={_fmt(E)}: " + "; ".join(
+                f"level {c_.level} q={c_.q} {c_.precision} bits "
+                f"matrices {c_.matrices_s:.3f} s" for c_ in certs),
+                file=sys.stderr)
         all_certs.extend(c_.to_json_dict() for c_ in certs)
     _write(out / "certificates.json",
            json.dumps(all_certs, sort_keys=True, indent=1,
@@ -395,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="INI config file")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker hint; results are thread-count independent")
+                       help="accepted but unused; results do not depend on it")
         p.add_argument("--verbose", action="store_true")
     return parser
 

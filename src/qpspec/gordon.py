@@ -25,11 +25,18 @@ about 128 relative bits however small they are.  There is no resolution
 floor: only an exactly zero difference, or h = 0, raises NumericError.
 
 The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
-It advances the phasor z_j = e^{i pi x_j} by one complex multiply by
-e^{i pi a}, carried with ceil(log2(3q)) + 32 guard bits and then rounded to
-the working precision; f and every built-in g are trig polynomials in z_j,
-and only a user-supplied g is evaluated directly at x_j.  Every site within
-``eps_floor`` of a pole raises OrbitPoleError.
+It walks the phasor (cos pi x_j, sin pi x_j) as W-bit fixed-point integers,
+W = the working precision + ceil(log2(3q)) + 32, one integer rotation by
+(cos pi a, sin pi a) per site rounded to nearest, so the phasor's absolute
+error stays about 3q 2^-W before S_j is rounded to the working precision.
+f and every built-in g are integer polynomials in it; a user-supplied g goes
+through its ``g.phasor`` or is evaluated directly at x_j.  Every site within
+``eps_floor`` of a pole raises OrbitPoleError.  The fused loop runs on raw
+libmp values: mpf_mul, mpf_add and mpf_sub at the working precision,
+rounding to nearest, are the calls the mpf operators make, so it gives the
+bits of the same expressions on mpf objects without building one per
+operation.  A level whose 3q sites exceed SITE_BUDGET is refused before any
+work (``check_levels``).
 
 The same pass feeds ``solve_recurrence``; the float walks (the precision
 pre-pass and ``bounded_candidate``) take their phases from
@@ -47,16 +54,19 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub
 
 from .arithmetic import (LOG_PREC, ContinuedFraction, IndexValue, as_mpf,
                          exact_fraction, ln_low, qualifying_levels)
 from .cocycle import TransferMatrix2
-from .errors import InvalidInputError, NumericError, RangeError, SubsequenceError
+from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
+                     SubsequenceError)
 from .potential import MeromorphicPotential, orbit, site_values
 
 __all__ = [
@@ -71,11 +81,14 @@ __all__ = [
     "gordon_lhs_uniform",
     "max_inequality",
     "smallness_check",
+    "check_levels",
     "exclusion_certificate",
     "bounded_candidate",
 ]
 
 MAX_NORM_TOL = 1e-6
+# most orbit sites a certificate level may walk (3q, the window [-q, 2q))
+SITE_BUDGET = 2_000_000
 # initial directions on the grid that seeds bounded_candidate's search
 CANDIDATE_GRID = 720
 
@@ -232,6 +245,10 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
 
     The precision is max(2 log2||M||, log2(1/|h|)) + 192 bits, with ||M||
     the float pre-pass's bound on the three products and h = q alpha - p.
+    The sites come from ``site_values``'s fixed-point phasor walk; the
+    products and differences are stepped on raw libmp values with the
+    roundings of the same mpf expressions and wrapped in TransferMatrix2
+    once, at the end.
     """
     if q < 1:
         raise InvalidInputError("q must be >= 1")
@@ -240,31 +257,44 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
                                  float(as_mpf(theta)) % 1.0, q)
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     with mp.workprec(precision):
-        S = site_values(pot, E, theta, alpha, -q, 2 * q)
-        one, zero = mp.mpf(1), mp.mpf(0)
-        # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
-        # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
-        # differences from A_k(theta).  A step A(s) differs from A(s') only
-        # in its corner entry, so a difference picks up (s - s') times the
-        # top row of the shifted product before that product steps
-        a, b, c, d = one, zero, zero, one
-        ap, bp, cp, dp = one, zero, zero, one
-        am, bm, cm, dm = one, zero, zero, one
-        xa = xb = xc = xd = ya = yb = yc = yd = zero
-        for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
-            t, u = s - sp, s - sm
-            xa, xb, xc, xd = s * xa - xc + t * ap, s * xb - xd + t * bp, xa, xb
-            ya, yb, yc, yd = s * ya - yc + u * am, s * yb - yd + u * bm, ya, yb
-            a, b, c, d = s * a - c, s * b - d, a, b
-            ap, bp, cp, dp = sp * ap - cp, sp * bp - dp, ap, bp
-            am, bm, cm, dm = sm * am - cm, sm * bm - dm, am, bm
-        A_q = TransferMatrix2(a, b, c, d)
+        S = [v._mpf_ for v in site_values(pot, E, theta, alpha, -q, 2 * q)]
+    # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
+    # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
+    # differences from A_k(theta).  A step A(s) differs from A(s') only in
+    # its corner entry, so a difference picks up (s - s') times the top row
+    # of the shifted product before that product steps.  The loop runs on
+    # raw mpf values: mpf_mul/mpf_add/mpf_sub at the working precision,
+    # rounding to nearest, are the calls the mpf operators make, in the
+    # order of the expressions s xa - xc + t ap and s a - c
+    P, R = precision, "n"
+    mul, add, sub = mpf_mul, mpf_add, mpf_sub
+    a, b, c, d = ap, bp, cp, dp = am, bm, cm, dm = fone, fzero, fzero, fone
+    xa = xb = xc = xd = ya = yb = yc = yd = fzero
+    for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
+        t, u = sub(s, sp, P, R), sub(s, sm, P, R)
+        xa, xb, xc, xd = (
+            add(sub(mul(s, xa, P, R), xc, P, R), mul(t, ap, P, R), P, R),
+            add(sub(mul(s, xb, P, R), xd, P, R), mul(t, bp, P, R), P, R), xa, xb)
+        ya, yb, yc, yd = (
+            add(sub(mul(s, ya, P, R), yc, P, R), mul(u, am, P, R), P, R),
+            add(sub(mul(s, yb, P, R), yd, P, R), mul(u, bm, P, R), P, R), ya, yb)
+        a, b, c, d = (sub(mul(s, a, P, R), c, P, R),
+                      sub(mul(s, b, P, R), d, P, R), a, b)
+        ap, bp, cp, dp = (sub(mul(sp, ap, P, R), cp, P, R),
+                          sub(mul(sp, bp, P, R), dp, P, R), ap, bp)
+        am, bm, cm, dm = (sub(mul(sm, am, P, R), cm, P, R),
+                          sub(mul(sm, bm, P, R), dm, P, R), am, bm)
+
+    def matrix(*entries):
+        return TransferMatrix2(*map(mp.make_mpf, entries))
+
+    A_q = matrix(a, b, c, d)
+    with mp.workprec(precision):
         # A_{2q}(theta) = A_q(theta + q alpha) A_q(theta), exactly
-        A_2q = TransferMatrix2(ap, bp, cp, dp).matmul(A_q)
-    return GordonMatrices(precision=precision,
-                          A_back=TransferMatrix2(am, bm, cm, dm), A_q=A_q,
-                          A_2q=A_2q, D_fwd=TransferMatrix2(xa, xb, xc, xd),
-                          D_back=TransferMatrix2(ya, yb, yc, yd))
+        A_2q = matrix(ap, bp, cp, dp).matmul(A_q)
+    return GordonMatrices(precision=precision, A_back=matrix(am, bm, cm, dm),
+                          A_q=A_q, A_2q=A_2q, D_fwd=matrix(xa, xb, xc, xd),
+                          D_back=matrix(ya, yb, yc, yd))
 
 
 def _vec_norm(v):
@@ -534,6 +564,10 @@ class GordonCertificate:
     max_norm: float
     empirical_rate: float
     verdict: str  # "excluded" | "inconclusive"
+    # the working precision of gordon_matrices and the seconds it took; for
+    # stage logs only, never written to the output files
+    precision: int
+    matrices_s: float = field(default=0.0, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {"E": self.E, "q": self.q, "level": self.level,
@@ -541,6 +575,18 @@ class GordonCertificate:
                 "lhs_inverse_log": self.lhs_inverse_log,
                 "trace": self.trace, "max_norm": self.max_norm,
                 "empirical_rate": self.empirical_rate, "verdict": self.verdict}
+
+
+def check_levels(cf: ContinuedFraction, levels) -> None:
+    """Reject, before any work, a level outside 1..depth (RangeError) and a
+    level whose window of 3q orbit sites exceeds SITE_BUDGET (BudgetError)."""
+    for n_i in levels:
+        if not 1 <= n_i <= cf.depth:
+            raise RangeError(f"level {n_i} outside 1..{cf.depth}")
+        q = cf.q[n_i]
+        if 3 * q > SITE_BUDGET:
+            raise BudgetError(f"level {n_i} needs 3q = {3 * q} orbit sites "
+                              f"(q = {q}), over the site budget {SITE_BUDGET}")
 
 
 def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
@@ -555,13 +601,13 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
     """
     if not levels:
         raise InvalidInputError("levels must be nonempty")
-    for n_i in levels:
-        if not 1 <= n_i <= cf.depth:
-            raise RangeError(f"level {n_i} outside 1..{cf.depth}")
+    check_levels(cf, levels)
     certs = []
     for n_i in levels:
         q = cf.q[n_i]
+        t0 = time.perf_counter()
         mats = gordon_matrices(pot, E, theta, alpha, q)
+        matrices_s = time.perf_counter() - t0
         lhs, _ = gordon_lhs_uniform(mats)
         thr_log = -c * q
         excluded = (lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
@@ -572,5 +618,6 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
             E=float(E), q=q, level=n_i, lhs_square_log=lhs.square_log,
             lhs_inverse_log=lhs.inverse_log, trace=trace, max_norm=lhs.max_norm,
             empirical_rate=-max(lhs.square_log, lhs.inverse_log) / q,
-            verdict="excluded" if excluded else "inconclusive"))
+            verdict="excluded" if excluded else "inconclusive",
+            precision=mats.precision, matrices_s=matrices_s))
     return certs

@@ -21,6 +21,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
+from mpmath.libmp import from_float, from_man_exp, mpf_div, mpf_sub, to_fixed
 
 from .arithmetic import (
     ContinuedFraction,
@@ -154,12 +155,15 @@ class MeromorphicPotential:
 # built-in families and the custom registry
 
 
-def _with_phasor(g: Callable, phasor: Callable) -> Callable:
-    """Attach to ``g`` its trig-polynomial form ``g.phasor(c, s)``: the value
-    g(x) from c = cos(pi x) and s = sin(pi x), the parts of the phasor
-    z = e^{i pi x}.  ``site_values`` evaluates g along an orbit through it
-    without trig calls; a g without it is evaluated directly."""
-    g.phasor = phasor
+def _with_fixed_phasor(g: Callable, coupling: float, degree: int,
+                       poly: Callable) -> Callable:
+    """Attach to ``g`` its fixed-point trig-polynomial form
+    ``g.fixed_phasor = (coupling, degree, poly)``.  For c = cos(pi x) 2^W and
+    s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an integer
+    polynomial, homogeneous of the given degree, with
+    g(x) = coupling * poly(c, s) * 2^(-degree W).  ``site_values`` evaluates
+    g along an orbit through it on integers, without trig calls."""
+    g.fixed_phasor = (coupling, degree, poly)
     return g
 
 
@@ -168,7 +172,7 @@ def _g_const(val):
         if _is_array(x):
             return np.full_like(x, float(val), dtype=float)
         return mp.mpf(val)
-    return _with_phasor(g, lambda c, s: mp.mpf(val))
+    return _with_fixed_phasor(g, val, 0, lambda c, s: 1)
 
 
 def _g_cos2pi(lam):
@@ -176,7 +180,7 @@ def _g_cos2pi(lam):
         if _is_array(x):
             return _scaled_trig(np.cos, 2 * np.pi, lam, x)
         return lam * mp.cospi(2 * as_mpf(x))
-    return _with_phasor(g, lambda c, s: lam * (c * c - s * s))
+    return _with_fixed_phasor(g, lam, 2, lambda c, s: (c - s) * (c + s))
 
 
 def _g_sin2pi(lam):
@@ -184,7 +188,7 @@ def _g_sin2pi(lam):
         if _is_array(x):
             return _scaled_trig(np.sin, 2 * np.pi, lam, x)
         return lam * mp.sinpi(2 * as_mpf(x))
-    return _with_phasor(g, lambda c, s: lam * 2 * c * s)
+    return _with_fixed_phasor(g, lam, 2, lambda c, s: 2 * c * s)
 
 
 def _g_sinpi(lam):
@@ -192,10 +196,10 @@ def _g_sinpi(lam):
         if _is_array(x):
             return _scaled_trig(np.sin, np.pi, lam, x)
         return lam * mp.sinpi(x)
-    return _with_phasor(g, lambda c, s: lam * s)
+    return _with_fixed_phasor(g, lam, 1, lambda c, s: s)
 
 
-# factories coupling -> g; every g they return carries its phasor form
+# factories coupling -> g; every g they return carries its fixed-point form
 G_REGISTRY: dict[str, Callable[[float], Callable]] = {
     "cos2pi": _g_cos2pi,
     "sin2pi": _g_sin2pi,
@@ -286,20 +290,25 @@ def orbit(theta, alpha: float, start, stop: int | None = None) -> np.ndarray:
 def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
                 stop: int) -> list:
     """S_j = E - V(theta + j alpha) for j in [start, stop), one orbit pass,
-    rounded to the current working precision.
+    rounded to the current working precision prec.
 
-    The phasor z_j = e^{i pi x_j} is advanced by one complex multiply by
-    e^{i pi alpha} per site, carried with ceil(log2(n)) + 32 guard bits over
-    the n sites so the accumulated rounding stays below the working
-    precision.  f and every built-in g are trig polynomials in z_j; only a
-    user-supplied g (one without ``g.phasor``) is evaluated directly at x_j.
+    The phasor (c, s) = (cos pi x_j, sin pi x_j) is walked as W-bit
+    fixed-point integers, W = prec + ceil(log2(n)) + 32 over the n sites:
+    each site rotates it by (cos pi alpha, sin pi alpha) with three integer
+    multiplies, each coordinate rounded to nearest, so its absolute error
+    stays about n 2^-W before the final rounding to prec.  f's pole factors
+    and a registry g's trig polynomial (``g.fixed_phasor``) are integer
+    polynomials in (c, s).  A user-supplied g is called through its
+    ``g.phasor(c, s)`` on mpf values of the integers, or else evaluated
+    directly at x_j.  On raw libmp values, g/f is formed at W bits and
+    S_j = E - g/f is rounded once to prec.
+
     A site within ``eps_floor`` of a pole raises OrbitPoleError with its j
     (the first such site); float distances pick the sites that get the
     exact check.
     """
     n = stop - start
     prec = mp.mp.prec
-    g_phasor = getattr(pot.g, "phasor", None)
     th = as_mpf(theta)
     av = as_mpf(alpha)
     if pot.m:
@@ -312,29 +321,59 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
             if dist <= pot.eps_floor:
                 raise OrbitPoleError(f"pole within floor at orbit site {j}",
                                      dist=float(dist), step=j)
-    if g_phasor is None:
+    fixed = getattr(pot.g, "fixed_phasor", None)
+    g_phasor = getattr(pot.g, "phasor", None)
+    if fixed is None and g_phasor is None:
         xs = [th + j * av for j in range(start, stop)]
-    out = []
-    with mp.workprec(prec + (n - 1).bit_length() + 32):
-        Ev = as_mpf(E)
+    W = prec + (n - 1).bit_length() + 32
+    half = 1 << (W - 1)
+    make = mp.make_mpf
+    with mp.workprec(W):
+        def fix(v):
+            return to_fixed(v._mpf_, W)
+
+        Ev = as_mpf(E)._mpf_
         av = as_mpf(alpha)
         x0 = as_mpf(theta) + start * av
-        c, s = mp.cospi(x0), mp.sinpi(x0)
-        cu, su = mp.cospi(av), mp.sinpi(av)
-        # 2 sin(pi (x - p)) = 2 (s cos(pi p) - c sin(pi p)) for each pole p
-        pole_phasors = [(2 * mp.cospi(as_mpf(pl)), 2 * mp.sinpi(as_mpf(pl)))
-                        for pl in pot.poles]
-        for i in range(n):
-            gv = g_phasor(c, s) if g_phasor is not None else pot.g(xs[i])
-            if pot.m:
-                fv = mp.mpf(pot.f_sign)
-                for cp, sp in pole_phasors:
-                    fv *= s * cp - c * sp
-                gv = gv / fv
-            out.append(Ev - gv)
-            c, s = c * cu - s * su, s * cu + c * su
-    with mp.workprec(prec):
-        return [+v for v in out]
+        c, s = fix(mp.cospi(x0)), fix(mp.sinpi(x0))
+        cu, su = fix(mp.cospi(av)), fix(mp.sinpi(av))
+        sp_u, sm_u = su + cu, su - cu
+        walk = []
+        for _ in range(n):
+            walk.append((c, s))
+            # (c cu - s su, s cu + c su) from three products, exactly
+            k = cu * (c + s)
+            c, s = (k - s * sp_u + half) >> W, (k + c * sm_u + half) >> W
+        if fixed is not None:
+            lam, degree, poly = fixed
+            sign, man, exp, _ = from_float(float(lam))
+            lam_man, g_exp = -man if sign else man, exp - degree * W
+            if not pot.m:
+                # E - g as one integer times 2^e0, rounded once
+                e_sign, e_man, e_exp, _ = Ev
+                e0 = min(e_exp, g_exp)
+                e_int = (-e_man if e_sign else e_man) << (e_exp - e0)
+                return [make(from_man_exp(
+                    e_int - (lam_man * poly(c, s) << (g_exp - e0)), e0, prec, "n"))
+                    for c, s in walk]
+            gs = [from_man_exp(lam_man * poly(c, s), g_exp) for c, s in walk]
+        elif g_phasor is not None:
+            gs = [mp.mpf(g_phasor(make(from_man_exp(c, -W)),
+                                  make(from_man_exp(s, -W))))._mpf_
+                  for c, s in walk]
+        else:
+            gs = [mp.mpf(pot.g(x))._mpf_ for x in xs]
+        if pot.m:
+            # 2 sin(pi (x - p)) = 2 (s cos(pi p) - c sin(pi p)), rounded to W
+            # bits, for each pole p; f is their product in units of 2^(-m W)
+            poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
+                     for pl in pot.poles]
+            for i, (c, s) in enumerate(walk):
+                fv = pot.f_sign
+                for cp, sp in poles:
+                    fv *= (s * cp - c * sp + half) >> W
+                gs[i] = mpf_div(gs[i], from_man_exp(fv, -W * pot.m), W, "n")
+    return [make(mpf_sub(Ev, gv, prec, "n")) for gv in gs]
 
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,

@@ -254,6 +254,47 @@ def test_exit_code_4_on_out_of_range_level(gordon_cfg, tmp_path, capsys):
         assert "level 9 outside 1..4" in capsys.readouterr().err
 
 
+def test_level_over_the_site_budget_exits_4_without_traceback(gordon_cfg,
+                                                             tmp_path):
+    # q_4 is about 5.7e24: its 3q orbit sites are refused before any array
+    # or mp work, with exit 4 and a message naming the level
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(gordon_cfg.read_text().replace("gordon_levels = 3",
+                                                  "gordon_levels = 1 2 3 4"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpspec", "gordon", "--config", str(cfg),
+         "--out", str(out)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "level 4 needs 3q" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(out.iterdir())
+
+
+def test_gordon_verbose_prints_a_stage_line_per_energy(gordon_cfg, tmp_path,
+                                                       capsys):
+    text = gordon_cfg.read_text().replace("values = 0.0", "values = 0.0 0.5")
+    cfg = tmp_path / "two.ini"
+    cfg.write_text(text)
+    assert main(["gordon", "--config", str(cfg), "--out",
+                 str(tmp_path / "quiet")]) == 0
+    capsys.readouterr()
+    assert main(["gordon", "--config", str(cfg), "--out",
+                 str(tmp_path / "loud"), "--verbose"]) == 0
+    stages = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("gordon E=")]
+    assert len(stages) == 2
+    for E, line in zip(("0", "0.5"), stages):
+        assert re.fullmatch(rf"gordon E={E}: level 3 q=57 276 bits "
+                            r"matrices \d+\.\d{3} s", line), line
+    # the stage log goes to stderr only
+    for name in ("certificates.json", "certificates.csv"):
+        assert ((tmp_path / "quiet" / name).read_bytes()
+                == (tmp_path / "loud" / name).read_bytes())
+
+
 @pytest.mark.parametrize("level", ["0", "-1"])
 def test_level_below_1_exits_2_naming_key(gordon_cfg, tmp_path, capsys, level):
     text = gordon_cfg.read_text().replace("gordon_levels = 3",

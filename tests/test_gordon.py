@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpspec import (
+    BudgetError,
     NumericError,
     OrbitPoleError,
     RangeError,
@@ -29,7 +30,7 @@ from qpspec import (
 )
 from qpspec.arithmetic import as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
-from qpspec.gordon import _adj
+from qpspec.gordon import SITE_BUDGET, _adj
 
 
 def _mat_close(m1, m2, tol):
@@ -172,6 +173,38 @@ def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
         expect_log = float(mp.log(sup_inv))
     lhs, _ = gordon_lhs_uniform(mats)
     assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
+
+
+def test_user_g_phasor_matches_direct_evaluation():
+    # README contract: a user g may carry g.phasor(c, s), giving g(x) from
+    # c = cos(pi x) and s = sin(pi x); the pass then calls it at every site
+    # instead of g, and the matrices agree with the directly evaluated g to
+    # the tolerances of test_gordon_matrices_match_direct_products
+    calls = []
+
+    def g(x):
+        return _user_g(x)
+
+    def phasor(c, s):
+        calls.append(None)
+        return 1 + (c * c - s * s) / 2
+
+    g.phasor = phasor
+    q, E, theta, alpha = 13, 0.4, Fraction(1, 7), _GOLDEN.value
+    got = gordon_matrices(make_custom([Fraction(1, 3)], "user", g=g),
+                          E, theta, alpha, q)
+    assert len(calls) == 3 * q
+    expect = gordon_matrices(make_custom([Fraction(1, 3)], "user", g=_user_g),
+                             E, theta, alpha, q)
+    assert got.precision == expect.precision
+    with mp.workprec(expect.precision):
+        for name in ("A_back", "A_q", "A_2q"):
+            m = getattr(expect, name)
+            tol = 1e-40 * max(float(m.norm()), 1.0)
+            assert _mat_close(getattr(got, name), m, tol), name
+        for name in ("D_fwd", "D_back"):
+            gap = _rel_gap(getattr(got, name), getattr(expect, name))
+            assert gap < mp.mpf(2) ** -100, name
 
 
 @pytest.mark.parametrize("beta, q, bound", [(1.12, 276, 700),
@@ -331,6 +364,11 @@ def test_exclusion_certificate_level_guard():
         with pytest.raises(RangeError, match=rf"level {level} outside 1\.\.4$"):
             exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [level],
                                   1e-2)
+    # q_4 is about 5.7e24: refused before level 1 is worked on
+    assert 3 * cf.q[4] > SITE_BUDGET
+    with pytest.raises(BudgetError, match=r"^level 4 needs 3q = \d+ orbit sites"):
+        exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf,
+                              [1, 2, 3, 4], 1e-2)
 
 
 # certificate digits pinned exactly: how the products and their inverses
