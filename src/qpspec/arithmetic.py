@@ -68,6 +68,8 @@ LOG_PREC = 113
 DIV_PREC = 128
 # delta_index rejects a phase on a pole's translate by k alpha, |k| <= HORIZON
 HORIZON = 1000
+# most orbit sites one window walk may take (q_n here, 3q for a certificate)
+SITE_BUDGET = 2_000_000
 
 
 def ln_low(x):
@@ -561,7 +563,7 @@ def sine_product(theta, cf: ContinuedFraction, q: int) -> tuple[mp.mpf, mp.mpf]:
 
 
 def min_sine_index(theta, cf: ContinuedFraction, n: int,
-                   budget: int = 2_000_000) -> tuple[int, mp.mpf]:
+                   budget: int = SITE_BUDGET) -> tuple[int, mp.mpf]:
     """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
     smallest j, together with the attained value."""
     qn = _window(cf, n, budget)
@@ -572,7 +574,7 @@ def min_sine_index(theta, cf: ContinuedFraction, n: int,
 
 
 def sine_product_check(theta, cf: ContinuedFraction, n: int,
-                       budget: int = 2_000_000) -> tuple[float, float]:
+                       budget: int = SITE_BUDGET) -> tuple[float, float]:
     """Centered log sine product over one denominator window.
 
     Returns (S, ln q_n) with

@@ -34,7 +34,7 @@ from .arithmetic import (
     silver_cf,
 )
 from .errors import ConfigError, OutputError, QPSpecError
-from .gordon import check_levels, exclusion_certificate
+from .gordon import _check_levels, exclusion_certificate
 from .potential import make_amo, make_custom, make_maryland
 from .spectral import classify_regime, lyapunov_scan
 
@@ -334,7 +334,7 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
         raise ConfigError("[depths] gordon_levels is required for gordon")
     # exclusion_certificate's own check, made here too because an empty
     # energy list never calls it
-    check_levels(cf, levels)
+    _check_levels(cf, levels)
     c = cfg.run_num("c_rate", float, 1e-2, positive=True)
     energies = cfg.energy_grid()
     all_certs = []

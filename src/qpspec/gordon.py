@@ -35,8 +35,8 @@ through its ``g.phasor`` or is evaluated directly at x_j.  Every site within
 libmp values: mpf_mul, mpf_add and mpf_sub at the working precision,
 rounding to nearest, are the calls the mpf operators make, so it gives the
 bits of the same expressions on mpf objects without building one per
-operation.  A level whose 3q sites exceed SITE_BUDGET is refused before any
-work (``check_levels``).
+operation.  A level whose 3q sites exceed ``arithmetic.SITE_BUDGET`` is
+refused before any work (``_check_levels``).
 
 The same pass feeds ``solve_recurrence``; the float walks (the precision
 pre-pass and ``bounded_candidate``) take their phases from
@@ -62,8 +62,8 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub
 
-from .arithmetic import (LOG_PREC, ContinuedFraction, IndexValue, as_mpf,
-                         exact_fraction, ln_low, qualifying_levels)
+from .arithmetic import (LOG_PREC, SITE_BUDGET, ContinuedFraction, IndexValue,
+                         as_mpf, exact_fraction, ln_low, qualifying_levels)
 from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
                      SubsequenceError)
@@ -81,14 +81,11 @@ __all__ = [
     "gordon_lhs_uniform",
     "max_inequality",
     "smallness_check",
-    "check_levels",
     "exclusion_certificate",
     "bounded_candidate",
 ]
 
 MAX_NORM_TOL = 1e-6
-# most orbit sites a certificate level may walk (3q, the window [-q, 2q))
-SITE_BUDGET = 2_000_000
 # initial directions on the grid that seeds bounded_candidate's search
 CANDIDATE_GRID = 720
 
@@ -577,7 +574,7 @@ class GordonCertificate:
                 "empirical_rate": self.empirical_rate, "verdict": self.verdict}
 
 
-def check_levels(cf: ContinuedFraction, levels) -> None:
+def _check_levels(cf: ContinuedFraction, levels) -> None:
     """Reject, before any work, a level outside 1..depth (RangeError) and a
     level whose window of 3q orbit sites exceeds SITE_BUDGET (BudgetError)."""
     for n_i in levels:
@@ -601,7 +598,7 @@ def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
     """
     if not levels:
         raise InvalidInputError("levels must be nonempty")
-    check_levels(cf, levels)
+    _check_levels(cf, levels)
     certs = []
     for n_i in levels:
         q = cf.q[n_i]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_float, from_man_exp, mpf_div, mpf_sub, to_fixed
+from mpmath.libmp import from_man_exp, mpf_div, mpf_sub, to_fixed
 
 from .arithmetic import (
     ContinuedFraction,
@@ -163,6 +163,8 @@ def _with_fixed_phasor(g: Callable, coupling: float, degree: int,
     polynomial, homogeneous of the given degree, with
     g(x) = coupling * poly(c, s) * 2^(-degree W).  ``site_values`` evaluates
     g along an orbit through it on integers, without trig calls."""
+    if not mp.isfinite(coupling):
+        raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     g.fixed_phasor = (coupling, degree, poly)
     return g
 
@@ -300,8 +302,9 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
     and a registry g's trig polynomial (``g.fixed_phasor``) are integer
     polynomials in (c, s).  A user-supplied g is called through its
     ``g.phasor(c, s)`` on mpf values of the integers, or else evaluated
-    directly at x_j.  On raw libmp values, g/f is formed at W bits and
-    S_j = E - g/f is rounded once to prec.
+    directly at x_j.  On raw libmp values, a registry g's value
+    lam poly(c, s) is exact, g/f is formed at W bits, and S_j = E - g/f is
+    rounded once to prec.
 
     A site within ``eps_floor`` of a pole raises OrbitPoleError with its j
     (the first such site); float distances pick the sites that get the
@@ -346,10 +349,13 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
             c, s = (k - s * sp_u + half) >> W, (k + c * sm_u + half) >> W
         if fixed is not None:
             lam, degree, poly = fixed
-            sign, man, exp, _ = from_float(float(lam))
+            # the coupling at W bits, converted once: exact for a float and
+            # for an mpf of up to W bits
+            sign, man, exp, _ = as_mpf(lam)._mpf_
             lam_man, g_exp = -man if sign else man, exp - degree * W
             if not pot.m:
-                # E - g as one integer times 2^e0, rounded once
+                # E - g as one integer times 2^e0, rounded once: the bits of
+                # the mpf_sub below, with one normalisation per site, not two
                 e_sign, e_man, e_exp, _ = Ev
                 e0 = min(e_exp, g_exp)
                 e_int = (-e_man if e_sign else e_man) << (e_exp - e0)

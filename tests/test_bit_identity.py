@@ -76,6 +76,9 @@ def _user_g(x):
     return 1 + mp.cospi(2 * x) / 2
 
 
+with mp.workprec(200):
+    _LAM_200 = mp.mpf("0.1")  # a coupling wider than a float
+
 # potentials with the mpf phasor of their g as the mpf-object pass wrote it
 _SITE_CASES = {
     "amo": (make_amo(2.0), lambda c, s: 2.0 * (c * c - s * s)),
@@ -88,6 +91,8 @@ _SITE_CASES = {
     "const": (make_custom([Fraction(1, 4)], "const", coupling=0.9),
               lambda c, s: mp.mpf(0.9)),
     "user-g": (make_custom([Fraction(1, 3)], "user", g=_user_g), None),
+    "mpf-coupling": (make_custom([Fraction(1, 3)], "cos2pi", coupling=_LAM_200),
+                     lambda c, s: _LAM_200 * (c * c - s * s)),
 }
 
 

@@ -28,9 +28,9 @@ from qpspec import (
     product,
     solve_recurrence,
 )
-from qpspec.arithmetic import as_mpf
+from qpspec.arithmetic import SITE_BUDGET, as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
-from qpspec.gordon import SITE_BUDGET, _adj
+from qpspec.gordon import _adj
 
 
 def _mat_close(m1, m2, tol):

@@ -222,3 +222,12 @@ def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
                 site_values(maryland1, 0.3, theta, alpha, -13, 26)
             assert (exc.value.step, exc.value.dist) == expect
     assert (expect is None) == (abs(float(offset)) > maryland1.eps_floor)
+
+
+@pytest.mark.parametrize("name", sorted(G_REGISTRY))
+def test_a_registry_g_refuses_a_non_finite_coupling(name):
+    # the site pass reads a registry g's coupling as a mantissa and exponent,
+    # which would turn inf or nan into 0
+    for coupling in (mp.inf, float("nan")):
+        with pytest.raises(InvalidInputError, match="coupling must be finite"):
+            make_custom([], name, coupling=coupling)
