@@ -12,23 +12,30 @@ kinds, [[s, -f], [f, 0]] with the site arrays s = E f - g for D and
 s = E - V, f = 1 for A, vectorised over phases.  Each orbit's n steps are
 cut into SEGMENTS = 16 consecutive stretches of ceil(n / 16) steps (the sites
 past n pad the last ones with s = 0, f = 1, an exact quarter turn), and the
-stretches of all phases step side by side, so a step costs one numpy call
-over 16 times the phases.  Each stretch product is renormalised to unit
-scale every 32 steps, with the log scale in a separate accumulator; the 16
-stretch products of a phase are then chained with one renormalisation per
-link.  The single-orbit base point runs as one more phase next to the phase
-grid, so one pass gives both estimates.
+stretches of all phases step side by side.  The state is four rows
+(a, b, c, d) of one buffer, stepped in place (``_step_row``): with f = 1
+(the A kind, and D without poles) a step writes s a - c over c and
+s b - d over d and renames the rows, four numpy calls, and a D step is
+eight, each entry rounded as in s*a - f*c, s*b - f*d, f*a, f*b, with no
+array allocated.  Each stretch product is renormalised to
+unit scale every 32 steps, with the log scale in a separate accumulator;
+the 16 stretch products of a phase are then chained with one
+renormalisation per link.  The single-orbit base point runs as one more
+phase next to the phase grid, so one pass gives both estimates.
 
 The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of all
-columns): each array then takes 128 KB, so a chunk's orbit, f, g and step
-arrays stay in a 2 MB L2 cache, and the row count never changes a value.
-A-kind chunks evaluate f once, for V and for the pole mask: the exact pole
-distance is taken only at the few sites whose |f| admits the floor.
+columns) from one tangent per site (``potential._phasor``), in six site
+buffers allocated once per call and filled in place: each takes 128 KB,
+so a chunk's arrays stay in a 2 MB L2 cache, and the row count never
+changes a value.  A-kind chunks evaluate f once, for V and for the pole
+mask: the exact pole distance is taken only at the few sites whose |f|
+admits the floor (``MeromorphicPotential._f_near_pole``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -166,35 +173,47 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
 # Lyapunov engine (float64, vectorised over phases)
 
 
-def _rescale(a, b, c, d):
-    """Divide [[a, b], [c, d]] by its largest entry (1 where all vanish);
-    returns the scaled entries and the log of the divisor."""
-    m = np.maximum(np.maximum(np.abs(a), np.abs(b)),
-                   np.maximum(np.abs(c), np.abs(d)))
-    m = np.where(m == 0, 1.0, m)
-    return a / m, b / m, c / m, d / m, np.log(m)
+def _rescale(M: np.ndarray) -> np.ndarray:
+    """Divide the stacked entries M = (a, b, c, d) (a (4, ...) array) in
+    place by their largest magnitude (1 where all vanish); returns the log
+    of the divisor."""
+    m = np.abs(M).max(axis=0)
+    m[m == 0] = 1.0
+    M /= m
+    return np.log(m)
+
+
+def _step_row(M: tuple, s: np.ndarray, f: np.ndarray | None,
+              tmp: tuple) -> tuple:
+    """One row of steps [[s, -f], [f, 0]] on the state M = (a, b, c, d),
+    four rows of one buffer, in place; ``f`` None means f = 1 (the A-kind
+    step) and ``tmp`` holds two scratch rows.  Returns the new (a, b, c, d),
+    the same four rows reordered.  Every entry gets the roundings of
+    s*a - f*c, s*b - f*d, f*a, f*b; multiplying by f = 1 is exact, so an
+    A-kind row writes s a - c over c and s b - d over d and renames the
+    rows, four calls for eight.  No operand is broadcast: with numpy 2.4 on
+    a 2-vCPU Xeon, a call that broadcasts a row over two stacked rows took
+    about 1 us more than one on equal shapes, more than halving the calls
+    saves, and a D step on stacked (a, b), (c, d) rows ran slower than
+    eight allocating calls."""
+    a, b, c, d = M
+    t, u = tmp
+    if f is None:
+        np.subtract(np.multiply(s, a, out=t), c, out=c)
+        np.subtract(np.multiply(s, b, out=t), d, out=d)
+        return c, d, a, b
+    np.multiply(f, c, out=t)
+    np.multiply(f, d, out=u)
+    np.multiply(f, a, out=c)
+    np.multiply(f, b, out=d)
+    np.subtract(np.multiply(s, a, out=a), t, out=a)
+    np.subtract(np.multiply(s, b, out=b), u, out=b)
+    return a, b, c, d
 
 
 def _quiet(on: bool):
     """Silence overflow and the invalid values it leads to when ``on``."""
     return np.errstate(over="ignore", invalid="ignore") if on else contextlib.nullcontext()
-
-
-def _f_near_pole(pot: MeromorphicPotential) -> float:
-    """A bound on |f| that every site within eps_floor of a pole keeps.
-
-    Both f and pole_distance take the factor of pole p at t = fl(x - p).
-    With d = pole_distance(x) <= eps_floor, t lies within eps_floor + 2^-54
-    of an integer k (the wrap 1 - mod(t, 1) rounds once), so the factor
-    2 sin(fl(pi t)) is at most 2 (pi eps_floor + e) up to a few ulps, where
-    e covers the roundings of pi t (|t| 2^-53 pi), of pi itself
-    (|k| 1.3e-16) and the 2^-54 wrap: e < (1 + |p|) 8e-16 for x in [0, 1].
-    Every other factor is at most 2.  So |f| <= 2^m (4 eps_floor + slack)
-    with slack = (1 + max |p|) 1e-14, ten times e, and 4 - pi absorbing
-    the relative roundings of the m-factor product.
-    """
-    slack = 1e-14 * (1.0 + max(abs(float(pl)) for pl in pot.poles))
-    return 2.0 ** pot.m * (4.0 * pot.eps_floor + slack)
 
 
 def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
@@ -203,44 +222,54 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     A-kind phases whose orbit enters the pole floor; excluded phases read nan.
 
     Both kinds take the step [[s, -f], [f, 0]]: D has s = E f - g, and A is
-    the same step with f = 1, s = E - V (multiplying by 1.0 is exact).
+    the same step with f = 1, s = E - V (as is D without poles, f = 1).
     Each orbit's n steps run as SEGMENTS stretches of ceil(n / SEGMENTS)
     steps, all stretches of all phases side by side; the sites past n step
     with s = 0, f = 1, an exact quarter turn.  The stretch products are then
     chained per phase.  The layout depends on n only: the rows built per
-    chunk change the speed, never the values.
+    chunk change the speed, never the values.  The site arrays of a chunk
+    are filled in buffers allocated once per call.
     """
     K = xs.shape[0]
     stretch = -(-n // SEGMENTS)  # steps per stretch
     cols = SEGMENTS * K
     rows = max(1, CHUNK // cols)
-    a = np.ones(cols)
-    b = np.zeros(cols)
-    c = np.zeros(cols)
-    d = np.ones(cols)
+    # the state (a, b, c, d) as four rows of one buffer, stepped in place
+    state = np.zeros((4, cols))
+    state[0] = state[3] = 1.0
+    M = tuple(state)
+    tmp = tuple(np.empty((2, cols)))
     logs = np.zeros(cols)
     excluded = np.zeros(K, dtype=bool)
-    f_peak = 1.0 if kind == "A" else 2.0 ** pot.m  # |f| <= 2^m
-    f_near = _f_near_pole(pot) if pot.m else 0.0
+    unit_f = kind == "A" or not pot.m  # the step's f is 1
+    f_peak = 1.0 if unit_f else 2.0 ** pot.m  # |f| <= 2^m
+    f_near = pot._f_near_pole(pot.eps_floor) if pot.m else 0.0
     huge_E = not abs(E) < SAFE_SITE  # E f may overflow in the site arrays
+    # the phases and the five site buffers of _V_and_f / _f_and_g, as
+    # separate arrays: each stays on the heap, and those that a potential
+    # never writes take no memory
+    X_buf, *work_buf = (np.empty((rows, SEGMENTS, K)) for _ in range(6))
     for start in range(0, stretch, rows):
         # step j of stretch i is orbit step i * stretch + j
         steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
                              stretch * np.arange(SEGMENTS))
-        X = orbit(xs, alpha, steps)
+        r = steps.shape[0]
+        work = [w[:r] for w in work_buf]
+        X = orbit(xs, alpha, steps, out=X_buf[:r], scratch=work[1])
         with _quiet(huge_E):
             if kind == "A":
-                F = np.broadcast_to(1.0, X.shape)
-                V, fX = pot._V_and_f(X)
-                S = E - V
+                V, F = pot._V_and_f(X, work)
+                S = np.subtract(E, V, out=work[2])
             else:
-                F = pot.f(X) if pot.m else np.broadcast_to(1.0, X.shape)
-                S = E * F
-                S -= np.asarray(pot.g(X), dtype=float)
+                F, G = pot._f_and_g(X, work)
+                if F is None:
+                    S = np.subtract(E, G, out=work[2])
+                else:
+                    S = np.subtract(np.multiply(F, E, out=work[1]), G, out=work[2])
         if kind == "A" and pot.m:
             # the exact pole distance only where |f| admits the floor, and
             # only at sites before n (not the padding)
-            cand = np.abs(fX) <= f_near
+            cand = np.abs(F, out=work[1]) <= f_near
             if cand.any():
                 i, j, k = np.nonzero(cand)
                 near = pot.pole_distance(X[i, j, k]) <= pot.eps_floor
@@ -248,30 +277,34 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
             # V at a pole reaches 2e300 and would overflow the column to
             # inf/nan (with numpy warnings); a masked column's value is
             # discarded, so it steps with s = 0 instead
-            S[:, :, excluded] = 0.0
+            if excluded.any():
+                S[:, :, excluded] = 0.0
         pad = (steps >= n)[:, :, None]
         if pad.any():
-            S = np.where(pad, 0.0, S)
-            F = np.where(pad, 1.0, F)
+            np.copyto(S, 0.0, where=pad)
+            if not unit_f:
+                np.copyto(F, 1.0, where=pad)
         # a step multiplies the largest entry by at most |s| + |f|, so with
         # sites below SAFE_SITE no RENORM_EVERY steps can overflow; larger
         # sites (a huge E or coupling) step with overflow silenced, and the
         # non-finite result raises below
+        F_rows = itertools.repeat(None) if unit_f else F.reshape(-1, cols)
         with _quiet(not max(S.max(), -S.min()) + f_peak <= SAFE_SITE):
-            for step, (s, f) in enumerate(zip(S.reshape(-1, cols),
-                                              F.reshape(-1, cols)), start + 1):
-                a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
+            for step, (s, f) in enumerate(zip(S.reshape(-1, cols), F_rows),
+                                          start + 1):
+                M = _step_row(M, s, f, tmp)
                 if step % RENORM_EVERY == 0:
-                    a, b, c, d, ln_m = _rescale(a, b, c, d)
-                    logs += ln_m
+                    logs += _rescale(state)
     # chain the stretch products of each phase, the first one rightmost
     # (elementwise throughout, so a phase's value does not depend on K)
-    a, b, c, d, seg_logs = (v.reshape(SEGMENTS, K) for v in (a, b, c, d, logs))
-    pa, pb, pc, pd, logs = a[0], b[0], c[0], d[0], seg_logs[0]
+    a, b, c, d, seg_logs = (v.reshape(SEGMENTS, K) for v in (*M, logs))
+    P, logs = np.array([a[0], b[0], c[0], d[0]]), seg_logs[0]
     for i in range(1, SEGMENTS):
-        pa, pb, pc, pd, ln_m = _rescale(a[i] * pa + b[i] * pc, a[i] * pb + b[i] * pd,
-                                        c[i] * pa + d[i] * pc, c[i] * pb + d[i] * pd)
-        logs = logs + seg_logs[i] + ln_m
+        pa, pb, pc, pd = P
+        P = np.array([a[i] * pa + b[i] * pc, a[i] * pb + b[i] * pd,
+                      c[i] * pa + d[i] * pc, c[i] * pb + d[i] * pd])
+        logs = logs + seg_logs[i] + _rescale(P)
+    pa, pb, pc, pd = P
     fro2 = pa * pa + pb * pb + pc * pc + pd * pd
     det = pa * pd - pb * pc
     disc = np.maximum(fro2 * fro2 - 4 * det * det, 0.0)

@@ -5,6 +5,16 @@ fixed sign, so that |f(x)| = prod_l |e^{2 pi i x} - e^{2 pi i theta_l}| and
 the mean of ln|f| over the torus vanishes.  Built-in families: the cosine
 model (no poles) and the tangent model (single pole at 1/2).
 
+Both engines evaluate f and the registry g's as polynomials in the phasor
+(cos pi x, sin pi x).  The float engines take it from one tangent per site
+(``_phasor``: t = tan(pi x / 2), then c = 2/(1 + t^2) - 1 and
+s = 2t/(1 + t^2)), so a site costs one SIMD ``np.tan`` and a few
+multiplies, with no sine or cosine: f is f_sign prod_l 2(s cos pi p_l -
+c sin pi p_l), with the pole constants rounded once per potential, and a
+registry g is coupling * poly(c, s) from its ``g.fixed_phasor``.
+``site_values`` walks the same phasor as fixed-point integers.  A g
+without ``fixed_phasor`` is evaluated at x.
+
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
 ``arithmetic.orbit_norms`` (exact P-bit fixed-point phases mod 2^P, as
@@ -14,6 +24,7 @@ integer torus norms, one at a time) and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -58,12 +69,55 @@ def _is_array(x) -> bool:
     return isinstance(x, np.ndarray)
 
 
-def _scaled_trig(trig, k: float, lam: float, x: np.ndarray) -> np.ndarray:
-    """lam * trig(k * x) built in one buffer (the same products, in place)."""
-    t = np.multiply(x, k)
-    trig(t, out=t)
-    t *= lam
-    return t
+_HALF_PI = np.pi / 2
+
+
+def _phasor(x: np.ndarray, out=None):
+    """(cos pi x, sin pi x) on an array, from one tangent per site:
+    t = tan(pi x / 2), then c = 2/(1 + t^2) - 1 and s = 2t/(1 + t^2).
+
+    ``out`` is two float buffers shaped like x that receive c and s; they
+    are allocated when omitted.  For x in [0, 1] both values are within
+    2e-15 of the exact ones when np.tan is within 4 ulp
+    (``MeromorphicPotential._f_near_pole`` has the bound, and
+    ``tests/test_potential.py`` checks it against mp)."""
+    c, s = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
+    np.multiply(x, _HALF_PI, out=s)
+    np.tan(s, out=s)
+    np.multiply(s, s, out=c)
+    c += 1.0
+    s += s
+    s /= c
+    np.divide(2.0, c, out=c)
+    c -= 1.0
+    return c, s
+
+
+def _buffers(x: np.ndarray) -> list[np.ndarray]:
+    """Five separate float buffers shaped like x, the ``work`` of
+    ``MeromorphicPotential._f_and_g`` for a one-off call (a returned array
+    then pins no other buffer)."""
+    return [np.empty(x.shape) for _ in range(5)]
+
+
+def _poly_on_phasor(fixed, c: np.ndarray, s: np.ndarray,
+                    out: np.ndarray) -> np.ndarray:
+    """A registry g from its ``g.fixed_phasor``: coupling * poly(c, s) in
+    float64, into ``out`` (which may be s)."""
+    coupling, _, poly = fixed
+    return np.multiply(poly(c, s), float(coupling), out=out)
+
+
+def _pole_factor(c, s, cp: float, sp: float, out, tmp):
+    """s cp - c sp into ``out`` (``tmp`` is scratch); a zero constant drops
+    its product, which changes no value."""
+    if sp == 0.0:
+        return np.multiply(s, cp, out=out)
+    if cp == 0.0:
+        return np.multiply(c, -sp, out=out)
+    np.multiply(s, cp, out=out)
+    np.multiply(c, sp, out=tmp)
+    return np.subtract(out, tmp, out=out)
 
 
 @dataclass(frozen=True)
@@ -89,24 +143,79 @@ class MeromorphicPotential:
         if _is_array(x):
             if not self.poles:
                 return np.full_like(x, float(self.f_sign), dtype=float)
-            # the chord product in place; the sign comes last, which is exact
-            out = None
-            for pl in self.poles:
-                t = np.subtract(x, float(pl))
-                t *= np.pi
-                np.sin(t, out=t)
-                t *= 2.0
-                if out is None:
-                    out = t
-                else:
-                    out *= t
-            if self.f_sign < 0:
-                np.negative(out, out=out)
-            return out
+            return self._f_and_g(x, _buffers(x), with_g=False)[0]
         acc = mp.mpf(self.f_sign)
         for pl in self.poles:
             acc *= 2 * mp.sinpi(as_mpf(x) - as_mpf(pl))
         return acc
+
+    @functools.cached_property
+    def _pole_phasors(self) -> tuple[tuple[float, float], ...]:
+        """(2 cos pi p, 2 sin pi p) per pole, each rounded once from mp
+        (exact at half-integers), f_sign folded into the first pair: negating
+        both constants negates the factor exactly, as the sign did."""
+        with mp.workprec(113):
+            pairs = [(float(2 * mp.cospi(as_mpf(pl))), float(2 * mp.sinpi(as_mpf(pl))))
+                     for pl in self.poles]
+        if pairs and self.f_sign < 0:
+            pairs[0] = (-pairs[0][0], -pairs[0][1])
+        return tuple(pairs)
+
+    def _f_near_pole(self, eps: float) -> float:
+        """A bound on the float |f| at every x in [0, 1] with
+        pole_distance(x) <= eps, from the rounding of f on arrays.
+
+        f's factor of pole p is 2 (s cos pi p - c sin pi p) on the phasor
+        (c, s) of ``_phasor``, with both constants rounded once.  (c, s) is
+        (cos, sin) of an angle within 1.3e-15 of pi x: rounding pi x / 2
+        costs 1.7e-16 of the half angle and a tangent within 4 ulp at most
+        4.5e-16 (atan moves by at most half the relative error of t), both
+        doubled; the rational map then adds at most 6.7e-16 to c (2/(1 + t^2)
+        is at most 2 and carries the roundings of t^2, of 1 + t^2 and of the
+        division, 3 ulp; subtracting 1 is exact where 2/(1 + t^2) >= 1/2 and
+        rounds by less than 5.6e-17 elsewhere) and 3.4e-16 to s.
+        With the roundings of the constants and of s cp - c sp, the factor is
+        within e = 5e-15 of 2 sin(pi (x - p)).  pole_distance
+        takes t = fl(x - p) and wraps mod 1 once, so d = pole_distance(x)
+        <= eps puts x within eps + (1 + |p|) 3.4e-16 of p, where the factor
+        is at most 2 pi eps + (1 + |p|) 2.2e-15 + e.  Every other factor is
+        at most 2 + e.  So |f| <= 2^m (4 eps + slack), slack =
+        (1 + max |p|) 1e-14 covering the additive terms with room, and 4 - pi
+        absorbing the relative roundings of the m-factor product.  A site
+        exactly on a pole keeps an |f| of rounding size (4.4e-16 for the
+        tangent model at x = 1/2), not 0.
+        """
+        return 2.0 ** self.m * 4.0 * eps + self._f_slack
+
+    @functools.cached_property
+    def _f_slack(self) -> float:
+        """``_f_near_pole``'s additive term, 2^m (1 + max |p|) 1e-14."""
+        return 2.0 ** self.m * 1e-14 * (1.0 + max(abs(float(pl)) for pl in self.poles))
+
+    def _f_and_g(self, x: np.ndarray, work,
+                 with_g: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
+        """f (None when pole-free) and g (None unless ``with_g``) at an array
+        of sites, from one ``_phasor`` pass.  ``work`` is five float buffers
+        shaped like x: f lands in work[0], the phasor (c, s) in work[1] and
+        work[2], and a registry g over s in work[2]; work[3] and work[4] are
+        scratch that only a pole with two nonzero constants touches."""
+        fixed = getattr(self.g, "fixed_phasor", None) if with_g else None
+        if self.m or fixed is not None:
+            c, s = _phasor(x, work[1:3])
+        f = None
+        if self.m:
+            # f_sign prod_l 2 (s cos pi p_l - c sin pi p_l)
+            f = work[0]
+            for i, (cp, sp) in enumerate(self._pole_phasors):
+                if i == 0:
+                    _pole_factor(c, s, cp, sp, f, work[3])
+                else:
+                    f *= _pole_factor(c, s, cp, sp, work[3], work[4])
+        if not with_g:
+            return f, None
+        if fixed is not None:
+            return f, _poly_on_phasor(fixed, c, s, s)
+        return f, np.asarray(self.g(x), dtype=float)
 
     def pole_distance(self, x):
         """Torus distance from x to the nearest pole; +inf when pole-free."""
@@ -127,16 +236,29 @@ class MeromorphicPotential:
             v = np.clip(v, -cap, cap)
         return v
 
-    def _V_and_f(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    def _V_and_f(self, x: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray | None]:
         """V on an array together with the f it divides by (None when
-        pole-free), so a caller that also needs f evaluates it once."""
-        if self.m == 0:
-            return np.asarray(self.g(x), dtype=float), None
-        fv = self.f(x)
+        pole-free), so a caller that also needs f evaluates it once.  With
+        ``work`` (as for ``_f_and_g``), f lands in work[0] and, unless a
+        pole-free g without ``fixed_phasor`` made its own array, V in work[2].
+
+        At a site exactly on a pole (pole_distance 0), where f keeps an |f|
+        of rounding size, and wherever |f| < 1e-300, V is g / 1e-300, so such
+        a site reads as a pole whatever the coupling; ``_f_near_pole(0)``
+        picks the few sites that get the distance test."""
+        if work is None:
+            work = _buffers(x)
+        fv, gv = self._f_and_g(x, work)
+        if fv is None:
+            return gv, None
         fc = fv
-        if np.any(np.abs(fv) < 1e-300):  # keep V finite on a pole
-            fc = np.where(np.abs(fv) < 1e-300, np.copysign(1e-300, fv + 1e-300), fv)
-        return np.asarray(self.g(x), dtype=float) / fc, fv
+        absf = np.abs(fv, out=work[1])
+        near = absf <= self._f_near_pole(0.0)
+        if near.any():
+            hit = near.copy()
+            hit[near] = (absf[near] < 1e-300) | (self.pole_distance(x[near]) == 0)
+            fc = np.where(hit, 1e-300, fv)
+        return np.divide(gv, fc, out=work[2]), fv
 
     def log_f_integral(self) -> float:
         """Quadrature of ln|f| over one period, split at the poles.
@@ -162,43 +284,41 @@ def _with_fixed_phasor(g: Callable, coupling: float, degree: int,
     s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an integer
     polynomial, homogeneous of the given degree, with
     g(x) = coupling * poly(c, s) * 2^(-degree W).  ``site_values`` evaluates
-    g along an orbit through it on integers, without trig calls."""
+    g along an orbit through it on integers, without trig calls, and the
+    float engines evaluate the same poly on the float phasor (W = 0)."""
     if not mp.isfinite(coupling):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
     g.fixed_phasor = (coupling, degree, poly)
     return g
 
 
-def _g_const(val):
+def _registry_g(coupling, degree: int, poly: Callable, mp_form: Callable) -> Callable:
+    """A registry g: ``mp_form`` on mp scalars, coupling * poly(c, s) on the
+    tangent phasor of an array, and the fixed-point form for ``site_values``."""
     def g(x):
         if _is_array(x):
-            return np.full_like(x, float(val), dtype=float)
-        return mp.mpf(val)
-    return _with_fixed_phasor(g, val, 0, lambda c, s: 1)
+            c, s = _phasor(x)
+            return _poly_on_phasor(g.fixed_phasor, c, s, s)
+        return mp_form(as_mpf(x))
+    return _with_fixed_phasor(g, coupling, degree, poly)
+
+
+def _g_const(val):
+    return _registry_g(val, 0, lambda c, s: 1, lambda x: mp.mpf(val))
 
 
 def _g_cos2pi(lam):
-    def g(x):
-        if _is_array(x):
-            return _scaled_trig(np.cos, 2 * np.pi, lam, x)
-        return lam * mp.cospi(2 * as_mpf(x))
-    return _with_fixed_phasor(g, lam, 2, lambda c, s: (c - s) * (c + s))
+    return _registry_g(lam, 2, lambda c, s: (c - s) * (c + s),
+                       lambda x: lam * mp.cospi(2 * x))
 
 
 def _g_sin2pi(lam):
-    def g(x):
-        if _is_array(x):
-            return _scaled_trig(np.sin, 2 * np.pi, lam, x)
-        return lam * mp.sinpi(2 * as_mpf(x))
-    return _with_fixed_phasor(g, lam, 2, lambda c, s: 2 * c * s)
+    return _registry_g(lam, 2, lambda c, s: 2 * c * s,
+                       lambda x: lam * mp.sinpi(2 * x))
 
 
 def _g_sinpi(lam):
-    def g(x):
-        if _is_array(x):
-            return _scaled_trig(np.sin, np.pi, lam, x)
-        return lam * mp.sinpi(x)
-    return _with_fixed_phasor(g, lam, 1, lambda c, s: s)
+    return _registry_g(lam, 1, lambda c, s: s, lambda x: lam * mp.sinpi(x))
 
 
 # factories coupling -> g; every g they return carries its fixed-point form
@@ -273,19 +393,23 @@ def eval_V(pot: MeromorphicPotential, x):
     return pot.g(xv)
 
 
-def orbit(theta, alpha: float, start, stop: int | None = None) -> np.ndarray:
+def orbit(theta, alpha: float, start, stop: int | None = None,
+          out: np.ndarray | None = None,
+          scratch: np.ndarray | None = None) -> np.ndarray:
     """Float phases (theta + j alpha) mod 1 for j in [start, stop); a 1-D
     array of base points theta gives one column per base point.
 
     With ``stop`` omitted, ``start`` is an array of steps j of any shape,
     and the base points' axis comes last.  Either way the phase at step j
-    is mod(float(j) alpha + theta, 1)."""
+    is mod(float(j) alpha + theta, 1).  ``out`` and ``scratch``, arrays of
+    the result's shape, receive the phases and their floor when given, so a
+    caller stepping through chunks allocates no site array."""
     ks = (np.arange(start, stop, dtype=float) if stop is not None
           else np.asarray(start, dtype=float))
-    y = np.add.outer(ks * alpha, theta)
+    y = np.add.outer(ks * alpha, theta, out=out)
     # y - floor(y) is the exact fractional part rounded once, as np.mod(y, 1)
     # gives it, at a fraction of the cost
-    y -= np.floor(y)
+    y -= np.floor(y, out=scratch)
     return y
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,7 +122,8 @@ class RegimeClassification:
 
     Labels are candidates only: sc-candidate when L + uncertainty clears the
     lower index surrogate, above-delta when L - uncertainty exceeds the upper
-    one, uncertain otherwise.
+    one, uncertain otherwise.  An energy whose estimate failed has nan for L
+    and its uncertainty, and the error's class name as its label.
     """
 
     energies: tuple[float, ...]
@@ -139,9 +141,11 @@ class RegimeClassification:
         return sum(1 for l in self.labels if l == "uncertain") / len(self.labels)
 
     def rows(self):
+        """(E, L, uncertainty, label) per energy; a failed energy's L reads
+        "error"."""
         for e, L, u, lab in zip(self.energies, self.L_values,
                                 self.uncertainty, self.labels):
-            yield e, L, u, lab
+            yield e, L if lab in LABELS else "error", u, lab
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,9 +153,15 @@ class RegimeClassification:
             "delta_lower": self.delta_lower,
             "delta_upper": self.delta_upper,
             "uncertain_fraction": self.uncertain_fraction,
-            "rows": [{"E": e, "L": L, "margin": u, "label": lab}
+            # a failed row's nan margin is written as null, since NaN is
+            # not JSON
+            "rows": [{"E": e, "L": L, "margin": None if math.isnan(u) else u,
+                      "label": lab}
                      for e, L, u, lab in self.rows()],
         }
+
+
+LABELS = ("sc-candidate", "above-delta", "uncertain")
 
 
 def classify_label(L: float, u: float, lower: float, upper: float) -> str:
@@ -168,21 +178,28 @@ def classify_regime(pot: MeromorphicPotential, theta, alpha, E_grid,
     """Label each grid energy against the index surrogate band.
 
     Requires a reasonably deep index surrogate and a long product; the
-    per-energy margin is the cross-estimator discrepancy of L.
+    per-energy margin is the cross-estimator discrepancy of L.  The
+    estimates come from ``lyapunov_scan``, so an energy whose estimate
+    raises NumericError is recorded (nan L and margin, the error's class
+    as its label) and the others stand.
     """
     if delta_hat.terms_used < 8:
         raise InvalidInputError("index surrogate needs >= 8 levels")
     if n_lyap < 10_000:
         raise InvalidInputError("n_lyap must be >= 10^4")
     lower, upper = delta_hat.band()
-    energies, Ls, us, labels = [], [], [], []
-    for E in E_grid:
-        est = lyapunov(pot, float(E), alpha, n_lyap, grid=grid)
-        energies.append(float(E))
-        Ls.append(est.value)
-        us.append(est.discrepancy)
-        labels.append(classify_label(est.value, est.discrepancy, lower, upper))
+    energies = tuple(float(E) for E in E_grid)
+    Ls, us, labels = [], [], []
+    for est in lyapunov_scan(pot, alpha, energies, n_lyap, grid=grid):
+        if isinstance(est, Exception):
+            Ls.append(math.nan)
+            us.append(math.nan)
+            labels.append(type(est).__name__)
+        else:
+            Ls.append(est.value)
+            us.append(est.discrepancy)
+            labels.append(classify_label(est.value, est.discrepancy, lower, upper))
     return RegimeClassification(
-        energies=tuple(energies), L_values=tuple(Ls), uncertainty=tuple(us),
+        energies=energies, L_values=tuple(Ls), uncertainty=tuple(us),
         labels=tuple(labels), delta_hat=delta_hat,
         delta_lower=float(lower), delta_upper=float(upper))

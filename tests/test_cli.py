@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -232,6 +233,28 @@ def test_overflowing_energy_writes_an_error_row_without_warnings(classify_cfg,
     # the method cell names the failure's class
     assert rows[2].split(",") == ["1.0000000000000001e+300", "error", "2000",
                                   "NumericError", "nan"]
+
+
+def test_classify_writes_an_error_row_and_continues(classify_cfg, tmp_path):
+    # one failure policy: an overflowing energy inside the grid gets its
+    # own row (error under L, nan under margin, the class as the label), and
+    # the energies around it are classified
+    cfg = tmp_path / "huge.ini"
+    cfg.write_text(classify_cfg.read_text().replace(
+        "kind = grid\nmin = -1.0\nmax = 1.0\ncount = 3",
+        "kind = list\nvalues = -0.5 1e300 0.5"))
+    out = tmp_path / "o"
+    assert main(["classify", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = [r.split(",") for r in (out / "classify.csv").read_text().splitlines()]
+    assert rows[2] == ["1.0000000000000001e+300", "error", "nan", "NumericError"]
+    for row in (rows[1], rows[3]):
+        assert row[3] in ("sc-candidate", "above-delta", "uncertain")
+        assert math.isfinite(float(row[1])) and math.isfinite(float(row[2]))
+    # strict JSON: the failed row's margin is null, not NaN
+    js = json.loads((out / "classify.json").read_text(),
+                    parse_constant=lambda c: pytest.fail(f"{c} in classify.json"))
+    assert js["rows"][1] == {"E": 1e300, "L": "error", "margin": None,
+                             "label": "NumericError"}
 
 
 def test_exit_code_3_on_unwritable_output(gordon_cfg, tmp_path):

@@ -184,12 +184,14 @@ def test_ln_norms_columns_are_independent_phases(pot, kind):
 
 
 # repr of the estimates of the time-split engine (16 stretches per orbit,
-# chained), then of the plain step-by-step product it replaced: chaining
-# reassociates the product, which moved the last bits only
+# chained) on the tangent site values, then of the plain step-by-step
+# product on the sine site values it replaced: chaining reassociates the
+# product and the tangent moves the site values' last bits, which moved the
+# last bits of the estimates only
 @pytest.mark.parametrize("pot,E,kind,value,discrepancy,seq_value,seq_discrepancy", [
-    (make_maryland(1.0), 0.0, "A", 0.48124290166631717, 0.00010316320246389621,
+    (make_maryland(1.0), 0.0, "A", 0.4812429016663172, 0.00010316320246378519,
      0.48124290166631717, 0.00010316320246389621),
-    (make_maryland(1.0), 0.0, "D", 0.48124843313253873, 0.00017183919376262402,
+    (make_maryland(1.0), 0.0, "D", 0.48124843313253873, 0.00017183919376279055,
      0.4812484331325386, 0.00017183919376234646),
     (make_amo(2.0), 0.5, "A", 0.4257559273887207, 2.7113372381537548e-05,
      0.42575592738872076, 2.7113372381759593e-05),
@@ -207,6 +209,44 @@ def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy, seq_value,
     # same absolute error as they are
     assert est.discrepancy == pytest.approx(seq_discrepancy, rel=0,
                                             abs=1e-13 * seq_value)
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_step_row_is_the_four_array_step_bit_for_bit(kind):
+    # the in-place row step against the four-array expressions it replaced,
+    # on the engine's layout (four rows of one buffer) and on entries spread
+    # over many binades, so every rounding is exercised
+    rng = np.random.default_rng(5)
+    cols = 53
+    for _ in range(10):
+        state = rng.normal(size=(4, cols)) * 2.0 ** rng.integers(-30, 30, (4, cols))
+        a, b, c, d = state.copy()
+        M, tmp = tuple(state), tuple(np.empty((2, cols)))
+        for _ in range(20):
+            s = rng.normal(size=cols) * 2.0 ** rng.integers(-3, 3, cols)
+            f = None if kind == "A" else rng.normal(size=cols)
+            ff = 1.0 if f is None else f
+            a, b, c, d = s * a - ff * c, s * b - ff * d, ff * a, ff * b
+            M = cocycle._step_row(M, s, f, tmp)
+            assert all(np.array_equal(x, y) for x, y in zip(M, (a, b, c, d)))
+            # the step writes in place: the state stays in its buffer
+            assert all(np.shares_memory(x, state) for x in M)
+
+
+def test_a_site_on_the_pole_is_masked_at_small_coupling():
+    # theta = 1/2 puts the orbit's site 0 exactly on the tangent model's
+    # pole, where the float f is of rounding size, not 0; V there still
+    # reads as a pole, so the A kernel masks the phase however small the
+    # coupling (the spectrum's flag is tested in test_spectral)
+    pot = make_maryland(1e-6)
+    assert 0 < abs(pot.f(np.array([0.5]))[0]) <= 1e-15
+    assert abs(pot.V_array(np.array([0.5]))[0]) > 1e290
+    alpha = float(golden_cf(30).value)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, excl = _ln_norms(pot, 0.3, alpha, np.array([0.5, 0.25]), 5003, "A")
+    assert excl.tolist() == [True, False]
+    assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
 
 def test_lyapunov_argument_validation(amo2):

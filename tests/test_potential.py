@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -16,10 +17,12 @@ from qpspec import (
     f_product_check,
     golden_cf,
     liouville_cf,
+    make_amo,
     make_custom,
     make_maryland,
 )
-from qpspec.potential import G_REGISTRY, MeromorphicPotential, orbit, site_values
+from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _phasor, orbit,
+                              site_values)
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -155,21 +158,73 @@ def test_orbit_matches_open_coded_walks():
     assert np.array_equal(got, np.mod(np.add.outer(steps * alpha, xs), 1.0))
 
 
+# the points the float site values are checked at: both ends of [0, 1),
+# the tangent model's pole and points just beside it, a point off the
+# binary grid, and a random sample
+_ORACLE_X = np.concatenate([
+    [0.0, 2.0 ** -60, 1.0 / 3.0, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.5 - 1e-9,
+     1.0 - 2.0 ** -53],
+    np.random.default_rng(11).random(400)])
+
+
+def test_tangent_phasor_matches_mp():
+    # (cos pi x, sin pi x) from one np.tan per site, against mp at 200 bits;
+    # the bound assumes np.tan within 4 ulp (it measured 0.53 ulp and an
+    # error of 3.5e-16 here)
+    c, s = _phasor(_ORACLE_X)
+    with mp.workprec(200):
+        err = max(max(abs(float(mp.cospi(mp.mpf(x)) - cx)),
+                      abs(float(mp.sinpi(mp.mpf(x)) - sx)))
+                  for x, cx, sx in zip(_ORACLE_X.tolist(), c.tolist(), s.tolist()))
+    assert err <= 2e-15, f"np.tan on this host is too inaccurate: phasor error {err:.3g}"
+
+
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("f_sign", [1, -1])
 def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
-    # f builds the chord product in place and applies the sign last; the
-    # sign is exact, so the values are those of the form it replaced
+    # f folds its sign into the first pole's constants and skips the product
+    # of a zero constant; both are exact, so f is bit for bit the open-coded
+    # product of the factors s (2 cos pi p) - c (2 sin pi p) on the same
+    # tangent phasor, with the sign applied first
     poles = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))[:m]
     pot = MeromorphicPotential(poles=poles, g=G_REGISTRY["const"](1.0),
                                label="custom", f_sign=f_sign)
     X = np.concatenate([np.random.default_rng(7).random(997),
                         [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53]])
     X = X.reshape(6, 167)
+    c, s = _phasor(X)
     old = np.full_like(X, float(f_sign))
-    for pl in poles:
-        old = old * (2.0 * np.sin(np.pi * (X - float(pl))))
+    for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
+        old = old * (s * cp - c * sp)
     assert np.array_equal(pot.f(X), old)
+
+
+@pytest.mark.parametrize("pot", [
+    make_maryland(1.0),
+    make_amo(2.0),
+    make_custom([Fraction(1, 3), Fraction(1, 3)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)], "cos2pi",
+                coupling=1.7),
+    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 5)], "sin2pi", coupling=2.5),
+    make_custom([Fraction(2, 7)], "const", coupling=-1.25),
+], ids=["maryland", "amo", "repeated-pole", "three-poles", "pole-near-0",
+        "sin2pi", "const"])
+def test_float_f_and_g_match_mp(pot):
+    # f and every registry g on arrays are polynomials in the tangent phasor;
+    # mp at 200 bits gives the exact values at the same binary x.  The
+    # bounds are absolute (a relative one cannot hold beside a pole or a
+    # zero of g): 2^m 4e-15 for f, |coupling| 4e-15 for g, about six times
+    # what they measured
+    F, G = pot.f(_ORACLE_X), pot.g(_ORACLE_X)
+    coupling = float(pot.g.fixed_phasor[0])
+    with mp.workprec(200):
+        f_err = max(abs(float(pot.f(mp.mpf(x)) - fx))
+                    for x, fx in zip(_ORACLE_X.tolist(), F.tolist()))
+        g_err = max(abs(float(pot.g(mp.mpf(x)) - gx))
+                    for x, gx in zip(_ORACLE_X.tolist(), G.tolist()))
+    assert f_err <= 2 ** pot.m * 4e-15, f"f error {f_err:.3g}: check np.tan"
+    assert g_err <= abs(coupling) * 4e-15, f"g error {g_err:.3g}: check np.tan"
 
 
 def test_f_product_check_pinned(maryland1):

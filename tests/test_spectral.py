@@ -87,6 +87,16 @@ def test_pole_policy_cap_flags_sites(maryland1):
     assert np.all(np.isfinite(eigs))
 
 
+def test_a_site_on_the_pole_is_flagged_at_small_coupling():
+    # on the pole the float f is of rounding size (4.4e-16), not 0, so g/f
+    # would read only about 5e9 at coupling 1e-6, under the cap; the site
+    # still reads as a pole
+    pot = make_maryland(1e-6)
+    eigs, flagged = truncated_spectrum(pot, Fraction(1, 2), golden_cf(20).value, 8)
+    assert flagged == [0]
+    assert np.all(np.isfinite(eigs))
+
+
 @pytest.mark.parametrize("N", [8, 256])
 @pytest.mark.parametrize("pot, theta, capped", [
     (make_amo(2.0), 0.1, []), (make_maryland(1.0), Fraction(1, 2), [0])],
@@ -171,3 +181,20 @@ def test_classification_serialisation_roundtrip():
     js = res.to_json_dict()
     assert js["rows"][0]["label"] == res.labels[0]
     assert 0.0 <= js["uncertain_fraction"] <= 1.0
+
+
+def test_classify_records_a_failing_energy_and_continues():
+    # E = 1e300 overflows the kernel; like lyapunov_scan, classify records
+    # the failure in its row and labels the other energies
+    pot = make_maryland(0.15)
+    cf = golden_cf(30)
+    d = delta_index(cf, Fraction(3, 8), pot.poles)
+    res = classify_regime(pot, Fraction(3, 8), cf.value, [-0.5, 1e300, 0.5],
+                          10000, d)
+    assert res.labels[1] == "NumericError"
+    assert all(lab in spectral.LABELS for lab in res.labels[::2])
+    assert math.isnan(res.L_values[1]) and math.isnan(res.uncertainty[1])
+    rows = list(res.rows())
+    assert rows[1][1] == "error" and math.isnan(rows[1][2])
+    alone = classify_regime(pot, Fraction(3, 8), cf.value, [-0.5, 0.5], 10000, d)
+    assert rows[::2] == list(alone.rows())
