@@ -108,18 +108,6 @@ def _poly_on_phasor(fixed, c: np.ndarray, s: np.ndarray,
     return np.multiply(poly(c, s), float(coupling), out=out)
 
 
-def _pole_factor(c, s, cp: float, sp: float, out, tmp):
-    """s cp - c sp into ``out`` (``tmp`` is scratch); a zero constant drops
-    its product, which changes no value."""
-    if sp == 0.0:
-        return np.multiply(s, cp, out=out)
-    if cp == 0.0:
-        return np.multiply(c, -sp, out=out)
-    np.multiply(s, cp, out=out)
-    np.multiply(c, sp, out=tmp)
-    return np.subtract(out, tmp, out=out)
-
-
 @dataclass(frozen=True)
 class MeromorphicPotential:
     """V = g/f with poles listed with multiplicity (repeats).
@@ -185,12 +173,8 @@ class MeromorphicPotential:
         exactly on a pole keeps an |f| of rounding size (4.4e-16 for the
         tangent model at x = 1/2), not 0.
         """
-        return 2.0 ** self.m * 4.0 * eps + self._f_slack
-
-    @functools.cached_property
-    def _f_slack(self) -> float:
-        """``_f_near_pole``'s additive term, 2^m (1 + max |p|) 1e-14."""
-        return 2.0 ** self.m * 1e-14 * (1.0 + max(abs(float(pl)) for pl in self.poles))
+        p_max = max(abs(float(pl)) for pl in self.poles)
+        return 2.0 ** self.m * (4.0 * eps + (1.0 + p_max) * 1e-14)
 
     def _f_and_g(self, x: np.ndarray, work,
                  with_g: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -207,10 +191,11 @@ class MeromorphicPotential:
             # f_sign prod_l 2 (s cos pi p_l - c sin pi p_l)
             f = work[0]
             for i, (cp, sp) in enumerate(self._pole_phasors):
-                if i == 0:
-                    _pole_factor(c, s, cp, sp, f, work[3])
-                else:
-                    f *= _pole_factor(c, s, cp, sp, work[3], work[4])
+                fac = work[3] if i else f
+                np.multiply(s, cp, out=fac)
+                fac -= np.multiply(c, sp, out=work[4])
+                if i:
+                    f *= fac
         if not with_g:
             return f, None
         if fixed is not None:

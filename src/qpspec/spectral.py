@@ -136,9 +136,12 @@ class RegimeClassification:
 
     @property
     def uncertain_fraction(self) -> float:
-        if not self.labels:
+        """Share of "uncertain" among the classified energies; a failed
+        energy counts in neither part."""
+        classified = [lab for lab in self.labels if lab in LABELS]
+        if not classified:
             return 0.0
-        return sum(1 for l in self.labels if l == "uncertain") / len(self.labels)
+        return classified.count("uncertain") / len(classified)
 
     def rows(self):
         """(E, L, uncertainty, label) per energy; a failed energy's L reads

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -198,3 +199,7 @@ def test_classify_records_a_failing_energy_and_continues():
     assert rows[1][1] == "error" and math.isnan(rows[1][2])
     alone = classify_regime(pot, Fraction(3, 8), cf.value, [-0.5, 0.5], 10000, d)
     assert rows[::2] == list(alone.rows())
+    # the failed row counts in neither part of the uncertain fraction
+    assert res.uncertain_fraction == alone.uncertain_fraction
+    mixed = dataclasses.replace(res, labels=("uncertain", "NumericError", "above-delta"))
+    assert mixed.uncertain_fraction == 0.5
