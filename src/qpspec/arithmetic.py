@@ -8,7 +8,11 @@ walks (the phase index, the resonant-phase check, the minimal sine and the
 sine product) all step through ``orbit_norms``, the exact member of the
 orbit layer: a P-bit fixed-point integer walk mod 2^P, P = cf.precision,
 that yields torus norms as integers in units of 2^-P.  Its float64 member is
-``potential.orbit`` and its site-value pass ``potential.site_values``.
+``potential.orbit`` and its site-value pass ``potential.site_values``.  The
+phase index takes the logs of those norms in a longdouble pass over blocks
+of them, and sends the few terms that Ziv's rounding test cannot round to
+the libmp line; ``gamma`` derives the bound, and imports numpy in its body,
+so the module needs none at import.
 ``sine_product`` is the one walk that forms the orbit sine product, for both
 ``sine_product_check`` and, one pole at a time,
 ``potential.f_product_check``, since |f(x)| = prod_l 2 sin(pi ||x - theta_l||).
@@ -23,6 +27,7 @@ Conventions fixed once:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,6 +75,12 @@ DIV_PREC = 128
 HORIZON = 1000
 # most orbit sites one window walk may take (q_n here, 3q for a certificate)
 SITE_BUDGET = 2_000_000
+# gamma takes the orbit norms this many at a time
+_GAMMA_BLOCK = 1024
+# ln 2 = _LN2_HI + _LN2_LO (Cody-Waite): 33 significant bits, and the double
+# nearest the rest
+_LN2_HI = float.fromhex("0x1.62e42fefp-1")
+_LN2_LO = float.fromhex("0x1.473de6af278edp-34")
 
 
 def ln_low(x):
@@ -488,11 +499,55 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     """Phase resonance index: limsup over n != 0 of -ln||2 theta + n alpha||/|n|.
 
     An exact (resolution-limited) resonance within the scan yields +inf with
-    the witnessing n recorded.  The walks are exact at cf.precision bits, the
-    log of the smaller of the two norms is taken at LOG_PREC.
+    the witnessing n recorded.  Level n is float(-ln(m 2^-P) / n), m the
+    smaller of the two torus norms of 2 theta +- n alpha, in units of 2^-P,
+    P = cf.precision, and it is the float the libmp line ``_mp_level``
+    returns, reached in three steps:
+
+      * the exact walk: ``orbit_norms`` yields the norms as integers, taken
+        in blocks of _GAMMA_BLOCK; the resolution floor is tested on a
+        block's norms before any log is taken;
+      * a longdouble pass over the block (``_ld_levels``), whose value y is
+        within eps = 2^-60 |y| of -ln(m 2^-P) / n;
+      * Ziv's rounding test (ACM TOMS 17(3), 1991): if y - eps and y + eps
+        round to the same double, that double is the level; otherwise the
+        term goes down the libmp line, about one term in 90.
+
+    The bound.  The pass writes m = (top + f) 2^(b - 64), b = m.bit_length(),
+    top the leading 64 bits of m and 0 <= f < 1, so that with t = top 2^-64
+    in [1/2, 1) and k = b - P <= 0, ln(m 2^-P) = ln t + k ln 2 + ln(1 + f/top).
+    It forms y = -((ln t + k _LN2_LO) + k _LN2_HI) / n in np.longdouble, of unit
+    roundoff u <= 2^-64.  The three terms of the sum are <= 0, so it does not
+    cancel, and m <= 2^(P-1) makes the exact log L at least ln 2 in
+    magnitude.  Relative to |L|:
+      * truncating m to top drops ln(1 + f/top) < 2^-63 <= 0.73 2^-62 |L|;
+      * the longdouble log is within 2^-62 |ln t| <= 2^-62 |L| (2 ulp: the
+        x87 logl of glibc is within 1, and tests/test_arithmetic.py checks
+        the bound against mp);
+      * ln 2 is split in the Cody-Waite way: _LN2_HI has 33 significant
+        bits, so k _LN2_HI is exact while |k| <= P/2 < 2^31, and _LN2_LO,
+        the double nearest ln 2 - _LN2_HI, is within 2^-87 of it; k _LN2_LO,
+        rounded, is within |k| 2^-86 < 2^-85 |L|;
+      * the two adds round partial sums no larger than |L| by u each:
+        0.5 2^-62 |L|.
+    The divide by n, which longdouble holds exactly, adds u.  So y is within
+    (0.73 + 1 + 0.5 + 0.25 + 2^-23) 2^-62 < 0.63 2^-60 of the exact level
+    Y = -L/n, relative.  The libmp line rounds m 2^-P and its log to 113 bits
+    and divides at 128, so its quotient is within 2^-100 |Y| of Y.
+
+    The test forms y - eps and y + eps, each rounded once to longdouble
+    (within u (1 + 2^-60) |y| of the exact value) and then once to a double.
+    If both give the same double D, every real between them rounds to D,
+    since rounding is monotone; they enclose y +- 0.93 2^-60 |y|, so Y and
+    the libmp quotient, and D is the level the libmp line returns.  Where
+    longdouble is a plain double (np.finfo(np.longdouble).nmant < 63),
+    every term takes the libmp line.
     """
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
+    import numpy as np  # not at module level: ``qpspec cf`` needs no numpy
+
+    levels_of = _ld_levels if np.finfo(np.longdouble).nmant >= 63 else _mp_levels
     levels: list[float] = []
     prec = cf.precision
     floor = 1 << (prec - prec // 2)  # 2^-(prec // 2) in units of 2^-prec
@@ -501,21 +556,67 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     # the two walks 2 theta + n alpha and 2 theta - n alpha for n >= 1
     walks = zip(orbit_norms(base + alpha, alpha, n_max, prec),
                 orbit_norms(base - alpha, -alpha, n_max, prec))
-    for n, (np_, nm_) in enumerate(walks, 1):
-        nrm = min(np_, nm_)
-        if nrm < floor:
+    while len(levels) < n_max:
+        norms = [a if a <= b else b for a, b in itertools.islice(walks, _GAMMA_BLOCK)]
+        hit = None
+        if min(norms) < floor:
+            hit = next(i for i, nrm in enumerate(norms) if nrm < floor)
+        levels += levels_of(norms[:hit], len(levels) + 1, prec)
+        if hit is not None:
+            n = len(levels) + 1
+            # the witness is n when 2 theta + n alpha is below the floor
+            plus = next(orbit_norms(base + n * alpha, alpha, 1, prec))
             return IndexValue(value=math.inf, per_level=tuple(levels),
                               tail_start=1, terms_used=n,
-                              witness=n if np_ < floor else -n,
+                              witness=n if plus < floor else -n,
                               resolution_limited=(n,))
-        # float(-ln_low(nrm) / n), on the libmp primitives; the quotient of a
-        # LOG_PREC-bit log by n < 2^59 is either a float midpoint or more than
-        # 2^-113 (relative) from every one, so its rounding to DIV_PREC >= 116
-        # bits rounds to the same float as the exact quotient
-        ln = mpf_log(from_man_exp(nrm, -prec, LOG_PREC, "n"), LOG_PREC, "n")
-        levels.append(to_float(mpf_div(mpf_neg(ln), from_int(n), DIV_PREC, "n"),
-                               rnd="n"))
     return _surrogate(levels)
+
+
+def _mp_level(nrm: int, n: int, prec: int) -> float:
+    """float(-ln_low(nrm 2^-prec) / n), the libmp line of ``gamma``.
+
+    Only the terms that Ziv's test in ``_ld_levels`` cannot round come here
+    (every term where longdouble is a plain double).  For them: the quotient
+    of a LOG_PREC-bit log by n < 2^59 is either a float midpoint or more than
+    2^-113 (relative) from every one, so its rounding to DIV_PREC >= 116 bits
+    rounds to the same float as the exact quotient.
+    """
+    ln = mpf_log(from_man_exp(nrm, -prec, LOG_PREC, "n"), LOG_PREC, "n")
+    return to_float(mpf_div(mpf_neg(ln), from_int(n), DIV_PREC, "n"), rnd="n")
+
+
+def _mp_levels(norms: list[int], n0: int, prec: int) -> list[float]:
+    """``_mp_level`` of each norm, the first at term index n0."""
+    return [_mp_level(nrm, n, prec) for n, nrm in enumerate(norms, n0)]
+
+
+def _ld_levels(norms: list[int], n0: int, prec: int) -> list[float]:
+    """``_mp_levels`` by the longdouble pass and Ziv's rounding test that
+    ``gamma`` describes and bounds; the terms the test cannot round take
+    ``_mp_level``."""
+    import numpy as np
+
+    ld, size = np.longdouble, len(norms)
+    # y = -((ln t + k _LN2_LO) + k _LN2_HI) / n, in place on few arrays
+    y = np.fromiter(((nrm << 64) >> nrm.bit_length() for nrm in norms),
+                    np.uint64, size).astype(ld)
+    y *= 2.0 ** -64
+    np.log(y, out=y)
+    k = np.fromiter(map(int.bit_length, norms), np.int64, size)
+    k -= prec
+    k = k.astype(ld)
+    y += k * _LN2_LO
+    k *= _LN2_HI
+    y += k
+    y /= np.arange(n0, n0 + size, dtype=ld)
+    np.negative(y, out=y)
+    eps = y * 2.0 ** -60
+    hi = (y + eps).astype(np.float64)
+    levels = hi.tolist()
+    for i in np.flatnonzero((y - eps).astype(np.float64) != hi).tolist():
+        levels[i] = _mp_level(norms[i], n0 + i, prec)
+    return levels
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,10 @@ def _csv(rows, header) -> str:
 
 
 def _index_csv(iv) -> str:
-    return _csv(((n, v) for n, v in enumerate(iv.per_level, start=1)),
-                ("level", "value"))
+    """``_csv`` of the (level, value) rows, formatted directly: "%.17g"
+    spells inf, -inf and nan as ``_fmt`` does."""
+    return "level,value\n" + "".join(["%d,%.17g\n" % row
+                                       for row in enumerate(iv.per_level, start=1)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,12 @@
+import ast
 import math
+import random
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,11 +32,19 @@ from qpspec import (
     sine_product_check,
     torus_norm,
 )
+from qpspec import arithmetic
 from qpspec.arithmetic import (
+    _GAMMA_BLOCK,
+    _LN2_HI,
+    _LN2_LO,
     HORIZON,
+    _ld_levels,
+    _mp_level,
+    _mp_levels,
     _surrogate,
     as_mpf,
     exact_fraction,
+    fixed_point,
     ln_low,
     orbit_norms,
     torus_norm_exact,
@@ -322,6 +335,26 @@ def _mp_gamma(cf, theta, n_max):
     return _surrogate(levels)
 
 
+def _libmp_gamma(cf, theta, n_max):
+    """gamma with every level from the libmp line ``_mp_level``, one term at
+    a time, and the resolution floor tested per term."""
+    prec = cf.precision
+    floor = 1 << (prec - prec // 2)
+    alpha = fixed_point(cf.value, prec)
+    base = 2 * fixed_point(theta, prec)
+    walks = zip(orbit_norms(base + alpha, alpha, n_max, prec),
+                orbit_norms(base - alpha, -alpha, n_max, prec))
+    levels = []
+    for n, (np_, nm_) in enumerate(walks, 1):
+        if min(np_, nm_) < floor:
+            return IndexValue(value=math.inf, per_level=tuple(levels),
+                              tail_start=1, terms_used=n,
+                              witness=n if np_ < floor else -n,
+                              resolution_limited=(n,))
+        levels.append(_mp_level(min(np_, nm_), n, prec))
+    return _surrogate(levels)
+
+
 def _mp_excluded_translate(cf, theta, pole):
     """The k in -HORIZON..HORIZON that _mp_orbit finds with theta within
     resolution of pole + k alpha, or None."""
@@ -354,20 +387,26 @@ def test_gamma_is_bit_identical_to_the_mp_walk(cf_name, theta):
           "golden(40)": lambda: golden_cf(40),
           "liouville(1.12, 5)": lambda: liouville_cf(1.12, 5)}[cf_name]()
     theta = Fraction(theta)
-    assert gamma(cf, theta, 2000) == _mp_gamma(cf, theta, 2000)
+    g = gamma(cf, theta, 2000)
+    assert g == _mp_gamma(cf, theta, 2000)
+    assert g == _libmp_gamma(cf, theta, 2000)
 
 
 def test_gamma_resonance_witness_matches_the_mp_walk():
     # 2 theta + k alpha = 1 + c 2^-(P // 2): a resonance below the
-    # resolution floor (c < 1) is +inf with witness k, as on the mp walk
+    # resolution floor (c < 1) is +inf with witness k after the same |k| - 1
+    # levels as on the mp walk, also at the first and the last term of a block
     cf = golden_cf(20)
     alpha = exact_fraction(cf.value)
     floor = Fraction(1, 1 << (cf.precision // 2))
-    for k, c in ((3, 0), (-5, 0), (3, Fraction(99, 100)), (-5, Fraction(-99, 100))):
-        theta = (1 - k * alpha + c * floor) / 2
-        g = gamma(cf, theta, 50)
-        assert g == _mp_gamma(cf, theta, 50)
-        assert (g.value, g.witness) == (math.inf, k)
+    n_max = _GAMMA_BLOCK + 50
+    for k in (3, -5, 1, -1, _GAMMA_BLOCK, -_GAMMA_BLOCK, _GAMMA_BLOCK + 1,
+              -_GAMMA_BLOCK - 1):
+        for c in (0, Fraction(99, 100) if k > 0 else Fraction(-99, 100)):
+            theta = (1 - k * alpha + c * floor) / 2
+            g = gamma(cf, theta, n_max)
+            assert g == _mp_gamma(cf, theta, n_max) == _libmp_gamma(cf, theta, n_max)
+            assert (g.value, g.witness, len(g.per_level)) == (math.inf, k, abs(k) - 1)
     # just above the floor the level is finite: -ln(c 2^-(P // 2)) / |k|,
     # to the 2^-P rounding of theta relative to the norm
     for k, c in ((3, Fraction(101, 100)), (-5, Fraction(-101, 100))):
@@ -417,3 +456,121 @@ def test_min_sine_index_tie_goes_to_the_smallest_j(golden40):
     assert j0 < 6
     assert j0 == norms.index(min(norms))
     assert float(val) == pytest.approx(math.sin(math.pi * float(norms[j0])), rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# gamma's longdouble pass against the libmp line it falls back to
+
+
+@pytest.fixture
+def mp_calls(monkeypatch):
+    """Count the terms that take the libmp line."""
+    calls = []
+
+    def counted(nrm, n, prec):
+        calls.append(n)
+        return _mp_level(nrm, n, prec)
+
+    monkeypatch.setattr(arithmetic, "_mp_level", counted)
+    return calls
+
+
+@pytest.mark.parametrize("theta", ["3/8", "1/8", "5/8", "7/8"])
+def test_gamma_equals_the_libmp_line_over_10000_terms(theta, mp_calls):
+    # the library's index configs: every level ==, and about one term in 90
+    # falls back
+    cf = liouville_cf(1.0, 4)
+    g = gamma(cf, Fraction(theta), 10000)
+    assert 10 < len(mp_calls) < 500
+    assert g == _libmp_gamma(cf, Fraction(theta), 10000)
+
+
+def test_longdouble_levels_match_the_libmp_line_at_every_bit_length():
+    # random norms between the resolution floor and 1/2, from 80 to 300 bits,
+    # so the leading 64 bits are both shifted down and (m < 2^64) up
+    rng = random.Random(5)
+    for prec in (80, 96, 127, 128, 129, 200, 300):
+        lo = prec - prec // 2
+        norms = [rng.getrandbits(rng.randint(lo + 1, prec - 1)) | (1 << lo)
+                 for _ in range(300)] + [1 << lo, 1 << (prec - 1)]
+        n0 = rng.randint(1, 5000)
+        assert _ld_levels(norms, n0, prec) == _mp_levels(norms, n0, prec)
+
+
+def test_levels_next_to_a_double_midpoint_take_the_fallback(mp_calls):
+    # m = round(e^(-n mu) 2^P), mu halfway between two adjacent doubles,
+    # puts -ln(m 2^-P) / n within 2^-200 of mu: Ziv's test cannot round it
+    prec, n0 = 300, 7
+    norms, n_of = [], []
+    with mp.workprec(600):
+        for i, y in enumerate((0.3, 0.75, 1.0, 2.0 / 3.0, 4.5)):
+            n = n0 + i
+            mu = (mp.mpf(y) + mp.mpf(math.nextafter(y, math.inf))) / 2
+            norms.append(int(mp.nint(mp.exp(-n * mu) * mp.mpf(2) ** prec)))
+            n_of.append(n)
+    levels = _ld_levels(norms, n0, prec)
+    assert mp_calls == n_of
+    assert levels == _mp_levels(norms, n0, prec)
+
+
+def test_longdouble_log_is_within_the_budget_of_gammas_bound():
+    # gamma's bound takes np.log on longdouble within 2^-62 relative on
+    # t = top 2^-64 in [1/2, 1); check it against mp on sampled tops
+    if np.finfo(np.longdouble).nmant < 63:
+        pytest.skip("longdouble is a plain double here: gamma takes the libmp line")
+    rng = random.Random(3)
+    tops = [1 << 63, (1 << 63) + 1, (1 << 64) - 1, (1 << 64) - 2, 3 << 62,
+            0xb504f333f9de6484] + [rng.getrandbits(63) | (1 << 63) for _ in range(2000)]
+    ld = np.longdouble
+    logs = np.log(np.array(tops, dtype=np.uint64).astype(ld) * ld(2.0 ** -64))
+    his = logs.astype(np.float64)
+    los = (logs - his).astype(np.float64)  # exact: the 64-bit log less its double
+    worst = 0.0
+    with mp.workprec(256):
+        for top, hi, lo in zip(tops, his.tolist(), los.tolist()):
+            exact = mp.log(mp.mpf(top) / mp.mpf(2) ** 64)
+            worst = max(worst, float(abs((mp.mpf(hi) + mp.mpf(lo) - exact) / exact)))
+    assert worst <= 2.0 ** -62, (
+        f"longdouble np.log on this host is too inaccurate for gamma's bound: "
+        f"relative error {worst:.3g} > 2^-62")
+
+
+def test_ln2_split_is_cody_waite():
+    hi = Fraction(_LN2_HI)
+    assert hi.denominator <= 1 << 33 and hi.numerator < 1 << 33  # 33 bits
+    with mp.workprec(300):
+        rest = exact_fraction(mp.log(2)) - hi
+    assert 0 < _LN2_LO and abs(Fraction(_LN2_LO) - rest) <= Fraction(1, 1 << 87)
+
+
+def test_gamma_without_an_extended_longdouble_takes_the_libmp_line(monkeypatch,
+                                                                   mp_calls):
+    real = np.finfo
+    monkeypatch.setattr(np, "finfo", lambda t: SimpleNamespace(nmant=52)
+                        if t is np.longdouble else real(t))
+    cf = liouville_cf(1.0, 4)
+    g = gamma(cf, Fraction(3, 8), 1500)
+    assert mp_calls == list(range(1, 1501))
+    assert g == _libmp_gamma(cf, Fraction(3, 8), 1500)
+
+
+def _module_level_imports(path):
+    """Names of the modules a file imports when it is imported: every import
+    outside a function body."""
+    stack = list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_arithmetic_imports_no_numpy_at_module_level():
+    # ``qpspec cf`` is to run without numpy: gamma imports it in its body
+    names = list(_module_level_imports(Path(arithmetic.__file__)))
+    assert "mpmath" in names
+    assert not [name for name in names if name.split(".")[0] == "numpy"]

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from qpspec.cli import main
+from qpspec.arithmetic import IndexValue
+from qpspec.cli import _csv, _index_csv, main
 
 GORDON_INI = """\
 [model]
@@ -102,6 +103,22 @@ def test_numbers_have_17_significant_digits(gordon_cfg, tmp_path):
         mantissa = re.sub(r"[-+.eE]", "", val.split("e")[0]).lstrip("0")
         assert len(mantissa) <= 17
         assert float(val)  # parses
+
+
+def test_index_csv_equals_the_generic_csv_writer():
+    # the direct writer against _csv/_fmt, on the values _fmt special-cases
+    # and on the extremes of the float range
+    per_level = (0.1, 1 / 3, -2.5, 0.0, -0.0, math.inf, -math.inf, math.nan,
+                 -math.nan, 5e-324, 2.2250738585072014e-308,
+                 1.7976931348623157e308, 123456789.0, 1e22, 0.0019099538582601702)
+    iv = IndexValue(value=math.inf, per_level=per_level, tail_start=1,
+                    terms_used=len(per_level))
+    expect = _csv(((n, v) for n, v in enumerate(per_level, start=1)),
+                  ("level", "value"))
+    assert _index_csv(iv) == expect
+    assert "\n5,-0\n" in expect and "\n8,nan\n" in expect
+    empty = IndexValue(value=0.0, per_level=(), tail_start=1, terms_used=0)
+    assert _index_csv(empty) == _csv((), ("level", "value")) == "level,value\n"
 
 
 def test_cf_roundtrip(gordon_cfg, tmp_path):
