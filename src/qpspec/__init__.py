@@ -7,7 +7,6 @@ from .arithmetic import (
     beta,
     cf_from_coeffs,
     cf_from_real,
-    cf_from_text,
     cf_to_text,
     delta_index,
     gamma,

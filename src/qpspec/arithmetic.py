@@ -50,7 +50,6 @@ __all__ = [
     "cf_from_coeffs",
     "cf_from_real",
     "cf_to_text",
-    "cf_from_text",
     "golden_cf",
     "silver_cf",
     "liouville_cf",
@@ -73,7 +72,8 @@ LOG_PREC = 113
 DIV_PREC = 128
 # delta_index rejects a phase on a pole's translate by k alpha, |k| <= HORIZON
 HORIZON = 1000
-# most orbit sites one window walk may take (q_n here, 3q for a certificate)
+# most orbit sites one window walk may take (q_n here, 3q for a certificate,
+# n_max for each of gamma's two walks)
 SITE_BUDGET = 2_000_000
 # gamma takes the orbit norms this many at a time
 _GAMMA_BLOCK = 1024
@@ -187,10 +187,6 @@ class ContinuedFraction:
     def depth(self) -> int:
         return len(self.coefficients)
 
-    @property
-    def convergents(self) -> list[tuple[int, int]]:
-        return list(zip(self.p, self.q))
-
     def as_fraction(self) -> Fraction:
         """The deepest convergent p_N/q_N, the exact finite surrogate."""
         return Fraction(self.p[-1], self.q[-1])
@@ -303,19 +299,6 @@ def cf_from_real(alpha, max_terms: int,
 def cf_to_text(cf: ContinuedFraction) -> str:
     """One decimal coefficient per line."""
     return "\n".join(str(a) for a in cf.coefficients) + "\n"
-
-
-def cf_from_text(text: str) -> ContinuedFraction:
-    lines = [ln.strip() for ln in text.splitlines()]
-    coeffs = []
-    for ln in lines:
-        if not ln or ln.startswith("#"):
-            continue
-        try:
-            coeffs.append(int(ln))
-        except ValueError as exc:
-            raise InvalidInputError(f"bad coefficient line: {ln!r}") from exc
-    return cf_from_coeffs(coeffs)
 
 
 def golden_cf(terms: int = 40) -> ContinuedFraction:
@@ -499,7 +482,8 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     """Phase resonance index: limsup over n != 0 of -ln||2 theta + n alpha||/|n|.
 
     An exact (resolution-limited) resonance within the scan yields +inf with
-    the witnessing n recorded.  Level n is float(-ln(m 2^-P) / n), m the
+    the witnessing n recorded; an n_max over SITE_BUDGET raises BudgetError
+    before the scan.  Level n is float(-ln(m 2^-P) / n), m the
     smaller of the two torus norms of 2 theta +- n alpha, in units of 2^-P,
     P = cf.precision, and it is the float the libmp line ``_mp_level``
     returns, reached in three steps:
@@ -545,6 +529,8 @@ def gamma(cf: ContinuedFraction, theta, n_max: int = 10000) -> IndexValue:
     """
     if n_max < 1:
         raise InvalidInputError("n_max must be >= 1")
+    if n_max > SITE_BUDGET:
+        raise BudgetError(f"n_max = {n_max} exceeds step budget {SITE_BUDGET}")
     import numpy as np  # not at module level: ``qpspec cf`` needs no numpy
 
     levels_of = _ld_levels if np.finfo(np.longdouble).nmant >= 63 else _mp_levels

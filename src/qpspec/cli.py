@@ -143,7 +143,10 @@ class RunConfig:
             raw = self._get("alpha", "coefficients")
             if raw is None:
                 fn = self._get("alpha", "file", required=True)
-                raw = (self.base / fn).read_text()
+                try:
+                    raw = (self.base / fn).read_text()
+                except (OSError, UnicodeDecodeError) as exc:
+                    raise ConfigError(f"[alpha] file not readable: {fn!r} ({exc})")
             try:
                 coeffs = [int(t) for t in raw.split()]
             except ValueError:

@@ -369,18 +369,12 @@ def _estimate(pot: MeromorphicPotential, E: float, alpha, n: int, grid: int,
 
 @dataclass(frozen=True)
 class UniformBoundReport:
-    """Per-phase margins ln||D_n(x)||/n - (L + eps); all should be <= ln(C)/n.
-
-    ``scalar_margins`` carries the one-dimensional analogue
-    (1/n) ln|prod h(x + l alpha)| - (mean ln|h| + eps) when a scalar factor
-    h was supplied.
-    """
+    """Per-phase margins ln||D_n(x)||/n - (L + eps); all should be <= ln(C)/n."""
 
     n: int
     epsilon: float
     L: float
     matrix_margins: tuple[float, ...]
-    scalar_margins: tuple[float, ...] = ()
 
     def max_constant(self) -> float:
         """Smallest C with ||D_n(x)|| <= C e^{n(L+eps)} over the samples."""
@@ -388,31 +382,15 @@ class UniformBoundReport:
 
 
 def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
-                        epsilon: float, sample_x,
-                        scalar_func=None,
-                        scalar_log_mean: float | None = None) -> UniformBoundReport:
+                        epsilon: float, sample_x) -> UniformBoundReport:
     """Check ||D_n(x)|| <= C e^{n(L+eps)} at sampled phases.
 
     L is the phase-averaged estimate at the same n, from the same engine
-    pass as the sampled phases.  A scalar factor (callable on numpy arrays)
-    with its torus mean of ln|h| can be supplied for the one-dimensional
-    version of the bound.
+    pass as the sampled phases.
     """
-    alpha_f = float(as_mpf(alpha))
     xs = np.asarray([float(as_mpf(x)) % 1.0 for x in sample_x], dtype=float)
     est, vals = _estimate(pot, E, alpha, n, 64, "D", xs)
     L = est.value
     margins = tuple(float(v - (L + epsilon)) for v in vals)
-    scalar_margins: tuple[float, ...] = ()
-    if scalar_func is not None:
-        if scalar_log_mean is None:
-            raise InvalidInputError("scalar factor needs its mean of ln|h|")
-        sm = []
-        for x in xs:
-            hv = np.abs(np.asarray(scalar_func(orbit(x, alpha_f, 0, n)), dtype=float))
-            hv = hv[hv > 0]
-            sm.append(float(np.sum(np.log(hv)) / n - (scalar_log_mean + epsilon)))
-        scalar_margins = tuple(sm)
     return UniformBoundReport(n=n, epsilon=epsilon, L=float(L),
-                              matrix_margins=margins,
-                              scalar_margins=scalar_margins)
+                              matrix_margins=margins)

@@ -29,9 +29,11 @@ It walks the phasor (cos pi x_j, sin pi x_j) as W-bit fixed-point integers,
 W = the working precision + ceil(log2(3q)) + 32, one integer rotation by
 (cos pi a, sin pi a) per site rounded to nearest, so the phasor's absolute
 error stays about 3q 2^-W before S_j is rounded to the working precision.
-f and every built-in g are integer polynomials in it; a user-supplied g goes
-through its ``g.phasor`` or is evaluated directly at x_j.  Every site within
-``eps_floor`` of a pole raises OrbitPoleError.  The fused loop runs on raw
+f and every built-in g are integer polynomials in it; a user-supplied g is
+evaluated directly at x_j.  S_j = (E f - g) / f is rounded once from the
+exact E f - g (a pole-free registry g rounds E - g once), and the pole
+factors of f are also the pole test: the first site within ``eps_floor`` of
+a pole raises OrbitPoleError.  The fused loop runs on raw
 libmp values: mpf_mul, mpf_add and mpf_sub at the working precision,
 rounding to nearest, are the calls the mpf operators make, so it gives the
 bits of the same expressions on mpf objects without building one per

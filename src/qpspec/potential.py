@@ -12,8 +12,10 @@ s = 2t/(1 + t^2)), so a site costs one SIMD ``np.tan`` and a few
 multiplies, with no sine or cosine: f is f_sign prod_l 2(s cos pi p_l -
 c sin pi p_l), with the pole constants rounded once per potential, and a
 registry g is coupling * poly(c, s) from its ``g.fixed_phasor``.
-``site_values`` walks the same phasor as fixed-point integers.  A g
-without ``fixed_phasor`` is evaluated at x.
+``site_values`` walks the same phasor as fixed-point integers.  It forms
+each site as S = (E f - g) / f from the exact integer E f - g (a g without
+``fixed_phasor`` is evaluated at x), and tests for poles on the same
+integer pole factors.
 
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
@@ -32,7 +34,7 @@ from typing import Callable, Sequence
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpf_div, mpf_sub, to_fixed
+from mpmath.libmp import from_man_exp, mpf_div, to_fixed
 
 from .arithmetic import (
     ContinuedFraction,
@@ -47,6 +49,7 @@ from .arithmetic import (
 from .errors import (
     DegenerateModelError,
     InvalidInputError,
+    NumericError,
     OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
@@ -407,35 +410,29 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
     fixed-point integers, W = prec + ceil(log2(n)) + 32 over the n sites:
     each site rotates it by (cos pi alpha, sin pi alpha) with three integer
     multiplies, each coordinate rounded to nearest, so its absolute error
-    stays about n 2^-W before the final rounding to prec.  f's pole factors
-    and a registry g's trig polynomial (``g.fixed_phasor``) are integer
-    polynomials in (c, s).  A user-supplied g is called through its
-    ``g.phasor(c, s)`` on mpf values of the integers, or else evaluated
-    directly at x_j.  On raw libmp values, a registry g's value
-    lam poly(c, s) is exact, g/f is formed at W bits, and S_j = E - g/f is
-    rounded once to prec.
+    stays about n 2^-W before the final rounding to prec.  On this walk:
 
-    A site within ``eps_floor`` of a pole raises OrbitPoleError with its j
-    (the first such site); float distances pick the sites that get the
-    exact check.
+      * f is f_sign times the pole factors 2 sin(pi (x_j - p)) =
+        2 (s cos pi p - c sin pi p), each an integer rounded to W bits
+        (f = 1 without poles, as in ``eval_V``);
+      * g is a registry g's lam poly(c, s) (``g.fixed_phasor``), exact, or
+        else a user g evaluated at x_j at W bits;
+      * S_j = (E f - g) / f, with E f - g formed exactly as an integer times
+        a power of 2 and the quotient rounded once to prec.  A pole-free
+        registry g skips the division: E - g is rounded once.
+
+    The pole test reads the same factors: |2 sin(pi (x - p))| rises with the
+    torus distance from x to p, so the first site with a factor no larger
+    than 2 sin(pi eps_floor) (at W bits) raises OrbitPoleError with its j and
+    its mp ``pole_distance``.  Up to the walk's error of about n 2^-W, this
+    is the test pole_distance(x_j) <= eps_floor.
     """
     n = stop - start
     prec = mp.mp.prec
     th = as_mpf(theta)
     av = as_mpf(alpha)
-    if pot.m:
-        # float phases are good to about (|theta| + |j|) 2^-52, far inside the
-        # 1e-6 margin, so only the sites it flags can lie within eps_floor
-        near = pot.pole_distance(orbit(float(th), float(av), start, stop))
-        for i in np.flatnonzero(near <= pot.eps_floor + 1e-6).tolist():
-            j = start + i
-            dist = pot.pole_distance(th + j * av)
-            if dist <= pot.eps_floor:
-                raise OrbitPoleError(f"pole within floor at orbit site {j}",
-                                     dist=float(dist), step=j)
     fixed = getattr(pot.g, "fixed_phasor", None)
-    g_phasor = getattr(pot.g, "phasor", None)
-    if fixed is None and g_phasor is None:
+    if fixed is None:
         xs = [th + j * av for j in range(start, stop)]
     W = prec + (n - 1).bit_length() + 32
     half = 1 << (W - 1)
@@ -444,11 +441,14 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
         def fix(v):
             return to_fixed(v._mpf_, W)
 
-        Ev = as_mpf(E)._mpf_
-        av = as_mpf(alpha)
-        x0 = as_mpf(theta) + start * av
+        e_sign, e_man, e_exp, _ = as_mpf(E)._mpf_
+        if not e_man and e_exp:
+            raise InvalidInputError(f"energy must be finite, got {E}")
+        e_int = -e_man if e_sign else e_man
+        aw = as_mpf(alpha)
+        x0 = as_mpf(theta) + start * aw
         c, s = fix(mp.cospi(x0)), fix(mp.sinpi(x0))
-        cu, su = fix(mp.cospi(av)), fix(mp.sinpi(av))
+        cu, su = fix(mp.cospi(aw)), fix(mp.sinpi(aw))
         sp_u, sm_u = su + cu, su - cu
         walk = []
         for _ in range(n):
@@ -463,32 +463,44 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
             sign, man, exp, _ = as_mpf(lam)._mpf_
             lam_man, g_exp = -man if sign else man, exp - degree * W
             if not pot.m:
-                # E - g as one integer times 2^e0, rounded once: the bits of
-                # the mpf_sub below, with one normalisation per site, not two
-                e_sign, e_man, e_exp, _ = Ev
+                # E - g as one integer times 2^e0, rounded once
                 e0 = min(e_exp, g_exp)
-                e_int = (-e_man if e_sign else e_man) << (e_exp - e0)
+                e_top = e_int << (e_exp - e0)
                 return [make(from_man_exp(
-                    e_int - (lam_man * poly(c, s) << (g_exp - e0)), e0, prec, "n"))
+                    e_top - (lam_man * poly(c, s) << (g_exp - e0)), e0, prec, "n"))
                     for c, s in walk]
-            gs = [from_man_exp(lam_man * poly(c, s), g_exp) for c, s in walk]
-        elif g_phasor is not None:
-            gs = [mp.mpf(g_phasor(make(from_man_exp(c, -W)),
-                                  make(from_man_exp(s, -W))))._mpf_
-                  for c, s in walk]
+            gs = ((lam_man * poly(c, s), g_exp) for c, s in walk)
         else:
-            gs = [mp.mpf(pot.g(x))._mpf_ for x in xs]
-        if pot.m:
-            # 2 sin(pi (x - p)) = 2 (s cos(pi p) - c sin(pi p)), rounded to W
-            # bits, for each pole p; f is their product in units of 2^(-m W)
-            poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
-                     for pl in pot.poles]
-            for i, (c, s) in enumerate(walk):
-                fv = pot.f_sign
-                for cp, sp in poles:
-                    fv *= (s * cp - c * sp + half) >> W
-                gs[i] = mpf_div(gs[i], from_man_exp(fv, -W * pot.m), W, "n")
-    return [make(mpf_sub(Ev, gv, prec, "n")) for gv in gs]
+            gs = (_man_exp(mp.mpf(pot.g(x)), j) for j, x in enumerate(xs, start))
+        poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
+                 for pl in pot.poles]
+        floor = fix(2 * mp.sinpi(min(pot.eps_floor, 0.5)))
+        f_sign, f_exp = (pot.f_sign if poles else 1), -W * pot.m
+        out = []
+        for j, (c, s), (g_man, g_exp) in zip(range(start, stop), walk, gs):
+            fv = f_sign
+            for cp, sp in poles:
+                fac = (s * cp - c * sp + half) >> W
+                if abs(fac) <= floor:
+                    with mp.workprec(prec):
+                        dist = pot.pole_distance(th + j * av)
+                    raise OrbitPoleError(f"pole within floor at orbit site {j}",
+                                         dist=float(dist), step=j)
+                fv *= fac
+            # E f - g exactly, as num 2^e0
+            e0 = min(e_exp + f_exp, g_exp)
+            num = (e_int * fv << (e_exp + f_exp - e0)) - (g_man << (g_exp - e0))
+            out.append(make(mpf_div(from_man_exp(num, e0),
+                                    from_man_exp(fv, f_exp), prec, "n")))
+    return out
+
+
+def _man_exp(v: mp.mpf, j: int) -> tuple[int, int]:
+    """A user g's value at orbit site j as a signed mantissa and exponent."""
+    sign, man, exp, _ = v._mpf_
+    if not man and exp:
+        raise NumericError(f"g is not finite at orbit site {j}: {v}")
+    return -man if sign else man, exp
 
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,

@@ -20,8 +20,6 @@ from qpspec import (
     beta,
     cf_from_coeffs,
     cf_from_real,
-    cf_from_text,
-    cf_to_text,
     delta_index,
     gamma,
     golden_cf,
@@ -158,11 +156,6 @@ def test_cf_from_real_rational_roundtrip():
     cf0 = cf_from_coeffs([2, 6, 1, 4, 3])
     cf1 = cf_from_real(cf0.as_fraction(), 10)
     assert cf1.coefficients == cf0.coefficients
-
-
-def test_cf_text_roundtrip():
-    cf = cf_from_coeffs([3, 1, 4, 1, 5, 9])
-    assert cf_from_text(cf_to_text(cf)).coefficients == cf.coefficients
 
 
 def test_liouville_growth_tracks_target():

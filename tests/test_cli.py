@@ -130,6 +130,20 @@ def test_cf_roundtrip(gordon_cfg, tmp_path):
     assert meta["q"][3] == "57"
 
 
+def test_cf_file_roundtrip(gordon_cfg, tmp_path):
+    # the alpha.cf that `qpspec cf` writes, read back through [alpha] file,
+    # gives the same alpha.cf and alpha.json
+    first = tmp_path / "first"
+    assert main(["cf", "--config", str(gordon_cfg), "--out", str(first)]) == 0
+    cfg = tmp_path / "fromfile.ini"
+    cfg.write_text(gordon_cfg.read_text().replace(
+        "kind = named\nname = liouville\nbeta_target = 1.0",
+        f"kind = coefficients\nfile = {first / 'alpha.cf'}"))
+    second = tmp_path / "second"
+    assert main(["cf", "--config", str(cfg), "--out", str(second)]) == 0
+    assert _tree_bytes(second) == _tree_bytes(first)
+
+
 def test_gordon_certificates(gordon_cfg, tmp_path):
     out = tmp_path / "out"
     assert main(["gordon", "--config", str(gordon_cfg), "--out", str(out)]) == 0
@@ -313,6 +327,24 @@ def test_level_over_the_site_budget_exits_4_without_traceback(gordon_cfg,
     assert not any(out.iterdir())
 
 
+def test_gamma_nmax_over_the_site_budget_exits_4_without_traceback(gordon_cfg,
+                                                                   tmp_path):
+    # gamma refuses the scan before it walks, and no index file is written
+    cfg = tmp_path / "deep.ini"
+    cfg.write_text(gordon_cfg.read_text().replace("gamma_nmax = 500",
+                                                  "gamma_nmax = 10000000000000"))
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qpspec", "indices", "--config", str(cfg),
+         "--out", str(out)], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    assert "n_max = 10000000000000 exceeds step budget" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not any(out.iterdir())
+
+
 def test_gordon_verbose_prints_a_stage_line_per_energy(gordon_cfg, tmp_path,
                                                        capsys):
     text = gordon_cfg.read_text().replace("values = 0.0", "values = 0.0 0.5")
@@ -405,9 +437,12 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
     ("indices", "theta = 3/8", "theta = abc", "[phase] theta"),
     ("gordon", "name = maryland", "name = custom\npoles = x:2\ng = sinpi",
      "[model] poles"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = coefficients\nfile = nope.txt", "[alpha] file"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
-        "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x"])
+        "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
+        "alpha-file-missing"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

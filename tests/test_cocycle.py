@@ -271,16 +271,6 @@ def test_uniform_bound_margins(amo2):
     assert rep.max_constant() >= 1.0 or max(rep.matrix_margins) < 0
 
 
-def test_uniform_bound_scalar_factor(maryland1):
-    cf = golden_cf(30)
-    rep = uniform_bound_check(
-        maryland1, 0.0, cf.value, 4000, epsilon=0.05,
-        sample_x=[0.1, 0.37], scalar_func=lambda xs: maryland1.f(xs),
-        scalar_log_mean=0.0)
-    assert len(rep.scalar_margins) == 2
-    assert max(rep.scalar_margins) <= 0.05
-
-
 def _sequential_ln_norm(pot, E, alpha, x, n, kind):
     """Oracle: (1/n) ln||M_n(x)|| from the plain step-by-step float product."""
     X = orbit(x, alpha, 0, n)

@@ -113,7 +113,7 @@ def test_gordon_matrices_consistency(amo2):
 
 
 def _user_g(x):
-    # deliberately without a ``phasor`` form: evaluated directly at each site
+    # a user g: evaluated directly at each site
     if isinstance(x, np.ndarray):
         return 1.0 + 0.5 * np.cos(2 * np.pi * x)
     return 1 + mp.cospi(2 * x) / 2
@@ -173,38 +173,6 @@ def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
         expect_log = float(mp.log(sup_inv))
     lhs, _ = gordon_lhs_uniform(mats)
     assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
-
-
-def test_user_g_phasor_matches_direct_evaluation():
-    # README contract: a user g may carry g.phasor(c, s), giving g(x) from
-    # c = cos(pi x) and s = sin(pi x); the pass then calls it at every site
-    # instead of g, and the matrices agree with the directly evaluated g to
-    # the tolerances of test_gordon_matrices_match_direct_products
-    calls = []
-
-    def g(x):
-        return _user_g(x)
-
-    def phasor(c, s):
-        calls.append(None)
-        return 1 + (c * c - s * s) / 2
-
-    g.phasor = phasor
-    q, E, theta, alpha = 13, 0.4, Fraction(1, 7), _GOLDEN.value
-    got = gordon_matrices(make_custom([Fraction(1, 3)], "user", g=g),
-                          E, theta, alpha, q)
-    assert len(calls) == 3 * q
-    expect = gordon_matrices(make_custom([Fraction(1, 3)], "user", g=_user_g),
-                             E, theta, alpha, q)
-    assert got.precision == expect.precision
-    with mp.workprec(expect.precision):
-        for name in ("A_back", "A_q", "A_2q"):
-            m = getattr(expect, name)
-            tol = 1e-40 * max(float(m.norm()), 1.0)
-            assert _mat_close(getattr(got, name), m, tol), name
-        for name in ("D_fwd", "D_back"):
-            gap = _rel_gap(getattr(got, name), getattr(expect, name))
-            assert gap < mp.mpf(2) ** -100, name
 
 
 @pytest.mark.parametrize("beta, q, bound", [(1.12, 276, 700),

@@ -9,6 +9,7 @@ import pytest
 from qpspec import (
     DegenerateModelError,
     InvalidInputError,
+    NumericError,
     OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
@@ -21,6 +22,7 @@ from qpspec import (
     make_custom,
     make_maryland,
 )
+from qpspec.arithmetic import as_mpf
 from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _phasor, orbit,
                               site_values)
 
@@ -250,8 +252,8 @@ def test_f_product_check_pinned_at_full_precision():
 
 
 def _first_pole_site(pot, theta, alpha, start, stop):
-    """The mp walk the float pre-filter replaced: the first site within
-    eps_floor of a pole, with its distance, or None."""
+    """The first site within eps_floor of a pole by the mp distance, with
+    that distance, or None."""
     for j in range(start, stop):
         dist = pot.pole_distance(theta + j * alpha)
         if dist <= pot.eps_floor:
@@ -261,8 +263,8 @@ def _first_pole_site(pot, theta, alpha, start, stop):
 
 @pytest.mark.parametrize("offset", ["1e-9", "-1e-9", "1e-14", "-1e-14"])
 def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
-    # site 5 sits `offset` from the pole at 1/2: 1e-9 is outside eps_floor
-    # (but inside the float pre-filter's margin), 1e-14 inside it
+    # site 5 sits `offset` from the pole at 1/2: 1e-9 is outside eps_floor,
+    # 1e-14 inside it
     cf = golden_cf(20)
     with mp.workprec(200):
         alpha = cf.value
@@ -277,6 +279,54 @@ def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
                 site_values(maryland1, 0.3, theta, alpha, -13, 26)
             assert (exc.value.step, exc.value.dist) == expect
     assert (expect is None) == (abs(float(offset)) > maryland1.eps_floor)
+
+
+@pytest.mark.parametrize("pot", [
+    make_maryland(1.0),
+    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5)], "cos2pi",
+                coupling=0.8),
+    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
+    dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
+], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
+def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(pot):
+    # the first, a middle and the last site of the window pass each pole, on
+    # either side, at eps_floor (1 -+ 1e-3): the pass reads its pole factors,
+    # so it must raise exactly when the 200-bit distance is within the
+    # floor, naming that site and its distance; the pole near 0 puts sites
+    # on both sides of 0, where the distance wraps
+    start, stop, eps = -13, 26, pot.eps_floor
+    hits, placed = [], []
+    with mp.workprec(200):
+        alpha = golden_cf(30).value
+        for pl in pot.poles:
+            for side in (-1, 1):
+                for tilt in (-1e-3, 1e-3):
+                    for j in (start, 6, stop - 1):
+                        theta = (as_mpf(pl) + side * eps * (1 + mp.mpf(tilt))
+                                 - j * alpha)
+                        expect = _first_pole_site(pot, theta, alpha, start, stop)
+                        hits.append(expect is not None and expect[0] == j)
+                        placed.append(tilt < 0)
+                        if expect is None:
+                            S = site_values(pot, 0.3, theta, alpha, start, stop)
+                            assert len(S) == stop - start
+                            continue
+                        with pytest.raises(OrbitPoleError) as exc:
+                            site_values(pot, 0.3, theta, alpha, start, stop)
+                        assert (exc.value.step, exc.value.dist) == expect
+    # the placed site is the first hit at tilt -1e-3, and no site hits at +1e-3
+    assert hits == placed
+
+
+def test_site_values_refuse_a_non_finite_energy_or_g():
+    # the pass reads E and a user g's values as integer mantissas, which
+    # would turn inf or nan into 0
+    alpha = golden_cf(30).value
+    with pytest.raises(InvalidInputError, match="energy must be finite"):
+        site_values(make_maryland(1.0), mp.inf, 0.1, alpha, 0, 5)
+    pot = make_custom([Fraction(1, 3)], "user", g=lambda x: mp.nan if x > 0.5 else 1)
+    with pytest.raises(NumericError, match="g is not finite at orbit site"):
+        site_values(pot, 0.3, 0.1, alpha, 0, 5)
 
 
 @pytest.mark.parametrize("name", sorted(G_REGISTRY))
