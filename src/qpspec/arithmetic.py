@@ -365,27 +365,9 @@ class IndexValue:
         hi_win = self.per_level[m - _ceil_div(m, 2):]
         return max(lo_win), max(hi_win)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "value": _json_num(self.value),
-            "per_level": [_json_num(v) for v in self.per_level],
-            "tail_start": self.tail_start,
-            "terms_used": self.terms_used,
-            "witness": self.witness,
-            "resolution_limited": list(self.resolution_limited),
-        }
-
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-def _json_num(v: float):
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    if math.isnan(v):
-        return "nan"
-    return v
 
 
 def _surrogate(per_level: Sequence[float], **kw) -> IndexValue:

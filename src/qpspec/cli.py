@@ -2,9 +2,10 @@
 
 Subcommands: indices | lyapunov | gordon | classify | cf.  Configuration is a
 flat INI file (key = value under sections); unknown sections or keys are
-rejected.  All numeric output is serialised with 17 significant digits and a
-deterministic ordering, so identical config + seed reproduces byte-identical
-files.
+rejected.  Every output file is spelled here, and identical configs give
+byte-identical files.  CSV numbers have 17 significant digits.  JSON files
+are strict JSON (RFC 8259) written by ``_write_json``: floats are the
+shortest round-trip ``repr``, +-inf is written "inf" / "-inf" and nan null.
 
 Exit codes: 0 ok, 2 config, 3 io, 4 range, 5 numeric.
 """
@@ -36,7 +37,7 @@ from .arithmetic import (
 from .errors import ConfigError, OutputError, QPSpecError
 from .gordon import _check_levels, exclusion_certificate
 from .potential import make_amo, make_custom, make_maryland
-from .spectral import classify_regime, lyapunov_scan
+from .spectral import LABELS, classify_regime, lyapunov_scan
 
 _SCHEMA = {
     "model": {"name", "coupling", "poles", "g"},
@@ -52,14 +53,15 @@ _SCHEMA = {
 
 _LYAPUNOV_KINDS = ("A", "D")
 
+# the GordonCertificate fields in certificates.csv, in column order;
+# certificates.json also has the level
+_CERT_COLUMNS = ("E", "q", "lhs_square_log", "lhs_inverse_log", "trace",
+                 "max_norm", "empirical_rate", "verdict")
+_CLASSIFY_COLUMNS = ("E", "L", "margin", "label")
+
 
 def _fmt(x) -> str:
-    x = float(x)
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return format(x, ".17g")
+    return format(float(x), ".17g")  # inf, -inf and nan spelled as such
 
 
 class RunConfig:
@@ -256,6 +258,26 @@ def _write(path: Path, text: str, verbose: bool):
         print(f"wrote {path}", file=sys.stderr)
 
 
+def _json_value(x):
+    """``x`` with the one non-finite rule of the JSON files applied: +-inf
+    becomes "inf" / "-inf" and nan None, so that no float left is out of
+    strict JSON's range."""
+    if isinstance(x, float):
+        if math.isfinite(x):
+            return x
+        return None if math.isnan(x) else ("inf" if x > 0 else "-inf")
+    if isinstance(x, dict):
+        return {k: _json_value(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_json_value(v) for v in x]
+    return x
+
+
+def _write_json(path: Path, obj, verbose: bool):
+    _write(path, json.dumps(_json_value(obj), sort_keys=True, indent=1,
+                            allow_nan=False) + "\n", verbose)
+
+
 def _csv(rows, header) -> str:
     lines = [",".join(header)]
     for row in rows:
@@ -284,8 +306,7 @@ def cmd_cf(cfg: RunConfig, out: Path, args) -> int:
         "q": [str(qn) for qn in cf.q],
         "p": [str(pn) for pn in cf.p],
     }
-    _write(out / "alpha.json", json.dumps(meta, sort_keys=True, indent=1) + "\n",
-           args.verbose)
+    _write_json(out / "alpha.json", meta, args.verbose)
     return 0
 
 
@@ -300,11 +321,10 @@ def cmd_indices(cfg: RunConfig, out: Path, args) -> int:
     _write(out / "beta.csv", _index_csv(b), args.verbose)
     _write(out / "gamma.csv", _index_csv(g), args.verbose)
     _write(out / "delta.csv", _index_csv(d), args.verbose)
-    summary = {"beta": b.to_json_dict(), "gamma": g.to_json_dict(),
-               "delta": d.to_json_dict(), "model": pot.label}
-    _write(out / "indices.json",
-           json.dumps(summary, sort_keys=True, indent=1, default=_fmt)
-           + "\n", args.verbose)
+    # an IndexValue is written as its fields
+    _write_json(out / "indices.json", {"beta": vars(b), "gamma": vars(g),
+                                       "delta": vars(d), "model": pot.label},
+                args.verbose)
     return 0
 
 
@@ -350,22 +370,23 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
                 f"level {c_.level} q={c_.q} {c_.precision} bits "
                 f"matrices {c_.matrices_s:.3f} s" for c_ in certs),
                 file=sys.stderr)
-        all_certs.extend(c_.to_json_dict() for c_ in certs)
-    _write(out / "certificates.json",
-           json.dumps(all_certs, sort_keys=True, indent=1,
-                      default=_fmt) + "\n", args.verbose)
-    rows = [(c_["E"], c_["q"], c_["lhs_square_log"], c_["lhs_inverse_log"],
-             c_["trace"], c_["max_norm"], c_["empirical_rate"], c_["verdict"])
-            for c_ in all_certs]
-    _write(out / "certificates.csv",
-           _csv(rows, ("E", "q", "lhs_square_log", "lhs_inverse_log", "trace",
-                       "max_norm", "empirical_rate", "verdict")), args.verbose)
+        all_certs.extend(certs)
+    _write_json(out / "certificates.json",
+                [{k: getattr(c_, k) for k in _CERT_COLUMNS + ("level",)}
+                 for c_ in all_certs], args.verbose)
+    rows = [[getattr(c_, k) for k in _CERT_COLUMNS] for c_ in all_certs]
+    _write(out / "certificates.csv", _csv(rows, _CERT_COLUMNS), args.verbose)
     return 0
 
 
 def cmd_classify(cfg: RunConfig, out: Path, args) -> int:
     pot = cfg.potential()
     cf = cfg.alpha_cf()
+    # classify_regime's own checks, made here to name the keys
+    if cf.depth < 9:
+        raise ConfigError(f"[alpha] gives {cf.depth} continued-fraction "
+                          "coefficients; classify needs >= 9 for an index "
+                          "surrogate of >= 8 levels")
     theta = cfg.theta()
     n = cfg.depth("lyapunov_n", 100000)
     if n < 10_000:
@@ -374,11 +395,18 @@ def cmd_classify(cfg: RunConfig, out: Path, args) -> int:
     energies = cfg.energy_grid()
     d = delta_index(cf, theta, pot.poles)
     res = classify_regime(pot, theta, cf.value, energies, n, d, grid=grid)
-    _write(out / "classify.csv",
-           _csv(res.rows(), ("E", "L", "margin", "label")), args.verbose)
-    _write(out / "classify.json",
-           json.dumps(res.to_json_dict(), sort_keys=True, indent=1,
-                      default=_fmt) + "\n", args.verbose)
+    # a failed energy's L is written "error" and its nan margin "nan" in
+    # CSV and null in JSON
+    rows = [(e, L if lab in LABELS else "error", u, lab)
+            for e, L, u, lab in zip(res.energies, res.L_values,
+                                    res.uncertainty, res.labels)]
+    _write(out / "classify.csv", _csv(rows, _CLASSIFY_COLUMNS), args.verbose)
+    _write_json(out / "classify.json", {
+        "delta_hat": vars(res.delta_hat), "delta_lower": res.delta_lower,
+        "delta_upper": res.delta_upper,
+        "uncertain_fraction": res.uncertain_fraction,
+        "rows": [dict(zip(_CLASSIFY_COLUMNS, row)) for row in rows],
+    }, args.verbose)
     return 0
 
 

@@ -568,13 +568,6 @@ class GordonCertificate:
     precision: int
     matrices_s: float = field(default=0.0, compare=False, repr=False)
 
-    def to_json_dict(self) -> dict:
-        return {"E": self.E, "q": self.q, "level": self.level,
-                "lhs_square_log": self.lhs_square_log,
-                "lhs_inverse_log": self.lhs_inverse_log,
-                "trace": self.trace, "max_norm": self.max_norm,
-                "empirical_rate": self.empirical_rate, "verdict": self.verdict}
-
 
 def _check_levels(cf: ContinuedFraction, levels) -> None:
     """Reject, before any work, a level outside 1..depth (RangeError) and a

@@ -143,26 +143,6 @@ class RegimeClassification:
             return 0.0
         return classified.count("uncertain") / len(classified)
 
-    def rows(self):
-        """(E, L, uncertainty, label) per energy; a failed energy's L reads
-        "error"."""
-        for e, L, u, lab in zip(self.energies, self.L_values,
-                                self.uncertainty, self.labels):
-            yield e, L if lab in LABELS else "error", u, lab
-
-    def to_json_dict(self) -> dict:
-        return {
-            "delta_hat": self.delta_hat.to_json_dict(),
-            "delta_lower": self.delta_lower,
-            "delta_upper": self.delta_upper,
-            "uncertain_fraction": self.uncertain_fraction,
-            # a failed row's nan margin is written as null, since NaN is
-            # not JSON
-            "rows": [{"E": e, "L": L, "margin": None if math.isnan(u) else u,
-                      "label": lab}
-                     for e, L, u, lab in self.rows()],
-        }
-
 
 LABELS = ("sc-candidate", "above-delta", "uncertain")
 

@@ -398,6 +398,58 @@ def test_readme_example_config_runs(tmp_path):
     assert js["model"] == "maryland"
 
 
+OVERFLOW_INI = """\
+[model]
+name = amo
+coupling = 20
+
+[alpha]
+kind = named
+name = golden
+terms = 30
+
+[phase]
+theta = 1/10
+
+[energies]
+kind = list
+values = 0.5
+
+[depths]
+gordon_levels = 5 13
+lyapunov_n = 20000
+"""
+
+
+@pytest.mark.parametrize("config", ["readme", "overflow"])
+def test_every_json_file_is_strict_json(tmp_path, config):
+    # RFC 8259 has no Infinity or NaN: a non-finite float is written "inf",
+    # "-inf" or null.  At q = 377 the overflow config's trace and max_norm
+    # overflow a double.
+    if config == "readme":
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        # the README's 4-term frequency is too shallow for classify
+        subs = ("cf", "indices", "gordon")
+    else:
+        text = OVERFLOW_INI
+        subs = ("cf", "indices", "gordon", "classify")
+    cfg = tmp_path / "run.ini"
+    cfg.write_text(text)
+    for sub in subs:
+        assert main([sub, "--config", str(cfg), "--out", str(tmp_path / sub)]) == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert len(written) == len(subs)
+    for path in written:
+        json.loads(path.read_text(),
+                   parse_constant=lambda c: pytest.fail(f"{c} in {path.name}"))
+    if config == "overflow":
+        certs = json.loads((tmp_path / "gordon" / "certificates.json").read_text())
+        assert certs[1]["q"] == 377
+        assert certs[1]["trace"] == certs[1]["max_norm"] == "inf"
+        assert ",inf,inf," in (tmp_path / "gordon" / "certificates.csv").read_text()
+
+
 @pytest.mark.parametrize("section,key", [
     ("model", "g_lipschitz"), ("depths", "cf_levels"), ("output", "formats"),
 ])
@@ -439,10 +491,12 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
      "[model] poles"),
     ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
      "kind = coefficients\nfile = nope.txt", "[alpha] file"),
+    ("classify", "name = liouville\nbeta_target = 1.0\nterms = 4",
+     "name = golden\nterms = 6", "[alpha]"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
         "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
-        "alpha-file-missing"])
+        "alpha-file-missing", "classify-shallow-alpha"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

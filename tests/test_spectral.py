@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from qpspec import (
     truncated_spectrum,
 )
 from qpspec import spectral
+from qpspec.cli import main
 from qpspec.spectral import classify_label
 
 
@@ -174,14 +176,27 @@ def test_classify_guards():
                         20000, shallow)
 
 
-def test_classification_serialisation_roundtrip():
+def test_classification_serialisation_roundtrip(tmp_path):
+    # classify.json as `qpspec classify` writes it reads back as the
+    # classification it was written from
+    cfg = tmp_path / "cls.ini"
+    cfg.write_text("[model]\nname = amo\ncoupling = 3.0\n"
+                   "[alpha]\nkind = named\nname = golden\nterms = 30\n"
+                   "[phase]\ntheta = 1/7\n[energies]\nvalues = 0.0\n"
+                   "[depths]\nlyapunov_n = 10000\n")
+    assert main(["classify", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 0
+    js = json.loads((tmp_path / "o" / "classify.json").read_text())
     pot = make_amo(3.0)
     cf = golden_cf(30)
     d = delta_index(cf, Fraction(1, 7), pot.poles)
     res = classify_regime(pot, Fraction(1, 7), cf.value, [0.0], 10000, d)
-    js = res.to_json_dict()
-    assert js["rows"][0]["label"] == res.labels[0]
+    assert js["rows"] == [{"E": 0.0, "L": res.L_values[0],
+                           "margin": res.uncertainty[0], "label": res.labels[0]}]
+    assert js["uncertain_fraction"] == res.uncertain_fraction
     assert 0.0 <= js["uncertain_fraction"] <= 1.0
+    assert (js["delta_lower"], js["delta_upper"]) == d.band()
+    assert js["delta_hat"]["per_level"] == list(d.per_level)
 
 
 def test_classify_records_a_failing_energy_and_continues():
@@ -195,10 +210,10 @@ def test_classify_records_a_failing_energy_and_continues():
     assert res.labels[1] == "NumericError"
     assert all(lab in spectral.LABELS for lab in res.labels[::2])
     assert math.isnan(res.L_values[1]) and math.isnan(res.uncertainty[1])
-    rows = list(res.rows())
-    assert rows[1][1] == "error" and math.isnan(rows[1][2])
     alone = classify_regime(pot, Fraction(3, 8), cf.value, [-0.5, 0.5], 10000, d)
-    assert rows[::2] == list(alone.rows())
+    assert res.L_values[::2] == alone.L_values
+    assert res.uncertainty[::2] == alone.uncertainty
+    assert res.labels[::2] == alone.labels
     # the failed row counts in neither part of the uncertain fraction
     assert res.uncertain_fraction == alone.uncertain_fraction
     mixed = dataclasses.replace(res, labels=("uncertain", "NumericError", "above-delta"))
