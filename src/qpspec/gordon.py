@@ -17,12 +17,14 @@ has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]: the inverse
 difference is adj(D-), with the norm of D-.
 
 Working precision is max(2 log2||M||, log2(1/|h|)) + 192 bits.  ||M|| bounds
-the three products, from a float walk over [-q, 0) and [0, 2q); the min-max
-over directions needs about 2 log2||M|| + 128 bits.  The log2(1/|h|) term
-(h taken exactly from alpha's value) keeps at least 192 bits of every site
-difference s - s+- under plain subtraction, so the differences come out to
-about 128 relative bits however small they are.  There is no resolution
-floor: only an exactly zero difference, or h = 0, raises NumericError.
+the three products, read off one float walk (``_window_walks``): A_q and
+A_{2q} are forward states, and a backward state holds the adjugate of
+A_q(theta - q a).  The min-max over directions needs about
+2 log2||M|| + 128 bits.  The log2(1/|h|) term (h taken exactly from
+alpha's value) keeps at least 192 bits of every site difference s - s+-
+under plain subtraction, so the differences come out to about 128
+relative bits however small they are.  There is no resolution floor: only
+an exactly zero difference, or h = 0, raises NumericError.
 
 The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
 It walks the phasor (cos pi x_j, sin pi x_j) as W-bit fixed-point integers,
@@ -40,8 +42,8 @@ bits of the same expressions on mpf objects without building one per
 operation.  A level whose 3q sites exceed ``arithmetic.SITE_BUDGET`` is
 refused before any work (``_check_levels``).
 
-The same pass feeds ``solve_recurrence``; the float walks (the precision
-pre-pass and ``bounded_candidate``) take their phases from
+The same pass feeds ``solve_recurrence``.  The float walk, which serves the
+precision pre-pass and ``bounded_candidate``, takes its phases from
 ``potential.orbit``.
 
 The certificate quantifies over every initial direction v in closed form
@@ -58,7 +60,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
@@ -121,19 +123,18 @@ class SolutionSegment:
         a, b = self.vec(k)
         return float(mp.sqrt(a * a + b * b))
 
-    def max_residual(self, pot: MeromorphicPotential,
-                     precision: int | None = None) -> float:
-        """Largest relative residual of the three-term recurrence."""
+    def max_residual(self, pot: MeromorphicPotential) -> float:
+        """Largest relative residual of the three-term recurrence, at the
+        current working precision."""
         from .potential import eval_V
 
         worst = 0.0
-        with mp.workprec(precision or mp.mp.prec):
-            for k in range(self.k_min + 1, self.k_max):
-                v = eval_V(pot, self.theta + k * self._alpha)
-                lhs = self.phi(k + 1) + self.phi(k - 1) + v * self.phi(k)
-                rhs = self.E * self.phi(k)
-                scale = max(abs(lhs), abs(rhs), abs(v * self.phi(k)), 1)
-                worst = max(worst, float(abs(lhs - rhs) / scale))
+        for k in range(self.k_min + 1, self.k_max):
+            v = eval_V(pot, self.theta + k * self._alpha)
+            lhs = self.phi(k + 1) + self.phi(k - 1) + v * self.phi(k)
+            rhs = self.E * self.phi(k)
+            scale = max(abs(lhs), abs(rhs), abs(v * self.phi(k)), 1)
+            worst = max(worst, float(abs(lhs - rhs) / scale))
         return worst
 
     # alpha is needed for residuals; carried out-of-band to keep values compact
@@ -141,9 +142,9 @@ class SolutionSegment:
 
 
 def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
-                     k_range: tuple[int, int], alpha,
-                     precision: int | None = None) -> SolutionSegment:
-    """Fill phi over [k_min, k_max] in both directions from (phi_0, phi_{-1}).
+                     k_range: tuple[int, int], alpha) -> SolutionSegment:
+    """Fill phi over [k_min, k_max] in both directions from (phi_0, phi_{-1}),
+    at the current working precision.
 
     The initial pair is normalised to unit length.  The values depend on the
     sites (k_min, k_max) only, whose s_k = E - V(theta + k alpha) come from
@@ -153,29 +154,25 @@ def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
     k_min, k_max = k_range
     if k_min > -1 or k_max < 0:
         raise RangeError("window must contain [-1, 0]")
-    if precision is None:
-        precision = mp.mp.prec
-    with mp.workprec(precision):
-        av = as_mpf(alpha)
-        th = as_mpf(theta)
-        v0 = as_mpf(initial[0])
-        v1 = as_mpf(initial[1])
-        nrm = mp.sqrt(v0 * v0 + v1 * v1)
-        if nrm == 0:
-            raise InvalidInputError("initial vector must be nonzero")
-        v0, v1 = v0 / nrm, v1 / nrm
-        S = site_values(pot, E, theta, alpha, k_min + 1, k_max)
-        i0 = -k_min - 1  # S[i0] is site 0
-        fwd = [v1, v0]  # forward: phi_{k+1} = s_k phi_k - phi_{k-1}
-        for s in S[i0:]:
-            fwd.append(s * fwd[-1] - fwd[-2])
-        bwd = [v0, v1]  # backward: phi_{k-1} = s_k phi_k - phi_{k+1}
-        for s in reversed(S[:i0]):
-            bwd.append(s * bwd[-1] - bwd[-2])
-        values = tuple(bwd[:0:-1] + fwd[1:])  # phi_{k_min} .. phi_{k_max}
-        return SolutionSegment(E=float(E), theta=th, initial=(v0, v1),
-                               k_min=k_min, k_max=k_max, values=values,
-                               _alpha=av)
+    av = as_mpf(alpha)
+    th = as_mpf(theta)
+    v0 = as_mpf(initial[0])
+    v1 = as_mpf(initial[1])
+    nrm = mp.sqrt(v0 * v0 + v1 * v1)
+    if nrm == 0:
+        raise InvalidInputError("initial vector must be nonzero")
+    v0, v1 = v0 / nrm, v1 / nrm
+    S = site_values(pot, E, theta, alpha, k_min + 1, k_max)
+    i0 = -k_min - 1  # S[i0] is site 0
+    fwd = [v1, v0]  # forward: phi_{k+1} = s_k phi_k - phi_{k-1}
+    for s in S[i0:]:
+        fwd.append(s * fwd[-1] - fwd[-2])
+    bwd = [v0, v1]  # backward: phi_{k-1} = s_k phi_k - phi_{k+1}
+    for s in reversed(S[:i0]):
+        bwd.append(s * bwd[-1] - bwd[-2])
+    values = tuple(bwd[:0:-1] + fwd[1:])  # phi_{k_min} .. phi_{k_max}
+    return SolutionSegment(E=float(E), theta=th, initial=(v0, v1),
+                           k_min=k_min, k_max=k_max, values=values, _alpha=av)
 
 
 # ---------------------------------------------------------------------------
@@ -214,24 +211,47 @@ def _shift_bits(alpha, q: int) -> int:
     return h.denominator.bit_length() - abs(h.numerator).bit_length() + 1
 
 
-def _log2_norm_bound(pot: MeromorphicPotential, E: float, alpha: float,
-                     theta: float, q: int) -> float:
-    """Float pre-pass: an upper estimate of log2 of the largest of
-    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, from walks over
-    [-q, 0) and [0, 2q) rescaled whenever an entry passes 2^64."""
-    S = (E - pot.V_array(orbit(theta, alpha, -q, 2 * q), cap=1e250)).tolist()
+def _window_walks(pot: MeromorphicPotential, E, theta, alpha,
+                  q: int) -> Iterator[tuple]:
+    """The float walk over the window [-q-1, 2q): yields 3q+1 states
+    (a, b, c, d, scale) that stand for [[a, b], [c, d]] 2^scale, rescaled
+    whenever the top row passes 2^64.  They come one at a time, so a caller
+    that reads a few of them keeps none of the others: in a fresh process,
+    holding all of them in new memory costs more than the walk itself.
 
-    def walk(sites, a=1.0, b=0.0, c=0.0, d=1.0, scale=0.0):
+    State k < 2q is A_{k+1}(theta), the forward product over sites 0..k.
+    State 2q + j is the product of the inverse steps [[0, 1], [-1, s]] over
+    sites -1..-1-j with its rows swapped: since
+    swap [[0, 1], [-1, s]] swap = [[s, -1], [1, 0]], it is the same walk
+    started from the row swap.  So every state maps (phi_0, phi_{-1}) to a
+    pair of consecutive phi at the window's sites, up to the row order.
+    """
+    x = orbit(float(as_mpf(theta)) % 1.0, float(as_mpf(alpha)), -q - 1, 2 * q)
+    # a site on a pole reads about 1e300; the cap keeps s a - c finite
+    S = (float(E) - np.clip(pot.V_array(x), -1e250, 1e250)).tolist()
+    # forward over sites 0..2q-1 from the identity, back over -1..-q-1
+    # from the row swap
+    for sites, (a, b, c, d) in ((S[q + 1:], (1.0, 0.0, 0.0, 1.0)),
+                                (S[q::-1], (0.0, 1.0, 1.0, 0.0))):
+        scale = 0.0
         for s in sites:
             a, b, c, d = s * a - c, s * b - d, a, b
             m = max(abs(a), abs(b))
             if m > 2.0 ** 64:
                 scale += math.log2(m)
                 a, b, c, d = a / m, b / m, c / m, d / m
-        return a, b, c, d, scale
+            yield a, b, c, d, scale
 
-    fwd = walk(S[q:2 * q])
-    ends = (walk(S[:q]), fwd, walk(S[2 * q:], *fwd))
+
+def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
+                     q: int) -> float:
+    """Float pre-pass: an upper estimate of log2 of the largest of
+    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, read off states q-1,
+    2q-1 and 3q-1 of ``_window_walks``: A_q, A_{2q} and, after sites
+    -1..-q, the adjugate of A_q(theta - q alpha) with its rows swapped,
+    which holds the same entries up to sign."""
+    ends = itertools.islice(_window_walks(pot, E, theta, alpha, q),
+                            q - 1, 3 * q, q)
     # the largest entry is within a factor 2 of the spectral norm
     return max(scale + math.log2(max(abs(a), abs(b), abs(c), abs(d)))
                for a, b, c, d, scale in ends) + 1
@@ -252,8 +272,7 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     h_bits = _shift_bits(alpha, q)
-    norm_bits = _log2_norm_bound(pot, float(E), float(as_mpf(alpha)),
-                                 float(as_mpf(theta)) % 1.0, q)
+    norm_bits = _log2_norm_bound(pot, E, theta, alpha, q)
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     with mp.workprec(precision):
         S = [v._mpf_ for v in site_values(pot, E, theta, alpha, -q, 2 * q)]
@@ -407,25 +426,6 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
 # the bounded candidate of the smallness check
 
 
-def _walk(steps) -> tuple[np.ndarray, np.ndarray]:
-    """Running products M_k = steps[k] ... steps[0] of 2x2 float steps, each
-    rescaled to unit size whenever its entries leave [1e-100, 1e100]; returns
-    the log scales and the stacked rescaled products."""
-    ls = np.empty(len(steps))
-    mats = np.empty((len(steps), 2, 2))
-    m = np.eye(2)
-    scale = 0.0
-    for k, step in enumerate(steps):
-        m = step @ m
-        s = np.max(np.abs(m))
-        if s > 1e100 or s < 1e-100:
-            scale += math.log(s)
-            m = m / s
-        ls[k] = scale
-        mats[k] = m
-    return ls, mats
-
-
 def _ln_max_norm(ls: np.ndarray, mats: np.ndarray, psis) -> np.ndarray:
     """max over k of ls_k + ln||M_k v|| at each v = (cos psi, sin psi)."""
     vs = np.stack([np.cos(psis), np.sin(psis)])
@@ -445,21 +445,13 @@ def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha,
 
     Works in float64 with a separate log scale; returns (v, ln C) where C
     bounds ||(phi_k, phi_{k-1})|| over the window for the returned direction.
-    The window's 3q+1 products are stacked once; a grid of directions seeds a
-    ternary search, and the grid, the search and the bound all evaluate the
-    same ``_ln_max_norm``.
+    The 3q+1 states of ``_window_walks`` are stacked once (a row swap keeps
+    every norm); a grid of directions seeds a ternary search, and the grid,
+    the search and the bound all evaluate the same ``_ln_max_norm``.
     """
-    E = float(E)
-    alpha_f = float(as_mpf(alpha))
-    theta_f = float(as_mpf(theta)) % 1.0
-    # V at the window's sites k = -q-1 .. 2q-1; site k sits at V[k + q + 1]
-    V = pot.V_array(orbit(theta_f, alpha_f, -q - 1, 2 * q), cap=1e250)
-    # M_k maps v to (phi_k, phi_{k-1}): forward steps over sites 0 .. 2q-1,
-    # inverse steps back over sites -1 .. -q-1
-    fwd = _walk([np.array([[E - v_k, -1.0], [1.0, 0.0]]) for v_k in V[q + 1:]])
-    bwd = _walk([np.array([[0.0, 1.0], [-1.0, E - v_k]]) for v_k in V[q::-1]])
-    ls = np.concatenate([fwd[0], bwd[0]])
-    mats = np.concatenate([fwd[1], bwd[1]])
+    walks = np.array(list(_window_walks(pot, E, theta, alpha, q)))
+    ls = walks[:, 4] * math.log(2)
+    mats = walks[:, :4].reshape(-1, 2, 2)
     psis = np.pi * np.arange(CANDIDATE_GRID) / CANDIDATE_GRID
     i = int(np.argmin(_ln_max_norm(ls, mats, psis)))
     lo = psis[i] - np.pi / CANDIDATE_GRID

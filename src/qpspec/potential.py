@@ -217,12 +217,9 @@ class MeromorphicPotential:
             return d
         return min(torus_norm(as_mpf(x) - as_mpf(pl)) for pl in self.poles)
 
-    def V_array(self, x: np.ndarray, cap: float | None = None) -> np.ndarray:
-        """Vectorised V for the float engines; optionally magnitude-capped."""
-        v = self._V_and_f(x)[0]
-        if cap is not None:
-            v = np.clip(v, -cap, cap)
-        return v
+    def V_array(self, x: np.ndarray) -> np.ndarray:
+        """Vectorised V for the float engines."""
+        return self._V_and_f(x)[0]
 
     def _V_and_f(self, x: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray | None]:
         """V on an array together with the f it divides by (None when

@@ -36,6 +36,8 @@ from qpspec.arithmetic import (
     _LN2_HI,
     _LN2_LO,
     HORIZON,
+    MAX_COEFF_BITS,
+    SITE_BUDGET,
     _ld_levels,
     _mp_level,
     _mp_levels,
@@ -136,7 +138,7 @@ def test_cf_from_real_certified_golden():
         val = (mp.sqrt(5) - 1) / 2
         cf = cf_from_real(val, 30, precision=200)
     assert cf.coefficients == (1,) * 30
-    assert cf.valid_prefix == 30
+    assert cf.depth == 30
 
 
 def test_cf_from_real_float_emits_only_certified_terms():
@@ -165,8 +167,9 @@ def test_liouville_growth_tracks_target():
 
 
 def test_liouville_coefficient_cap():
-    cf = liouville_cf(2.0, 8, max_coeff_bits=64)
-    assert max(a.bit_length() for a in cf.coefficients) <= 65
+    # a_4 ~ e^{2 q_3} / q_3, q_3 = 65,659,978, is capped at 2^MAX_COEFF_BITS
+    cf = liouville_cf(2.0, 8)
+    assert max(a.bit_length() for a in cf.coefficients) == MAX_COEFF_BITS + 1
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +261,10 @@ def test_min_sine_index_brute_force_oracle(golden40):
 
 
 def test_min_sine_budget_guard(golden40):
+    # q_31 = 2,178,309 is over the site budget: refused before any walk
+    assert golden40.q[31] > SITE_BUDGET
     with pytest.raises(BudgetError):
-        min_sine_index(Fraction(1, 7), golden40, 30, budget=100)
+        min_sine_index(Fraction(1, 7), golden40, 31)
 
 
 def test_sine_product_centering(golden40):

@@ -391,7 +391,8 @@ def test_readme_example_config_runs(tmp_path):
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
     cfg = tmp_path / "readme.ini"
     cfg.write_text(block)
-    for sub in ("indices", "gordon"):
+    # the subcommands the README says this config serves
+    for sub in ("cf", "indices", "lyapunov", "gordon"):
         assert main([sub, "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 0
     js = json.loads((tmp_path / "o" / "indices.json").read_text())

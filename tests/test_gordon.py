@@ -30,7 +30,8 @@ from qpspec import (
 )
 from qpspec.arithmetic import SITE_BUDGET, as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
-from qpspec.gordon import _adj
+from qpspec.gordon import _adj, _log2_norm_bound, _window_walks
+from qpspec.potential import orbit
 
 
 def _mat_close(m1, m2, tol):
@@ -44,16 +45,17 @@ def _mat_close(m1, m2, tol):
 
 def test_solve_recurrence_satisfies_three_term(maryland1):
     cf = golden_cf(20)
-    seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), (1, 0), (-12, 12),
-                           cf.value, precision=120)
-    assert seg.max_residual(maryland1, precision=120) < 1e-25
+    with mp.workprec(120):
+        seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), (1, 0),
+                               (-12, 12), cf.value)
+        assert seg.max_residual(maryland1) < 1e-25
 
 
 def test_solve_recurrence_matches_product(amo2):
     cf = golden_cf(20)
     with mp.workprec(120):
         seg = solve_recurrence(amo2, 0.3, Fraction(1, 7), (0.6, 0.8), (-10, 10),
-                               cf.value, precision=120)
+                               cf.value)
         fwd = product(amo2, mp.mpf(0.3), as_mpf(Fraction(1, 7)), cf.value, 8)
         expect = fwd.apply(seg.initial)
         got = seg.vec(8)
@@ -69,9 +71,9 @@ _POLE_AT_MINUS_3 = (Fraction(13, 8), Fraction(3, 8))
 
 def test_solve_recurrence_ignores_pole_at_k_min(maryland1):
     theta, alpha = _POLE_AT_MINUS_3
-    seg = solve_recurrence(maryland1, 0.3, theta, (1, 0), (-3, 4), alpha,
-                           precision=120)
-    assert seg.max_residual(maryland1, precision=120) < 1e-25
+    with mp.workprec(120):
+        seg = solve_recurrence(maryland1, 0.3, theta, (1, 0), (-3, 4), alpha)
+        assert seg.max_residual(maryland1) < 1e-25
 
 
 def test_solve_recurrence_names_pole_site(maryland1):
@@ -175,15 +177,39 @@ def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
     assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
 
 
-@pytest.mark.parametrize("beta, q, bound", [(1.12, 276, 700),
-                                            (math.log(4.0), 1026, 2300)])
-def test_gordon_precision_is_sized_from_norms_and_shift(amo2, beta, q, bound):
+@pytest.mark.parametrize("pot, beta, E, theta, q, bits", [
+    (make_amo(2.0), 1.12, 0.5, Fraction(1, 10), 276, 650),
+    (make_amo(2.0), math.log(4.0), 0.5, Fraction(1, 10), 1026, 2245),
+    (make_maryland(0.15), 1.0, 0.0, Fraction(3, 8), 57, 276),
+], ids=["amo-q276", "amo-q1026", "maryland-q57"])
+def test_gordon_precision_is_sized_from_norms_and_shift(pot, beta, E, theta,
+                                                        q, bits):
     # max(2 log2||M||, log2(1/|h|)) + 192 bits, not the whole cancellation
-    # between products of size e^{qL} (2526 and 8869 bits here)
+    # between products of size e^{qL} (2526 and 8869 bits for the amo
+    # levels); pinned, so that a pre-pass change that moves it shows
     cf = liouville_cf(beta, 4)
     assert cf.q[3] == q
-    mats = gordon_matrices(amo2, 0.5, Fraction(1, 10), cf.value, q)
-    assert mats.precision <= bound
+    assert gordon_matrices(pot, E, theta, cf.value, q).precision == bits
+
+
+@pytest.mark.parametrize("pot, q, E, theta, back_largest", [
+    (make_amo(2.0), 13, 0.4, Fraction(1, 7), False),
+    (make_maryland(1.0), 5, 0.0, Fraction(1, 7), True),
+], ids=["amo", "maryland-back-largest"])
+def test_norm_bound_is_the_largest_product_norm(pot, q, E, theta,
+                                                back_largest):
+    cf = golden_cf(20)
+    bound = _log2_norm_bound(pot, E, theta, cf.value, q)
+    with mp.workprec(200):
+        Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
+        back, fwd, fwd2 = (product(pot, Ev, th - q * av, av, q).norm(),
+                           product(pot, Ev, th, av, q).norm(),
+                           product(pot, Ev, th, av, 2 * q).norm())
+        log2_max = float(mp.log(max(back, fwd, fwd2), 2))
+    # A_q(theta - q alpha) is read off the backward walk
+    assert (back > 2 * max(fwd, fwd2)) == back_largest
+    # the largest entry is within a factor 2 of the spectral norm
+    assert log2_max <= bound <= log2_max + 1 + 1e-9
 
 
 def test_gordon_matrices_pole_in_backward_window(maryland1):
@@ -247,8 +273,9 @@ def test_bounded_candidate_bounds_its_own_orbit(amo2):
     q = 5
     v, ln_C = bounded_candidate(amo2, 0.5, Fraction(1, 7), cf.value, q)
     assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
-    seg = solve_recurrence(amo2, 0.5, Fraction(1, 7), v, (-q - 2, 2 * q),
-                           cf.value, precision=120)
+    with mp.workprec(120):
+        seg = solve_recurrence(amo2, 0.5, Fraction(1, 7), v, (-q - 2, 2 * q),
+                               cf.value)
     worst = max(seg.vec_norm(k) for k in range(-q - 1, 2 * q + 1))
     # the float bound is the orbit's largest norm, to rounding on this window
     assert ln_C == pytest.approx(math.log(worst), abs=1e-12)
@@ -263,12 +290,48 @@ def test_bounded_candidate_log_bound_past_float_range(maryland1):
     v, ln_C = bounded_candidate(maryland1, 0.3, Fraction(1, 7), cf.value, q)
     assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
     assert 709 < ln_C < math.inf
-    seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), v, (-q - 2, 2 * q),
-                           cf.value, precision=4000)
+    with mp.workprec(4000):
+        seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), v,
+                               (-q - 2, 2 * q), cf.value)
     with mp.workprec(64):
         worst = max(mp.log(mp.hypot(*seg.vec(k)))
                     for k in range(-q - 1, 2 * q + 1))
     assert float(worst) == pytest.approx(ln_C, abs=1e-2)
+
+
+def test_window_walk_back_states_are_row_swapped_inverse_products(amo2):
+    # at q = 5 no state is rescaled, so the walk from the row swap gives the
+    # products of the inverse steps [[0, 1], [-1, s]] over sites -1..-q-1
+    # with their rows swapped, bit for bit
+    cf = golden_cf(20)
+    q, E, theta = 5, 0.5, Fraction(1, 7)
+    walks = list(_window_walks(amo2, E, theta, cf.value, q))
+    assert len(walks) == 3 * q + 1
+    assert {scale for *_, scale in walks} == {0.0}
+    x = orbit(float(theta), float(cf.value), -q - 1, 2 * q)
+    S = (E - amo2.V_array(x)).tolist()  # site k sits at S[k + q + 1]
+    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
+    for j in range(q + 1):
+        s = S[q - j]  # site -1-j
+        m00, m01, m10, m11 = m10, m11, -m00 + s * m10, -m01 + s * m11
+        assert walks[2 * q + j] == (m10, m11, m00, m01, 0.0)
+
+
+@pytest.mark.parametrize("E, theta, alpha", [
+    (0.3, Fraction(1, 2), golden_cf(20).value),
+    (30.0, *_POLE_AT_MINUS_3),
+], ids=["site-0", "mid-walk"])
+def test_pre_passes_stay_finite_with_a_site_on_a_pole(maryland1, E, theta,
+                                                      alpha):
+    # a site exactly on the tangent model's pole reads about 1e300: site 0,
+    # where the walks start, at theta = 1/2, and sites 8k - 3 for
+    # _POLE_AT_MINUS_3, where the walks' entries have grown at E = 30.
+    # Capped, it keeps both float pre-passes finite
+    q = 13
+    assert abs(maryland1.V_array(np.array([0.5]))[0]) > 1e290
+    _, ln_C = bounded_candidate(maryland1, E, theta, alpha, q)
+    assert math.isfinite(ln_C)
+    assert math.isfinite(_log2_norm_bound(maryland1, E, theta, alpha, q))
 
 
 
@@ -291,8 +354,8 @@ def test_max_inequality_on_frozen_config():
     mats = gordon_matrices(pot, 0.0, theta, cf.value, q)
     lhs, v = gordon_lhs_uniform(mats)
     # the closed-form minimiser, checked by stepping the recurrence itself
-    seg = solve_recurrence(pot, 0.0, theta, v, (-q - 1, 2 * q), cf.value,
-                           precision=600)
+    with mp.workprec(600):
+        seg = solve_recurrence(pot, 0.0, theta, v, (-q - 1, 2 * q), cf.value)
     mx, verdict = max_inequality(seg, q)
     assert verdict == "excluded"
     assert mx >= 0.25 - 1e-6

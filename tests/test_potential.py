@@ -101,13 +101,6 @@ def test_registry_entries_handle_both_input_kinds():
         assert scalar == pytest.approx(float(arr[0]), rel=1e-12)
 
 
-def test_v_array_cap(maryland1):
-    xs = np.array([0.5, 0.25])
-    v = maryland1.V_array(xs, cap=100.0)
-    assert abs(v[0]) == 100.0
-    assert abs(v[1]) < 100.0
-
-
 def test_f_product_bound_holds_at_qualifying_level():
     cf = liouville_cf(1.0, 4)
     pot = make_maryland(0.15)
