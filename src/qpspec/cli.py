@@ -3,9 +3,11 @@
 Subcommands: indices | lyapunov | gordon | classify | cf.  Configuration is a
 flat INI file (key = value under sections); unknown sections or keys are
 rejected.  Every output file is spelled here, and identical configs give
-byte-identical files.  CSV numbers have 17 significant digits.  JSON files
-are strict JSON (RFC 8259) written by ``_write_json``: floats are the
-shortest round-trip ``repr``, +-inf is written "inf" / "-inf" and nan null.
+byte-identical files, each streamed to a temporary file in the output
+directory and moved into place.  CSV numbers have 17 significant digits.
+JSON files are strict JSON (RFC 8259) written by ``_write_json``: floats
+are the shortest round-trip ``repr``, +-inf is written "inf" / "-inf" and
+nan null.
 
 Exit codes: 0 ok, 2 config, 3 io, 4 range, 5 numeric.
 """
@@ -14,8 +16,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import itertools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -249,11 +254,19 @@ def _prepare_out(out: str) -> Path:
     return path
 
 
-def _write(path: Path, text: str, verbose: bool):
+def _write(path: Path, chunks, verbose: bool):
+    """Stream ``chunks`` to ``path``; a failed write leaves no partial file."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        path.write_text(text)
-    except OSError as exc:
-        raise OutputError(f"cannot write {path}: {exc}")
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):  # keep the write's own error
+            tmp.unlink()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {path}: {exc}")
+        raise
     if verbose:
         print(f"wrote {path}", file=sys.stderr)
 
@@ -273,23 +286,26 @@ def _json_value(x):
     return x
 
 
+# json.dumps(indent=1) runs this encoder, so its chunks join to those bytes
+_JSON = json.JSONEncoder(sort_keys=True, indent=1, allow_nan=False)
+
+
 def _write_json(path: Path, obj, verbose: bool):
-    _write(path, json.dumps(_json_value(obj), sort_keys=True, indent=1,
-                            allow_nan=False) + "\n", verbose)
+    _write(path, itertools.chain(_JSON.iterencode(_json_value(obj)), ("\n",)),
+           verbose)
 
 
-def _csv(rows, header) -> str:
-    lines = [",".join(header)]
+def _csv(rows, header):
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(c if isinstance(c, str) else _fmt(c) for c in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
 
 
-def _index_csv(iv) -> str:
+def _index_csv(iv):
     """``_csv`` of the (level, value) rows, formatted directly: "%.17g"
     spells inf, -inf and nan as ``_fmt`` does."""
-    return "level,value\n" + "".join(["%d,%.17g\n" % row
-                                       for row in enumerate(iv.per_level, start=1)])
+    yield "level,value\n"
+    yield from map("%d,%.17g\n".__mod__, enumerate(iv.per_level, start=1))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +314,7 @@ def _index_csv(iv) -> str:
 
 def cmd_cf(cfg: RunConfig, out: Path, args) -> int:
     cf = cfg.alpha_cf()
-    _write(out / "alpha.cf", cf_to_text(cf), args.verbose)
+    _write(out / "alpha.cf", [cf_to_text(cf)], args.verbose)
     meta = {
         "depth": cf.depth,
         "valid_prefix": cf.depth,  # every emitted coefficient is certified

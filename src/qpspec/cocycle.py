@@ -27,9 +27,10 @@ The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of all
 columns) from one tangent per site (``potential._phasor``), in six site
 buffers allocated once per call and filled in place: each takes 128 KB,
 so a chunk's arrays stay in a 2 MB L2 cache, and the row count never
-changes a value.  A-kind chunks evaluate f once, for V and for the pole
-mask: the exact pole distance is taken only at the few sites whose |f|
-admits the floor (``MeromorphicPotential._f_near_pole``).
+changes a value.  A-kind chunks evaluate f and read |f| once, for V and
+for the pole mask: the exact pole distance is taken only at the few sites
+whose |f| admits the floor (``MeromorphicPotential._f_near_pole``), and
+serves both the pole-hit fix of V and the mask.
 """
 
 from __future__ import annotations
@@ -243,9 +244,8 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     excluded = np.zeros(K, dtype=bool)
     unit_f = kind == "A" or not pot.m  # the step's f is 1
     f_peak = 1.0 if unit_f else 2.0 ** pot.m  # |f| <= 2^m
-    f_near = pot._f_near_pole(pot.eps_floor) if pot.m else 0.0
     huge_E = not abs(E) < SAFE_SITE  # E f may overflow in the site arrays
-    # the phases and the five site buffers of _V_and_f / _f_and_g, as
+    # the phases and the five site buffers of _V_and_near / _f_and_g, as
     # separate arrays: each stays on the heap, and those that a potential
     # never writes take no memory
     X_buf, *work_buf = (np.empty((rows, SEGMENTS, K)) for _ in range(6))
@@ -258,7 +258,7 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
         X = orbit(xs, alpha, steps, out=X_buf[:r], scratch=work[1])
         with _quiet(huge_E):
             if kind == "A":
-                V, F = pot._V_and_f(X, work)
+                V, near = pot._V_and_near(X, work)
                 S = np.subtract(E, V, out=work[2])
             else:
                 F, G = pot._f_and_g(X, work)
@@ -267,13 +267,12 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
                 else:
                     S = np.subtract(np.multiply(F, E, out=work[1]), G, out=work[2])
         if kind == "A" and pot.m:
-            # the exact pole distance only where |f| admits the floor, and
-            # only at sites before n (not the padding)
-            cand = np.abs(F, out=work[1]) <= f_near
-            if cand.any():
-                i, j, k = np.nonzero(cand)
-                near = pot.pole_distance(X[i, j, k]) <= pot.eps_floor
-                excluded[k[near & (steps[i, j] < n)]] = True
+            # the exact pole distance, taken by _V_and_near only where |f|
+            # admits the floor; only sites before n (not the padding) count
+            idx, dist = near
+            if idx.size:
+                i, j, k = np.unravel_index(idx, X.shape)
+                excluded[k[(dist <= pot.eps_floor) & (steps[i, j] < n)]] = True
             # V at a pole reaches 2e300 and would overflow the column to
             # inf/nan (with numpy warnings); a masked column's value is
             # discarded, so it steps with s = 0 instead

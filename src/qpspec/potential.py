@@ -219,31 +219,34 @@ class MeromorphicPotential:
 
     def V_array(self, x: np.ndarray) -> np.ndarray:
         """Vectorised V for the float engines."""
-        return self._V_and_f(x)[0]
+        return self._V_and_near(x)[0]
 
-    def _V_and_f(self, x: np.ndarray, work=None) -> tuple[np.ndarray, np.ndarray | None]:
-        """V on an array together with the f it divides by (None when
-        pole-free), so a caller that also needs f evaluates it once.  With
-        ``work`` (as for ``_f_and_g``), f lands in work[0] and, unless a
-        pole-free g without ``fixed_phasor`` made its own array, V in work[2].
+    def _V_and_near(self, x: np.ndarray, work=None):
+        """V on an array, and (flat index, pole distance) of the sites whose
+        |f| admits ``_f_near_pole(eps_floor)`` (None when pole-free), so the
+        A-kind pole mask reads |f| once with V.  With ``work`` (as for
+        ``_f_and_g``), f lands in work[0] and, unless a pole-free g without
+        ``fixed_phasor`` made its own array, V in work[2].
 
         At a site exactly on a pole (pole_distance 0), where f keeps an |f|
-        of rounding size, and wherever |f| < 1e-300, V is g / 1e-300, so such
-        a site reads as a pole whatever the coupling; ``_f_near_pole(0)``
-        picks the few sites that get the distance test."""
+        of rounding size, and wherever |f| < 1e-300, f is set to 1e-300, so
+        such a site reads as a pole whatever the coupling; as eps_floor >= 0,
+        the sites under ``_f_near_pole(0)`` that this tests are among those
+        returned."""
         if work is None:
             work = _buffers(x)
         fv, gv = self._f_and_g(x, work)
         if fv is None:
             return gv, None
-        fc = fv
         absf = np.abs(fv, out=work[1])
-        near = absf <= self._f_near_pole(0.0)
-        if near.any():
-            hit = near.copy()
-            hit[near] = (absf[near] < 1e-300) | (self.pole_distance(x[near]) == 0)
-            fc = np.where(hit, 1e-300, fv)
-        return np.divide(gv, fc, out=work[2]), fv
+        idx = np.flatnonzero(absf <= self._f_near_pole(self.eps_floor))
+        dist = np.empty(0)
+        if idx.size:
+            dist = self.pole_distance(x.flat[idx])
+            af = absf.flat[idx]
+            hit = (af <= self._f_near_pole(0.0)) & ((af < 1e-300) | (dist == 0))
+            fv.flat[idx[hit]] = 1e-300
+        return np.divide(gv, fv, out=work[2]), (idx, dist)
 
     def log_f_integral(self) -> float:
         """Quadrature of ln|f| over one period, split at the poles.

@@ -4,12 +4,16 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qpspec.arithmetic import IndexValue
-from qpspec.cli import _csv, _index_csv, main
+from qpspec.cli import _csv, _index_csv, _json_value, _write, _write_json, main
+from qpspec.errors import OutputError
 
 GORDON_INI = """\
 [model]
@@ -64,6 +68,15 @@ lyapunov_n = 12000
 """
 
 
+@pytest.fixture(autouse=True)
+def _no_temporary_output_left(tmp_path):
+    # the tests write their outputs below tmp_path: after a run, completed
+    # or failed, no temporary file of _write (".<name>.<pid>.tmp") is left
+    yield
+    left = [p.name for p in tmp_path.rglob(".*.tmp")]
+    assert not left, f"temporary files left: {sorted(left)}"
+
+
 @pytest.fixture
 def gordon_cfg(tmp_path):
     p = tmp_path / "run.ini"
@@ -113,12 +126,82 @@ def test_index_csv_equals_the_generic_csv_writer():
                  1.7976931348623157e308, 123456789.0, 1e22, 0.0019099538582601702)
     iv = IndexValue(value=math.inf, per_level=per_level, tail_start=1,
                     terms_used=len(per_level))
-    expect = _csv(((n, v) for n, v in enumerate(per_level, start=1)),
-                  ("level", "value"))
-    assert _index_csv(iv) == expect
+    expect = "".join(_csv(((n, v) for n, v in enumerate(per_level, start=1)),
+                          ("level", "value")))
+    assert "".join(_index_csv(iv)) == expect
     assert "\n5,-0\n" in expect and "\n8,nan\n" in expect
     empty = IndexValue(value=0.0, per_level=(), tail_start=1, terms_used=0)
-    assert _index_csv(empty) == _csv((), ("level", "value")) == "level,value\n"
+    assert ("".join(_index_csv(empty)) == "".join(_csv((), ("level", "value")))
+            == "level,value\n")
+
+
+_KEYS = st.text(alphabet=st.one_of(st.characters(),
+                                   st.sampled_from('"\\\x00\x1f\x7f\u2028\u00e9')))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(),
+              st.integers(min_value=-2**100, max_value=2**100), st.floats(),
+              st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                               1.7976931348623157e308]), _KEYS),
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.lists(kids, max_size=4).map(tuple),
+                           st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_streamed_json_is_the_json_dumps_bytes(tmp_path, obj):
+    path = tmp_path / "x.json"
+    _write_json(path, obj, False)
+    assert path.read_bytes() == (json.dumps(
+        _json_value(obj), sort_keys=True, indent=1, allow_nan=False) + "\n").encode()
+
+
+def test_writers_stream_a_large_index(tmp_path):
+    # a 200,000-level index: neither writer holds its file (about 4 MB of
+    # CSV and 5 MB of JSON) in memory; the JSON writer's peak is the list
+    # that _json_value builds
+    per_level = tuple(i / 7 for i in range(200_000))
+    iv = IndexValue(value=1.0, per_level=per_level, tail_start=1,
+                    terms_used=len(per_level))
+    writes = {"gamma.csv": lambda p: _write(p, _index_csv(iv), False),
+              "indices.json": lambda p: _write_json(p, {"gamma": vars(iv)}, False)}
+    for name, write in writes.items():
+        tracemalloc.start()
+        try:
+            write(tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, f"{name}: traced peak {peak} bytes"
+    assert (tmp_path / "gamma.csv").read_text().count("\n") == 200_001
+
+
+@pytest.mark.parametrize("exc,raised", [(RuntimeError, RuntimeError),
+                                        (OSError, OutputError)])
+def test_a_failed_write_keeps_the_old_file(tmp_path, exc, raised):
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "gamma.csv").write_text("old\n")
+
+    def chunks():
+        yield "level,value\n"
+        raise exc("the source failed")
+
+    with pytest.raises(raised):
+        _write(out / "gamma.csv", chunks(), False)
+    assert [p.name for p in out.iterdir()] == ["gamma.csv"]
+    assert (out / "gamma.csv").read_text() == "old\n"
+
+
+def test_an_unreplaceable_output_exits_3_and_leaves_no_temporary(gordon_cfg,
+                                                                 tmp_path):
+    out = tmp_path / "o"
+    (out / "gamma.csv").mkdir(parents=True)
+    assert main(["indices", "--config", str(gordon_cfg), "--out", str(out)]) == 3
+    assert sorted(p.name for p in out.iterdir()) == ["beta.csv", "gamma.csv"]
+    assert (out / "gamma.csv").is_dir()
 
 
 def test_cf_roundtrip(gordon_cfg, tmp_path):
