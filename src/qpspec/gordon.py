@@ -35,12 +35,11 @@ f and every built-in g are integer polynomials in it; a user-supplied g is
 evaluated directly at x_j.  S_j = (E f - g) / f is rounded once from the
 exact E f - g (a pole-free registry g rounds E - g once), and the pole
 factors of f are also the pole test: the first site within ``eps_floor`` of
-a pole raises OrbitPoleError.  The fused loop runs on raw
-libmp values: mpf_mul, mpf_add and mpf_sub at the working precision,
-rounding to nearest, are the calls the mpf operators make, so it gives the
-bits of the same expressions on mpf objects without building one per
-operation.  A level whose 3q sites exceed ``arithmetic.SITE_BUDGET`` is
-refused before any work (``_check_levels``).
+a pole raises OrbitPoleError.  The fused loop runs on integer pairs
+taken from the sites once, which ``_pair_ops`` rounds as mpf arithmetic
+does, so its entries are the bits of the same mpf expressions without a
+libmp call or an mpf value per operation.  A level whose 3q sites exceed
+``arithmetic.SITE_BUDGET`` is refused before any work (``_check_levels``).
 
 The same pass feeds ``solve_recurrence``.  The float walk, which serves the
 precision pre-pass and ``bounded_candidate``, takes its phases from
@@ -64,7 +63,7 @@ from typing import Iterator, NamedTuple
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import fone, fzero, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import from_man_exp
 
 from .arithmetic import (LOG_PREC, SITE_BUDGET, ContinuedFraction, IndexValue,
                          as_mpf, exact_fraction, ln_low, qualifying_levels)
@@ -257,6 +256,68 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
                for a, b, c, d, scale in ends) + 1
 
 
+def _pair_ops(prec: int):
+    """Multiply, add and subtract on (m, e) pairs, the values m 2^e with a
+    signed integer m, each result rounded once to ``prec`` bits, to nearest
+    with ties to even.  Those are the roundings of libmp's mpf_mul, mpf_add
+    and mpf_sub at rounding "n", so the values are theirs bit for bit; the
+    pairs skip the sign word, bit count and trailing-zero strip of a raw mpf.
+
+    A mantissa may keep trailing zero bits, so a pair is not canonical; its
+    value is.  As in mpf_add, when the two exponents (of the canonical forms)
+    lie more than 100 bits apart and the top bits more than prec + 4 apart,
+    the smaller operand is replaced by a sticky bit: the larger mantissa is
+    shifted up by prec + 4 bits and moved one unit toward the smaller one's
+    sign.  So a sum of prec-bit operands builds no integer much wider than
+    2 prec bits, however far apart they lie.
+    """
+    lim = prec + 4
+
+    def rnd(m, e):
+        n = m.bit_length() - prec
+        if n <= 0:
+            return m, e
+        # t = floor(m / 2^(n-1)) ends in the half bit, and m's n - 1 bits
+        # below it are the sticky bits; flooring is right for a negative m
+        # too, since ties to even round symmetrically
+        t = m >> (n - 1)
+        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+            return (t >> 1) + 1, e + n
+        return t >> 1, e + n
+
+    def mul(x, y):
+        return rnd(x[0] * y[0], x[1] + y[1])
+
+    def add(x, y, neg=False):
+        m1, e1 = x
+        m2, e2 = y
+        if neg:
+            m2 = -m2
+        if not m2:
+            return rnd(m1, e1)
+        if not m1:
+            return rnd(m2, e2)
+        d = e1 - e2
+        gap = m1.bit_length() + d - m2.bit_length()
+        if gap > lim or gap < -lim:
+            if gap < 0:
+                m1, e1, m2, e2 = m2, e2, m1, e1
+            z1 = (m1 & -m1).bit_length() - 1
+            z2 = (m2 & -m2).bit_length() - 1
+            if e1 + z1 - e2 - z2 > 100:
+                return rnd(((m1 >> z1) << lim) + (1 if m2 > 0 else -1),
+                           e1 + z1 - lim)
+            d = e1 - e2
+        if d >= 0:
+            return rnd((m1 << d) + m2, e2)
+        return rnd(m1 + (m2 << -d), e1)
+
+    def sub(x, y):
+        return add(x, y, True)
+
+    return mul, add, sub
+
+
 def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
                     q: int) -> GordonMatrices:
     """Build A_q(theta - q alpha), A_q, A_{2q} and the two differences from
@@ -264,10 +325,9 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
 
     The precision is max(2 log2||M||, log2(1/|h|)) + 192 bits, with ||M||
     the float pre-pass's bound on the three products and h = q alpha - p.
-    The sites come from ``site_values``'s fixed-point phasor walk; the
-    products and differences are stepped on raw libmp values with the
-    roundings of the same mpf expressions and wrapped in TransferMatrix2
-    once, at the end.
+    The sites come from ``site_values``'s fixed-point phasor walk as
+    (m, e) integer pairs; the products and differences are stepped on them
+    with ``_pair_ops`` and wrapped in TransferMatrix2 once, at the end.
     """
     if q < 1:
         raise InvalidInputError("q must be >= 1")
@@ -275,36 +335,32 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
     norm_bits = _log2_norm_bound(pot, E, theta, alpha, q)
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     with mp.workprec(precision):
-        S = [v._mpf_ for v in site_values(pot, E, theta, alpha, -q, 2 * q)]
+        S = [(-man if sign else man, exp) for sign, man, exp, _ in
+             (v._mpf_ for v in site_values(pot, E, theta, alpha, -q, 2 * q))]
     # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
     # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
     # differences from A_k(theta).  A step A(s) differs from A(s') only in
     # its corner entry, so a difference picks up (s - s') times the top row
-    # of the shifted product before that product steps.  The loop runs on
-    # raw mpf values: mpf_mul/mpf_add/mpf_sub at the working precision,
-    # rounding to nearest, are the calls the mpf operators make, in the
-    # order of the expressions s xa - xc + t ap and s a - c
-    P, R = precision, "n"
-    mul, add, sub = mpf_mul, mpf_add, mpf_sub
-    a, b, c, d = ap, bp, cp, dp = am, bm, cm, dm = fone, fzero, fzero, fone
-    xa = xb = xc = xd = ya = yb = yc = yd = fzero
+    # of the shifted product before that product steps.  Every product,
+    # sum and difference is rounded to the working precision, in the order
+    # of the expressions s xa - xc + t ap and s a - c
+    mul, add, sub = _pair_ops(precision)
+    one, zero = (1, 0), (0, 0)
+    a, b, c, d = ap, bp, cp, dp = am, bm, cm, dm = one, zero, zero, one
+    xa = xb = xc = xd = ya = yb = yc = yd = zero
     for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
-        t, u = sub(s, sp, P, R), sub(s, sm, P, R)
-        xa, xb, xc, xd = (
-            add(sub(mul(s, xa, P, R), xc, P, R), mul(t, ap, P, R), P, R),
-            add(sub(mul(s, xb, P, R), xd, P, R), mul(t, bp, P, R), P, R), xa, xb)
-        ya, yb, yc, yd = (
-            add(sub(mul(s, ya, P, R), yc, P, R), mul(u, am, P, R), P, R),
-            add(sub(mul(s, yb, P, R), yd, P, R), mul(u, bm, P, R), P, R), ya, yb)
-        a, b, c, d = (sub(mul(s, a, P, R), c, P, R),
-                      sub(mul(s, b, P, R), d, P, R), a, b)
-        ap, bp, cp, dp = (sub(mul(sp, ap, P, R), cp, P, R),
-                          sub(mul(sp, bp, P, R), dp, P, R), ap, bp)
-        am, bm, cm, dm = (sub(mul(sm, am, P, R), cm, P, R),
-                          sub(mul(sm, bm, P, R), dm, P, R), am, bm)
+        t, u = sub(s, sp), sub(s, sm)
+        xa, xb, xc, xd = (add(sub(mul(s, xa), xc), mul(t, ap)),
+                          add(sub(mul(s, xb), xd), mul(t, bp)), xa, xb)
+        ya, yb, yc, yd = (add(sub(mul(s, ya), yc), mul(u, am)),
+                          add(sub(mul(s, yb), yd), mul(u, bm)), ya, yb)
+        a, b, c, d = sub(mul(s, a), c), sub(mul(s, b), d), a, b
+        ap, bp, cp, dp = sub(mul(sp, ap), cp), sub(mul(sp, bp), dp), ap, bp
+        am, bm, cm, dm = sub(mul(sm, am), cm), sub(mul(sm, bm), dm), am, bm
 
     def matrix(*entries):
-        return TransferMatrix2(*map(mp.make_mpf, entries))
+        return TransferMatrix2(*(mp.make_mpf(from_man_exp(m, e))
+                                 for m, e in entries))
 
     A_q = matrix(a, b, c, d)
     with mp.workprec(precision):

@@ -1,22 +1,29 @@
 """Bit-identity of the certificate pass against its mpf-object form.
 
 ``potential.site_values`` walks the phasor as fixed-point integers and
-``gordon.gordon_matrices`` steps its products on raw libmp values.  The
-oracles below are the same computations written with mpf objects: the
-phasor advanced by one complex multiply per site at the same guard
-precision, and the fused product/difference loop as mpf expressions.
-Results must agree bit for bit (``_mpf_`` tuples equal).
+``gordon.gordon_matrices`` steps its products on (m, e) integer pairs,
+rounded by ``gordon._pair_ops``.  The oracles below are the same
+computations written with mpf objects: the phasor advanced by one complex
+multiply per site at the same guard precision, and the fused
+product/difference loop as mpf expressions.  Results must agree bit for bit
+(``_mpf_`` tuples equal).  ``_pair_ops`` is also checked one operation at a
+time against libmp's mpf_mul, mpf_add and mpf_sub.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub
 
 from qpspec import (gordon_matrices, golden_cf, liouville_cf, make_amo,
                     make_custom, make_maryland)
 from qpspec.arithmetic import as_mpf
 from qpspec.cocycle import TransferMatrix2
+from qpspec.gordon import _pair_ops
 from qpspec.potential import site_values
 
 
@@ -115,7 +122,10 @@ def test_site_values_match_the_mpf_phasor_walk(name, prec):
      Fraction(1, 10)),
     (make_maryland(0.15), lambda c, s: 0.3 * s, liouville_cf(1.0, 4), 3, 0.0,
      Fraction(3, 8)),
-], ids=["amo-q13", "amo-q276", "maryland-q57"])
+    (make_amo(2.0), _SITE_CASES["amo"][1], liouville_cf(math.log(4), 4), 3, 0.5,
+     Fraction(1, 10)),
+    (*_SITE_CASES["two-pole-cos2pi"], golden_cf(20), 9, 0.4, Fraction(1, 7)),
+], ids=["amo-q13", "amo-q276", "maryland-q57", "amo-q1026", "two-pole-q55"])
 def test_gordon_matrices_match_the_mpf_loop(pot, phasor, cf, level, E, theta):
     q = cf.q[level]
     mats = gordon_matrices(pot, E, theta, cf.value, q)
@@ -127,3 +137,70 @@ def test_gordon_matrices_match_the_mpf_loop(pot, phasor, cf, level, E, theta):
     got = [getattr(m, k) for m in (mats.A_back, mats.A_q, mats.A_2q,
                                    mats.D_fwd, mats.D_back) for k in "abcd"]
     assert [x._mpf_ for x in got] == [y._mpf_ for y in expect]
+
+
+# the pair arithmetic of the fused loop against libmp, operation by operation
+
+_FAR = 10 ** 5  # exponent gaps up to this many bits reach the sticky path
+
+
+@st.composite
+def _pair_operands(draw):
+    """(prec, x, y): a working precision and two (m, e) pairs, which may
+    carry trailing zero bits.  The mantissas are random up to 3 prec bits,
+    zero, x's own negation, exact ties at prec bits with an odd or an even
+    kept part, or a near-tie with a far small operand that takes libmp's
+    sticky path.  The exponents lie up to 10^5 bits apart."""
+    prec = draw(st.integers(53, 2400))
+    e1 = draw(st.integers(-_FAR, _FAR))
+    e2 = e1 + draw(st.integers(-_FAR, _FAR))
+    kind = draw(st.sampled_from(["random", "zero", "cancel", "tie", "tie-sum",
+                                 "sticky"]))
+    sign = st.sampled_from([1, -1])
+
+    def mantissa():
+        bits = draw(st.integers(1, 3 * prec))
+        return draw(st.integers(-(1 << bits) + 1, (1 << bits) - 1))
+
+    # kept has prec bits, either parity, either sign
+    kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    kept = (kept - kept % 2 + draw(st.integers(0, 1))) * draw(sign)
+    if kind == "random":
+        m1, m2 = mantissa(), mantissa()
+    elif kind == "zero":
+        m1, m2 = mantissa(), 0
+    elif kind == "cancel":
+        m1 = mantissa()
+        m2, e2 = -m1, e1
+    elif kind == "tie":
+        # 2 kept +- 1 ends in the half bit: alone, or times +-1, it rounds
+        # to even; a far +-1 breaks the tie through the sticky path
+        m1, m2 = 2 * kept + draw(sign), draw(st.sampled_from([0, 1, -1]))
+    elif kind == "tie-sum":
+        # the sum and the difference are 2 kept +- 1, ties
+        m1, m2, e2 = 2 * kept, draw(sign), e1
+    else:
+        # m1 = (2 kept + 1) 2^j +- 1 lies one unit beside a tie, and y is
+        # larger than that unit but more than prec + 4 bits below m1's top
+        # and more than 100 bits below its exponent: the exact sum may cross
+        # the tie where libmp's sticky bit does not, so libmp's rule decides
+        j = draw(st.integers(5, 2 * prec))
+        m1 = ((2 * kept + 1) << j) + draw(sign)
+        # near 100 bits, x's trailing zeros put its raw exponent on the
+        # other side of the bound from its canonical one
+        e2 = e1 - draw(st.integers(101, 400) | st.integers(101, _FAR))
+        bits = draw(st.integers(e1 - e2 + 1, e1 - e2 + j - 4))
+        m2 = (draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1) * draw(sign)
+    zeros = draw(st.integers(0, 200))
+    x, y = (m1 << zeros, e1 - zeros), (m2, e2)
+    return (prec, y, x) if draw(st.booleans()) else (prec, x, y)
+
+
+@given(_pair_operands())
+@settings(max_examples=400, deadline=None)
+def test_pair_ops_match_libmp(case):
+    prec, x, y = case
+    mul, add, sub = _pair_ops(prec)
+    fx, fy = from_man_exp(*x), from_man_exp(*y)
+    for op, libmp_op in ((mul, mpf_mul), (add, mpf_add), (sub, mpf_sub)):
+        assert from_man_exp(*op(x, y)) == libmp_op(fx, fy, prec, "n")
