@@ -47,6 +47,7 @@ from .gordon import (
     SolutionSegment,
     bounded_candidate,
     exclusion_certificate,
+    exclusion_certificates,
     gordon_lhs,
     gordon_lhs_uniform,
     gordon_matrices,

@@ -8,7 +8,7 @@ walks (the phase index, the resonant-phase check, the minimal sine and the
 sine product) all step through ``orbit_norms``, the exact member of the
 orbit layer: a P-bit fixed-point integer walk mod 2^P, P = cf.precision,
 that yields torus norms as integers in units of 2^-P.  Its float64 member is
-``potential.orbit`` and its site-value pass ``potential.site_values``.  The
+``potential.orbit`` and its site-value walk ``potential._site_terms``.  The
 phase index takes the logs of those norms in a longdouble pass over blocks
 of them, and sends the few terms that Ziv's rounding test cannot round to
 the libmp line; ``gamma`` derives the bound, and imports numpy in its body,
@@ -16,6 +16,9 @@ so the module needs none at import.
 ``sine_product`` is the one walk that forms the orbit sine product, for both
 ``sine_product_check`` and, one pole at a time,
 ``potential.f_product_check``, since |f(x)| = prod_l 2 sin(pi ||x - theta_l||).
+
+``pair_rounding`` rounds (m, e) integer pairs, m 2^e, once to a precision as
+libmp does; the certificate's site pass and fused loop share it.
 
 Conventions fixed once:
   * convergents start at (p_0, q_0) = (0, 1), (p_1, q_1) = (1, a_1),
@@ -126,6 +129,42 @@ def as_mpf(x):
     if isinstance(x, Fraction):
         return mp.mpf(x.numerator) / mp.mpf(x.denominator)
     return mp.mpf(x)
+
+
+def pair_rounding(prec: int):
+    """Rounding and division on (m, e) pairs, the values m 2^e with a signed
+    integer m: ``rnd(m, e)`` rounds m 2^e once to ``prec`` bits, to nearest
+    with ties to even, as ``from_man_exp(m, e, prec, "n")`` does, and
+    ``div(num, den, e)`` rounds (num / den) 2^e the same way, as libmp's
+    mpf_div at rounding "n" does.  A result's mantissa may keep trailing zero
+    bits, so a pair is not canonical; its value is.
+
+    ``div`` takes one integer divmod with at least prec + 2 quotient bits
+    and folds a nonzero remainder in as a sticky unit below them, so the
+    half bit that ``rnd`` reads is exact and a remainder breaks a tie."""
+    lim = prec + 2
+
+    def rnd(m, e):
+        n = m.bit_length() - prec
+        if n <= 0:
+            return m, e
+        # t = floor(m / 2^(n-1)) ends in the half bit, and m's n - 1 bits
+        # below it are the sticky bits; flooring is right for a negative m
+        # too, since ties to even round symmetrically
+        t = m >> (n - 1)
+        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
+            return (t >> 1) + 1, e + n
+        return t >> 1, e + n
+
+    def div(num, den, e):
+        if not num:
+            return 0, 0
+        k = max(0, lim - num.bit_length() + den.bit_length())
+        q, r = divmod(abs(num) << k, abs(den))
+        m = (q << 1) + (r > 0)
+        return rnd(-m if (num < 0) != (den < 0) else m, e - k - 1)
+
+    return rnd, div
 
 
 def torus_norm(x):

@@ -40,7 +40,7 @@ from .arithmetic import (
     silver_cf,
 )
 from .errors import ConfigError, OutputError, QPSpecError
-from .gordon import _check_levels, exclusion_certificate
+from .gordon import exclusion_certificates
 from .potential import make_amo, make_custom, make_maryland
 from .spectral import LABELS, classify_regime, lyapunov_scan
 
@@ -274,7 +274,8 @@ def _write(path: Path, chunks, verbose: bool):
 def _json_value(x):
     """``x`` with the one non-finite rule of the JSON files applied: +-inf
     becomes "inf" / "-inf" and nan None, so that no float left is out of
-    strict JSON's range."""
+    strict JSON's range.  A list or tuple is copied only when one of its
+    items changes, so a long list of finite floats is not copied."""
     if isinstance(x, float):
         if math.isfinite(x):
             return x
@@ -282,7 +283,9 @@ def _json_value(x):
     if isinstance(x, dict):
         return {k: _json_value(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_json_value(v) for v in x]
+        if any(_json_value(v) is not v for v in x):
+            return [_json_value(v) for v in x]
+        return x
     return x
 
 
@@ -373,14 +376,12 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
     levels = cfg.gordon_levels()
     if not levels:
         raise ConfigError("[depths] gordon_levels is required for gordon")
-    # exclusion_certificate's own check, made here too because an empty
-    # energy list never calls it
-    _check_levels(cf, levels)
     c = cfg.run_num("c_rate", float, 1e-2)
     energies = cfg.energy_grid()
     all_certs = []
-    for E in energies:
-        certs = exclusion_certificate(pot, E, theta, cf.value, cf, levels, c)
+    # the levels are checked before any work, with no energy as well
+    batch = exclusion_certificates(pot, energies, theta, cf.value, cf, levels, c)
+    for E, certs in zip(energies, batch):
         if args.verbose:
             print(f"gordon E={_fmt(E)}: " + "; ".join(
                 f"level {c_.level} q={c_.q} {c_.precision} bits "
@@ -436,19 +437,19 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # one parser with the command as a positional: every command takes the
+    # same options, and a parser per command costs start-up time for nothing
     parser = argparse.ArgumentParser(
         prog="qpspec",
         description="arithmetic indices, Lyapunov exponents and exclusion "
                     "certificates for quasiperiodic operators")
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="INI config file")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted but unused; results do not depend on it")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True, help="INI config file")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--threads", type=int, default=1,
+                        help="accepted but unused; results do not depend on it")
+    parser.add_argument("--verbose", action="store_true")
     return parser
 
 

@@ -26,24 +26,28 @@ under plain subtraction, so the differences come out to about 128
 relative bits however small they are.  There is no resolution floor: only
 an exactly zero difference, or h = 0, raises NumericError.
 
-The pass (``potential.site_values``) computes S_j = E - V(x_j) once per site.
-It walks the phasor (cos pi x_j, sin pi x_j) as W-bit fixed-point integers,
-W = the working precision + ceil(log2(3q)) + 32, one integer rotation by
-(cos pi a, sin pi a) per site rounded to nearest, so the phasor's absolute
-error stays about 3q 2^-W before S_j is rounded to the working precision.
-f and every built-in g are integer polynomials in it; a user-supplied g is
-evaluated directly at x_j.  S_j = (E f - g) / f is rounded once from the
-exact E f - g (a pole-free registry g rounds E - g once), and the pole
-factors of f are also the pole test: the first site within ``eps_floor`` of
-a pole raises OrbitPoleError.  The fused loop runs on integer pairs
-taken from the sites once, which ``_pair_ops`` rounds as mpf arithmetic
-does, so its entries are the bits of the same mpf expressions without a
-libmp call or an mpf value per operation.  A level whose 3q sites exceed
-``arithmetic.SITE_BUDGET`` is refused before any work (``_check_levels``).
+The site pass (``potential``) computes S_j = E - V(x_j) once per site, as
+an (m, e) integer pair, in two parts.  ``_site_terms`` walks the phasor
+(cos pi x_j, sin pi x_j) as W-bit fixed-point integers, W = the working
+precision + ceil(log2(3q)) + 32, one integer rotation by (cos pi a, sin pi a)
+per site rounded to nearest, so the phasor's absolute error stays about
+3q 2^-W.  f and every built-in g are integer polynomials in it; a
+user-supplied g is evaluated directly at x_j.  The pole factors of f are
+also the pole test: the first site within ``eps_floor`` of a pole raises
+OrbitPoleError.  None of this depends on E, so the energies of one
+``exclusion_certificates`` call share a level's terms while its working
+precision stays the same.  ``_site_pairs`` then rounds
+S_j = (E f - g) / f once to the working precision from the exact E f - g,
+with one integer division (a pole-free potential rounds E - g once).
+The fused loop steps those pairs with ``_pair_ops``, which rounds as mpf
+arithmetic does, so its entries are the bits of the same mpf expressions
+without a libmp call or an mpf value per operation.  A level whose 3q
+sites exceed ``arithmetic.SITE_BUDGET`` is refused before any work
+(``_check_levels``).
 
-The same pass feeds ``solve_recurrence``.  The float walk, which serves the
-precision pre-pass and ``bounded_candidate``, takes its phases from
-``potential.orbit``.
+``potential.site_values`` wraps the same pairs as mpf values for
+``solve_recurrence``.  The float walk, which serves the precision pre-pass
+and ``bounded_candidate``, takes its phases from ``potential.orbit``.
 
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
@@ -66,11 +70,13 @@ import numpy as np
 from mpmath.libmp import from_man_exp
 
 from .arithmetic import (LOG_PREC, SITE_BUDGET, ContinuedFraction, IndexValue,
-                         as_mpf, exact_fraction, ln_low, qualifying_levels)
+                         as_mpf, exact_fraction, ln_low, pair_rounding,
+                         qualifying_levels)
 from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
                      SubsequenceError)
-from .potential import MeromorphicPotential, orbit, site_values
+from .potential import (MeromorphicPotential, _site_pairs, _site_terms,
+                        check_energy, orbit, site_values)
 
 __all__ = [
     "SolutionSegment",
@@ -85,6 +91,7 @@ __all__ = [
     "max_inequality",
     "smallness_check",
     "exclusion_certificate",
+    "exclusion_certificates",
     "bounded_candidate",
 ]
 
@@ -257,33 +264,21 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
 
 
 def _pair_ops(prec: int):
-    """Multiply, add and subtract on (m, e) pairs, the values m 2^e with a
-    signed integer m, each result rounded once to ``prec`` bits, to nearest
-    with ties to even.  Those are the roundings of libmp's mpf_mul, mpf_add
-    and mpf_sub at rounding "n", so the values are theirs bit for bit; the
-    pairs skip the sign word, bit count and trailing-zero strip of a raw mpf.
+    """Multiply, add and subtract on (m, e) pairs, each result rounded once
+    to ``prec`` bits by ``arithmetic.pair_rounding``.  Those are the
+    roundings of libmp's mpf_mul, mpf_add and mpf_sub at rounding "n", so
+    the values are theirs bit for bit; the pairs skip the sign word, bit
+    count and trailing-zero strip of a raw mpf.
 
-    A mantissa may keep trailing zero bits, so a pair is not canonical; its
-    value is.  As in mpf_add, when the two exponents (of the canonical forms)
-    lie more than 100 bits apart and the top bits more than prec + 4 apart,
-    the smaller operand is replaced by a sticky bit: the larger mantissa is
+    As in mpf_add, when the two exponents (of the canonical forms) lie more
+    than 100 bits apart and the top bits more than prec + 4 apart, the
+    smaller operand is replaced by a sticky bit: the larger mantissa is
     shifted up by prec + 4 bits and moved one unit toward the smaller one's
     sign.  So a sum of prec-bit operands builds no integer much wider than
     2 prec bits, however far apart they lie.
     """
     lim = prec + 4
-
-    def rnd(m, e):
-        n = m.bit_length() - prec
-        if n <= 0:
-            return m, e
-        # t = floor(m / 2^(n-1)) ends in the half bit, and m's n - 1 bits
-        # below it are the sticky bits; flooring is right for a negative m
-        # too, since ties to even round symmetrically
-        t = m >> (n - 1)
-        if t & 1 and (t & 2 or m & ((1 << (n - 1)) - 1)):
-            return (t >> 1) + 1, e + n
-        return t >> 1, e + n
+    rnd = pair_rounding(prec)[0]
 
     def mul(x, y):
         return rnd(x[0] * y[0], x[1] + y[1])
@@ -325,18 +320,30 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
 
     The precision is max(2 log2||M||, log2(1/|h|)) + 192 bits, with ||M||
     the float pre-pass's bound on the three products and h = q alpha - p.
-    The sites come from ``site_values``'s fixed-point phasor walk as
-    (m, e) integer pairs; the products and differences are stepped on them
-    with ``_pair_ops`` and wrapped in TransferMatrix2 once, at the end.
+    The sites come from ``potential``'s fixed-point phasor walk as (m, e)
+    integer pairs: ``_site_terms`` walks the window and ``_site_pairs``
+    turns its terms into the sites at E.  The products and differences are
+    stepped on the pairs with ``_pair_ops`` and wrapped in TransferMatrix2
+    once, at the end.
     """
+    check_energy(E)
+    return _gordon_matrices(pot, E, theta, alpha, q, {})
+
+
+def _gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
+                     held: dict) -> GordonMatrices:
+    """``gordon_matrices`` with the window's site terms taken from ``held``,
+    which maps q to the (precision, terms) last made for it: energies at the
+    same precision share one walk, and a new precision replaces it."""
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     h_bits = _shift_bits(alpha, q)
     norm_bits = _log2_norm_bound(pot, E, theta, alpha, q)
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
-    with mp.workprec(precision):
-        S = [(-man if sign else man, exp) for sign, man, exp, _ in
-             (v._mpf_ for v in site_values(pot, E, theta, alpha, -q, 2 * q))]
+    if held.get(q, (None,))[0] != precision:
+        held.pop(q, None)  # the old walk goes before the new one is made
+        held[q] = precision, _site_terms(pot, theta, alpha, -q, 2 * q, precision)
+    S = _site_pairs(E, held[q][1], precision)
     # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
     # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
     # differences from A_k(theta).  A step A(s) differs from A(s') only in
@@ -629,35 +636,59 @@ def _check_levels(cf: ContinuedFraction, levels) -> None:
                               f"(q = {q}), over the site budget {SITE_BUDGET}")
 
 
-def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
-                          cf: ContinuedFraction, levels,
-                          c: float) -> list[GordonCertificate]:
-    """One certificate per requested level.
+def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
+                           alpha, cf: ContinuedFraction, levels,
+                           c: float) -> Iterator[list[GordonCertificate]]:
+    """One certificate per requested level for each energy, yielded as a
+    list per energy as soon as that energy's levels are done.
 
     A level is excluded when, for every unit initial vector, both left-hand
     sides are <= e^{-c q} and the generated solution's three-norm maximum is
     >= 1/4 - tol; ``gordon_lhs_uniform`` gives the suprema and the minimum in
-    closed form.
+    closed form.  The energies share each level's walk (``_site_terms``):
+    it is made once per working precision, and at most one per level is
+    held, until the generator finishes.  The levels and the energies are
+    checked here, before any work: an empty list of levels raises
+    InvalidInputError, a bad level as ``_check_levels`` does, and an
+    infinite or NaN energy InvalidInputError.
     """
     if not levels:
         raise InvalidInputError("levels must be nonempty")
     _check_levels(cf, levels)
-    certs = []
-    for n_i in levels:
-        q = cf.q[n_i]
-        t0 = time.perf_counter()
-        mats = gordon_matrices(pot, E, theta, alpha, q)
-        matrices_s = time.perf_counter() - t0
-        lhs, _ = gordon_lhs_uniform(mats)
-        thr_log = -c * q
-        excluded = (lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
-                    and lhs.max_norm >= 0.25 - MAX_NORM_TOL)
-        with mp.workprec(mats.precision):
-            trace = float(mats.A_q.trace())
-        certs.append(GordonCertificate(
-            E=float(E), q=q, level=n_i, lhs_square_log=lhs.square_log,
-            lhs_inverse_log=lhs.inverse_log, trace=trace, max_norm=lhs.max_norm,
-            empirical_rate=-max(lhs.square_log, lhs.inverse_log) / q,
-            verdict="excluded" if excluded else "inconclusive",
-            precision=mats.precision, matrices_s=matrices_s))
+    energies = list(energies)
+    for E in energies:
+        check_energy(E)
+    return _certificates(pot, energies, theta, alpha, cf, levels, c)
+
+
+def _certificates(pot, energies, theta, alpha, cf, levels, c):
+    held = {}  # q -> (precision, site terms), shared by the energies
+    for E in energies:
+        certs = []
+        for n_i in levels:
+            q = cf.q[n_i]
+            t0 = time.perf_counter()
+            mats = _gordon_matrices(pot, E, theta, alpha, q, held)
+            matrices_s = time.perf_counter() - t0
+            lhs, _ = gordon_lhs_uniform(mats)
+            thr_log = -c * q
+            excluded = (lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
+                        and lhs.max_norm >= 0.25 - MAX_NORM_TOL)
+            with mp.workprec(mats.precision):
+                trace = float(mats.A_q.trace())
+            certs.append(GordonCertificate(
+                E=float(E), q=q, level=n_i, lhs_square_log=lhs.square_log,
+                lhs_inverse_log=lhs.inverse_log, trace=trace,
+                max_norm=lhs.max_norm,
+                empirical_rate=-max(lhs.square_log, lhs.inverse_log) / q,
+                verdict="excluded" if excluded else "inconclusive",
+                precision=mats.precision, matrices_s=matrices_s))
+        yield certs
+
+
+def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
+                          cf: ContinuedFraction, levels,
+                          c: float) -> list[GordonCertificate]:
+    """``exclusion_certificates`` for the one energy E."""
+    (certs,) = exclusion_certificates(pot, [E], theta, alpha, cf, levels, c)
     return certs

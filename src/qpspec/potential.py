@@ -12,16 +12,20 @@ s = 2t/(1 + t^2)), so a site costs one SIMD ``np.tan`` and a few
 multiplies, with no sine or cosine: f is f_sign prod_l 2(s cos pi p_l -
 c sin pi p_l), with the pole constants rounded once per potential, and a
 registry g is coupling * poly(c, s) from its ``g.fixed_phasor``.
-``site_values`` walks the same phasor as fixed-point integers.  It forms
-each site as S = (E f - g) / f from the exact integer E f - g (a g without
-``fixed_phasor`` is evaluated at x), and tests for poles on the same
-integer pole factors.
+The site pass walks the same phasor as fixed-point integers.  Its
+energy-free part, ``_site_terms``, forms f and g at every site (a g without
+``fixed_phasor`` is evaluated at x) and tests for poles on the integer pole
+factors; its energy step, ``_site_pairs``, forms each site as
+S = (E f - g) / f from the exact integer E f - g, as an (m, e) integer pair
+rounded once.  So several energies can share one walk, and
+``site_values`` returns the pairs as mpf values.
 
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
 ``arithmetic.orbit_norms`` (exact P-bit fixed-point phases mod 2^P, as
 integer torus norms, one at a time) and
-``site_values`` (the site values E - V along a window at working precision).
+``_site_terms`` (the W-bit phasor walk behind the site values E - V along a
+window at working precision).
 """
 
 from __future__ import annotations
@@ -30,11 +34,11 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, mpf_div, to_fixed
+from mpmath.libmp import from_man_exp, to_fixed
 
 from .arithmetic import (
     ContinuedFraction,
@@ -42,6 +46,7 @@ from .arithmetic import (
     as_mpf,
     delta_index,
     ln_low,
+    pair_rounding,
     qualifying_levels,
     sine_product,
     torus_norm,
@@ -63,6 +68,7 @@ __all__ = [
     "eval_V",
     "orbit",
     "site_values",
+    "check_energy",
     "f_product_check",
     "G_REGISTRY",
 ]
@@ -401,14 +407,119 @@ def orbit(theta, alpha: float, start, stop: int | None = None,
     return y
 
 
+def check_energy(E) -> None:
+    """Refuse an infinite or NaN energy (InvalidInputError)."""
+    if not mp.isfinite(as_mpf(E)):
+        raise InvalidInputError(f"energy must be finite, got {E}")
+
+
+class _SiteTerms(NamedTuple):
+    """The energy-free part of the site pass over a window: f_j 2^f_exp and
+    g at every site, from the W-bit phasor walk.  ``f`` is None when the
+    potential is pole-free (f = 1); ``g`` holds (m, e) pairs."""
+
+    W: int
+    f_exp: int
+    f: list | None
+    g: list
+
+
+def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
+                stop: int, prec: int) -> _SiteTerms:
+    """Walk the phasor (c, s) = (cos pi x_j, sin pi x_j) for j in
+    [start, stop) as W-bit fixed-point integers, W = prec + ceil(log2(n)) +
+    32 over the n sites, and return f and g at each site; the pole test
+    raises OrbitPoleError at the first site within ``eps_floor`` of a pole.
+    Nothing here depends on the energy (``site_values`` has the details)."""
+    n = stop - start
+    fixed = getattr(pot.g, "fixed_phasor", None)
+    if fixed is None:
+        # a user g is evaluated at x_j formed at prec bits
+        with mp.workprec(prec):
+            th, av = as_mpf(theta), as_mpf(alpha)
+            xs = [th + j * av for j in range(start, stop)]
+    W = prec + (n - 1).bit_length() + 32
+    half = 1 << (W - 1)
+    with mp.workprec(W):
+        def fix(v):
+            return to_fixed(v._mpf_, W)
+
+        aw = as_mpf(alpha)
+        x0 = as_mpf(theta) + start * aw
+        c, s = fix(mp.cospi(x0)), fix(mp.sinpi(x0))
+        cu, su = fix(mp.cospi(aw)), fix(mp.sinpi(aw))
+        sp_u, sm_u = su + cu, su - cu
+        if fixed is not None:
+            lam, degree, poly = fixed
+            # the coupling at W bits, converted once: exact for a float and
+            # for an mpf of up to W bits
+            sign, man, exp, _ = as_mpf(lam)._mpf_
+            lam_man, g_exp = -man if sign else man, exp - degree * W
+        poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
+                 for pl in pot.poles]
+        floor = fix(2 * mp.sinpi(min(pot.eps_floor, 0.5)))
+        f_sign = pot.f_sign
+        fs, gs = ([] if poles else None), []
+        for i in range(n):
+            if fixed is not None:
+                gs.append((lam_man * poly(c, s), g_exp))
+            else:
+                gs.append(_man_exp(mp.mpf(pot.g(xs[i])), start + i))
+            if poles:
+                fv = f_sign
+                for cp, sp in poles:
+                    fac = (s * cp - c * sp + half) >> W
+                    if abs(fac) <= floor:
+                        j = start + i
+                        with mp.workprec(prec):
+                            dist = pot.pole_distance(as_mpf(theta) + j * as_mpf(alpha))
+                        raise OrbitPoleError(f"pole within floor at orbit site {j}",
+                                             dist=float(dist), step=j)
+                    fv *= fac
+                fs.append(fv)
+            # (c cu - s su, s cu + c su) from three products, exactly
+            k = cu * (c + s)
+            c, s = (k - s * sp_u + half) >> W, (k + c * sm_u + half) >> W
+    return _SiteTerms(W, -W * pot.m, fs, gs)
+
+
+def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
+    """S_j = (E f_j - g_j) / f_j for every site of ``terms``, as (m, e) pairs
+    rounded once to prec bits, to nearest with ties to even.  E is taken at
+    the walk's W bits, and E f - g is formed exactly as an integer times a
+    power of 2.  Without poles (f = 1) that integer is rounded; otherwise one
+    integer division rounds the quotient (``arithmetic.pair_rounding``)."""
+    rnd, div = pair_rounding(prec)
+    with mp.workprec(terms.W):
+        sign, man, e_exp, _ = as_mpf(E)._mpf_
+    e_int = -man if sign else man
+    if terms.f is None:
+        out = []
+        for g, g_exp in terms.g:
+            e0 = min(e_exp, g_exp)
+            out.append(rnd((e_int << (e_exp - e0)) - (g << (g_exp - e0)), e0))
+        return out
+    f_exp = terms.f_exp
+    ef_exp = e_exp + f_exp
+    out = []
+    for f, (g, g_exp) in zip(terms.f, terms.g):
+        e0 = min(ef_exp, g_exp)
+        out.append(div((e_int * f << (ef_exp - e0)) - (g << (g_exp - e0)), f,
+                       e0 - f_exp))
+    return out
+
+
 def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
                 stop: int) -> list:
     """S_j = E - V(theta + j alpha) for j in [start, stop), one orbit pass,
     rounded to the current working precision prec.
 
-    The phasor (c, s) = (cos pi x_j, sin pi x_j) is walked as W-bit
-    fixed-point integers, W = prec + ceil(log2(n)) + 32 over the n sites:
-    each site rotates it by (cos pi alpha, sin pi alpha) with three integer
+    The pass has an energy-free part, ``_site_terms``, and an energy step,
+    ``_site_pairs``, so that a caller with several energies (the
+    certificates) walks a window once per precision.  The phasor
+    (c, s) = (cos pi x_j, sin pi x_j) is walked as W-bit fixed-point
+    integers, W = prec + ceil(log2(n)) + 32 over the n sites: each site
+    rotates it by (cos pi alpha, sin pi alpha) with three integer
     multiplies, each coordinate rounded to nearest, so its absolute error
     stays about n 2^-W before the final rounding to prec.  On this walk:
 
@@ -417,82 +528,24 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
         (f = 1 without poles, as in ``eval_V``);
       * g is a registry g's lam poly(c, s) (``g.fixed_phasor``), exact, or
         else a user g evaluated at x_j at W bits;
-      * S_j = (E f - g) / f, with E f - g formed exactly as an integer times
-        a power of 2 and the quotient rounded once to prec.  A pole-free
-        registry g skips the division: E - g is rounded once.
+      * S_j = (E f - g) / f as an (m, e) integer pair, with E f - g formed
+        exactly as an integer times a power of 2 and the quotient rounded
+        once to prec by one integer division.  Without poles E - g is
+        rounded once, with no division.
 
     The pole test reads the same factors: |2 sin(pi (x - p))| rises with the
     torus distance from x to p, so the first site with a factor no larger
     than 2 sin(pi eps_floor) (at W bits) raises OrbitPoleError with its j and
     its mp ``pole_distance``.  Up to the walk's error of about n 2^-W, this
-    is the test pole_distance(x_j) <= eps_floor.
+    is the test pole_distance(x_j) <= eps_floor.  A non-finite E raises
+    InvalidInputError before the walk.  The pairs are returned as mpf
+    values, exactly.
     """
-    n = stop - start
+    check_energy(E)
     prec = mp.mp.prec
-    th = as_mpf(theta)
-    av = as_mpf(alpha)
-    fixed = getattr(pot.g, "fixed_phasor", None)
-    if fixed is None:
-        xs = [th + j * av for j in range(start, stop)]
-    W = prec + (n - 1).bit_length() + 32
-    half = 1 << (W - 1)
+    pairs = _site_pairs(E, _site_terms(pot, theta, alpha, start, stop, prec), prec)
     make = mp.make_mpf
-    with mp.workprec(W):
-        def fix(v):
-            return to_fixed(v._mpf_, W)
-
-        e_sign, e_man, e_exp, _ = as_mpf(E)._mpf_
-        if not e_man and e_exp:
-            raise InvalidInputError(f"energy must be finite, got {E}")
-        e_int = -e_man if e_sign else e_man
-        aw = as_mpf(alpha)
-        x0 = as_mpf(theta) + start * aw
-        c, s = fix(mp.cospi(x0)), fix(mp.sinpi(x0))
-        cu, su = fix(mp.cospi(aw)), fix(mp.sinpi(aw))
-        sp_u, sm_u = su + cu, su - cu
-        walk = []
-        for _ in range(n):
-            walk.append((c, s))
-            # (c cu - s su, s cu + c su) from three products, exactly
-            k = cu * (c + s)
-            c, s = (k - s * sp_u + half) >> W, (k + c * sm_u + half) >> W
-        if fixed is not None:
-            lam, degree, poly = fixed
-            # the coupling at W bits, converted once: exact for a float and
-            # for an mpf of up to W bits
-            sign, man, exp, _ = as_mpf(lam)._mpf_
-            lam_man, g_exp = -man if sign else man, exp - degree * W
-            if not pot.m:
-                # E - g as one integer times 2^e0, rounded once
-                e0 = min(e_exp, g_exp)
-                e_top = e_int << (e_exp - e0)
-                return [make(from_man_exp(
-                    e_top - (lam_man * poly(c, s) << (g_exp - e0)), e0, prec, "n"))
-                    for c, s in walk]
-            gs = ((lam_man * poly(c, s), g_exp) for c, s in walk)
-        else:
-            gs = (_man_exp(mp.mpf(pot.g(x)), j) for j, x in enumerate(xs, start))
-        poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
-                 for pl in pot.poles]
-        floor = fix(2 * mp.sinpi(min(pot.eps_floor, 0.5)))
-        f_sign, f_exp = (pot.f_sign if poles else 1), -W * pot.m
-        out = []
-        for j, (c, s), (g_man, g_exp) in zip(range(start, stop), walk, gs):
-            fv = f_sign
-            for cp, sp in poles:
-                fac = (s * cp - c * sp + half) >> W
-                if abs(fac) <= floor:
-                    with mp.workprec(prec):
-                        dist = pot.pole_distance(th + j * av)
-                    raise OrbitPoleError(f"pole within floor at orbit site {j}",
-                                         dist=float(dist), step=j)
-                fv *= fac
-            # E f - g exactly, as num 2^e0
-            e0 = min(e_exp + f_exp, g_exp)
-            num = (e_int * fv << (e_exp + f_exp - e0)) - (g_man << (g_exp - e0))
-            out.append(make(mpf_div(from_man_exp(num, e0),
-                                    from_man_exp(fv, f_exp), prec, "n")))
-    return out
+    return [make(from_man_exp(m, e)) for m, e in pairs]
 
 
 def _man_exp(v: mp.mpf, j: int) -> tuple[int, int]:

@@ -7,7 +7,9 @@ computations written with mpf objects: the phasor advanced by one complex
 multiply per site at the same guard precision, and the fused
 product/difference loop as mpf expressions.  Results must agree bit for bit
 (``_mpf_`` tuples equal).  ``_pair_ops`` is also checked one operation at a
-time against libmp's mpf_mul, mpf_add and mpf_sub.
+time against libmp's mpf_mul, mpf_add and mpf_sub, and the site pass's
+rounding and division (``arithmetic.pair_rounding``) against from_man_exp
+and mpf_div.
 """
 
 import math
@@ -17,11 +19,11 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath.libmp import from_man_exp, mpf_add, mpf_mul, mpf_sub
+from mpmath.libmp import from_man_exp, mpf_add, mpf_div, mpf_mul, mpf_sub
 
 from qpspec import (gordon_matrices, golden_cf, liouville_cf, make_amo,
                     make_custom, make_maryland)
-from qpspec.arithmetic import as_mpf
+from qpspec.arithmetic import as_mpf, pair_rounding
 from qpspec.cocycle import TransferMatrix2
 from qpspec.gordon import _pair_ops
 from qpspec.potential import site_values
@@ -98,6 +100,7 @@ _SITE_CASES = {
     "const": (make_custom([Fraction(1, 4)], "const", coupling=0.9),
               lambda c, s: mp.mpf(0.9)),
     "user-g": (make_custom([Fraction(1, 3)], "user", g=_user_g), None),
+    "pole-free-user-g": (make_custom([], "user", g=_user_g), None),
     "mpf-coupling": (make_custom([Fraction(1, 3)], "cos2pi", coupling=_LAM_200),
                      lambda c, s: _LAM_200 * (c * c - s * s)),
 }
@@ -204,3 +207,60 @@ def test_pair_ops_match_libmp(case):
     fx, fy = from_man_exp(*x), from_man_exp(*y)
     for op, libmp_op in ((mul, mpf_mul), (add, mpf_add), (sub, mpf_sub)):
         assert from_man_exp(*op(x, y)) == libmp_op(fx, fy, prec, "n")
+
+
+# the site pass's rounding and division against libmp
+
+@st.composite
+def _rounding_operands(draw):
+    """(prec, m, den, e): a working precision, a signed mantissa m, a nonzero
+    signed divisor and an exponent.  m is random up to 3 prec bits, zero,
+    an exact multiple of den, (2 kept + 1) den (so that m / den and, for
+    den = 1, m itself are exact ties at prec bits, with an odd or an even
+    kept part), or one unit beside such a tie; m and den may carry trailing
+    zero bits."""
+    prec = draw(st.integers(53, 2400))
+    sign = st.sampled_from([1, -1])
+
+    def mantissa(lo=1):
+        bits = draw(st.integers(lo, 3 * prec))
+        return draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+
+    den = draw(st.just(1) | st.integers(2, 2**64) | st.builds(mantissa))
+    kept = draw(st.integers(1 << (prec - 1), (1 << prec) - 1))
+    kept += kept % 2 != draw(st.integers(0, 1))  # either parity
+    kind = draw(st.sampled_from(["random", "zero", "exact", "tie", "near-tie"]))
+    if kind == "random":
+        m = mantissa()
+    elif kind == "zero":
+        m = 0
+    elif kind == "exact":
+        m = mantissa() * den
+    elif kind == "tie":
+        m = (2 * kept + 1) * den
+    else:
+        # a remainder of +-1 lies below the half bit: only a sticky bit
+        # tells this quotient from the tie
+        m = (2 * kept + 1) * den + draw(sign)
+    m <<= draw(st.integers(0, 200))
+    den <<= draw(st.integers(0, 200))
+    return (prec, m * draw(sign), den * draw(sign),
+            draw(st.integers(-10 ** 5, 10 ** 5)))
+
+
+@given(_rounding_operands())
+@settings(max_examples=400, deadline=None)
+def test_site_rounding_matches_from_man_exp(case):
+    prec, m, den, e = case
+    rnd, _ = pair_rounding(prec)
+    # m itself, and for den = 1 the ties and near-ties at prec bits
+    assert from_man_exp(*rnd(m, e)) == from_man_exp(m, e, prec, "n")
+
+
+@given(_rounding_operands())
+@settings(max_examples=400, deadline=None)
+def test_site_division_matches_mpf_div(case):
+    prec, num, den, e = case
+    _, div = pair_rounding(prec)
+    expect = mpf_div(from_man_exp(num, e), from_man_exp(den, 0), prec, "n")
+    assert from_man_exp(*div(num, den, e)) == expect

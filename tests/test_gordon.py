@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import mpmath as mp
@@ -7,6 +9,7 @@ import pytest
 
 from qpspec import (
     BudgetError,
+    InvalidInputError,
     NumericError,
     OrbitPoleError,
     RangeError,
@@ -14,6 +17,7 @@ from qpspec import (
     bounded_candidate,
     delta_index,
     exclusion_certificate,
+    exclusion_certificates,
     gordon_lhs,
     gordon_lhs_uniform,
     gordon_matrices,
@@ -435,3 +439,85 @@ def test_exclusion_certificate_resolves_level_with_a_null_direction():
                                  1e-2)
     assert c.q == 1
     assert c.verdict == "inconclusive"
+
+
+# the energy batch against the single-energy path
+
+_MARYLAND_POOL = [float(Fraction(k - 16, 16)) for k in range(33)]
+
+
+def test_certificate_batch_equals_one_call_per_energy():
+    # every field, precision included, for the 33 energies of the
+    # certify-maryland pool, which share one walk at 276 bits
+    pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
+    batch = list(exclusion_certificates(pot, _MARYLAND_POOL, Fraction(3, 8),
+                                        cf.value, cf, [3], 0.01))
+    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf.value, cf, [3],
+                                     0.01) for E in _MARYLAND_POOL]
+    assert batch == singles
+    assert {c.precision for (c,) in batch} == {276}
+
+
+def test_certificate_batch_across_two_working_precisions():
+    # at q=57, E = 0 and 0.5 take 276 bits and E = 2 takes 294, so the
+    # level's walk is made again at each change of precision
+    pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
+    energies = [0.0, 2.0, 0.5, 2.0]
+    batch = list(exclusion_certificates(pot, energies, Fraction(3, 8), cf.value,
+                                        cf, [2, 3], 0.01))
+    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf.value, cf,
+                                     [2, 3], 0.01) for E in energies]
+    assert batch == singles
+    assert [certs[1].precision for certs in batch] == [276, 294, 276, 294]
+
+
+def test_certificate_batch_raises_the_pole_of_the_single_path(maryland1):
+    cf = golden_cf(20)
+    with mp.workprec(200):
+        # site -2 lies 1e-14 from the pole at 1/2, as in the test above
+        theta = mp.mpf(1) / 2 + 2 * cf.value + mp.mpf("1e-14")
+    raised = []
+    for run in (lambda: exclusion_certificate(maryland1, 0.3, theta, cf.value,
+                                              cf, [6], 0.01),
+                lambda: list(exclusion_certificates(maryland1, [0.3, -0.2], theta,
+                                                    cf.value, cf, [6], 0.01))):
+        with pytest.raises(OrbitPoleError) as exc:
+            run()
+        raised.append((exc.value.step, exc.value.dist))
+    assert raised[0] == raised[1]
+    assert raised[0][0] == -2
+
+
+def test_certificate_batch_refuses_bad_input_before_any_work():
+    pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
+    # the generator is made, not run: the checks come first
+    with pytest.raises(RangeError, match=r"level 9 outside 1\.\.4$"):
+        exclusion_certificates(pot, [], Fraction(3, 8), cf.value, cf, [9], 0.01)
+    with pytest.raises(InvalidInputError, match="energy must be finite"):
+        exclusion_certificates(pot, [0.0, math.inf], Fraction(3, 8), cf.value,
+                               cf, [3], 0.01)
+
+
+def test_certificate_keeps_nothing_after_it_returns():
+    # the q=1026 certificate's walk (about 1.8 MB of integers at 2245 bits)
+    # is dropped when the call returns; the pass that built mpf sites
+    # peaked at 3.7 MB here
+    pot, cf = make_amo(2.0), liouville_cf(math.log(4), 4)
+
+    def run():
+        return exclusion_certificate(pot, 0.5, Fraction(1, 10), cf.value, cf,
+                                     [3], 0.01)
+
+    run()  # mpmath's constants at this precision are cached once
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        (c,) = run()
+        gc.collect()
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert c.q == 1026 and c.precision == 2245
+    assert after - before < 16 * 2**10
+    assert peak - before < 3.7 * 2**20
