@@ -313,8 +313,8 @@ def _pair_ops(prec: int):
     return mul, add, sub
 
 
-def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
-                    q: int) -> GordonMatrices:
+def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
+                    held: dict | None = None) -> GordonMatrices:
     """Build A_q(theta - q alpha), A_q, A_{2q} and the two differences from
     one pass over the 3q orbit sites [-q, 2q).
 
@@ -322,24 +322,21 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha,
     the float pre-pass's bound on the three products and h = q alpha - p.
     The sites come from ``potential``'s fixed-point phasor walk as (m, e)
     integer pairs: ``_site_terms`` walks the window and ``_site_pairs``
-    turns its terms into the sites at E.  The products and differences are
-    stepped on the pairs with ``_pair_ops`` and wrapped in TransferMatrix2
-    once, at the end.
+    turns its terms into the sites at E.  ``held``, a dict that a caller
+    with several energies keeps between calls (``exclusion_certificates``),
+    maps q to the (precision, terms) last made for it: energies at the same
+    precision share one walk, and a new precision replaces it.  The products
+    and differences are stepped on the pairs with ``_pair_ops`` and wrapped
+    in TransferMatrix2 once, at the end.
     """
     check_energy(E)
-    return _gordon_matrices(pot, E, theta, alpha, q, {})
-
-
-def _gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
-                     held: dict) -> GordonMatrices:
-    """``gordon_matrices`` with the window's site terms taken from ``held``,
-    which maps q to the (precision, terms) last made for it: energies at the
-    same precision share one walk, and a new precision replaces it."""
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     h_bits = _shift_bits(alpha, q)
     norm_bits = _log2_norm_bound(pot, E, theta, alpha, q)
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
+    if held is None:
+        held = {}
     if held.get(q, (None,))[0] != precision:
         held.pop(q, None)  # the old walk goes before the new one is made
         held[q] = precision, _site_terms(pot, theta, alpha, -q, 2 * q, precision)
@@ -668,7 +665,7 @@ def _certificates(pot, energies, theta, alpha, cf, levels, c):
         for n_i in levels:
             q = cf.q[n_i]
             t0 = time.perf_counter()
-            mats = _gordon_matrices(pot, E, theta, alpha, q, held)
+            mats = gordon_matrices(pot, E, theta, alpha, q, held)
             matrices_s = time.perf_counter() - t0
             lhs, _ = gordon_lhs_uniform(mats)
             thr_log = -c * q

@@ -504,16 +504,18 @@ def test_certificate_keeps_nothing_after_it_returns():
     # peaked at 3.7 MB here
     pot, cf = make_amo(2.0), liouville_cf(math.log(4), 4)
 
-    def run():
-        return exclusion_certificate(pot, 0.5, Fraction(1, 10), cf.value, cf,
-                                     [3], 0.01)
+    def run(theta):
+        return exclusion_certificate(pot, 0.5, theta, cf.value, cf, [3], 0.01)
 
-    run()  # mpmath's constants at this precision are cached once
+    # mpmath's constants at this precision are cached once; the measured
+    # call walks another phase, so a walk kept from an earlier call would
+    # not hide one kept from this call
+    run(Fraction(1, 10))
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        (c,) = run()
+        (c,) = run(Fraction(3, 10))
         gc.collect()
         after, peak = tracemalloc.get_traced_memory()
     finally:
