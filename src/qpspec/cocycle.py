@@ -9,34 +9,37 @@ part D = f*A with det = f^2 (the two cocycles share the exponent because
 ln|f| integrates to zero); A-kind estimates exist for cross-checks with
 pole windows masked out.  The float engine takes one step form for both
 kinds, [[s, -f], [f, 0]] with the site arrays s = E f - g for D and
-s = E - V, f = 1 for A, vectorised over phases.  Each orbit's n steps are
-cut into SEGMENTS = 16 consecutive stretches of ceil(n / 16) steps (the sites
-past n pad the last ones with s = 0, f = 1, an exact quarter turn), and the
-stretches of all phases step side by side.  The state is four rows
-(a, b, c, d) of one buffer, stepped in place (``_step_row``): with f = 1
+s = E - V, f = 1 for A, vectorised over phases and energies.  Each orbit's
+n steps are cut into SEGMENTS = 16 consecutive stretches of ceil(n / 16)
+steps (the sites past n pad the last ones with s = 0, f = 1, an exact
+quarter turn), and the stretches of all phases step side by side.  The
+state is four rows (a, b, c, d) of one buffer, stepped in place by one
+loop per chunk (``_step_chunk``), with no Python call per row: with f = 1
 (the A kind, and D without poles) a step writes s a - c over c and
-s b - d over d and renames the rows, four numpy calls, and a D step is
-eight, each entry rounded as in s*a - f*c, s*b - f*d, f*a, f*b, with no
-array allocated.  Each stretch product is renormalised to
-unit scale every 32 steps, with the log scale in a separate accumulator;
-the 16 stretch products of a phase are then chained with one
-renormalisation per link.  The single-orbit base point runs as one more
-phase next to the phase grid, so one pass gives both estimates.
+s b - d over d and swaps the row names, four numpy calls, and a D step is
+eight, each entry rounded as in s*a - f*c, s*b - f*d, f*a, f*b.  Each
+stretch product is renormalised every 32 steps, with the log scale in a
+separate accumulator; the 16 stretch products of a phase are then chained
+with one renormalisation per link.  The single-orbit base point runs as
+one more phase, so one pass gives both estimates.
 
-The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of all
-columns) from one tangent per site (``potential._phasor``), in six site
-buffers allocated once per call and filled in place: each takes 128 KB,
-so a chunk's arrays stay in a 2 MB L2 cache, and the row count never
-changes a value.  A-kind chunks evaluate f and read |f| once, for V and
-for the pole mask: the exact pole distance is taken only at the few sites
-whose |f| admits the floor (``MeromorphicPotential._f_near_pole``), and
-serves both the pole-hit fix of V and the mask.
+The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of the
+16 K columns of one energy) from one tangent per site
+(``potential._phasor``), in site buffers allocated once per call: each
+takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache, and the row
+count never changes a value.  The tangent model's pole factor is one
+multiply.  A-kind chunks read |f| once, for V and for the pole mask: the
+exact pole distance is taken only where |f| admits the floor
+(``MeromorphicPotential._f_near_pole``).  ``spectral.lyapunov_scan`` runs
+up to BATCH = 16 energies per pass: they share a chunk's phases, f, g (or
+V) and pole mask, only S has an energy axis, and F is copied out per
+energy so that no step call broadcasts.  Columns never mix, so an energy's
+values are bit for bit those of a pass of its own (``lyapunov``).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,6 +72,10 @@ SEGMENTS = 16  # stretches of each orbit that the float engine steps side by sid
 CHUNK = 4096 * 4
 # largest |s| + |f| for which RENORM_EVERY steps stay below 2^992
 SAFE_SITE = 2.0 ** 31
+# energies per engine pass in spectral.lyapunov_scan (16 beat 8 and 41)
+BATCH = 16
+
+_mul, _sub = np.multiply, np.subtract
 
 
 def _sqrt(x):
@@ -171,7 +178,7 @@ def product(pot: MeromorphicPotential, E, x, alpha, n: int) -> TransferMatrix2:
 
 
 # ---------------------------------------------------------------------------
-# Lyapunov engine (float64, vectorised over phases)
+# Lyapunov engine (float64, vectorised over phases and energies)
 
 
 def _rescale(M: np.ndarray) -> np.ndarray:
@@ -184,31 +191,41 @@ def _rescale(M: np.ndarray) -> np.ndarray:
     return np.log(m)
 
 
-def _step_row(M: tuple, s: np.ndarray, f: np.ndarray | None,
-              tmp: tuple) -> tuple:
-    """One row of steps [[s, -f], [f, 0]] on the state M = (a, b, c, d),
-    four rows of one buffer, in place; ``f`` None means f = 1 (the A-kind
-    step) and ``tmp`` holds two scratch rows.  Returns the new (a, b, c, d),
-    the same four rows reordered.  Every entry gets the roundings of
-    s*a - f*c, s*b - f*d, f*a, f*b; multiplying by f = 1 is exact, so an
-    A-kind row writes s a - c over c and s b - d over d and renames the
-    rows, four calls for eight.  No operand is broadcast: with numpy 2.4 on
-    a 2-vCPU Xeon, a call that broadcasts a row over two stacked rows took
-    about 1 us more than one on equal shapes, more than halving the calls
-    saves, and a D step on stacked (a, b), (c, d) rows ran slower than
-    eight allocating calls."""
+def _step_chunk(state: np.ndarray, M: tuple, S: np.ndarray,
+                F: np.ndarray | None, tmp: tuple, first: int,
+                logs: np.ndarray) -> tuple:
+    """Step the state M = (a, b, c, d), rows of ``state``, in place through
+    the site rows of S and F (None: f = 1), row j being step ``first + j``;
+    every RENORM_EVERY-th step renormalises into ``logs``.  Returns the rows
+    in their new order.  No operand is broadcast: with numpy 2.4 on a 2-vCPU
+    Xeon, a call that broadcasts a row over two stacked rows took about 1 us
+    more than one on equal shapes, more than halving the calls saves, and a
+    D step on stacked (a, b), (c, d) rows ran slower than eight allocating
+    calls."""
     a, b, c, d = M
     t, u = tmp
-    if f is None:
-        np.subtract(np.multiply(s, a, out=t), c, out=c)
-        np.subtract(np.multiply(s, b, out=t), d, out=d)
-        return c, d, a, b
-    np.multiply(f, c, out=t)
-    np.multiply(f, d, out=u)
-    np.multiply(f, a, out=c)
-    np.multiply(f, b, out=d)
-    np.subtract(np.multiply(s, a, out=a), t, out=a)
-    np.subtract(np.multiply(s, b, out=b), u, out=b)
+    r = S.shape[0]
+    lo = 0
+    while lo < r:
+        # the rows up to the next renormalisation or the end of the chunk
+        hi = min(r, lo + RENORM_EVERY - (first + lo) % RENORM_EVERY)
+        if F is None:
+            for s in S[lo:hi]:
+                _sub(_mul(s, a, t), c, c)
+                _sub(_mul(s, b, t), d, d)
+                a, c = c, a
+                b, d = d, b
+        else:
+            for s, f in zip(S[lo:hi], F[lo:hi]):
+                _mul(f, c, t)
+                _mul(f, d, u)
+                _mul(f, a, c)
+                _mul(f, b, d)
+                _sub(_mul(s, a, a), t, a)
+                _sub(_mul(s, b, b), u, b)
+        if (first + hi) % RENORM_EVERY == 0:
+            logs += _rescale(state)
+        lo = hi
     return a, b, c, d
 
 
@@ -217,24 +234,17 @@ def _quiet(on: bool):
     return np.errstate(over="ignore", invalid="ignore") if on else contextlib.nullcontext()
 
 
-def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
+def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
               xs: np.ndarray, n: int, kind: str) -> tuple[np.ndarray, np.ndarray]:
-    """(1/n) ln||M_n(x)|| for each phase in xs, plus an excluded mask for
-    A-kind phases whose orbit enters the pole floor; excluded phases read nan.
-
-    Both kinds take the step [[s, -f], [f, 0]]: D has s = E f - g, and A is
-    the same step with f = 1, s = E - V (as is D without poles, f = 1).
-    Each orbit's n steps run as SEGMENTS stretches of ceil(n / SEGMENTS)
-    steps, all stretches of all phases side by side; the sites past n step
-    with s = 0, f = 1, an exact quarter turn.  The stretch products are then
-    chained per phase.  The layout depends on n only: the rows built per
-    chunk change the speed, never the values.  The site arrays of a chunk
-    are filled in buffers allocated once per call.
-    """
-    K = xs.shape[0]
+    """(1/n) ln||M_n(x)|| at each energy of the 1-D array E (rows) and each
+    phase in xs (columns), plus an excluded mask for A-kind phases whose
+    orbit enters the pole floor; excluded phases read nan, and an energy
+    whose product overflows reads inf or nan.  Neither the other energies
+    nor the rows built per chunk change a value (module docstring)."""
+    nE, K = E.shape[0], xs.shape[0]
     stretch = -(-n // SEGMENTS)  # steps per stretch
-    cols = SEGMENTS * K
-    rows = max(1, CHUNK // cols)
+    cols = nE * SEGMENTS * K
+    rows = max(1, CHUNK // (SEGMENTS * K))
     # the state (a, b, c, d) as four rows of one buffer, stepped in place
     state = np.zeros((4, cols))
     state[0] = state[3] = 1.0
@@ -244,28 +254,37 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
     excluded = np.zeros(K, dtype=bool)
     unit_f = kind == "A" or not pot.m  # the step's f is 1
     f_peak = 1.0 if unit_f else 2.0 ** pot.m  # |f| <= 2^m
-    huge_E = not abs(E) < SAFE_SITE  # E f may overflow in the site arrays
+    huge_E = not np.all(np.abs(E) < SAFE_SITE)  # E f may overflow in the site arrays
     # the phases and the five site buffers of _V_and_near / _f_and_g, as
     # separate arrays: each stays on the heap, and those that a potential
     # never writes take no memory
     X_buf, *work_buf = (np.empty((rows, SEGMENTS, K)) for _ in range(6))
+    # one energy's S overwrites V or g; a batch has its own S and F copy
+    if nE == 1:
+        S_buf, F_buf = work_buf[2][:, None], None
+    else:
+        S_buf = np.empty((rows, nE, SEGMENTS, K))
+        F_buf = None if unit_f else np.empty((rows, nE, SEGMENTS, K))
     for start in range(0, stretch, rows):
         # step j of stretch i is orbit step i * stretch + j
         steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
                              stretch * np.arange(SEGMENTS))
         r = steps.shape[0]
         work = [w[:r] for w in work_buf]
+        S = S_buf[:r]
         X = orbit(xs, alpha, steps, out=X_buf[:r], scratch=work[1])
         with _quiet(huge_E):
             if kind == "A":
                 V, near = pot._V_and_near(X, work)
-                S = np.subtract(E, V, out=work[2])
+                for e, En in enumerate(E):
+                    _sub(En, V, S[:, e])
             else:
                 F, G = pot._f_and_g(X, work)
-                if F is None:
-                    S = np.subtract(E, G, out=work[2])
-                else:
-                    S = np.subtract(np.multiply(F, E, out=work[1]), G, out=work[2])
+                for e, En in enumerate(E):
+                    if F is None:
+                        _sub(En, G, S[:, e])
+                    else:
+                        _sub(_mul(F, En, work[1]), G, S[:, e])
         if kind == "A" and pot.m:
             # the exact pole distance, taken by _V_and_near only where |f|
             # admits the floor; only sites before n (not the padding) count
@@ -277,43 +296,42 @@ def _ln_norms(pot: MeromorphicPotential, E: float, alpha: float,
             # inf/nan (with numpy warnings); a masked column's value is
             # discarded, so it steps with s = 0 instead
             if excluded.any():
-                S[:, :, excluded] = 0.0
-        pad = (steps >= n)[:, :, None]
-        if pad.any():
-            np.copyto(S, 0.0, where=pad)
+                S[..., excluded] = 0.0
+        if steps[-1, -1] >= n:
+            pad = (steps >= n)[:, :, None]
+            np.copyto(S, 0.0, where=pad[:, None])
             if not unit_f:
                 np.copyto(F, 1.0, where=pad)
+        F_rows = None
+        if not unit_f:
+            if F_buf is not None:
+                np.copyto(F_buf[:r], F[:, None])
+                F = F_buf[:r]
+            F_rows = F.reshape(r, cols)
         # a step multiplies the largest entry by at most |s| + |f|, so with
         # sites below SAFE_SITE no RENORM_EVERY steps can overflow; larger
         # sites (a huge E or coupling) step with overflow silenced, and the
-        # non-finite result raises below
-        F_rows = itertools.repeat(None) if unit_f else F.reshape(-1, cols)
+        # non-finite result is the caller's to report
         with _quiet(not max(S.max(), -S.min()) + f_peak <= SAFE_SITE):
-            for step, (s, f) in enumerate(zip(S.reshape(-1, cols), F_rows),
-                                          start + 1):
-                M = _step_row(M, s, f, tmp)
-                if step % RENORM_EVERY == 0:
-                    logs += _rescale(state)
+            M = _step_chunk(state, M, S.reshape(r, cols), F_rows, tmp, start, logs)
     # chain the stretch products of each phase, the first one rightmost
-    # (elementwise throughout, so a phase's value does not depend on K)
-    a, b, c, d, seg_logs = (v.reshape(SEGMENTS, K) for v in (*M, logs))
-    P, logs = np.array([a[0], b[0], c[0], d[0]]), seg_logs[0]
-    for i in range(1, SEGMENTS):
+    # (elementwise, so a value depends on neither K nor nE); a product that
+    # overflowed overflows here too, and the caller reports it
+    a, b, c, d, seg_logs = (v.reshape(nE, SEGMENTS, K) for v in (*M, logs))
+    P, logs = np.array([a[:, 0], b[:, 0], c[:, 0], d[:, 0]]), seg_logs[:, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(1, SEGMENTS):
+            pa, pb, pc, pd = P
+            P = np.array([a[:, i] * pa + b[:, i] * pc, a[:, i] * pb + b[:, i] * pd,
+                          c[:, i] * pa + d[:, i] * pc, c[:, i] * pb + d[:, i] * pd])
+            logs = logs + seg_logs[:, i] + _rescale(P)
         pa, pb, pc, pd = P
-        P = np.array([a[i] * pa + b[i] * pc, a[i] * pb + b[i] * pd,
-                      c[i] * pa + d[i] * pc, c[i] * pb + d[i] * pd])
-        logs = logs + seg_logs[i] + _rescale(P)
-    pa, pb, pc, pd = P
-    fro2 = pa * pa + pb * pb + pc * pc + pd * pd
-    det = pa * pd - pb * pc
-    disc = np.maximum(fro2 * fro2 - 4 * det * det, 0.0)
-    sn = np.sqrt((fro2 + np.sqrt(disc)) / 2)
-    with np.errstate(divide="ignore"):
+        fro2 = pa * pa + pb * pb + pc * pc + pd * pd
+        det = pa * pd - pb * pc
+        disc = np.maximum(fro2 * fro2 - 4 * det * det, 0.0)
+        sn = np.sqrt((fro2 + np.sqrt(disc)) / 2)
         out = (logs + np.log(sn)) / n
-    out[excluded] = np.nan
-    if not np.all(np.isfinite(out[~excluded])):
-        raise NumericError(
-            f"non-finite product norm in the Lyapunov engine at E = {E!r}")
+    out[:, excluded] = np.nan
     return out, excluded
 
 
@@ -332,34 +350,49 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
     two is reported as the discrepancy.  A-kind runs drop grid phases whose
     orbit enters the pole floor.
     """
-    return _estimate(pot, E, alpha, n, grid, kind)[0]
+    return _or_raise(_estimates(pot, [E], alpha, n, grid, kind)[0][0])
 
 
-def _estimate(pot: MeromorphicPotential, E: float, alpha, n: int, grid: int,
-              kind: str, extra=()) -> tuple[LyapunovEstimate, np.ndarray]:
-    """``lyapunov``'s estimate, with (1/n) ln||M_n(x)|| at the phases
-    ``extra`` taken from the same engine pass (columns never mix, so those
-    values equal a call of their own bit for bit)."""
+def _or_raise(est):
+    """An estimate of ``_estimates``, or raise the error in its place."""
+    if isinstance(est, NumericError):
+        raise est
+    return est
+
+
+def _estimates(pot: MeromorphicPotential, energies, alpha, n: int, grid: int,
+               kind: str, extra=()) -> tuple[list, np.ndarray]:
+    """``lyapunov``'s estimate at each energy from one engine pass, or that
+    energy's NumericError in its place, and (1/n) ln||M_n(x)|| at the phases
+    ``extra`` (a row per energy) from the same pass."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if grid < 1:
         raise InvalidInputError("grid must be >= 1")
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
+    Es = [float(E) for E in energies]
     # one engine pass: the grid phases, the single-orbit base point, extra
     xs = np.concatenate([phase_grid(grid), [DEFAULT_X0], extra])
-    vals, excl = _ln_norms(pot, float(E), float(as_mpf(alpha)), xs, n, kind)
+    rows, excl = _ln_norms(pot, np.array(Es), float(as_mpf(alpha)), xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))
-    if used == 0:
-        raise NumericError("all grid phases excluded by pole windows")
-    if excl[grid]:
-        raise NumericError("single-orbit base point hits a pole window")
-    pa = float(np.mean(vals[:grid][keep]))
-    so = float(vals[grid])
-    est = LyapunovEstimate(value=pa, n=n, method="phase-average",
-                           phases_used=used, discrepancy=abs(pa - so), kind=kind)
-    return est, vals[grid + 1:]
+    ests = []
+    for E, vals in zip(Es, rows):
+        if not np.all(np.isfinite(vals[~excl])):
+            ests.append(NumericError(
+                f"non-finite product norm in the Lyapunov engine at E = {E!r}"))
+        elif used == 0:
+            ests.append(NumericError("all grid phases excluded by pole windows"))
+        elif excl[grid]:
+            ests.append(NumericError("single-orbit base point hits a pole window"))
+        else:
+            pa = float(np.mean(vals[:grid][keep]))
+            so = float(vals[grid])
+            ests.append(LyapunovEstimate(value=pa, n=n, method="phase-average",
+                                         phases_used=used,
+                                         discrepancy=abs(pa - so), kind=kind))
+    return ests, rows[:, grid + 1:]
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +421,8 @@ def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
     pass as the sampled phases.
     """
     xs = np.asarray([float(as_mpf(x)) % 1.0 for x in sample_x], dtype=float)
-    est, vals = _estimate(pot, E, alpha, n, 64, "D", xs)
-    L = est.value
+    (est,), (vals,) = _estimates(pot, [E], alpha, n, 64, "D", xs)
+    L = _or_raise(est).value
     margins = tuple(float(v - (L + epsilon)) for v in vals)
     return UniformBoundReport(n=n, epsilon=epsilon, L=float(L),
                               matrix_margins=margins)

@@ -191,7 +191,9 @@ class MeromorphicPotential:
         of sites, from one ``_phasor`` pass.  ``work`` is five float buffers
         shaped like x: f lands in work[0], the phasor (c, s) in work[1] and
         work[2], and a registry g over s in work[2]; work[3] and work[4] are
-        scratch that only a pole with two nonzero constants touches."""
+        scratch for the later factors and for a factor with two nonzero
+        constants.  A factor with a zero constant (a pole at an integer or
+        half-integer) is one multiply, exact but for the sign of a zero."""
         fixed = getattr(self.g, "fixed_phasor", None) if with_g else None
         if self.m or fixed is not None:
             c, s = _phasor(x, work[1:3])
@@ -201,8 +203,12 @@ class MeromorphicPotential:
             f = work[0]
             for i, (cp, sp) in enumerate(self._pole_phasors):
                 fac = work[3] if i else f
-                np.multiply(s, cp, out=fac)
-                fac -= np.multiply(c, sp, out=work[4])
+                if cp == 0:
+                    np.multiply(c, -sp, out=fac)
+                else:
+                    np.multiply(s, cp, out=fac)
+                    if sp:
+                        fac -= np.multiply(c, sp, out=work[4])
                 if i:
                     f *= fac
         if not with_g:

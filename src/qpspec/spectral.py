@@ -20,7 +20,7 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 
 from .arithmetic import IndexValue, as_mpf
-from .cocycle import LyapunovEstimate, lyapunov
+from .cocycle import BATCH, LyapunovEstimate, _estimates
 from .errors import InvalidInputError, NumericError
 from .potential import MeromorphicPotential, orbit
 
@@ -104,15 +104,15 @@ def truncated_spectrum(pot: MeromorphicPotential, theta, alpha,
 
 def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int, grid: int = 64,
                   kind: str = "D") -> list[LyapunovEstimate | Exception]:
-    """Map the Lyapunov estimator over an energy grid; per-energy numerical
-    failures (NumericError) are recorded in place and the scan continues,
-    any other error propagates.  Output order follows E_grid."""
+    """Map the Lyapunov estimator over an energy grid, in engine passes of up
+    to ``cocycle.BATCH`` energies; each estimate equals ``lyapunov``'s bit
+    for bit.  Per-energy numerical failures (NumericError) are recorded in
+    place and the scan continues, any other error propagates.  Output order
+    follows E_grid."""
+    energies = list(E_grid)
     out: list[LyapunovEstimate | NumericError] = []
-    for E in E_grid:
-        try:
-            out.append(lyapunov(pot, float(E), alpha, n, grid=grid, kind=kind))
-        except NumericError as exc:  # recorded, scan continues
-            out.append(exc)
+    for i in range(0, len(energies), BATCH):
+        out += _estimates(pot, energies[i:i + BATCH], alpha, n, grid, kind)[0]
     return out
 
 

@@ -15,6 +15,7 @@ from qpspec import (
     OrbitPoleError,
     golden_cf,
     lyapunov,
+    lyapunov_scan,
     make_amo,
     make_custom,
     make_maryland,
@@ -33,6 +34,12 @@ from qpspec.cocycle import (
     spectral_norm_2x2,
 )
 from qpspec.potential import orbit
+
+
+def _ln_norms1(pot, E, alpha, xs, n, kind):
+    """The engine at one energy: that energy's values and the excluded mask."""
+    vals, excl = _ln_norms(pot, np.array([E]), alpha, xs, n, kind)
+    return vals[0], excl
 
 
 def _mat_close(m1, m2, tol):
@@ -175,9 +182,9 @@ def test_ln_norms_columns_are_independent_phases(pot, kind):
     # both the 10-column call and the 1-column calls span two chunks or more
     for cols in (SEGMENTS * len(xs), SEGMENTS):
         assert stretch > max(1, CHUNK // cols)
-    vals, excl = _ln_norms(pot, 0.7, float(cf.value), xs, n, kind)
+    vals, excl = _ln_norms1(pot, 0.7, float(cf.value), xs, n, kind)
     for k, x in enumerate(xs):
-        v1, e1 = _ln_norms(pot, 0.7, float(cf.value), np.array([x]), n, kind)
+        v1, e1 = _ln_norms1(pot, 0.7, float(cf.value), np.array([x]), n, kind)
         assert np.array_equal(v1, vals[k:k + 1], equal_nan=True)
         assert np.array_equal(e1, excl[k:k + 1])
     assert excl[8] == (kind == "A" and pot.label == "maryland")
@@ -213,24 +220,54 @@ def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy, seq_value,
 
 @pytest.mark.parametrize("kind", ["A", "D"])
 def test_step_row_is_the_four_array_step_bit_for_bit(kind):
-    # the in-place row step against the four-array expressions it replaced,
+    # the engine's chunk step against the four-array expressions it replaced,
     # on the engine's layout (four rows of one buffer) and on entries spread
-    # over many binades, so every rounding is exercised
+    # over many binades, so every rounding is exercised; the 20 rows start
+    # 7 steps before a renormalisation beat, which the chunk step takes too
     rng = np.random.default_rng(5)
-    cols = 53
+    cols, rows = 53, 20
+    first = cocycle.RENORM_EVERY - 7
     for _ in range(10):
         state = rng.normal(size=(4, cols)) * 2.0 ** rng.integers(-30, 30, (4, cols))
         a, b, c, d = state.copy()
-        M, tmp = tuple(state), tuple(np.empty((2, cols)))
-        for _ in range(20):
-            s = rng.normal(size=cols) * 2.0 ** rng.integers(-3, 3, cols)
-            f = None if kind == "A" else rng.normal(size=cols)
-            ff = 1.0 if f is None else f
-            a, b, c, d = s * a - ff * c, s * b - ff * d, ff * a, ff * b
-            M = cocycle._step_row(M, s, f, tmp)
-            assert all(np.array_equal(x, y) for x, y in zip(M, (a, b, c, d)))
-            # the step writes in place: the state stays in its buffer
-            assert all(np.shares_memory(x, state) for x in M)
+        S = rng.normal(size=(rows, cols)) * 2.0 ** rng.integers(-3, 3, (rows, cols))
+        F = None if kind == "A" else rng.normal(size=(rows, cols))
+        log = np.zeros(cols)
+        for j, s in enumerate(S):
+            f = 1.0 if F is None else F[j]
+            a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
+            if (first + j + 1) % cocycle.RENORM_EVERY == 0:
+                m = np.max(np.abs([a, b, c, d]), axis=0)
+                a, b, c, d = a / m, b / m, c / m, d / m
+                log += np.log(m)
+        logs = np.zeros(cols)
+        M = cocycle._step_chunk(state, tuple(state), S, F,
+                                tuple(np.empty((2, cols))), first, logs)
+        assert all(np.array_equal(x, y) for x, y in zip(M, (a, b, c, d)))
+        assert np.array_equal(logs, log) and np.any(log)
+        # the step writes in place: the state stays in its buffer
+        assert all(np.shares_memory(x, state) for x in M)
+
+
+@_KERNEL_POTENTIALS
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_lyapunov_scan_is_lyapunov_per_energy_bit_for_bit(pot, kind):
+    # 20 energies run as engine passes of 16 and 4; E = 1e300 overflows
+    # within a renormalisation beat and fails alone, with its own error
+    alpha, n = golden_cf(30).value, 4099
+    energies = [float(E) for E in np.linspace(-3.0, 3.0, 19)]
+    energies.insert(5, 1e300)
+    assert len(energies) > cocycle.BATCH
+    scan = lyapunov_scan(pot, alpha, energies, n, kind=kind)
+    assert len(scan) == len(energies)
+    for E, est in zip(energies, scan):
+        if E == 1e300:
+            assert isinstance(est, NumericError)
+            assert str(est).endswith("at E = 1e+300")
+            with pytest.raises(NumericError, match=r"E = 1e\+300"):
+                lyapunov(pot, E, alpha, n, kind=kind)
+        else:
+            assert repr(est) == repr(lyapunov(pot, E, alpha, n, kind=kind)), E
 
 
 def test_a_site_on_the_pole_is_masked_at_small_coupling():
@@ -244,7 +281,7 @@ def test_a_site_on_the_pole_is_masked_at_small_coupling():
     alpha = float(golden_cf(30).value)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, excl = _ln_norms(pot, 0.3, alpha, np.array([0.5, 0.25]), 5003, "A")
+        vals, excl = _ln_norms1(pot, 0.3, alpha, np.array([0.5, 0.25]), 5003, "A")
     assert excl.tolist() == [True, False]
     assert np.isnan(vals[0]) and np.isfinite(vals[1])
 
@@ -292,7 +329,7 @@ def test_ln_norms_matches_sequential_product(pot, kind, n):
     # multiples of SEGMENTS, so the last stretch is padded
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
-    vals, excl = _ln_norms(pot, 0.7, alpha, xs, n, kind)
+    vals, excl = _ln_norms1(pot, 0.7, alpha, xs, n, kind)
     for k, x in enumerate(xs):
         if not excl[k]:
             oracle = _sequential_ln_norm(pot, 0.7, alpha, x, n, kind)
@@ -308,7 +345,7 @@ def test_ln_norms_where_the_exponent_vanishes():
     pot, n = make_amo(2.0), 5003
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), DEFAULT_X0)
-    vals, _ = _ln_norms(pot, 0.0, alpha, xs, n, "D")
+    vals, _ = _ln_norms1(pot, 0.0, alpha, xs, n, "D")
     oracle = [_sequential_ln_norm(pot, 0.0, alpha, x, n, "D") for x in xs]
     assert np.max(np.abs(vals - oracle)) <= 1e-11
     assert max(oracle) < 10 / n  # the estimates themselves are O(1/n)
@@ -317,16 +354,19 @@ def test_ln_norms_where_the_exponent_vanishes():
 @pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 32 + 5, 4096 * 32])
 def test_ln_norms_values_do_not_depend_on_the_chunk_rows(monkeypatch, budget):
     # 1, 3 and 32 rows per chunk and the earlier 4096 * 32 site budget
-    # against the default
+    # against the default, for one energy and inside a batch of three
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
     pot = make_maryland(1.0)
-    ref = [_ln_norms(pot, 0.7, alpha, xs, 1031, kind) for kind in "AD"]
+    ref = [_ln_norms1(pot, 0.7, alpha, xs, 1031, kind) for kind in "AD"]
     monkeypatch.setattr(cocycle, "CHUNK", budget)
     for kind, (vals, excl) in zip("AD", ref):
-        v, e = _ln_norms(pot, 0.7, alpha, xs, 1031, kind)
+        v, e = _ln_norms1(pot, 0.7, alpha, xs, 1031, kind)
         assert np.array_equal(v, vals, equal_nan=True)
         assert np.array_equal(e, excl)
+        vb, eb = _ln_norms(pot, np.array([-1.5, 0.7, 2.0]), alpha, xs, 1031, kind)
+        assert np.array_equal(vb[1], vals, equal_nan=True)
+        assert np.array_equal(eb, excl)
 
 
 def test_ln_norms_ignores_a_pole_in_the_padding():
@@ -339,7 +379,7 @@ def test_ln_norms_ignores_a_pole_in_the_padding():
     assert pot.pole_distance(orbit(x, alpha, 20, 21)[0]) <= pot.eps_floor
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, excl = _ln_norms(pot, 2.0, alpha, np.array([x]), 17, "A")
+        vals, excl = _ln_norms1(pot, 2.0, alpha, np.array([x]), 17, "A")
     assert not excl[0]
     assert vals[0] == pytest.approx(
         _sequential_ln_norm(pot, 2.0, alpha, x, 17, "A"), rel=1e-12, abs=0)
@@ -352,7 +392,7 @@ def test_uniform_bound_is_one_pass_of_lyapunov(amo2):
     rep = uniform_bound_check(amo2, 0.25, cf.value, 4000, epsilon=0.05,
                               sample_x=samples)
     L = lyapunov(amo2, 0.25, cf.value, 4000).value
-    vals, _ = _ln_norms(amo2, 0.25, float(cf.value), np.array(samples), 4000, "D")
+    vals, _ = _ln_norms1(amo2, 0.25, float(cf.value), np.array(samples), 4000, "D")
     assert rep.L == L
     assert rep.matrix_margins == tuple(float(v - (L + 0.05)) for v in vals)
 
@@ -363,8 +403,8 @@ def test_ln_norms_masked_pole_column_is_silent():
     cf = golden_cf(40)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, excl = _ln_norms(make_maryland(1.0), 2.0, float(cf.value),
-                               np.array([0.5, 0.25]), 5003, "A")
+        vals, excl = _ln_norms1(make_maryland(1.0), 2.0, float(cf.value),
+                                np.array([0.5, 0.25]), 5003, "A")
     assert excl.tolist() == [True, False]
     assert np.isfinite(vals[1])
 
@@ -402,7 +442,7 @@ def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot):
     assert -(-n // SEGMENTS) > CHUNK // (SEGMENTS * len(xs))  # two chunks
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, excl = _ln_norms(pot, 0.7, alpha, xs, n, "A")
+        vals, excl = _ln_norms1(pot, 0.7, alpha, xs, n, "A")
     assert np.array_equal(excl, brute)
     assert np.array_equal(np.isnan(vals), brute)
 
@@ -410,6 +450,8 @@ def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot):
 @pytest.mark.parametrize("kind", ["A", "D"])
 def test_ln_norms_overflow_is_a_numeric_error_naming_the_energy(kind):
     # at E = 1e300 the step overflows within a renormalisation beat; the
-    # engine silences that chunk's overflow and raises on the result
-    with pytest.raises(NumericError, match=r"E = 1e\+300"):
-        lyapunov(make_maryland(1.0), 1e300, golden_cf(30).value, 5003, kind=kind)
+    # engine silences that chunk's overflow, and the chain's when the orbit
+    # ends before the next renormalisation (n = 17), and raises on the result
+    for n in (17, 5003):
+        with pytest.raises(NumericError, match=r"E = 1e\+300"):
+            lyapunov(make_maryland(1.0), 1e300, golden_cf(30).value, n, kind=kind)

@@ -177,21 +177,28 @@ def test_tangent_phasor_matches_mp():
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
 @pytest.mark.parametrize("f_sign", [1, -1])
 def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
-    # f folds its sign into the first pole's constants and skips the product
-    # of a zero constant; both are exact, so f is bit for bit the open-coded
-    # product of the factors s (2 cos pi p) - c (2 sin pi p) on the same
-    # tangent phasor, with the sign applied first
-    poles = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 3))[:m]
-    pot = MeromorphicPotential(poles=poles, g=G_REGISTRY["const"](1.0),
-                               label="custom", f_sign=f_sign)
-    X = np.concatenate([np.random.default_rng(7).random(997),
-                        [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53]])
+    # f folds its sign into the first pole's constants and takes a factor
+    # with a zero constant (a pole at 0, 1/2 or 1) as one product; both are
+    # exact but for the sign of an exact zero, which np.array_equal does not
+    # see, so f is bit for bit the open-coded product of the factors
+    # s (2 cos pi p) - c (2 sin pi p) on the same tangent phasor, with the
+    # sign applied first
+    X = np.concatenate([np.random.default_rng(7).random(996),
+                        [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53, 1.0]])
     X = X.reshape(6, 167)
     c, s = _phasor(X)
-    old = np.full_like(X, float(f_sign))
-    for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
-        old = old * (s * cp - c * sp)
-    assert np.array_equal(pot.f(X), old)
+    for family in ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
+                   (Fraction(0), Fraction(1, 2), Fraction(1)),
+                   (Fraction(1), Fraction(1, 3), Fraction(0))):
+        poles = family[:m]
+        pot = MeromorphicPotential(poles=poles, g=G_REGISTRY["const"](1.0),
+                                   label="custom", f_sign=f_sign)
+        old = np.full_like(X, float(f_sign))
+        for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
+            old = old * (s * cp - c * sp)
+        assert np.array_equal(pot.f(X), old), poles
+        if poles and poles[0] in (0, 1):
+            assert np.any(old == 0)  # x = 0 sits on the pole: an exact zero
 
 
 @pytest.mark.parametrize("pot", [
