@@ -45,10 +45,8 @@ from .gordon import (
     GordonCertificate,
     GordonLhs,
     SolutionSegment,
-    bounded_candidate,
     exclusion_certificate,
     exclusion_certificates,
-    gordon_lhs,
     gordon_lhs_uniform,
     gordon_matrices,
     smallness_check,

@@ -93,6 +93,7 @@ class RunConfig:
         # read by no subcommand, but a bad value is still a config error
         self._num("run", "epsilon", float)
         self._num("run", "seed", int)
+        self._num("run", "directions", int, positive=True)
 
     def _get(self, section, key, default=None, required=False):
         try:

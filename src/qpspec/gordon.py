@@ -17,12 +17,12 @@ has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]: the inverse
 difference is adj(D-), with the norm of D-.
 
 Working precision is max(2 log2||M||, log2(1/|h|)) + 192 bits.  ||M|| bounds
-the three products, read off one float walk (``_window_walks``): A_q and
-A_{2q} are forward states, and a backward state holds the adjugate of
-A_q(theta - q a).  The min-max over directions needs about
-2 log2||M|| + 128 bits.  The log2(1/|h|) term (h taken exactly from
-alpha's value) keeps at least 192 bits of every site difference s - s+-
-under plain subtraction, so the differences come out to about 128
+the three products, read off one float walk over [-q, 2q)
+(``_log2_norm_bound``): A_q and A_{2q} are forward states, and a backward
+state holds the adjugate of A_q(theta - q a).  The min-max over directions
+needs about 2 log2||M|| + 128 bits.  The log2(1/|h|) term (h taken exactly
+from alpha's value) keeps at least 192 bits of every site difference
+s - s+- under plain subtraction, so the differences come out to about 128
 relative bits however small they are.  There is no resolution floor: only
 an exactly zero difference, or h = 0, raises NumericError.
 
@@ -46,15 +46,17 @@ sites exceed ``arithmetic.SITE_BUDGET`` is refused before any work
 (``_check_levels``).
 
 ``potential.site_values`` wraps the same pairs as mpf values for
-``solve_recurrence``.  The float walk, which serves the precision pre-pass
-and ``bounded_candidate``, takes its phases from ``potential.orbit``.
+``solve_recurrence``.  The float walk of the precision pre-pass takes its
+phases from ``potential.orbit``.
 
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
 suprema are spectral norms, and the minimum of the three-norm maximum lies
 among nine candidates (each curve's minimum and each pairwise crossing).
-``gordon_lhs`` evaluates the same quantities at one given v.  Logs and norms
-that are only compared or turned into floats are taken at LOG_PREC bits.
+``smallness_check`` reads the two differences' own norms, ||D+|| and
+||D-||, which bound Gordon's error terms D+ Phi(q) and adj(D-) Phi(0) for
+every solution at once.  Their logs are taken at LOG_PREC bits
+(``arithmetic.ln_low``).
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ import mpmath as mp
 import numpy as np
 from mpmath.libmp import from_man_exp
 
-from .arithmetic import (LOG_PREC, SITE_BUDGET, ContinuedFraction, IndexValue,
-                         as_mpf, exact_fraction, ln_low, pair_rounding,
+from .arithmetic import (SITE_BUDGET, ContinuedFraction, IndexValue, as_mpf,
+                         exact_fraction, ln_low, pair_rounding,
                          qualifying_levels)
 from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
@@ -86,18 +88,14 @@ __all__ = [
     "SmallnessCheck",
     "solve_recurrence",
     "gordon_matrices",
-    "gordon_lhs",
     "gordon_lhs_uniform",
     "max_inequality",
     "smallness_check",
     "exclusion_certificate",
     "exclusion_certificates",
-    "bounded_candidate",
 ]
 
 MAX_NORM_TOL = 1e-6
-# initial directions on the grid that seeds bounded_candidate's search
-CANDIDATE_GRID = 720
 
 
 # ---------------------------------------------------------------------------
@@ -217,47 +215,35 @@ def _shift_bits(alpha, q: int) -> int:
     return h.denominator.bit_length() - abs(h.numerator).bit_length() + 1
 
 
-def _window_walks(pot: MeromorphicPotential, E, theta, alpha,
-                  q: int) -> Iterator[tuple]:
-    """The float walk over the window [-q-1, 2q): yields 3q+1 states
-    (a, b, c, d, scale) that stand for [[a, b], [c, d]] 2^scale, rescaled
-    whenever the top row passes 2^64.  They come one at a time, so a caller
-    that reads a few of them keeps none of the others: in a fresh process,
-    holding all of them in new memory costs more than the walk itself.
+def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
+                     q: int) -> float:
+    """Float pre-pass: an upper estimate of log2 of the largest of
+    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, from one float walk
+    over the window [-q, 2q).  A state (a, b, c, d, scale) stands for
+    [[a, b], [c, d]] 2^scale, rescaled whenever the top row passes 2^64.
 
-    State k < 2q is A_{k+1}(theta), the forward product over sites 0..k.
-    State 2q + j is the product of the inverse steps [[0, 1], [-1, s]] over
-    sites -1..-1-j with its rows swapped: since
-    swap [[0, 1], [-1, s]] swap = [[s, -1], [1, 0]], it is the same walk
-    started from the row swap.  So every state maps (phi_0, phi_{-1}) to a
-    pair of consecutive phi at the window's sites, up to the row order.
+    A_q and A_{2q} are the forward states after sites 0..q-1 and q..2q-1.
+    The inverse steps [[0, 1], [-1, s]] are the steps [[s, -1], [1, 0]]
+    conjugated by the row swap, so the walk started from the row swap over
+    sites -1..-q is A_q(theta - q alpha)^{-1} with its rows swapped: the
+    adjugate of A_q(theta - q alpha), whose entries it holds up to sign.
     """
-    x = orbit(float(as_mpf(theta)) % 1.0, float(as_mpf(alpha)), -q - 1, 2 * q)
+    x = orbit(float(as_mpf(theta)) % 1.0, float(as_mpf(alpha)), -q, 2 * q)
     # a site on a pole reads about 1e300; the cap keeps s a - c finite
     S = (float(E) - np.clip(pot.V_array(x), -1e250, 1e250)).tolist()
-    # forward over sites 0..2q-1 from the identity, back over -1..-q-1
-    # from the row swap
-    for sites, (a, b, c, d) in ((S[q + 1:], (1.0, 0.0, 0.0, 1.0)),
-                                (S[q::-1], (0.0, 1.0, 1.0, 0.0))):
-        scale = 0.0
+
+    def walk(sites, a, b, c, d, scale=0.0):
         for s in sites:
             a, b, c, d = s * a - c, s * b - d, a, b
             m = max(abs(a), abs(b))
             if m > 2.0 ** 64:
                 scale += math.log2(m)
                 a, b, c, d = a / m, b / m, c / m, d / m
-            yield a, b, c, d, scale
+        return a, b, c, d, scale
 
-
-def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
-                     q: int) -> float:
-    """Float pre-pass: an upper estimate of log2 of the largest of
-    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, read off states q-1,
-    2q-1 and 3q-1 of ``_window_walks``: A_q, A_{2q} and, after sites
-    -1..-q, the adjugate of A_q(theta - q alpha) with its rows swapped,
-    which holds the same entries up to sign."""
-    ends = itertools.islice(_window_walks(pot, E, theta, alpha, q),
-                            q - 1, 3 * q, q)
+    # site k sits at S[k + q]
+    fwd = walk(S[q:2 * q], 1.0, 0.0, 0.0, 1.0)
+    ends = (fwd, walk(S[2 * q:], *fwd), walk(S[q - 1::-1], 0.0, 1.0, 1.0, 0.0))
     # the largest entry is within a factor 2 of the spectral norm
     return max(scale + math.log2(max(abs(a), abs(b), abs(c), abs(d)))
                for a, b, c, d, scale in ends) + 1
@@ -375,10 +361,6 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
                           D_back=matrix(ya, yb, yc, yd))
 
 
-def _vec_norm(v):
-    return mp.sqrt(v[0] * v[0] + v[1] * v[1])
-
-
 class GordonLhs(NamedTuple):
     """Certificate left-hand sides as logs, which survive float64 underflow.
     ``max_norm`` is the generated solution's three-norm maximum
@@ -395,37 +377,6 @@ def _resolved_log(x) -> float:
     if x == 0:
         raise NumericError("certificate difference is exactly zero")
     return float(ln_low(x))
-
-
-def gordon_lhs(pot: MeromorphicPotential, E, theta, alpha, q: int, v=(1, 0),
-               mats: GordonMatrices | None = None) -> GordonLhs:
-    """The two certificate left-hand sides at scale q for initial vector v:
-
-        ||(A_q^2 - A_{2q})(theta) v|| = ||D_fwd A_q v||  and
-        ||(A_q^{-1}(theta) - A_q^{-1}(theta - q alpha)) v|| = ||adj(D_back) v||,
-
-    with the three-norm maximum, each matrix applied to v once.  Raises
-    NumericError when a difference is exactly zero.
-    """
-    if mats is None:
-        mats = gordon_matrices(pot, E, theta, alpha, q)
-    with mp.workprec(mats.precision):
-        vv = (as_mpf(v[0]), as_mpf(v[1]))
-        nrm = _vec_norm(vv)
-        vv = (vv[0] / nrm, vv[1] / nrm)
-        w_q = mats.A_q.apply(vv)
-        w_2q = mats.A_2q.apply(vv)
-        u1 = _adj(mats.A_back).apply(vv)
-        d_sq = mats.D_fwd.apply(w_q)
-        d_inv = _adj(mats.D_back).apply(vv)
-    # the products above need the full precision; their norms do not
-    with mp.workprec(LOG_PREC):
-        lhs_square = _vec_norm(d_sq)
-        lhs_inverse = _vec_norm(d_inv)
-        max_norm = float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q)))
-    return GordonLhs(square_log=_resolved_log(lhs_square),
-                     inverse_log=_resolved_log(lhs_inverse),
-                     max_norm=max_norm)
 
 
 def _adj(m: TransferMatrix2) -> TransferMatrix2:
@@ -465,9 +416,9 @@ def _min_max_direction(matrices):
 
 
 def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
-    """``gordon_lhs`` over every unit initial vector v at once: the suprema of
-    the two left-hand sides (the spectral norms of A_q^2 - A_{2q} = D_fwd A_q
-    and of A_q^{-1}(theta) - A_q^{-1}(theta - q alpha) = adj(D_back)) and the
+    """The certificate left-hand sides over every unit initial vector v at
+    once: their suprema (the spectral norms of A_q^2 - A_{2q} = D_fwd A_q and
+    of A_q^{-1}(theta) - A_q^{-1}(theta - q alpha) = adj(D_back)) and the
     minimum of the three-norm maximum, with a minimising v at the working
     precision.  The adjugate keeps the spectral norm, so the inverse
     difference has the norm of D_back.  Raises NumericError when a supremum
@@ -480,53 +431,6 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
     return GordonLhs(square_log=_resolved_log(sup_sq),
                      inverse_log=_resolved_log(sup_inv),
                      max_norm=max_norm), v
-
-
-# ---------------------------------------------------------------------------
-# the bounded candidate of the smallness check
-
-
-def _ln_max_norm(ls: np.ndarray, mats: np.ndarray, psis) -> np.ndarray:
-    """max over k of ls_k + ln||M_k v|| at each v = (cos psi, sin psi)."""
-    vs = np.stack([np.cos(psis), np.sin(psis)])
-    out = np.full(vs.shape[1], -np.inf)
-    chunk = max(1, (1 << 18) // vs.shape[1])  # bounds the (k, 2, psi) block
-    for i in range(0, len(mats), chunk):
-        w = mats[i:i + chunk] @ vs
-        nn = np.sqrt(w[:, 0] ** 2 + w[:, 1] ** 2)
-        out = np.maximum(out, np.max(ls[i:i + chunk, None]
-                                     + np.log(np.maximum(nn, 1e-300)), axis=0))
-    return out
-
-
-def bounded_candidate(pot: MeromorphicPotential, E, theta, alpha,
-                      q: int) -> tuple[tuple[float, float], float]:
-    """Unit initial vector whose orbit stays smallest over [-q-1, 2q].
-
-    Works in float64 with a separate log scale; returns (v, ln C) where C
-    bounds ||(phi_k, phi_{k-1})|| over the window for the returned direction.
-    The 3q+1 states of ``_window_walks`` are stacked once (a row swap keeps
-    every norm); a grid of directions seeds a ternary search, and the grid,
-    the search and the bound all evaluate the same ``_ln_max_norm``.
-    """
-    walks = np.array(list(_window_walks(pot, E, theta, alpha, q)))
-    ls = walks[:, 4] * math.log(2)
-    mats = walks[:, :4].reshape(-1, 2, 2)
-    psis = np.pi * np.arange(CANDIDATE_GRID) / CANDIDATE_GRID
-    i = int(np.argmin(_ln_max_norm(ls, mats, psis)))
-    lo = psis[i] - np.pi / CANDIDATE_GRID
-    hi = psis[i] + np.pi / CANDIDATE_GRID
-    for _ in range(40):
-        m1 = lo + (hi - lo) / 3
-        m2 = hi - (hi - lo) / 3
-        c1, c2 = _ln_max_norm(ls, mats, np.array([m1, m2]))
-        if c1 <= c2:
-            hi = m2
-        else:
-            lo = m1
-    psi = (lo + hi) / 2
-    v = (math.cos(psi), math.sin(psi))
-    return v, float(_ln_max_norm(ls, mats, np.array([psi]))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +454,8 @@ def max_inequality(seg: SolutionSegment, q: int) -> tuple[float, str]:
 
 @dataclass(frozen=True)
 class SmallnessCheck:
-    """Certificate left-hand sides against the bound e^{q (L - delta_hat + 4 eps)}.
+    """ln||D_fwd|| and ln||D_back|| against the bound
+    e^{q (L - delta_hat + 4 eps)}.
 
     ``vacuous`` marks configurations where the bound exceeds 1 and nothing is
     being tested.  Logs are reported so tiny values stay comparable.
@@ -558,12 +463,11 @@ class SmallnessCheck:
 
     q: int
     level: int
-    lhs_square_log: float
-    lhs_inverse_log: float
+    d_fwd_log: float
+    d_back_log: float
     bound_log: float
     vacuous: bool
     passed: bool | None
-    candidate: tuple[float, float]
     empirical_rate: float
 
 
@@ -572,25 +476,33 @@ def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
                   L: float, delta_iv: IndexValue) -> SmallnessCheck:
     """Evaluate the smallness estimates at a qualifying level.
 
-    The initial vector is ``bounded_candidate``'s: the direction whose orbit
-    stays most bounded over the window, matching the bounded-solution
-    hypothesis.
+    For every solution phi, with Phi(k) = (phi_k, phi_{k-1}) and
+    A = A_q(theta), Gordon's lemma rests on
+
+        Phi(0) = tr(A) Phi(q) - Phi(2q) - D_fwd Phi(q),
+        tr(A) Phi(0) = Phi(q) + Phi(-q) + adj(D_back) Phi(0),
+
+    so the check reads the norms of the two differences of one
+    ``gordon_matrices``, at its working precision, and passes when both
+    logs are within the bound.  Raises NumericError when a difference is
+    exactly zero.
     """
     if n_i not in qualifying_levels(delta_iv, epsilon):
         raise SubsequenceError(
             f"level {n_i} not in the qualifying subsequence for eps={epsilon}")
     q = cf.q[n_i]
     bound_log = q * (L - delta_iv.value + 4 * epsilon)
-    v, _ = bounded_candidate(pot, E, theta, alpha, q)
-    lhs = gordon_lhs(pot, E, theta, alpha, q, v=v)
+    mats = gordon_matrices(pot, E, theta, alpha, q)
+    with mp.workprec(mats.precision):
+        fwd, back = mats.D_fwd.norm(), mats.D_back.norm()
+    fwd_log, back_log = _resolved_log(fwd), _resolved_log(back)
+    worst = max(fwd_log, back_log)
     vacuous = bound_log >= 0
-    lsq = lhs.square_log
-    linv = lhs.inverse_log
-    passed = None if vacuous else (lsq <= bound_log and linv <= bound_log)
-    rate = -max(lsq, linv) / q
-    return SmallnessCheck(q=q, level=n_i, lhs_square_log=lsq, lhs_inverse_log=linv,
-                       bound_log=float(bound_log), vacuous=vacuous, passed=passed,
-                       candidate=(float(v[0]), float(v[1])), empirical_rate=rate)
+    return SmallnessCheck(q=q, level=n_i, d_fwd_log=fwd_log,
+                          d_back_log=back_log, bound_log=float(bound_log),
+                          vacuous=vacuous,
+                          passed=None if vacuous else worst <= bound_log,
+                          empirical_rate=-worst / q)
 
 
 # ---------------------------------------------------------------------------

@@ -308,16 +308,20 @@ def test_bad_lyapunov_kind_exits_2_naming_key(classify_cfg, tmp_path, capsys):
     assert not (out / "lyapunov.csv").exists()
 
 
-@pytest.mark.parametrize("line,key", [
-    ("epsilon = abc", "[run] epsilon"),
-    ("epsilon = 0.2\nseed = xyz", "[run] seed"),
-    ("epsilon = 0.2\nseed = 1.5", "[run] seed"),
-], ids=["epsilon-abc", "seed-xyz", "seed-1.5"])
+@pytest.mark.parametrize("old,new,key", [
+    ("epsilon = 0.2", "epsilon = abc", "[run] epsilon"),
+    ("epsilon = 0.2", "epsilon = 0.2\nseed = xyz", "[run] seed"),
+    ("epsilon = 0.2", "epsilon = 0.2\nseed = 1.5", "[run] seed"),
+    ("directions = 24", "directions = banana", "[run] directions"),
+    ("directions = 24", "directions = 0", "[run] directions"),
+], ids=["epsilon-abc", "seed-xyz", "seed-1.5", "directions-banana",
+        "directions-0"])
 def test_unread_run_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
-                                              line, key):
-    # no subcommand reads [run] epsilon or seed, but each must be a number
+                                              old, new, key):
+    # no subcommand reads [run] epsilon, seed or directions, but each must be
+    # a number, and directions a positive one
     cfg = tmp_path / "run.ini"
-    cfg.write_text(gordon_cfg.read_text().replace("epsilon = 0.2", line))
+    cfg.write_text(gordon_cfg.read_text().replace(old, new))
     out = tmp_path / "o"
     assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err

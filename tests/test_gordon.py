@@ -14,11 +14,9 @@ from qpspec import (
     OrbitPoleError,
     RangeError,
     SubsequenceError,
-    bounded_candidate,
     delta_index,
     exclusion_certificate,
     exclusion_certificates,
-    gordon_lhs,
     gordon_lhs_uniform,
     gordon_matrices,
     golden_cf,
@@ -32,10 +30,9 @@ from qpspec import (
     product,
     solve_recurrence,
 )
-from qpspec.arithmetic import SITE_BUDGET, as_mpf
+from qpspec.arithmetic import LOG_PREC, SITE_BUDGET, as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
-from qpspec.gordon import _adj, _log2_norm_bound, _window_walks
-from qpspec.potential import orbit
+from qpspec.gordon import GordonLhs, _adj, _log2_norm_bound, _resolved_log
 
 
 def _mat_close(m1, m2, tol):
@@ -232,20 +229,47 @@ def test_gordon_lhs_rejects_unresolvable_difference(amo2):
     # alpha = 1/4 exactly: q alpha is an integer, the q=4 windows repeat and
     # both differences vanish identically, so there is no log to report
     with pytest.raises(NumericError):
-        gordon_lhs(amo2, 0.4, Fraction(1, 7), Fraction(1, 4), 4)
+        gordon_lhs_uniform(gordon_matrices(amo2, 0.4, Fraction(1, 7),
+                                           Fraction(1, 4), 4))
 
 
 def test_gordon_lhs_log_survives_underflow():
     cf = liouville_cf(math.log(4.0), 4)
     pot = make_amo(2.0)
-    lhs = gordon_lhs(pot, 0.5, Fraction(1, 10), cf.value, cf.q[3])
+    lhs, _ = gordon_lhs_uniform(gordon_matrices(pot, 0.5, Fraction(1, 10),
+                                                cf.value, cf.q[3]))
     # the true differences are far below float64 range but nonzero
     assert -2500 < lhs.square_log < -100
     assert -2500 < lhs.inverse_log < -100
 
 
 # ---------------------------------------------------------------------------
-# every direction in closed form, and the bounded candidate
+# every direction in closed form
+
+
+def _vec_norm(v):
+    return mp.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def gordon_lhs(mats, v):
+    """The per-direction oracle of ``gordon_lhs_uniform``: the two
+    left-hand sides ||D_fwd A_q v|| and ||adj(D_back) v|| at the initial
+    vector v, with the three-norm maximum, each matrix applied to v once."""
+    with mp.workprec(mats.precision):
+        vv = (as_mpf(v[0]), as_mpf(v[1]))
+        nrm = _vec_norm(vv)
+        vv = (vv[0] / nrm, vv[1] / nrm)
+        w_q = mats.A_q.apply(vv)
+        w_2q = mats.A_2q.apply(vv)
+        u1 = _adj(mats.A_back).apply(vv)
+        d_sq = mats.D_fwd.apply(w_q)
+        d_inv = _adj(mats.D_back).apply(vv)
+    # the products above need the full precision; their norms do not
+    with mp.workprec(LOG_PREC):
+        return GordonLhs(
+            square_log=_resolved_log(_vec_norm(d_sq)),
+            inverse_log=_resolved_log(_vec_norm(d_inv)),
+            max_norm=float(max(_vec_norm(w_q), _vec_norm(u1), _vec_norm(w_2q))))
 
 
 @pytest.mark.parametrize("pot", [
@@ -259,8 +283,8 @@ def test_gordon_lhs_uniform_against_direction_grid(pot):
     mats = gordon_matrices(pot, E, theta, cf.value, q)
     lhs, v = gordon_lhs_uniform(mats)
     assert float(v[0]) ** 2 + float(v[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
-    grid = [gordon_lhs(pot, E, theta, cf.value, q, mats=mats,
-                       v=(math.cos(math.pi * i / n), math.sin(math.pi * i / n)))
+    grid = [gordon_lhs(mats, (math.cos(math.pi * i / n),
+                              math.sin(math.pi * i / n)))
             for i in range(n)]
     # the grid's nearest line is at most pi/2n off an optimal direction
     gap = -math.log(math.cos(math.pi / (2 * n)))
@@ -268,57 +292,8 @@ def test_gordon_lhs_uniform_against_direction_grid(pot):
         grid_max = max(getattr(x, field) for x in grid)
         assert grid_max - 1e-12 <= getattr(lhs, field) <= grid_max + gap, field
     assert lhs.max_norm <= min(x.max_norm for x in grid) * (1 + 1e-12)
-    at_v = gordon_lhs(pot, E, theta, cf.value, q, v=v, mats=mats)
+    at_v = gordon_lhs(mats, v)
     assert at_v.max_norm == pytest.approx(lhs.max_norm, rel=1e-12)
-
-
-def test_bounded_candidate_bounds_its_own_orbit(amo2):
-    cf = golden_cf(20)
-    q = 5
-    v, ln_C = bounded_candidate(amo2, 0.5, Fraction(1, 7), cf.value, q)
-    assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
-    with mp.workprec(120):
-        seg = solve_recurrence(amo2, 0.5, Fraction(1, 7), v, (-q - 2, 2 * q),
-                               cf.value)
-    worst = max(seg.vec_norm(k) for k in range(-q - 1, 2 * q + 1))
-    # the float bound is the orbit's largest norm, to rounding on this window
-    assert ln_C == pytest.approx(math.log(worst), abs=1e-12)
-
-
-def test_bounded_candidate_log_bound_past_float_range(maryland1):
-    # at q=987 the window's growth exceeds e^709, where C itself overflows a
-    # float; its log stays finite and matches the high-precision orbit up to
-    # the float walk's rounding, amplified by that growth
-    cf = golden_cf(30)
-    q = 987
-    v, ln_C = bounded_candidate(maryland1, 0.3, Fraction(1, 7), cf.value, q)
-    assert math.hypot(*v) == pytest.approx(1.0, abs=1e-12)
-    assert 709 < ln_C < math.inf
-    with mp.workprec(4000):
-        seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), v,
-                               (-q - 2, 2 * q), cf.value)
-    with mp.workprec(64):
-        worst = max(mp.log(mp.hypot(*seg.vec(k)))
-                    for k in range(-q - 1, 2 * q + 1))
-    assert float(worst) == pytest.approx(ln_C, abs=1e-2)
-
-
-def test_window_walk_back_states_are_row_swapped_inverse_products(amo2):
-    # at q = 5 no state is rescaled, so the walk from the row swap gives the
-    # products of the inverse steps [[0, 1], [-1, s]] over sites -1..-q-1
-    # with their rows swapped, bit for bit
-    cf = golden_cf(20)
-    q, E, theta = 5, 0.5, Fraction(1, 7)
-    walks = list(_window_walks(amo2, E, theta, cf.value, q))
-    assert len(walks) == 3 * q + 1
-    assert {scale for *_, scale in walks} == {0.0}
-    x = orbit(float(theta), float(cf.value), -q - 1, 2 * q)
-    S = (E - amo2.V_array(x)).tolist()  # site k sits at S[k + q + 1]
-    m00, m01, m10, m11 = 1.0, 0.0, 0.0, 1.0
-    for j in range(q + 1):
-        s = S[q - j]  # site -1-j
-        m00, m01, m10, m11 = m10, m11, -m00 + s * m10, -m01 + s * m11
-        assert walks[2 * q + j] == (m10, m11, m00, m01, 0.0)
 
 
 @pytest.mark.parametrize("E, theta, alpha", [
@@ -330,13 +305,10 @@ def test_pre_passes_stay_finite_with_a_site_on_a_pole(maryland1, E, theta,
     # a site exactly on the tangent model's pole reads about 1e300: site 0,
     # where the walks start, at theta = 1/2, and sites 8k - 3 for
     # _POLE_AT_MINUS_3, where the walks' entries have grown at E = 30.
-    # Capped, it keeps both float pre-passes finite
+    # Capped, it keeps the float pre-pass finite
     q = 13
     assert abs(maryland1.V_array(np.array([0.5]))[0]) > 1e290
-    _, ln_C = bounded_candidate(maryland1, E, theta, alpha, q)
-    assert math.isfinite(ln_C)
     assert math.isfinite(_log2_norm_bound(maryland1, E, theta, alpha, q))
-
 
 
 # ---------------------------------------------------------------------------
@@ -381,15 +353,70 @@ def test_smallness_rejects_non_qualifying_level():
 
 
 def test_smallness_passes_on_frozen_config():
-    cf = liouville_cf(1.0, 4)
-    pot = make_maryland(0.15)
-    theta = Fraction(3, 8)
-    d = delta_index(cf, theta, pot.poles)
-    L = lyapunov(pot, 0.0, cf.value, 20000).value
-    chk = smallness_check(pot, 0.0, theta, cf.value, cf, 3, 0.2, L, delta_iv=d)
-    assert not chk.vacuous
-    assert chk.passed
-    assert chk.empirical_rate >= 1e-2
+    # the four qualifying levels of criterion 7: maryland q=57 and amo q=1,
+    # 5 and 1026; amo q=1 fails on its backward difference (ln 0.80 > -0.50)
+    passed = []
+    for pot, cf, theta, E, eps, levels in [
+            (make_maryland(0.15), liouville_cf(1.0, 4), Fraction(3, 8), 0.0,
+             0.2, [3]),
+            (make_amo(2.0), liouville_cf(math.log(4.0), 4), Fraction(1, 10),
+             0.5, 0.15, [1, 2, 3])]:
+        d = delta_index(cf, theta, pot.poles)
+        L = lyapunov(pot, E, cf.value, 20000).value
+        for n_i in levels:
+            chk = smallness_check(pot, E, theta, cf.value, cf, n_i, eps, L,
+                                  delta_iv=d)
+            mats = gordon_matrices(pot, E, theta, cf.value, cf.q[n_i])
+            with mp.workprec(mats.precision):
+                assert chk.d_fwd_log == _resolved_log(mats.D_fwd.norm())
+                assert chk.d_back_log == _resolved_log(mats.D_back.norm())
+            assert not chk.vacuous
+            assert chk.passed == (max(chk.d_fwd_log, chk.d_back_log)
+                                  <= chk.bound_log)
+            assert chk.empirical_rate == -max(chk.d_fwd_log,
+                                              chk.d_back_log) / chk.q
+            passed.append((chk.q, chk.passed))
+            if chk.passed:
+                assert chk.empirical_rate >= 1e-2
+    assert passed == [(57, True), (1, False), (5, True), (1026, True)]
+
+
+@pytest.mark.parametrize("pot, cf, theta, E, n_i", [
+    (make_amo(2.0), liouville_cf(math.log(4.0), 4), Fraction(1, 10), 0.5, 2),
+    (make_maryland(0.15), liouville_cf(1.0, 4), Fraction(3, 8), 0.0, 3),
+    (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
+     golden_cf(20), Fraction(1, 7), 0.4, 6),
+], ids=["amo-q5", "maryland-q57", "two-pole-cos2pi-q13"])
+def test_gordon_lemma_identities(pot, cf, theta, E, n_i):
+    # for every solution, with Phi(k) = (phi_k, phi_{k-1}) and A = A_q:
+    #   Phi(0) = tr(A) Phi(q) - Phi(2q) - D_fwd Phi(q)      (Cayley-Hamilton)
+    #   tr(A) Phi(0) = Phi(q) + Phi(-q) + adj(D_back) Phi(0)   (A + A^-1)
+    # so ||D_fwd|| and ||D_back|| bound the error terms for every direction
+    q = cf.q[n_i]
+    assert q == {2: 5, 3: 57, 6: 13}[n_i]
+    mats = gordon_matrices(pot, E, theta, cf.value, q)
+    tol = mp.mpf(2) ** -(mats.precision - 32)
+    with mp.workprec(mats.precision):
+        tr = mats.A_q.trace()
+        for psi in (0, 0.3, 1.1, 2.5):
+            v = (mp.cos(psi), mp.sin(psi))
+            seg = solve_recurrence(pot, E, theta, v, (-q - 1, 2 * q),
+                                   cf.value)
+            phi = {k: seg.vec(k) for k in (-q, 0, q, 2 * q)}
+            for lhs, terms in [
+                    (phi[0], [(tr, phi[q]), (-1, phi[2 * q]),
+                              (-1, mats.D_fwd.apply(phi[q]))]),
+                    ((tr * phi[0][0], tr * phi[0][1]),
+                     [(1, phi[q]), (1, phi[-q]),
+                      (1, _adj(mats.D_back).apply(phi[0]))])]:
+                res = [lhs[i] - sum(c * t[i] for c, t in terms)
+                       for i in (0, 1)]
+                scale = max(_vec_norm(lhs),
+                            *(abs(c) * _vec_norm(t) for c, t in terms))
+                assert _vec_norm(res) <= tol * scale
+                # the difference term is far above the residual, so the
+                # identity does not hold without it
+                assert _vec_norm(terms[-1][1]) > 2 ** 32 * tol * scale
 
 
 def test_exclusion_certificate_level_guard():
