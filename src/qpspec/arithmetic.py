@@ -104,16 +104,16 @@ def ln_low(x):
 
 
 def exact_fraction(x):
-    """Exact rational value of a float / mpf / Fraction / int / decimal string."""
+    """Exact value of a finite float / mpf / Fraction / int / decimal string."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, float) and math.isfinite(x):
         return Fraction(*x.as_integer_ratio())
     if isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, mp.mpf):
+    if isinstance(x, mp.mpf) and mp.isfinite(x):
         sign, man, exp, _ = x._mpf_
         man = int(man)
         if sign:
@@ -121,7 +121,12 @@ def exact_fraction(x):
         if exp >= 0:
             return Fraction(man * (1 << exp))
         return Fraction(man, 1 << (-exp))
-    raise InvalidInputError(f"cannot interpret {type(x).__name__} as an exact rational")
+    raise InvalidInputError(f"cannot interpret {x!r} as an exact rational")
+
+
+def float_phase(x) -> float:
+    """x mod 1 as a float, reduced exactly first: a huge x keeps its fraction."""
+    return float(exact_fraction(x) % 1)
 
 
 def as_mpf(x):

@@ -381,7 +381,7 @@ def cmd_gordon(cfg: RunConfig, out: Path, args) -> int:
     energies = cfg.energy_grid()
     all_certs = []
     # the levels are checked before any work, with no energy as well
-    batch = exclusion_certificates(pot, energies, theta, cf.value, cf, levels, c)
+    batch = exclusion_certificates(pot, energies, theta, cf, levels, c)
     for E, certs in zip(energies, batch):
         if args.verbose:
             print(f"gordon E={_fmt(E)}: " + "; ".join(

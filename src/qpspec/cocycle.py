@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .arithmetic import as_mpf
+from .arithmetic import as_mpf, float_phase
 from .errors import (InvalidInputError, NumericError, OrbitPoleError,
                      PoleProximityError)
 from .potential import MeromorphicPotential, orbit
@@ -420,7 +420,7 @@ def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
     L is the phase-averaged estimate at the same n, from the same engine
     pass as the sampled phases.
     """
-    xs = np.asarray([float(as_mpf(x)) % 1.0 for x in sample_x], dtype=float)
+    xs = np.asarray([float_phase(x) for x in sample_x], dtype=float)
     (est,), (vals,) = _estimates(pot, [E], alpha, n, 64, "D", xs)
     L = _or_raise(est).value
     margins = tuple(float(v - (L + epsilon)) for v in vals)

@@ -4,17 +4,17 @@ The engine: at a denominator q of the frequency, with h = q alpha - p, the
 certificate compares A_q^2 with A_{2q} and A_q(theta) with A_q(theta - q a).
 Both differences are exponentially small, so they are never formed by
 subtracting products of size e^{qL}.  One fused loop over the site values of
-[-q, 2q) steps the three products P = A_k(theta), P+ = A_k(theta + q a) and
-P- = A_k(theta - q a), k < q, and next to them the differences
-D+ = P - P+ and D- = P - P-.  A step A(s) = [[s, -1], [1, 0]] differs from
-A(s') only in its corner, so
+[-q, 2q) steps the product P = A_k(theta), k < q, and next to it the
+differences D+ = P - A_k(theta + q a) and D- = P - A_k(theta - q a).  A step
+A(s) = [[s, -1], [1, 0]] differs from A(s') only in its corner, and
+A(s) P - A(s') P' = A(s') (P - P') + (A(s) - A(s')) P, so
 
-    D+ <- A(s) D+ + (s - s+) e_1 row_0(P+),  D- <- A(s) D- + (s - s-) e_1 row_0(P-),
+    D+ <- A(s+) D+ + (s - s+) e_1 row_0(P),  D- <- A(s-) D- + (s - s-) e_1 row_0(P),
 
-with the rows taken before P+ and P- step.  Then A_{2q} = P+ A_q exactly
-(never the square of A_q), A_q^2 - A_{2q} = D+ A_q, and since every step
-has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]: the inverse
-difference is adj(D-), with the norm of D-.
+with the row taken before P steps.  After the loop, A_q(theta +- q a) is
+A_q - D+-, A_{2q} = (A_q - D+) A_q and A_q^2 - A_{2q} = D+ A_q, and since
+every step has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]:
+the inverse difference is adj(D-), with the norm of D-.
 
 Working precision is max(2 log2||M||, log2(1/|h|)) + 192 bits.  ||M|| bounds
 the three products, read off one float walk over [-q, 2q)
@@ -72,7 +72,7 @@ import numpy as np
 from mpmath.libmp import from_man_exp
 
 from .arithmetic import (SITE_BUDGET, ContinuedFraction, IndexValue, as_mpf,
-                         exact_fraction, ln_low, pair_rounding,
+                         exact_fraction, float_phase, ln_low, pair_rounding,
                          qualifying_levels)
 from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
@@ -228,7 +228,7 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
     sites -1..-q is A_q(theta - q alpha)^{-1} with its rows swapped: the
     adjugate of A_q(theta - q alpha), whose entries it holds up to sign.
     """
-    x = orbit(float(as_mpf(theta)) % 1.0, float(as_mpf(alpha)), -q, 2 * q)
+    x = orbit(float_phase(theta), float(as_mpf(alpha)), -q, 2 * q)
     # a site on a pole reads about 1e300; the cap keeps s a - c finite
     S = (float(E) - np.clip(pot.V_array(x), -1e250, 1e250)).tolist()
 
@@ -311,9 +311,9 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
     turns its terms into the sites at E.  ``held``, a dict that a caller
     with several energies keeps between calls (``exclusion_certificates``),
     maps q to the (precision, terms) last made for it: energies at the same
-    precision share one walk, and a new precision replaces it.  The products
-    and differences are stepped on the pairs with ``_pair_ops`` and wrapped
-    in TransferMatrix2 once, at the end.
+    precision share one walk, and a new precision replaces it.  A_q and the
+    differences are stepped with ``_pair_ops``, 22 operations a site, and
+    wrapped in TransferMatrix2 once, at the end, with A_q - D for each D.
     """
     check_energy(E)
     if q < 1:
@@ -327,38 +327,34 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
         held.pop(q, None)  # the old walk goes before the new one is made
         held[q] = precision, _site_terms(pot, theta, alpha, -q, 2 * q, precision)
     S = _site_pairs(E, held[q][1], precision)
-    # (a..d) = A_k(theta), (ap..dp) = A_k(theta + q alpha) and
-    # (am..dm) = A_k(theta - q alpha); (xa..xd) and (ya..yd) hold their
-    # differences from A_k(theta).  A step A(s) differs from A(s') only in
-    # its corner entry, so a difference picks up (s - s') times the top row
-    # of the shifted product before that product steps.  Every product,
-    # sum and difference is rounded to the working precision, in the order
-    # of the expressions s xa - xc + t ap and s a - c
+    # (a..d) = A_k(theta); (xa..xd) and (ya..yd) are its differences from
+    # A_k(theta + q alpha) and A_k(theta - q alpha).  A(s) differs from A(s')
+    # only in its corner, so A(s) P - A(s') P' = A(s') (P - P') + (s - s') e_1
+    # row_0(P): a difference steps by its shifted site, with the top row of P
+    # taken before P steps.  Each operation rounds to the working precision,
+    # in the order of the expressions sp xa - xc + t a and s a - c
     mul, add, sub = _pair_ops(precision)
-    one, zero = (1, 0), (0, 0)
-    a, b, c, d = ap, bp, cp, dp = am, bm, cm, dm = one, zero, zero, one
-    xa = xb = xc = xd = ya = yb = yc = yd = zero
+    a, b, c, d = (1, 0), (0, 0), (0, 0), (1, 0)
+    xa = xb = xc = xd = ya = yb = yc = yd = (0, 0)
     for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
         t, u = sub(s, sp), sub(s, sm)
-        xa, xb, xc, xd = (add(sub(mul(s, xa), xc), mul(t, ap)),
-                          add(sub(mul(s, xb), xd), mul(t, bp)), xa, xb)
-        ya, yb, yc, yd = (add(sub(mul(s, ya), yc), mul(u, am)),
-                          add(sub(mul(s, yb), yd), mul(u, bm)), ya, yb)
+        xa, xb, xc, xd = (add(sub(mul(sp, xa), xc), mul(t, a)),
+                          add(sub(mul(sp, xb), xd), mul(t, b)), xa, xb)
+        ya, yb, yc, yd = (add(sub(mul(sm, ya), yc), mul(u, a)),
+                          add(sub(mul(sm, yb), yd), mul(u, b)), ya, yb)
         a, b, c, d = sub(mul(s, a), c), sub(mul(s, b), d), a, b
-        ap, bp, cp, dp = sub(mul(sp, ap), cp), sub(mul(sp, bp), dp), ap, bp
-        am, bm, cm, dm = sub(mul(sm, am), cm), sub(mul(sm, bm), dm), am, bm
 
     def matrix(*entries):
         return TransferMatrix2(*(mp.make_mpf(from_man_exp(m, e))
                                  for m, e in entries))
 
-    A_q = matrix(a, b, c, d)
+    P, D_fwd, D_back = (a, b, c, d), (xa, xb, xc, xd), (ya, yb, yc, yd)
+    A_q, A_back = matrix(*P), matrix(*map(sub, P, D_back))
     with mp.workprec(precision):
         # A_{2q}(theta) = A_q(theta + q alpha) A_q(theta), exactly
-        A_2q = matrix(ap, bp, cp, dp).matmul(A_q)
-    return GordonMatrices(precision=precision, A_back=matrix(am, bm, cm, dm),
-                          A_q=A_q, A_2q=A_2q, D_fwd=matrix(xa, xb, xc, xd),
-                          D_back=matrix(ya, yb, yc, yd))
+        A_2q = matrix(*map(sub, P, D_fwd)).matmul(A_q)
+    return GordonMatrices(precision=precision, A_back=A_back, A_q=A_q, A_2q=A_2q,
+                          D_fwd=matrix(*D_fwd), D_back=matrix(*D_back))
 
 
 class GordonLhs(NamedTuple):
@@ -471,9 +467,9 @@ class SmallnessCheck:
     empirical_rate: float
 
 
-def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
-                  cf: ContinuedFraction, n_i: int, epsilon: float,
-                  L: float, delta_iv: IndexValue) -> SmallnessCheck:
+def smallness_check(pot: MeromorphicPotential, E, theta, cf: ContinuedFraction,
+                  n_i: int, epsilon: float, L: float,
+                  delta_iv: IndexValue) -> SmallnessCheck:
     """Evaluate the smallness estimates at a qualifying level.
 
     For every solution phi, with Phi(k) = (phi_k, phi_{k-1}) and
@@ -492,7 +488,7 @@ def smallness_check(pot: MeromorphicPotential, E, theta, alpha,
             f"level {n_i} not in the qualifying subsequence for eps={epsilon}")
     q = cf.q[n_i]
     bound_log = q * (L - delta_iv.value + 4 * epsilon)
-    mats = gordon_matrices(pot, E, theta, alpha, q)
+    mats = gordon_matrices(pot, E, theta, cf.value, q)
     with mp.workprec(mats.precision):
         fwd, back = mats.D_fwd.norm(), mats.D_back.norm()
     fwd_log, back_log = _resolved_log(fwd), _resolved_log(back)
@@ -546,7 +542,7 @@ def _check_levels(cf: ContinuedFraction, levels) -> None:
 
 
 def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
-                           alpha, cf: ContinuedFraction, levels,
+                           cf: ContinuedFraction, levels,
                            c: float) -> Iterator[list[GordonCertificate]]:
     """One certificate per requested level for each energy, yielded as a
     list per energy as soon as that energy's levels are done.
@@ -567,17 +563,17 @@ def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
     energies = list(energies)
     for E in energies:
         check_energy(E)
-    return _certificates(pot, energies, theta, alpha, cf, levels, c)
+    return _certificates(pot, energies, theta, cf, levels, c)
 
 
-def _certificates(pot, energies, theta, alpha, cf, levels, c):
+def _certificates(pot, energies, theta, cf, levels, c):
     held = {}  # q -> (precision, site terms), shared by the energies
     for E in energies:
         certs = []
         for n_i in levels:
             q = cf.q[n_i]
             t0 = time.perf_counter()
-            mats = gordon_matrices(pot, E, theta, alpha, q, held)
+            mats = gordon_matrices(pot, E, theta, cf.value, q, held)
             matrices_s = time.perf_counter() - t0
             lhs, _ = gordon_lhs_uniform(mats)
             thr_log = -c * q
@@ -595,9 +591,8 @@ def _certificates(pot, energies, theta, alpha, cf, levels, c):
         yield certs
 
 
-def exclusion_certificate(pot: MeromorphicPotential, E, theta, alpha,
-                          cf: ContinuedFraction, levels,
-                          c: float) -> list[GordonCertificate]:
+def exclusion_certificate(pot: MeromorphicPotential, E, theta, cf: ContinuedFraction,
+                          levels, c: float) -> list[GordonCertificate]:
     """``exclusion_certificates`` for the one energy E."""
-    (certs,) = exclusion_certificates(pot, [E], theta, alpha, cf, levels, c)
+    (certs,) = exclusion_certificates(pot, [E], theta, cf, levels, c)
     return certs

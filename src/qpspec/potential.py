@@ -45,6 +45,7 @@ from .arithmetic import (
     IndexValue,
     as_mpf,
     delta_index,
+    exact_fraction,
     ln_low,
     pair_rounding,
     qualifying_levels,
@@ -437,6 +438,7 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
     32 over the n sites, and return f and g at each site; the pole test
     raises OrbitPoleError at the first site within ``eps_floor`` of a pole.
     Nothing here depends on the energy (``site_values`` has the details)."""
+    theta = exact_fraction(theta) % 2  # exactly, mod the phasor's period
     n = stop - start
     fixed = getattr(pot.g, "fixed_phasor", None)
     if fixed is None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .arithmetic import IndexValue, as_mpf
+from .arithmetic import IndexValue, as_mpf, float_phase
 from .cocycle import BATCH, LyapunovEstimate, _estimates
 from .errors import InvalidInputError, NumericError
 from .potential import MeromorphicPotential, orbit
@@ -37,9 +37,7 @@ V_CAP = 1e12
 
 def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha,
                     N: int) -> tuple[np.ndarray, list[int]]:
-    alpha_f = float(as_mpf(alpha))
-    theta_f = float(as_mpf(theta)) % 1.0
-    V = pot.V_array(orbit(theta_f, alpha_f, 0, N))
+    V = pot.V_array(orbit(float_phase(theta), float(as_mpf(alpha)), 0, N))
     flagged = [int(i) for i in np.nonzero(np.abs(V) > V_CAP)[0]]
     V = np.clip(V, -V_CAP, V_CAP)
     if not np.all(np.isfinite(V)):

@@ -57,9 +57,8 @@ def smallness_results(md_config, amo_config):
                     if cfg["cf"].q[n] <= 2000]
         for n_i in feasible:
             chk = qp.smallness_check(cfg["pot"], cfg["E"], cfg["theta"],
-                                   cfg["cf"].value, cfg["cf"], n_i,
-                                   cfg["eps"], cfg["L"],
-                                   delta_iv=cfg["delta"])
+                                     cfg["cf"], n_i, cfg["eps"], cfg["L"],
+                                     delta_iv=cfg["delta"])
             results.append((cfg, n_i, chk))
     return results
 
@@ -199,8 +198,7 @@ def test_criterion_08_solutions_stay_large(smallness_results):
         if not (chk.passed and chk.empirical_rate >= 1e-2):
             continue
         certs = qp.exclusion_certificate(
-            cfg["pot"], cfg["E"], cfg["theta"], cfg["cf"].value, cfg["cf"],
-            [n_i], c=1e-2)
+            cfg["pot"], cfg["E"], cfg["theta"], cfg["cf"], [n_i], c=1e-2)
         (cert,) = certs
         good = cert.max_norm >= 0.25 - 1e-6 and cert.verdict == "excluded"
         ok = ok and good

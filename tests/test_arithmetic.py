@@ -15,6 +15,7 @@ from qpspec import (
     BudgetError,
     ExcludedPhaseError,
     IndexValue,
+    InvalidInputError,
     PrecisionExhaustedError,
     RangeError,
     beta,
@@ -45,6 +46,7 @@ from qpspec.arithmetic import (
     as_mpf,
     exact_fraction,
     fixed_point,
+    float_phase,
     ln_low,
     orbit_norms,
     torus_norm_exact,
@@ -68,6 +70,20 @@ def test_exact_fraction_float_is_exact():
 def test_exact_fraction_passthrough():
     assert exact_fraction(Fraction(3, 7)) == Fraction(3, 7)
     assert exact_fraction("3/7") == Fraction(3, 7)
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan, mp.inf, mp.nan],
+                         ids=["inf", "-inf", "nan", "mpf-inf", "mpf-nan"])
+def test_exact_fraction_rejects_non_finite(x):
+    # an mpf infinity has a zero mantissa: it must not read as 0
+    with pytest.raises(InvalidInputError, match="exact rational"):
+        exact_fraction(x)
+
+
+def test_float_phase_reduces_before_rounding():
+    assert float_phase(Fraction(10 ** 400) + Fraction(1, 10)) == 0.1
+    assert float_phase(mp.mpf(10) ** 400) == 0.0
+    assert float_phase(Fraction(-1, 4)) == 0.75
 
 
 @given(st.fractions(min_value=-10, max_value=10))

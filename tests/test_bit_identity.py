@@ -61,23 +61,21 @@ def _oracle_sites(pot, E, theta, alpha, start, stop, phasor):
 
 
 def _oracle_loop(S, q):
-    """The fused loop over S = sites [-q, 2q) as mpf expressions: the three
-    products and the two differences, as 20 entries in GordonMatrices order
-    (A_back, A_q, A_2q's left factor A_q(theta + q alpha), D_fwd, D_back)."""
+    """The fused loop over S = sites [-q, 2q) as mpf expressions: A_q and
+    the two differences, stepped by the shifted sites, then the shifted
+    products read off them, as 20 entries in GordonMatrices order (A_back,
+    A_q, A_2q's left factor A_q(theta + q alpha), D_fwd, D_back)."""
     one, zero = mp.mpf(1), mp.mpf(0)
     a, b, c, d = one, zero, zero, one
-    ap, bp, cp, dp = one, zero, zero, one
-    am, bm, cm, dm = one, zero, zero, one
     xa = xb = xc = xd = ya = yb = yc = yd = zero
     for s, sm, sp in zip(S[q:2 * q], S[:q], S[2 * q:]):
         t, u = s - sp, s - sm
-        xa, xb, xc, xd = s * xa - xc + t * ap, s * xb - xd + t * bp, xa, xb
-        ya, yb, yc, yd = s * ya - yc + u * am, s * yb - yd + u * bm, ya, yb
+        xa, xb, xc, xd = sp * xa - xc + t * a, sp * xb - xd + t * b, xa, xb
+        ya, yb, yc, yd = sm * ya - yc + u * a, sm * yb - yd + u * b, ya, yb
         a, b, c, d = s * a - c, s * b - d, a, b
-        ap, bp, cp, dp = sp * ap - cp, sp * bp - dp, ap, bp
-        am, bm, cm, dm = sm * am - cm, sm * bm - dm, am, bm
-    return (am, bm, cm, dm, a, b, c, d, ap, bp, cp, dp,
-            xa, xb, xc, xd, ya, yb, yc, yd)
+    P, D_fwd, D_back = (a, b, c, d), (xa, xb, xc, xd), (ya, yb, yc, yd)
+    return (*(p - x for p, x in zip(P, D_back)), *P,
+            *(p - x for p, x in zip(P, D_fwd)), *D_fwd, *D_back)
 
 
 def _user_g(x):

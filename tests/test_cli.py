@@ -467,6 +467,25 @@ def test_level_below_1_exits_2_naming_key(gordon_cfg, tmp_path, capsys, level):
     assert "[depths] gordon_levels" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["maryland", "amo"])
+@pytest.mark.parametrize("huge,same", [("1" + "0" * 400 + ".1", "1/10"),
+                                       ("1e400", "0")],
+                         ids=["1e400+1/10", "1e400"])
+def test_gordon_reduces_a_huge_phase_exactly(gordon_cfg, tmp_path, model,
+                                             huge, same):
+    # a phase past the float range keeps its fraction, so 10^400 + 1/10
+    # certifies as 1/10 does and 10^400 as 0 does
+    trees = []
+    for i, theta in enumerate((huge, same)):
+        cfg = tmp_path / f"run{i}.ini"
+        cfg.write_text(gordon_cfg.read_text().replace("maryland", model)
+                       .replace("theta = 3/8", f"theta = {theta}"))
+        out = tmp_path / f"o{i}"
+        assert main(["gordon", "--config", str(cfg), "--out", str(out)]) == 0
+        trees.append(_tree_bytes(out))
+    assert trees[0] == trees[1]
+
+
 def test_exit_code_5_on_excluded_phase(gordon_cfg, tmp_path):
     text = gordon_cfg.read_text().replace("theta = 3/8", "theta = 1/2")
     cfg = tmp_path / "resonant.ini"

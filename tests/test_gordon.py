@@ -156,6 +156,9 @@ def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
         cases = {
             "A_back": (mats.A_back, back),
             "A_q": (mats.A_q, fwd),
+            # the left factor of A_2q, which the loop reads off D_fwd
+            "A_q - D_fwd": (TransferMatrix2(*(
+                getattr(mats.A_q, k) - getattr(mats.D_fwd, k) for k in "abcd")), ahead),
             "A_2q": (mats.A_2q, product(pot, Ev, th, av, 2 * q)),
             "adj A_q": (_adj(mats.A_q), inv_fwd),
             "adj A_back": (_adj(mats.A_back), inv_back),
@@ -349,7 +352,7 @@ def test_smallness_rejects_non_qualifying_level():
     d = delta_index(cf, theta, pot.poles)
     L = 0.08
     with pytest.raises(SubsequenceError):
-        smallness_check(pot, 0.0, theta, cf.value, cf, 1, 0.2, L, delta_iv=d)
+        smallness_check(pot, 0.0, theta, cf, 1, 0.2, L, delta_iv=d)
 
 
 def test_smallness_passes_on_frozen_config():
@@ -364,8 +367,7 @@ def test_smallness_passes_on_frozen_config():
         d = delta_index(cf, theta, pot.poles)
         L = lyapunov(pot, E, cf.value, 20000).value
         for n_i in levels:
-            chk = smallness_check(pot, E, theta, cf.value, cf, n_i, eps, L,
-                                  delta_iv=d)
+            chk = smallness_check(pot, E, theta, cf, n_i, eps, L, delta_iv=d)
             mats = gordon_matrices(pot, E, theta, cf.value, cf.q[n_i])
             with mp.workprec(mats.precision):
                 assert chk.d_fwd_log == _resolved_log(mats.D_fwd.norm())
@@ -424,13 +426,11 @@ def test_exclusion_certificate_level_guard():
     pot = make_maryland(0.15)
     for level in (9, 0, -1):
         with pytest.raises(RangeError, match=rf"level {level} outside 1\.\.4$"):
-            exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf, [level],
-                                  1e-2)
+            exclusion_certificate(pot, 0.0, Fraction(3, 8), cf, [level], 1e-2)
     # q_4 is about 5.7e24: refused before level 1 is worked on
     assert 3 * cf.q[4] > SITE_BUDGET
     with pytest.raises(BudgetError, match=r"^level 4 needs 3q = \d+ orbit sites"):
-        exclusion_certificate(pot, 0.0, Fraction(3, 8), cf.value, cf,
-                              [1, 2, 3, 4], 1e-2)
+        exclusion_certificate(pot, 0.0, Fraction(3, 8), cf, [1, 2, 3, 4], 1e-2)
 
 
 # certificate digits pinned exactly: how the products and their inverses
@@ -449,7 +449,7 @@ _FROZEN_CERTIFICATES = [
 
 def test_exclusion_certificate_on_frozen_config():
     for pot, cf, theta, E, expect in _FROZEN_CERTIFICATES:
-        (c,) = exclusion_certificate(pot, E, theta, cf.value, cf, [3], c=0.01)
+        (c,) = exclusion_certificate(pot, E, theta, cf, [3], c=0.01)
         assert {k: getattr(c, k) for k in expect} == expect
         assert c.verdict == "excluded"
         assert c.max_norm >= 0.25 - 1e-6
@@ -462,8 +462,7 @@ def test_exclusion_certificate_resolves_level_with_a_null_direction():
     # so the level is decided
     cf = liouville_cf(math.log(4.0), 4)
     pot = make_amo(2.0)
-    (c,) = exclusion_certificate(pot, 0.5, Fraction(1, 10), cf.value, cf, [1],
-                                 1e-2)
+    (c,) = exclusion_certificate(pot, 0.5, Fraction(1, 10), cf, [1], 1e-2)
     assert c.q == 1
     assert c.verdict == "inconclusive"
 
@@ -478,9 +477,9 @@ def test_certificate_batch_equals_one_call_per_energy():
     # certify-maryland pool, which share one walk at 276 bits
     pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
     batch = list(exclusion_certificates(pot, _MARYLAND_POOL, Fraction(3, 8),
-                                        cf.value, cf, [3], 0.01))
-    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf.value, cf, [3],
-                                     0.01) for E in _MARYLAND_POOL]
+                                        cf, [3], 0.01))
+    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf, [3], 0.01)
+               for E in _MARYLAND_POOL]
     assert batch == singles
     assert {c.precision for (c,) in batch} == {276}
 
@@ -490,9 +489,9 @@ def test_certificate_batch_across_two_working_precisions():
     # level's walk is made again at each change of precision
     pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
     energies = [0.0, 2.0, 0.5, 2.0]
-    batch = list(exclusion_certificates(pot, energies, Fraction(3, 8), cf.value,
-                                        cf, [2, 3], 0.01))
-    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf.value, cf,
+    batch = list(exclusion_certificates(pot, energies, Fraction(3, 8), cf,
+                                        [2, 3], 0.01))
+    singles = [exclusion_certificate(pot, E, Fraction(3, 8), cf,
                                      [2, 3], 0.01) for E in energies]
     assert batch == singles
     assert [certs[1].precision for certs in batch] == [276, 294, 276, 294]
@@ -504,10 +503,9 @@ def test_certificate_batch_raises_the_pole_of_the_single_path(maryland1):
         # site -2 lies 1e-14 from the pole at 1/2, as in the test above
         theta = mp.mpf(1) / 2 + 2 * cf.value + mp.mpf("1e-14")
     raised = []
-    for run in (lambda: exclusion_certificate(maryland1, 0.3, theta, cf.value,
-                                              cf, [6], 0.01),
+    for run in (lambda: exclusion_certificate(maryland1, 0.3, theta, cf, [6], 0.01),
                 lambda: list(exclusion_certificates(maryland1, [0.3, -0.2], theta,
-                                                    cf.value, cf, [6], 0.01))):
+                                                    cf, [6], 0.01))):
         with pytest.raises(OrbitPoleError) as exc:
             run()
         raised.append((exc.value.step, exc.value.dist))
@@ -519,10 +517,9 @@ def test_certificate_batch_refuses_bad_input_before_any_work():
     pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
     # the generator is made, not run: the checks come first
     with pytest.raises(RangeError, match=r"level 9 outside 1\.\.4$"):
-        exclusion_certificates(pot, [], Fraction(3, 8), cf.value, cf, [9], 0.01)
+        exclusion_certificates(pot, [], Fraction(3, 8), cf, [9], 0.01)
     with pytest.raises(InvalidInputError, match="energy must be finite"):
-        exclusion_certificates(pot, [0.0, math.inf], Fraction(3, 8), cf.value,
-                               cf, [3], 0.01)
+        exclusion_certificates(pot, [0.0, math.inf], Fraction(3, 8), cf, [3], 0.01)
 
 
 def test_certificate_keeps_nothing_after_it_returns():
@@ -532,7 +529,7 @@ def test_certificate_keeps_nothing_after_it_returns():
     pot, cf = make_amo(2.0), liouville_cf(math.log(4), 4)
 
     def run(theta):
-        return exclusion_certificate(pot, 0.5, theta, cf.value, cf, [3], 0.01)
+        return exclusion_certificate(pot, 0.5, theta, cf, [3], 0.01)
 
     # mpmath's constants at this precision are cached once; the measured
     # call walks another phase, so a walk kept from an earlier call would
