@@ -39,9 +39,9 @@ from .arithmetic import (
     liouville_cf,
     silver_cf,
 )
-from .errors import ConfigError, OutputError, QPSpecError
+from .errors import ConfigError, InvalidInputError, OutputError, QPSpecError
 from .gordon import exclusion_certificates
-from .potential import make_amo, make_custom, make_maryland
+from .potential import G_REGISTRY, make_amo, make_custom, make_maryland
 from .spectral import LABELS, classify_regime, lyapunov_scan
 
 _SCHEMA = {
@@ -126,7 +126,7 @@ class RunConfig:
         if name == "amo":
             return make_amo(coupling)
         if name == "maryland":
-            return make_maryland(coupling)
+            return _model(make_maryland, "coupling", coupling)
         if name == "custom":
             raw = self._get("model", "poles", default="")
             poles = []
@@ -141,7 +141,8 @@ class RunConfig:
                         f"bad pole multiplicity in [model] poles: {tok!r}")
                 poles.extend([_parse_number(loc, "model", "poles")] * mult)
             g_name = self._get("model", "g", required=True)
-            return make_custom(poles, g_name, coupling=coupling)
+            return _model(make_custom, "poles" if g_name in G_REGISTRY else "g",
+                          poles, g_name, coupling=coupling)
         raise ConfigError(f"unknown model name {name!r}")
 
     def alpha_cf(self):
@@ -230,6 +231,15 @@ class RunConfig:
         if any(n < 1 for n in levels):
             raise ConfigError(f"[depths] gordon_levels must be >= 1, got {raw}")
         return levels
+
+
+def _model(make, key: str, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a model factory's refusal re-raised
+    as a ConfigError naming ``[model] key``."""
+    try:
+        return make(*args, **kwargs)
+    except InvalidInputError as exc:
+        raise ConfigError(f"[model] {key}: {exc}") from None
 
 
 def _parse_number(raw: str, section: str, key: str):

@@ -31,9 +31,8 @@ an (m, e) integer pair, in two parts.  ``_site_terms`` walks the phasor
 (cos pi x_j, sin pi x_j) as W-bit fixed-point integers, W = the working
 precision + ceil(log2(3q)) + 32, one integer rotation by (cos pi a, sin pi a)
 per site rounded to nearest, so the phasor's absolute error stays about
-3q 2^-W.  f and every built-in g are integer polynomials in it; a
-user-supplied g is evaluated directly at x_j.  The pole factors of f are
-also the pole test: the first site within ``eps_floor`` of a pole raises
+3q 2^-W.  f and g are integer polynomials in it.  The pole factors of f
+are also the pole test: the first site within ``eps_floor`` of a pole raises
 OrbitPoleError.  None of this depends on E, so the energies of one
 ``exclusion_certificates`` call share a level's terms while its working
 precision stays the same.  ``_site_pairs`` then rounds

@@ -5,20 +5,22 @@ fixed sign, so that |f(x)| = prod_l |e^{2 pi i x} - e^{2 pi i theta_l}| and
 the mean of ln|f| over the torus vanishes.  Built-in families: the cosine
 model (no poles) and the tangent model (single pole at 1/2).
 
-Both engines evaluate f and the registry g's as polynomials in the phasor
-(cos pi x, sin pi x).  The float engines take it from one tangent per site
-(``_phasor``: t = tan(pi x / 2), then c = 2/(1 + t^2) - 1 and
-s = 2t/(1 + t^2)), so a site costs one SIMD ``np.tan`` and a few
-multiplies, with no sine or cosine: f is f_sign prod_l 2(s cos pi p_l -
-c sin pi p_l), with the pole constants rounded once per potential, and a
-registry g is coupling * poly(c, s) from its ``g.fixed_phasor``.
+Every g is a registry g (``G_REGISTRY``): an mp-scalar callable that carries
+its trig-polynomial form ``g.fixed_phasor``.  Both engines evaluate f and g
+as polynomials in the phasor (cos pi x, sin pi x); ``f`` and ``g`` called on
+mp scalars are the references they are checked against.  The float engines
+take the phasor from one tangent per site (``_phasor``: t = tan(pi x / 2),
+then c = 2/(1 + t^2) - 1 and s = 2t/(1 + t^2)), so a site costs one SIMD
+``np.tan`` and a few multiplies, with no sine or cosine: f is
+f_sign prod_l 2(s cos pi p_l - c sin pi p_l), with the pole constants
+rounded once per potential, and g is coupling * poly(c, s)
+(``MeromorphicPotential._f_and_g``).
 The site pass walks the same phasor as fixed-point integers.  Its
-energy-free part, ``_site_terms``, forms f and g at every site (a g without
-``fixed_phasor`` is evaluated at x) and tests for poles on the integer pole
-factors; its energy step, ``_site_pairs``, forms each site as
-S = (E f - g) / f from the exact integer E f - g, as an (m, e) integer pair
-rounded once.  So several energies can share one walk, and
-``site_values`` returns the pairs as mpf values.
+energy-free part, ``_site_terms``, forms f and g at every site and tests
+for poles on the integer pole factors; its energy step, ``_site_pairs``,
+forms each site as S = (E f - g) / f from the exact integer E f - g, as an
+(m, e) integer pair rounded once.  So several energies can share one walk,
+and ``site_values`` returns the pairs as mpf values.
 
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
@@ -55,7 +57,6 @@ from .arithmetic import (
 from .errors import (
     DegenerateModelError,
     InvalidInputError,
-    NumericError,
     OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
@@ -110,20 +111,12 @@ def _buffers(x: np.ndarray) -> list[np.ndarray]:
     return [np.empty(x.shape) for _ in range(5)]
 
 
-def _poly_on_phasor(fixed, c: np.ndarray, s: np.ndarray,
-                    out: np.ndarray) -> np.ndarray:
-    """A registry g from its ``g.fixed_phasor``: coupling * poly(c, s) in
-    float64, into ``out`` (which may be s)."""
-    coupling, _, poly = fixed
-    return np.multiply(poly(c, s), float(coupling), out=out)
-
-
 @dataclass(frozen=True)
 class MeromorphicPotential:
     """V = g/f with poles listed with multiplicity (repeats).
 
-    ``g`` must accept both scalars (mpf) and numpy arrays.  ``f_sign`` fixes
-    the overall sign of the normalised f.
+    ``g`` is a registry g (``G_REGISTRY``), which carries ``g.fixed_phasor``;
+    ``f_sign`` fixes the overall sign of the normalised f.
     """
 
     poles: tuple
@@ -132,16 +125,17 @@ class MeromorphicPotential:
     f_sign: int = 1
     eps_floor: float = 1e-12
 
+    def __post_init__(self):
+        if not hasattr(self.g, "fixed_phasor"):
+            raise InvalidInputError("g must be a registry g, carrying fixed_phasor")
+
     @property
     def m(self) -> int:
         return len(self.poles)
 
     def f(self, x):
-        """Signed normalised f; |f| is the product of chord lengths."""
-        if _is_array(x):
-            if not self.poles:
-                return np.full_like(x, float(self.f_sign), dtype=float)
-            return self._f_and_g(x, _buffers(x), with_g=False)[0]
+        """Signed normalised f at an mp scalar; |f| is the product of chord
+        lengths."""
         acc = mp.mpf(self.f_sign)
         for pl in self.poles:
             acc *= 2 * mp.sinpi(as_mpf(x) - as_mpf(pl))
@@ -186,18 +180,16 @@ class MeromorphicPotential:
         p_max = max(abs(float(pl)) for pl in self.poles)
         return 2.0 ** self.m * (4.0 * eps + (1.0 + p_max) * 1e-14)
 
-    def _f_and_g(self, x: np.ndarray, work,
-                 with_g: bool = True) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """f (None when pole-free) and g (None unless ``with_g``) at an array
-        of sites, from one ``_phasor`` pass.  ``work`` is five float buffers
-        shaped like x: f lands in work[0], the phasor (c, s) in work[1] and
-        work[2], and a registry g over s in work[2]; work[3] and work[4] are
-        scratch for the later factors and for a factor with two nonzero
-        constants.  A factor with a zero constant (a pole at an integer or
-        half-integer) is one multiply, exact but for the sign of a zero."""
-        fixed = getattr(self.g, "fixed_phasor", None) if with_g else None
-        if self.m or fixed is not None:
-            c, s = _phasor(x, work[1:3])
+    def _f_and_g(self, x: np.ndarray, work) -> tuple[np.ndarray | None, np.ndarray]:
+        """f (None when pole-free) and g at an array of sites, from one
+        ``_phasor`` pass: the float engines' only f and g.  ``work`` is five
+        float buffers shaped like x: f lands in work[0], the phasor (c, s) in
+        work[1] and work[2], and g = coupling * poly(c, s) from
+        ``g.fixed_phasor`` over s in work[2]; work[3] and work[4] are scratch
+        for the later factors and for a factor with two nonzero constants.
+        A factor with a zero constant (a pole at an integer or half-integer)
+        is one multiply, exact but for the sign of a zero."""
+        c, s = _phasor(x, work[1:3])
         f = None
         if self.m:
             # f_sign prod_l 2 (s cos pi p_l - c sin pi p_l)
@@ -212,11 +204,8 @@ class MeromorphicPotential:
                         fac -= np.multiply(c, sp, out=work[4])
                 if i:
                     f *= fac
-        if not with_g:
-            return f, None
-        if fixed is not None:
-            return f, _poly_on_phasor(fixed, c, s, s)
-        return f, np.asarray(self.g(x), dtype=float)
+        coupling, _, poly = self.g.fixed_phasor
+        return f, np.multiply(poly(c, s), float(coupling), out=s)
 
     def pole_distance(self, x):
         """Torus distance from x to the nearest pole; +inf when pole-free."""
@@ -238,8 +227,7 @@ class MeromorphicPotential:
         """V on an array, and (flat index, pole distance) of the sites whose
         |f| admits ``_f_near_pole(eps_floor)`` (None when pole-free), so the
         A-kind pole mask reads |f| once with V.  With ``work`` (as for
-        ``_f_and_g``), f lands in work[0] and, unless a pole-free g without
-        ``fixed_phasor`` made its own array, V in work[2].
+        ``_f_and_g``), f lands in work[0] and V in work[2].
 
         At a site exactly on a pole (pole_distance 0), where f keeps an |f|
         of rounding size, and wherever |f| < 1e-300, f is set to 1e-300, so
@@ -278,30 +266,21 @@ class MeromorphicPotential:
 # built-in families and the custom registry
 
 
-def _with_fixed_phasor(g: Callable, coupling: float, degree: int,
-                       poly: Callable) -> Callable:
-    """Attach to ``g`` its fixed-point trig-polynomial form
-    ``g.fixed_phasor = (coupling, degree, poly)``.  For c = cos(pi x) 2^W and
-    s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an integer
-    polynomial, homogeneous of the given degree, with
+def _registry_g(coupling, degree: int, poly: Callable, mp_form: Callable) -> Callable:
+    """A registry g: ``mp_form`` on mp scalars, carrying its trig-polynomial
+    form ``g.fixed_phasor = (coupling, degree, poly)``.  For c = cos(pi x) 2^W
+    and s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an
+    integer polynomial, homogeneous of the given degree, with
     g(x) = coupling * poly(c, s) * 2^(-degree W).  ``site_values`` evaluates
     g along an orbit through it on integers, without trig calls, and the
     float engines evaluate the same poly on the float phasor (W = 0)."""
     if not mp.isfinite(coupling):
         raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
+
+    def g(x):
+        return mp_form(as_mpf(x))
     g.fixed_phasor = (coupling, degree, poly)
     return g
-
-
-def _registry_g(coupling, degree: int, poly: Callable, mp_form: Callable) -> Callable:
-    """A registry g: ``mp_form`` on mp scalars, coupling * poly(c, s) on the
-    tangent phasor of an array, and the fixed-point form for ``site_values``."""
-    def g(x):
-        if _is_array(x):
-            c, s = _phasor(x)
-            return _poly_on_phasor(g.fixed_phasor, c, s, s)
-        return mp_form(as_mpf(x))
-    return _with_fixed_phasor(g, coupling, degree, poly)
 
 
 def _g_const(val):
@@ -350,27 +329,25 @@ def make_maryland(lam: float) -> MeromorphicPotential:
                                 label="maryland", f_sign=-1)
 
 
-def make_custom(poles: Sequence, g_name: str, coupling: float = 1.0,
-                g: Callable | None = None) -> MeromorphicPotential:
-    """Custom potential from a pole list and a registered (or supplied) g.
-
-    Poles may repeat to encode multiplicity.  A supplied callable must handle
-    scalars and numpy arrays.
-    """
-    if g is None:
-        if g_name not in G_REGISTRY:
-            raise InvalidInputError(
-                f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
-        g = G_REGISTRY[g_name](coupling)
-    pot = MeromorphicPotential(poles=tuple(poles), g=g, label="custom")
+def make_custom(poles: Sequence, g_name: str,
+                coupling: float = 1.0) -> MeromorphicPotential:
+    """Custom potential from a pole list and the registry g named ``g_name``
+    at ``coupling``.  Poles may repeat to encode multiplicity."""
+    if g_name not in G_REGISTRY:
+        raise InvalidInputError(
+            f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
+    pot = MeromorphicPotential(poles=tuple(poles), g=G_REGISTRY[g_name](coupling),
+                               label="custom")
     _check_no_spurious_pole(pot)
     return pot
 
 
 def _check_no_spurious_pole(pot: MeromorphicPotential):
+    """Refuse a pole where g vanishes, relative to the coupling: a zero
+    coupling, or |g(p)| < 1e-12 |coupling|."""
+    coupling = pot.g.fixed_phasor[0]
     for pl in pot.poles:
-        gv = pot.g(as_mpf(pl))
-        if abs(gv) < 1e-12:
+        if coupling == 0 or abs(pot.g(as_mpf(pl)) / coupling) < 1e-12:
             raise InvalidInputError(
                 f"g vanishes at declared pole {pl}: the pole is spurious")
 
@@ -422,11 +399,12 @@ def check_energy(E) -> None:
 
 class _SiteTerms(NamedTuple):
     """The energy-free part of the site pass over a window: f_j 2^f_exp and
-    g at every site, from the W-bit phasor walk.  ``f`` is None when the
-    potential is pole-free (f = 1); ``g`` holds (m, e) pairs."""
+    g_j 2^g_exp at every site, from the W-bit phasor walk.  ``f`` is None
+    when the potential is pole-free (f = 1)."""
 
     W: int
     f_exp: int
+    g_exp: int
     f: list | None
     g: list
 
@@ -440,12 +418,7 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
     Nothing here depends on the energy (``site_values`` has the details)."""
     theta = exact_fraction(theta) % 2  # exactly, mod the phasor's period
     n = stop - start
-    fixed = getattr(pot.g, "fixed_phasor", None)
-    if fixed is None:
-        # a user g is evaluated at x_j formed at prec bits
-        with mp.workprec(prec):
-            th, av = as_mpf(theta), as_mpf(alpha)
-            xs = [th + j * av for j in range(start, stop)]
+    lam, degree, poly = pot.g.fixed_phasor
     W = prec + (n - 1).bit_length() + 32
     half = 1 << (W - 1)
     with mp.workprec(W):
@@ -457,22 +430,17 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
         c, s = fix(mp.cospi(x0)), fix(mp.sinpi(x0))
         cu, su = fix(mp.cospi(aw)), fix(mp.sinpi(aw))
         sp_u, sm_u = su + cu, su - cu
-        if fixed is not None:
-            lam, degree, poly = fixed
-            # the coupling at W bits, converted once: exact for a float and
-            # for an mpf of up to W bits
-            sign, man, exp, _ = as_mpf(lam)._mpf_
-            lam_man, g_exp = -man if sign else man, exp - degree * W
+        # the coupling at W bits, converted once: exact for a float and for
+        # an mpf of up to W bits
+        sign, man, exp, _ = as_mpf(lam)._mpf_
+        lam_man, g_exp = -man if sign else man, exp - degree * W
         poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
                  for pl in pot.poles]
         floor = fix(2 * mp.sinpi(min(pot.eps_floor, 0.5)))
         f_sign = pot.f_sign
         fs, gs = ([] if poles else None), []
         for i in range(n):
-            if fixed is not None:
-                gs.append((lam_man * poly(c, s), g_exp))
-            else:
-                gs.append(_man_exp(mp.mpf(pot.g(xs[i])), start + i))
+            gs.append(lam_man * poly(c, s))
             if poles:
                 fv = f_sign
                 for cp, sp in poles:
@@ -488,7 +456,7 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
             # (c cu - s su, s cu + c su) from three products, exactly
             k = cu * (c + s)
             c, s = (k - s * sp_u + half) >> W, (k + c * sm_u + half) >> W
-    return _SiteTerms(W, -W * pot.m, fs, gs)
+    return _SiteTerms(W, -W * pot.m, g_exp, fs, gs)
 
 
 def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
@@ -501,20 +469,16 @@ def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
     with mp.workprec(terms.W):
         sign, man, e_exp, _ = as_mpf(E)._mpf_
     e_int = -man if sign else man
+    g_exp = terms.g_exp
     if terms.f is None:
-        out = []
-        for g, g_exp in terms.g:
-            e0 = min(e_exp, g_exp)
-            out.append(rnd((e_int << (e_exp - e0)) - (g << (g_exp - e0)), e0))
-        return out
-    f_exp = terms.f_exp
-    ef_exp = e_exp + f_exp
-    out = []
-    for f, (g, g_exp) in zip(terms.f, terms.g):
-        e0 = min(ef_exp, g_exp)
-        out.append(div((e_int * f << (ef_exp - e0)) - (g << (g_exp - e0)), f,
-                       e0 - f_exp))
-    return out
+        e0 = min(e_exp, g_exp)
+        e_int, g_sh = e_int << (e_exp - e0), g_exp - e0
+        return [rnd(e_int - (g << g_sh), e0) for g in terms.g]
+    ef_exp = e_exp + terms.f_exp
+    e0 = min(ef_exp, g_exp)
+    ef_sh, g_sh, q_exp = ef_exp - e0, g_exp - e0, e0 - terms.f_exp
+    return [div((e_int * f << ef_sh) - (g << g_sh), f, q_exp)
+            for f, g in zip(terms.f, terms.g)]
 
 
 def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
@@ -534,8 +498,7 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
       * f is f_sign times the pole factors 2 sin(pi (x_j - p)) =
         2 (s cos pi p - c sin pi p), each an integer rounded to W bits
         (f = 1 without poles, as in ``eval_V``);
-      * g is a registry g's lam poly(c, s) (``g.fixed_phasor``), exact, or
-        else a user g evaluated at x_j at W bits;
+      * g is lam poly(c, s) from ``g.fixed_phasor``, exact;
       * S_j = (E f - g) / f as an (m, e) integer pair, with E f - g formed
         exactly as an integer times a power of 2 and the quotient rounded
         once to prec by one integer division.  Without poles E - g is
@@ -554,14 +517,6 @@ def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
     pairs = _site_pairs(E, _site_terms(pot, theta, alpha, start, stop, prec), prec)
     make = mp.make_mpf
     return [make(from_man_exp(m, e)) for m, e in pairs]
-
-
-def _man_exp(v: mp.mpf, j: int) -> tuple[int, int]:
-    """A user g's value at orbit site j as a signed mantissa and exponent."""
-    sign, man, exp, _ = v._mpf_
-    if not man and exp:
-        raise NumericError(f"g is not finite at orbit site {j}: {v}")
-    return -man if sign else man, exp
 
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,

@@ -32,12 +32,9 @@ from qpspec.potential import site_values
 def _oracle_sites(pot, E, theta, alpha, start, stop, phasor):
     """S_j with mpf objects: the phasor z_j = e^{i pi x_j} advanced by one
     complex multiply at prec + ceil(log2(n)) + 32 bits, g through the mpf
-    ``phasor(c, s)`` (or directly at x_j when None), rounded to prec."""
+    ``phasor(c, s)``, rounded to prec."""
     n = stop - start
     prec = mp.mp.prec
-    th, av = as_mpf(theta), as_mpf(alpha)
-    if phasor is None:
-        xs = [th + j * av for j in range(start, stop)]
     out = []
     with mp.workprec(prec + (n - 1).bit_length() + 32):
         Ev = as_mpf(E)
@@ -48,7 +45,7 @@ def _oracle_sites(pot, E, theta, alpha, start, stop, phasor):
         poles = [(2 * mp.cospi(as_mpf(pl)), 2 * mp.sinpi(as_mpf(pl)))
                  for pl in pot.poles]
         for i in range(n):
-            gv = phasor(c, s) if phasor is not None else pot.g(xs[i])
+            gv = phasor(c, s)
             if pot.m:
                 fv = mp.mpf(pot.f_sign)
                 for cp, sp in poles:
@@ -78,11 +75,6 @@ def _oracle_loop(S, q):
             *(p - x for p, x in zip(P, D_fwd)), *D_fwd, *D_back)
 
 
-def _user_g(x):
-    # a user g without a phasor form: evaluated directly at each site
-    return 1 + mp.cospi(2 * x) / 2
-
-
 with mp.workprec(200):
     _LAM_200 = mp.mpf("0.1")  # a coupling wider than a float
 
@@ -97,8 +89,6 @@ _SITE_CASES = {
                lambda c, s: 1.3 * 2 * c * s),
     "const": (make_custom([Fraction(1, 4)], "const", coupling=0.9),
               lambda c, s: mp.mpf(0.9)),
-    "user-g": (make_custom([Fraction(1, 3)], "user", g=_user_g), None),
-    "pole-free-user-g": (make_custom([], "user", g=_user_g), None),
     "mpf-coupling": (make_custom([Fraction(1, 3)], "cos2pi", coupling=_LAM_200),
                      lambda c, s: _LAM_200 * (c * c - s * s)),
 }

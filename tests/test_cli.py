@@ -602,17 +602,27 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
      "kind = coefficients\nfile = nope.txt", "[alpha] file"),
     ("classify", "name = liouville\nbeta_target = 1.0\nterms = 4",
      "name = golden\nterms = 6", "[alpha]"),
+    # a model factory's refusal names the key it comes from
+    ("gordon", "name = maryland", "name = custom\npoles = 1/3\ng = nosuch",
+     "[model] g: unknown g 'nosuch'"),
+    ("gordon", "name = maryland", "name = custom\npoles = 1/4\ng = cos2pi",
+     "[model] poles: g vanishes at declared pole 1/4"),
+    ("gordon", "coupling = 0.15", "coupling = 0",
+     "[model] coupling: tangent model needs a nonzero coupling"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
         "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
-        "alpha-file-missing", "classify-shallow-alpha"])
+        "alpha-file-missing", "classify-shallow-alpha", "unknown-g",
+        "spurious-pole", "maryland-zero-coupling"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"
     cfg.write_text(gordon_cfg.read_text().replace(old, new, 1))
     out = tmp_path / "o"
     assert main([sub, "--config", str(cfg), "--out", str(out)]) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the key's section is named once: a refusal is not prefixed twice
+    assert key in err and err.count(key.split()[0]) == 1
     assert not any(out.iterdir())
 
 

@@ -33,7 +33,7 @@ from qpspec.cocycle import (
     phase_grid,
     spectral_norm_2x2,
 )
-from qpspec.potential import orbit
+from qpspec.potential import _buffers, orbit
 
 
 def _ln_norms1(pot, E, alpha, xs, n, kind):
@@ -276,7 +276,8 @@ def test_a_site_on_the_pole_is_masked_at_small_coupling():
     # reads as a pole, so the A kernel masks the phase however small the
     # coupling (the spectrum's flag is tested in test_spectral)
     pot = make_maryland(1e-6)
-    assert 0 < abs(pot.f(np.array([0.5]))[0]) <= 1e-15
+    X = np.array([0.5])
+    assert 0 < abs(pot._f_and_g(X, _buffers(X))[0][0]) <= 1e-15
     assert abs(pot.V_array(np.array([0.5]))[0]) > 1e290
     alpha = float(golden_cf(30).value)
     with warnings.catch_warnings():
@@ -311,8 +312,10 @@ def test_uniform_bound_margins(amo2):
 def _sequential_ln_norm(pot, E, alpha, x, n, kind):
     """Oracle: (1/n) ln||M_n(x)|| from the plain step-by-step float product."""
     X = orbit(x, alpha, 0, n)
-    F = pot.f(X) if kind == "D" and pot.m else np.ones(n)
-    S = E - pot.V_array(X) if kind == "A" else E * F - pot.g(X)
+    F, G = pot._f_and_g(X, _buffers(X))
+    if F is None or kind == "A":
+        F = np.ones(n)
+    S = E - pot.V_array(X) if kind == "A" else E * F - G
     a, b, c, d, log = 1.0, 0.0, 0.0, 1.0, 0.0
     for s, f in zip(S.tolist(), F.tolist()):
         a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b

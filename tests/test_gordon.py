@@ -115,13 +115,6 @@ def test_gordon_matrices_consistency(amo2):
         assert abs(float(mats.A_q.det()) - 1.0) < 1e-15
 
 
-def _user_g(x):
-    # a user g: evaluated directly at each site
-    if isinstance(x, np.ndarray):
-        return 1.0 + 0.5 * np.cos(2 * np.pi * x)
-    return 1 + mp.cospi(2 * x) / 2
-
-
 def _rel_gap(got, expect):
     """Largest entry of got - expect over the largest entry of expect."""
     gap = max(abs(got.a - expect.a), abs(got.b - expect.b),
@@ -137,11 +130,9 @@ _GOLDEN = golden_cf(20)
     (make_maryland(0.7), _GOLDEN, 13, 0.4, Fraction(1, 7)),
     (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=0.8),
      _GOLDEN, 13, 0.4, Fraction(1, 7)),
-    (make_custom([Fraction(1, 3)], "user", coupling=1.0, g=_user_g),
-     _GOLDEN, 13, 0.4, Fraction(1, 7)),
     (make_amo(2.0), liouville_cf(1.12, 4), 276, 0.5, Fraction(1, 10)),
     (make_maryland(0.15), liouville_cf(1.0, 4), 57, 0.0, Fraction(3, 8)),
-], ids=["amo", "maryland", "two-pole-cos2pi", "user-g", "amo-q276",
+], ids=["amo", "maryland", "two-pole-cos2pi", "amo-q276",
         "maryland-q57"])
 def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
     mats = gordon_matrices(pot, E, theta, cf.value, q)

@@ -9,7 +9,6 @@ import pytest
 from qpspec import (
     DegenerateModelError,
     InvalidInputError,
-    NumericError,
     OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
@@ -23,8 +22,8 @@ from qpspec import (
     make_maryland,
 )
 from qpspec.arithmetic import as_mpf
-from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _phasor, orbit,
-                              site_values)
+from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _buffers, _phasor,
+                              orbit, site_values)
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -63,14 +62,6 @@ def test_f_is_chord_product(maryland1):
                                                                    rel=1e-12)
 
 
-def test_f_scalar_and_array_agree(maryland1):
-    xs = np.array([0.05, 0.2, 0.77])
-    arr = maryland1.f(xs)
-    for x, fx in zip(xs, arr):
-        assert float(maryland1.f(mp.mpf(float(x)))) == pytest.approx(float(fx),
-                                                                     rel=1e-12)
-
-
 def test_log_f_integral_vanishes(maryland1):
     assert abs(maryland1.log_f_integral()) < 1e-10
     two = make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=1.0)
@@ -89,16 +80,14 @@ def test_spurious_pole_rejected():
     # sin(2 pi x) vanishes at 1/2, so a declared pole there is spurious
     with pytest.raises(InvalidInputError):
         make_custom([Fraction(1, 2)], "sin2pi", coupling=1.0)
-
-
-def test_registry_entries_handle_both_input_kinds():
-    xs = np.array([0.1, 0.3])
-    for name, factory in G_REGISTRY.items():
-        g = factory(1.5)
-        arr = np.asarray(g(xs), dtype=float)
-        assert arr.shape == xs.shape
-        scalar = float(g(mp.mpf(0.1)))
-        assert scalar == pytest.approx(float(arr[0]), rel=1e-12)
+    # the test is relative to the coupling: cos 2 pi x is -1/2 at 1/3 and 0
+    # at 1/4, so at a coupling of 1e-13 g is far below 1e-12 at both, but
+    # only 1/4 is a zero of g; at coupling 0 every pole is spurious
+    assert make_custom([Fraction(1, 3)], "cos2pi", coupling=1e-13).m == 1
+    with pytest.raises(InvalidInputError, match="g vanishes at declared pole 1/4"):
+        make_custom([Fraction(1, 4)], "cos2pi", coupling=1e-13)
+    with pytest.raises(InvalidInputError, match="g vanishes at declared pole 1/3"):
+        make_custom([Fraction(1, 3)], "cos2pi", coupling=0.0)
 
 
 def test_f_product_bound_holds_at_qualifying_level():
@@ -196,7 +185,8 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
         old = np.full_like(X, float(f_sign))
         for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
             old = old * (s * cp - c * sp)
-        assert np.array_equal(pot.f(X), old), poles
+        F = pot._f_and_g(X, _buffers(X))[0]
+        assert F is None if not poles else np.array_equal(F, old), poles
         if poles and poles[0] in (0, 1):
             assert np.any(old == 0)  # x = 0 sits on the pole: an exact zero
 
@@ -213,12 +203,14 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
 ], ids=["maryland", "amo", "repeated-pole", "three-poles", "pole-near-0",
         "sin2pi", "const"])
 def test_float_f_and_g_match_mp(pot):
-    # f and every registry g on arrays are polynomials in the tangent phasor;
+    # the float f and g are polynomials in the tangent phasor;
     # mp at 200 bits gives the exact values at the same binary x.  The
     # bounds are absolute (a relative one cannot hold beside a pole or a
     # zero of g): 2^m 4e-15 for f, |coupling| 4e-15 for g, about six times
     # what they measured
-    F, G = pot.f(_ORACLE_X), pot.g(_ORACLE_X)
+    F, G = pot._f_and_g(_ORACLE_X, _buffers(_ORACLE_X))
+    if F is None:
+        F = np.ones_like(_ORACLE_X)
     coupling = float(pot.g.fixed_phasor[0])
     with mp.workprec(200):
         f_err = max(abs(float(pot.f(mp.mpf(x)) - fx))
@@ -319,14 +311,22 @@ def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(pot):
 
 
 def test_site_values_refuse_a_non_finite_energy_or_g():
-    # the pass reads E and a user g's values as integer mantissas, which
-    # would turn inf or nan into 0
+    # the pass reads E and g's coupling as integer mantissas, which would
+    # turn inf or nan into 0; a g is finite at every site once its coupling
+    # is, and a non-finite coupling is refused when the g is made
     alpha = golden_cf(30).value
     with pytest.raises(InvalidInputError, match="energy must be finite"):
         site_values(make_maryland(1.0), mp.inf, 0.1, alpha, 0, 5)
-    pot = make_custom([Fraction(1, 3)], "user", g=lambda x: mp.nan if x > 0.5 else 1)
-    with pytest.raises(NumericError, match="g is not finite at orbit site"):
-        site_values(pot, 0.3, 0.1, alpha, 0, 5)
+    with pytest.raises(InvalidInputError, match="coupling must be finite"):
+        make_custom([Fraction(1, 3)], "cos2pi", coupling=mp.nan)
+
+
+def test_a_potential_refuses_a_g_without_its_phasor_form():
+    # every engine reads g through g.fixed_phasor, so a plain callable is
+    # refused when the potential is made
+    with pytest.raises(InvalidInputError, match="registry g"):
+        MeromorphicPotential(poles=(), g=lambda x: 1 + mp.cospi(2 * x),
+                             label="custom")
 
 
 @pytest.mark.parametrize("name", sorted(G_REGISTRY))
