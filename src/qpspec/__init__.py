@@ -12,7 +12,6 @@ from .arithmetic import (
     gamma,
     golden_cf,
     liouville_cf,
-    min_sine_index,
     qualifying_levels,
     silver_cf,
     sine_product_check,
@@ -24,7 +23,6 @@ from .cocycle import (
     lyapunov,
     product,
     step_A,
-    uniform_bound_check,
 )
 from .errors import (
     BudgetError,
@@ -44,14 +42,11 @@ from .errors import (
 from .gordon import (
     GordonCertificate,
     GordonLhs,
-    SolutionSegment,
     exclusion_certificate,
     exclusion_certificates,
     gordon_lhs_uniform,
     gordon_matrices,
     smallness_check,
-    max_inequality,
-    solve_recurrence,
 )
 from .potential import (
     MeromorphicPotential,

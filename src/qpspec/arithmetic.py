@@ -4,15 +4,15 @@ Everything arithmetic lives here: big-integer convergents p_n/q_n, exact
 rational checks of the approximation inequalities, and the three indices
 (growth index of the denominators, phase resonance index, and the combined
 pole/denominator index) as finite-depth limsup surrogates.  The exact orbit
-walks (the phase index, the resonant-phase check, the minimal sine and the
-sine product) all step through ``orbit_norms``, the exact member of the
-orbit layer: a P-bit fixed-point integer walk mod 2^P, P = cf.precision,
-that yields torus norms as integers in units of 2^-P.  Its float64 member is
-``potential.orbit`` and its site-value walk ``potential._site_terms``.  The
-phase index takes the logs of those norms in a longdouble pass over blocks
-of them, and sends the few terms that Ziv's rounding test cannot round to
-the libmp line; ``gamma`` derives the bound, and imports numpy in its body,
-so the module needs none at import.
+walks (the phase index, the resonant-phase check and the sine product) all
+step through ``orbit_norms``, the exact member of the orbit layer: a P-bit
+fixed-point integer walk mod 2^P, P = cf.precision, that yields torus norms
+as integers in units of 2^-P.  Its float64 member is ``potential.orbit`` and
+its site-value walk ``potential._site_terms``.  The phase index takes the
+logs of those norms in a longdouble pass over blocks of them, and sends the
+few terms that Ziv's rounding test cannot round to the libmp line; ``gamma``
+derives the bound, and imports numpy in its body, so the module needs none
+at import.
 ``sine_product`` is the one walk that forms the orbit sine product, for both
 ``sine_product_check`` and, one pole at a time,
 ``potential.f_product_check``, since |f(x)| = prod_l 2 sin(pi ||x - theta_l||).
@@ -61,7 +61,6 @@ __all__ = [
     "beta",
     "gamma",
     "delta_index",
-    "min_sine_index",
     "sine_product_check",
     "qualifying_levels",
     "as_mpf",
@@ -676,24 +675,15 @@ def sine_product(theta, cf: ContinuedFraction, q: int) -> tuple[mp.mpf, mp.mpf]:
     return rest, least
 
 
-def min_sine_index(theta, cf: ContinuedFraction, n: int) -> tuple[int, mp.mpf]:
-    """Index j0 in [0, q_n) minimising |sin pi(theta + j alpha)|, ties to the
-    smallest j, together with the attained value."""
-    qn = _window(cf, n)
-    best_j, best = min(enumerate(_window_norms(theta, cf, qn)), key=lambda jn: jn[1])
-    # |sin pi t| is increasing in the torus norm of t
-    with mp.workprec(cf.precision):
-        return best_j, mp.sinpi(mp.make_mpf(from_man_exp(best, -cf.precision)))
-
-
 def sine_product_check(theta, cf: ContinuedFraction,
                        n: int) -> tuple[float, float]:
     """Centered log sine product over one denominator window.
 
     Returns (S, ln q_n) with
-    S = sum_{j != j0} ln|2 sin pi(theta + j alpha)|, j0 the index of
-    ``min_sine_index``; boundedness of |S| / ln q_n is the caller's
-    assertion.  S is the log of the ``rest`` of ``sine_product``.
+    S = sum_{j != j0} ln|2 sin pi(theta + j alpha)|, j0 the index j < q_n
+    of the smallest torus norm ||theta + j alpha|| (the smallest such j on
+    ties); boundedness of |S| / ln q_n is the caller's assertion.  S is the
+    log of the ``rest`` of ``sine_product``.
     """
     qn = _window(cf, n)
     rest, _ = sine_product(theta, cf, qn)

@@ -126,7 +126,7 @@ class RunConfig:
         if name == "amo":
             return make_amo(coupling)
         if name == "maryland":
-            return _model(make_maryland, "coupling", coupling)
+            return _keyed("model", "coupling", make_maryland, coupling)
         if name == "custom":
             raw = self._get("model", "poles", default="")
             poles = []
@@ -141,17 +141,17 @@ class RunConfig:
                         f"bad pole multiplicity in [model] poles: {tok!r}")
                 poles.extend([_parse_number(loc, "model", "poles")] * mult)
             g_name = self._get("model", "g", required=True)
-            return _model(make_custom, "poles" if g_name in G_REGISTRY else "g",
-                          poles, g_name, coupling=coupling)
+            return _keyed("model", "poles" if g_name in G_REGISTRY else "g",
+                          make_custom, poles, g_name, coupling=coupling)
         raise ConfigError(f"unknown model name {name!r}")
 
     def alpha_cf(self):
         kind = self._get("alpha", "kind", required=True)
         terms = self._num("alpha", "terms", int, default=40, positive=True)
         if kind == "coefficients":
-            raw = self._get("alpha", "coefficients")
+            key, raw = "coefficients", self._get("alpha", "coefficients")
             if raw is None:
-                fn = self._get("alpha", "file", required=True)
+                key, fn = "file", self._get("alpha", "file", required=True)
                 try:
                     raw = (self.base / fn).read_text()
                 except (OSError, UnicodeDecodeError) as exc:
@@ -159,8 +159,8 @@ class RunConfig:
             try:
                 coeffs = [int(t) for t in raw.split()]
             except ValueError:
-                raise ConfigError("bad coefficient list in [alpha]")
-            return cf_from_coeffs(coeffs)
+                raise ConfigError(f"bad coefficient list in [alpha] {key}")
+            return _keyed("alpha", key, cf_from_coeffs, coeffs)
         if kind == "decimal":
             raw = self._get("alpha", "value", required=True)
             prec = self._num("alpha", "precision", int, required=True,
@@ -233,13 +233,13 @@ class RunConfig:
         return levels
 
 
-def _model(make, key: str, *args, **kwargs):
-    """``make(*args, **kwargs)``, with a model factory's refusal re-raised
-    as a ConfigError naming ``[model] key``."""
+def _keyed(section: str, key: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with a factory's refusal re-raised as a
+    ConfigError naming ``[section] key``."""
     try:
         return make(*args, **kwargs)
     except InvalidInputError as exc:
-        raise ConfigError(f"[model] {key}: {exc}") from None
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
 
 
 def _parse_number(raw: str, section: str, key: str):

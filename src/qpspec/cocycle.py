@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .arithmetic import as_mpf, float_phase
+from .arithmetic import as_mpf
 from .errors import (InvalidInputError, NumericError, OrbitPoleError,
                      PoleProximityError)
 from .potential import MeromorphicPotential, orbit
@@ -54,11 +54,9 @@ from .potential import MeromorphicPotential, orbit
 __all__ = [
     "TransferMatrix2",
     "LyapunovEstimate",
-    "UniformBoundReport",
     "step_A",
     "product",
     "lyapunov",
-    "uniform_bound_check",
     "spectral_norm_2x2",
 ]
 
@@ -350,7 +348,7 @@ def lyapunov(pot: MeromorphicPotential, E: float, alpha, n: int,
     two is reported as the discrepancy.  A-kind runs drop grid phases whose
     orbit enters the pole floor.
     """
-    return _or_raise(_estimates(pot, [E], alpha, n, grid, kind)[0][0])
+    return _or_raise(_estimates(pot, [E], alpha, n, grid, kind)[0])
 
 
 def _or_raise(est):
@@ -361,10 +359,9 @@ def _or_raise(est):
 
 
 def _estimates(pot: MeromorphicPotential, energies, alpha, n: int, grid: int,
-               kind: str, extra=()) -> tuple[list, np.ndarray]:
+               kind: str) -> list:
     """``lyapunov``'s estimate at each energy from one engine pass, or that
-    energy's NumericError in its place, and (1/n) ln||M_n(x)|| at the phases
-    ``extra`` (a row per energy) from the same pass."""
+    energy's NumericError in its place."""
     if n < 1:
         raise InvalidInputError("n must be >= 1")
     if grid < 1:
@@ -372,8 +369,8 @@ def _estimates(pot: MeromorphicPotential, energies, alpha, n: int, grid: int,
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
     Es = [float(E) for E in energies]
-    # one engine pass: the grid phases, the single-orbit base point, extra
-    xs = np.concatenate([phase_grid(grid), [DEFAULT_X0], extra])
+    # one engine pass: the grid phases and the single-orbit base point
+    xs = np.append(phase_grid(grid), DEFAULT_X0)
     rows, excl = _ln_norms(pot, np.array(Es), float(as_mpf(alpha)), xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))
@@ -392,37 +389,4 @@ def _estimates(pot: MeromorphicPotential, energies, alpha, n: int, grid: int,
             ests.append(LyapunovEstimate(value=pa, n=n, method="phase-average",
                                          phases_used=used,
                                          discrepancy=abs(pa - so), kind=kind))
-    return ests, rows[:, grid + 1:]
-
-
-# ---------------------------------------------------------------------------
-# uniform upper bounds (upper semicontinuity check)
-
-
-@dataclass(frozen=True)
-class UniformBoundReport:
-    """Per-phase margins ln||D_n(x)||/n - (L + eps); all should be <= ln(C)/n."""
-
-    n: int
-    epsilon: float
-    L: float
-    matrix_margins: tuple[float, ...]
-
-    def max_constant(self) -> float:
-        """Smallest C with ||D_n(x)|| <= C e^{n(L+eps)} over the samples."""
-        return math.exp(self.n * max(self.matrix_margins))
-
-
-def uniform_bound_check(pot: MeromorphicPotential, E: float, alpha, n: int,
-                        epsilon: float, sample_x) -> UniformBoundReport:
-    """Check ||D_n(x)|| <= C e^{n(L+eps)} at sampled phases.
-
-    L is the phase-averaged estimate at the same n, from the same engine
-    pass as the sampled phases.
-    """
-    xs = np.asarray([float_phase(x) for x in sample_x], dtype=float)
-    (est,), (vals,) = _estimates(pot, [E], alpha, n, 64, "D", xs)
-    L = _or_raise(est).value
-    margins = tuple(float(v - (L + epsilon)) for v in vals)
-    return UniformBoundReport(n=n, epsilon=epsilon, L=float(L),
-                              matrix_margins=margins)
+    return ests

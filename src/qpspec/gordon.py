@@ -44,9 +44,8 @@ without a libmp call or an mpf value per operation.  A level whose 3q
 sites exceed ``arithmetic.SITE_BUDGET`` is refused before any work
 (``_check_levels``).
 
-``potential.site_values`` wraps the same pairs as mpf values for
-``solve_recurrence``.  The float walk of the precision pre-pass takes its
-phases from ``potential.orbit``.
+The float walk of the precision pre-pass takes its phases from
+``potential.orbit``.
 
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
@@ -77,105 +76,21 @@ from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
                      SubsequenceError)
 from .potential import (MeromorphicPotential, _site_pairs, _site_terms,
-                        check_energy, orbit, site_values)
+                        check_energy, orbit)
 
 __all__ = [
-    "SolutionSegment",
     "GordonCertificate",
     "GordonLhs",
     "GordonMatrices",
     "SmallnessCheck",
-    "solve_recurrence",
     "gordon_matrices",
     "gordon_lhs_uniform",
-    "max_inequality",
     "smallness_check",
     "exclusion_certificate",
     "exclusion_certificates",
 ]
 
 MAX_NORM_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# solution segments
-
-
-@dataclass(frozen=True)
-class SolutionSegment:
-    """Values of a formal solution over k in [k_min, k_max], reconstructed by
-    transfer-matrix steps from a unit initial pair (phi_0, phi_{-1})."""
-
-    E: float
-    theta: object
-    initial: tuple
-    k_min: int
-    k_max: int
-    values: tuple
-
-    def phi(self, k: int):
-        if not self.k_min <= k <= self.k_max:
-            raise RangeError(f"k={k} outside segment [{self.k_min}, {self.k_max}]")
-        return self.values[k - self.k_min]
-
-    def vec(self, k: int):
-        """(phi_k, phi_{k-1})."""
-        return (self.phi(k), self.phi(k - 1))
-
-    def vec_norm(self, k: int) -> float:
-        a, b = self.vec(k)
-        return float(mp.sqrt(a * a + b * b))
-
-    def max_residual(self, pot: MeromorphicPotential) -> float:
-        """Largest relative residual of the three-term recurrence, at the
-        current working precision."""
-        from .potential import eval_V
-
-        worst = 0.0
-        for k in range(self.k_min + 1, self.k_max):
-            v = eval_V(pot, self.theta + k * self._alpha)
-            lhs = self.phi(k + 1) + self.phi(k - 1) + v * self.phi(k)
-            rhs = self.E * self.phi(k)
-            scale = max(abs(lhs), abs(rhs), abs(v * self.phi(k)), 1)
-            worst = max(worst, float(abs(lhs - rhs) / scale))
-        return worst
-
-    # alpha is needed for residuals; carried out-of-band to keep values compact
-    _alpha: object = field(default=None, compare=False)
-
-
-def solve_recurrence(pot: MeromorphicPotential, E, theta, initial,
-                     k_range: tuple[int, int], alpha) -> SolutionSegment:
-    """Fill phi over [k_min, k_max] in both directions from (phi_0, phi_{-1}),
-    at the current working precision.
-
-    The initial pair is normalised to unit length.  The values depend on the
-    sites (k_min, k_max) only, whose s_k = E - V(theta + k alpha) come from
-    one ``site_values`` pass; a pole among them raises OrbitPoleError with
-    its site index.
-    """
-    k_min, k_max = k_range
-    if k_min > -1 or k_max < 0:
-        raise RangeError("window must contain [-1, 0]")
-    av = as_mpf(alpha)
-    th = as_mpf(theta)
-    v0 = as_mpf(initial[0])
-    v1 = as_mpf(initial[1])
-    nrm = mp.sqrt(v0 * v0 + v1 * v1)
-    if nrm == 0:
-        raise InvalidInputError("initial vector must be nonzero")
-    v0, v1 = v0 / nrm, v1 / nrm
-    S = site_values(pot, E, theta, alpha, k_min + 1, k_max)
-    i0 = -k_min - 1  # S[i0] is site 0
-    fwd = [v1, v0]  # forward: phi_{k+1} = s_k phi_k - phi_{k-1}
-    for s in S[i0:]:
-        fwd.append(s * fwd[-1] - fwd[-2])
-    bwd = [v0, v1]  # backward: phi_{k-1} = s_k phi_k - phi_{k+1}
-    for s in reversed(S[:i0]):
-        bwd.append(s * bwd[-1] - bwd[-2])
-    values = tuple(bwd[:0:-1] + fwd[1:])  # phi_{k_min} .. phi_{k_max}
-    return SolutionSegment(E=float(E), theta=th, initial=(v0, v1),
-                           k_min=k_min, k_max=k_max, values=values, _alpha=av)
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +310,7 @@ def _min_max_direction(matrices):
     points = []
     for _, b, c in curves:
         r = mp.sqrt(b * b + c * c)
-        points.append((-b / r, -c / r) if r else (mp.one, mp.zero))
+        points.append((-b / r, -c / r) if r else (mp.mpf(1), mp.mpf(0)))
     for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(curves, 2):
         a, b, c = a1 - a2, b1 - b2, c1 - c2
         m = b * b + c * c
@@ -426,21 +341,6 @@ def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
     return GordonLhs(square_log=_resolved_log(sup_sq),
                      inverse_log=_resolved_log(sup_inv),
                      max_norm=max_norm), v
-
-
-# ---------------------------------------------------------------------------
-# the max inequality
-
-
-def max_inequality(seg: SolutionSegment, q: int) -> tuple[float, str]:
-    """max of ||(phi_q, phi_{q-1})||, ||(phi_{-q}, phi_{-q-1})||,
-    ||(phi_{2q}, phi_{2q-1})||; verdict 'excluded' when >= 1/4 - tol."""
-    if seg.k_min > -q - 1 or seg.k_max < 2 * q:
-        raise RangeError(f"segment [{seg.k_min}, {seg.k_max}] does not cover "
-                         f"[-{q + 1}, {2 * q}]")
-    mx = max(seg.vec_norm(q), seg.vec_norm(-q), seg.vec_norm(2 * q))
-    verdict = "excluded" if mx >= 0.25 - MAX_NORM_TOL else "inconclusive"
-    return mx, verdict
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,7 @@ The site pass walks the same phasor as fixed-point integers.  Its
 energy-free part, ``_site_terms``, forms f and g at every site and tests
 for poles on the integer pole factors; its energy step, ``_site_pairs``,
 forms each site as S = (E f - g) / f from the exact integer E f - g, as an
-(m, e) integer pair rounded once.  So several energies can share one walk,
-and ``site_values`` returns the pairs as mpf values.
+(m, e) integer pair rounded once.  So several energies can share one walk.
 
 Every walk along an orbit theta + j alpha goes through one of three
 functions: ``orbit`` (float64 phases, vectorised over base points),
@@ -40,7 +39,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
-from mpmath.libmp import from_man_exp, to_fixed
+from mpmath.libmp import to_fixed
 
 from .arithmetic import (
     ContinuedFraction,
@@ -69,7 +68,6 @@ __all__ = [
     "make_custom",
     "eval_V",
     "orbit",
-    "site_values",
     "check_energy",
     "f_product_check",
     "G_REGISTRY",
@@ -249,18 +247,6 @@ class MeromorphicPotential:
             fv.flat[idx[hit]] = 1e-300
         return np.divide(gv, fv, out=work[2]), (idx, dist)
 
-    def log_f_integral(self) -> float:
-        """Quadrature of ln|f| over one period, split at the poles.
-
-        Vanishes identically for the normalised f; returned for checking.
-        """
-        if self.m == 0:
-            return 0.0
-        with mp.workdps(30):
-            pts = sorted({mp.mpf(0), mp.mpf(1), *(as_mpf(pl) for pl in self.poles)})
-            val = mp.quad(lambda t: mp.log(abs(self.f(t))), pts)
-            return float(val)
-
 
 # ---------------------------------------------------------------------------
 # built-in families and the custom registry
@@ -271,7 +257,7 @@ def _registry_g(coupling, degree: int, poly: Callable, mp_form: Callable) -> Cal
     form ``g.fixed_phasor = (coupling, degree, poly)``.  For c = cos(pi x) 2^W
     and s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an
     integer polynomial, homogeneous of the given degree, with
-    g(x) = coupling * poly(c, s) * 2^(-degree W).  ``site_values`` evaluates
+    g(x) = coupling * poly(c, s) * 2^(-degree W).  ``_site_terms`` evaluates
     g along an orbit through it on integers, without trig calls, and the
     float engines evaluate the same poly on the float phasor (W = 0)."""
     if not mp.isfinite(coupling):
@@ -411,11 +397,22 @@ class _SiteTerms(NamedTuple):
 
 def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
                 stop: int, prec: int) -> _SiteTerms:
-    """Walk the phasor (c, s) = (cos pi x_j, sin pi x_j) for j in
-    [start, stop) as W-bit fixed-point integers, W = prec + ceil(log2(n)) +
-    32 over the n sites, and return f and g at each site; the pole test
-    raises OrbitPoleError at the first site within ``eps_floor`` of a pole.
-    Nothing here depends on the energy (``site_values`` has the details)."""
+    """Walk the phasor (c, s) = (cos pi x_j, sin pi x_j), x_j = theta +
+    j alpha, for j in [start, stop) as W-bit fixed-point integers, W = prec
+    + ceil(log2(n)) + 32 over the n sites, and return f and g at each site.
+    Each site rotates the phasor by (cos pi alpha, sin pi alpha) with three
+    integer multiplies, each coordinate rounded to nearest, so its absolute
+    error stays about n 2^-W.  f is f_sign times the pole factors
+    2 sin(pi (x_j - p)) = 2 (s cos pi p - c sin pi p), each an integer
+    rounded to W bits (f = 1 without poles, as in ``eval_V``), and g is
+    lam poly(c, s) from ``g.fixed_phasor``, exact.
+
+    The pole test reads the same factors: |2 sin(pi (x - p))| rises with the
+    torus distance from x to p, so the first site with a factor no larger
+    than 2 sin(pi eps_floor) (at W bits) raises OrbitPoleError with its j and
+    its mp ``pole_distance``.  Up to the walk's error of about n 2^-W, this
+    is the test pole_distance(x_j) <= eps_floor.  Nothing here depends on
+    the energy, so several energies can share one walk."""
     theta = exact_fraction(theta) % 2  # exactly, mod the phasor's period
     n = stop - start
     lam, degree, poly = pot.g.fixed_phasor
@@ -460,11 +457,13 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
 
 
 def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
-    """S_j = (E f_j - g_j) / f_j for every site of ``terms``, as (m, e) pairs
-    rounded once to prec bits, to nearest with ties to even.  E is taken at
-    the walk's W bits, and E f - g is formed exactly as an integer times a
-    power of 2.  Without poles (f = 1) that integer is rounded; otherwise one
-    integer division rounds the quotient (``arithmetic.pair_rounding``)."""
+    """S_j = (E f_j - g_j) / f_j = E - V(x_j) for every site of ``terms``,
+    as (m, e) pairs rounded once to prec bits, to nearest with ties to even.
+    E is taken at the walk's W bits, and E f - g is formed exactly as an
+    integer times a power of 2.  Without poles (f = 1) that integer is
+    rounded; otherwise one integer division rounds the quotient
+    (``arithmetic.pair_rounding``).  E must be finite (``check_energy``):
+    its mantissa would read inf or nan as 0."""
     rnd, div = pair_rounding(prec)
     with mp.workprec(terms.W):
         sign, man, e_exp, _ = as_mpf(E)._mpf_
@@ -479,44 +478,6 @@ def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
     ef_sh, g_sh, q_exp = ef_exp - e0, g_exp - e0, e0 - terms.f_exp
     return [div((e_int * f << ef_sh) - (g << g_sh), f, q_exp)
             for f, g in zip(terms.f, terms.g)]
-
-
-def site_values(pot: MeromorphicPotential, E, theta, alpha, start: int,
-                stop: int) -> list:
-    """S_j = E - V(theta + j alpha) for j in [start, stop), one orbit pass,
-    rounded to the current working precision prec.
-
-    The pass has an energy-free part, ``_site_terms``, and an energy step,
-    ``_site_pairs``, so that a caller with several energies (the
-    certificates) walks a window once per precision.  The phasor
-    (c, s) = (cos pi x_j, sin pi x_j) is walked as W-bit fixed-point
-    integers, W = prec + ceil(log2(n)) + 32 over the n sites: each site
-    rotates it by (cos pi alpha, sin pi alpha) with three integer
-    multiplies, each coordinate rounded to nearest, so its absolute error
-    stays about n 2^-W before the final rounding to prec.  On this walk:
-
-      * f is f_sign times the pole factors 2 sin(pi (x_j - p)) =
-        2 (s cos pi p - c sin pi p), each an integer rounded to W bits
-        (f = 1 without poles, as in ``eval_V``);
-      * g is lam poly(c, s) from ``g.fixed_phasor``, exact;
-      * S_j = (E f - g) / f as an (m, e) integer pair, with E f - g formed
-        exactly as an integer times a power of 2 and the quotient rounded
-        once to prec by one integer division.  Without poles E - g is
-        rounded once, with no division.
-
-    The pole test reads the same factors: |2 sin(pi (x - p))| rises with the
-    torus distance from x to p, so the first site with a factor no larger
-    than 2 sin(pi eps_floor) (at W bits) raises OrbitPoleError with its j and
-    its mp ``pole_distance``.  Up to the walk's error of about n 2^-W, this
-    is the test pole_distance(x_j) <= eps_floor.  A non-finite E raises
-    InvalidInputError before the walk.  The pairs are returned as mpf
-    values, exactly.
-    """
-    check_energy(E)
-    prec = mp.mp.prec
-    pairs = _site_pairs(E, _site_terms(pot, theta, alpha, start, stop, prec), prec)
-    make = mp.make_mpf
-    return [make(from_man_exp(m, e)) for m, e in pairs]
 
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,

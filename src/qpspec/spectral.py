@@ -110,7 +110,7 @@ def lyapunov_scan(pot: MeromorphicPotential, alpha, E_grid, n: int, grid: int = 
     energies = list(E_grid)
     out: list[LyapunovEstimate | NumericError] = []
     for i in range(0, len(energies), BATCH):
-        out += _estimates(pot, energies[i:i + BATCH], alpha, n, grid, kind)[0]
+        out += _estimates(pot, energies[i:i + BATCH], alpha, n, grid, kind)
     return out
 
 

@@ -1,0 +1,44 @@
+"""Reference computations that tests compare the package against.
+
+Plain forms of quantities that no command needs: the site values as mpf
+numbers, a formal solution by the three-term recurrence, and the mean of
+ln|f| by quadrature.
+"""
+
+import mpmath as mp
+from mpmath.libmp import from_man_exp
+
+from qpspec.arithmetic import as_mpf
+from qpspec.potential import _site_pairs, _site_terms
+
+
+def site_values(pot, E, theta, alpha, start, stop):
+    """S_j = E - V(theta + j alpha) for j in [start, stop), from the
+    certificate's site pass at the current working precision, as mpf
+    numbers (exactly its (m, e) pairs)."""
+    prec = mp.mp.prec
+    pairs = _site_pairs(E, _site_terms(pot, theta, alpha, start, stop, prec), prec)
+    return [mp.make_mpf(from_man_exp(m, e)) for m, e in pairs]
+
+
+def solution(pot, E, theta, alpha, v, k_min, k_max):
+    """{k: phi_k} for k_min <= k <= k_max (k_min < 0 <= k_max) of the
+    solution of phi_{k+1} + phi_{k-1} = (E - V(theta + k alpha)) phi_k with
+    (phi_0, phi_{-1}) = v, stepped both ways from 0 at the current working
+    precision; it reads the sites strictly between k_min and k_max only."""
+    s = dict(zip(range(k_min + 1, k_max),
+                 site_values(pot, E, theta, alpha, k_min + 1, k_max)))
+    phi = {0: as_mpf(v[0]), -1: as_mpf(v[1])}
+    for k in range(k_max):
+        phi[k + 1] = s[k] * phi[k] - phi[k - 1]
+    for k in range(-1, k_min, -1):
+        phi[k - 1] = s[k] * phi[k] - phi[k + 1]
+    return phi
+
+
+def log_f_integral(pot):
+    """Quadrature of ln|f| over one period at 30 digits, split at the poles;
+    the normalised f makes it vanish."""
+    with mp.workdps(30):
+        pts = sorted({mp.mpf(0), mp.mpf(1), *(as_mpf(pl) for pl in pot.poles)})
+        return float(mp.quad(lambda t: mp.log(abs(pot.f(t))), pts))

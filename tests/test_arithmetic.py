@@ -25,7 +25,6 @@ from qpspec import (
     gamma,
     golden_cf,
     liouville_cf,
-    min_sine_index,
     qualifying_levels,
     silver_cf,
     sine_product_check,
@@ -264,29 +263,22 @@ def test_gamma_bounded_type_is_small(golden40):
 # sine products
 
 
-def test_min_sine_index_brute_force_oracle(golden40):
-    theta = Fraction(1, 7)
-    for n in (4, 6, 8):
-        j0, val = min_sine_index(theta, golden40, n)
-        qn = golden40.q[n]
-        alpha = float(golden40.value)
-        brute = min(range(qn),
-                    key=lambda j: abs(math.sin(math.pi * (1 / 7 + j * alpha))))
-        assert j0 == brute
-        assert abs(float(val) - abs(math.sin(math.pi * (1 / 7 + j0 * alpha)))) < 1e-9
-
-
 def test_min_sine_budget_guard(golden40):
     # q_31 = 2,178,309 is over the site budget: refused before any walk
     assert golden40.q[31] > SITE_BUDGET
     with pytest.raises(BudgetError):
-        min_sine_index(Fraction(1, 7), golden40, 31)
+        sine_product_check(Fraction(1, 7), golden40, 31)
 
 
 def test_sine_product_centering(golden40):
     S, lnq = sine_product_check(Fraction(1, 7), golden40, 8)
     assert lnq == pytest.approx(math.log(golden40.q[8]))
     assert abs(S) / lnq < 10
+    # S leaves out j0, the factor of the smallest norm, found here by brute force
+    alpha = float(golden40.value)
+    logs = [math.log(abs(2 * math.sin(math.pi * (1 / 7 + j * alpha))))
+            for j in range(golden40.q[8])]
+    assert S == pytest.approx(sum(logs) - min(logs), rel=1e-9)
 
 
 def test_gamma_logs_match_full_precision_logs():
@@ -308,7 +300,6 @@ def test_orbit_walks_pinned():
     assert g.per_level[0] == 5.429345628954441
     assert g.per_level[-1] == 0.0019099538582601702
     cf = golden_cf(40)
-    assert min_sine_index(0.1, cf, 12)[0] == 194
     assert sine_product_check(0.1, cf, 12) == (4.913755587892461, 5.4510384535657)
     # at theta = 0 the left-out j = 0 factor is exactly 0
     assert sine_product_check(0, cf, 12) == (5.2971114194237146, 5.4510384535657)
@@ -457,19 +448,6 @@ def test_excluded_phase_translates_match_the_mp_walk():
                 delta_index(cf, theta, [pole])
         else:
             delta_index(cf, theta, [pole])
-
-
-def test_min_sine_index_tie_goes_to_the_smallest_j(golden40):
-    # theta = 1/2 - 6 alpha puts the orbit of the q_6 = 13 window at
-    # 1/2 + (j - 6) alpha, so j = 6 - m and j = 6 + m have equal norms
-    alpha = exact_fraction(golden40.value)
-    theta = Fraction(1, 2) - 6 * alpha
-    norms = [torus_norm_exact(theta + j * alpha) for j in range(13)]
-    j0, val = min_sine_index(theta, golden40, 6)
-    assert norms[j0] == min(norms) == norms[12 - j0]
-    assert j0 < 6
-    assert j0 == norms.index(min(norms))
-    assert float(val) == pytest.approx(math.sin(math.pi * float(norms[j0])), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Bit-identity of the certificate pass against its mpf-object form.
 
-``potential.site_values`` walks the phasor as fixed-point integers and
-``gordon.gordon_matrices`` steps its products on (m, e) integer pairs,
-rounded by ``gordon._pair_ops``.  The oracles below are the same
-computations written with mpf objects: the phasor advanced by one complex
-multiply per site at the same guard precision, and the fused
-product/difference loop as mpf expressions.  Results must agree bit for bit
+``potential._site_terms`` walks the phasor as fixed-point integers,
+``potential._site_pairs`` forms the sites from it (``oracles.site_values``
+reads them as mpf values) and ``gordon.gordon_matrices`` steps its
+products on (m, e) integer pairs, rounded by ``gordon._pair_ops``.  The
+oracles below are the same computations written with mpf objects: the
+phasor advanced by one complex multiply per site at the same guard
+precision, and the fused product/difference loop as mpf expressions.  Results must agree bit for bit
 (``_mpf_`` tuples equal).  ``_pair_ops`` is also checked one operation at a
 time against libmp's mpf_mul, mpf_add and mpf_sub, and the site pass's
 rounding and division (``arithmetic.pair_rounding``) against from_man_exp
@@ -26,7 +27,8 @@ from qpspec import (gordon_matrices, golden_cf, liouville_cf, make_amo,
 from qpspec.arithmetic import as_mpf, pair_rounding
 from qpspec.cocycle import TransferMatrix2
 from qpspec.gordon import _pair_ops
-from qpspec.potential import site_values
+
+from oracles import site_values
 
 
 def _oracle_sites(pot, E, theta, alpha, start, stop, phasor):

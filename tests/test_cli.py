@@ -494,17 +494,32 @@ def test_exit_code_5_on_excluded_phase(gordon_cfg, tmp_path):
                  str(tmp_path / "o")]) == 5
 
 
-def test_readme_example_config_runs(tmp_path):
+def _readme_ini():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    return block
+
+
+def test_readme_example_config_runs(tmp_path):
     cfg = tmp_path / "readme.ini"
-    cfg.write_text(block)
+    cfg.write_text(_readme_ini())
     # the subcommands the README says this config serves
     for sub in ("cf", "indices", "lyapunov", "gordon"):
         assert main([sub, "--config", str(cfg), "--out",
                      str(tmp_path / "o")]) == 0
     js = json.loads((tmp_path / "o" / "indices.json").read_text())
     assert js["model"] == "maryland"
+
+
+def test_gordon_on_rotations_exits_5(tmp_path, capsys):
+    # at coupling 0 and E = 0 every step is the same rotation, so both
+    # certificate differences vanish exactly: a numeric refusal, not a crash
+    cfg = tmp_path / "free.ini"
+    cfg.write_text(re.sub(r"name = maryland.*\ncoupling = 0.15",
+                          "name = amo\ncoupling = 0", _readme_ini()))
+    assert main(["gordon", "--config", str(cfg), "--out",
+                 str(tmp_path / "o")]) == 5
+    assert "certificate difference is exactly zero" in capsys.readouterr().err
 
 
 OVERFLOW_INI = """\
@@ -536,8 +551,7 @@ def test_every_json_file_is_strict_json(tmp_path, config):
     # "-inf" or null.  At q = 377 the overflow config's trace and max_norm
     # overflow a double.
     if config == "readme":
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-        (text,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+        text = _readme_ini()
         # the README's 4-term frequency is too shallow for classify
         subs = ("cf", "indices", "gordon")
     else:
@@ -609,11 +623,25 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
      "[model] poles: g vanishes at declared pole 1/4"),
     ("gordon", "coupling = 0.15", "coupling = 0",
      "[model] coupling: tangent model needs a nonzero coupling"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = coefficients\ncoefficients = 1 -3",
+     "[alpha] coefficients: coefficient a_2 = -3 must be >= 1"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = coefficients\ncoefficients =",
+     "[alpha] coefficients: empty coefficient list"),
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = coefficients\ncoefficients = 1 x",
+     "bad coefficient list in [alpha] coefficients"),
+    # the config file itself, read as a coefficient list
+    ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
+     "kind = coefficients\nfile = bad.ini",
+     "bad coefficient list in [alpha] file"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
         "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
         "alpha-file-missing", "classify-shallow-alpha", "unknown-g",
-        "spurious-pole", "maryland-zero-coupling"])
+        "spurious-pole", "maryland-zero-coupling", "coefficient-negative",
+        "coefficients-empty", "coefficients-x", "coefficient-file-x"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

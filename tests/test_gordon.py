@@ -15,6 +15,7 @@ from qpspec import (
     RangeError,
     SubsequenceError,
     delta_index,
+    eval_V,
     exclusion_certificate,
     exclusion_certificates,
     gordon_lhs_uniform,
@@ -26,13 +27,14 @@ from qpspec import (
     make_amo,
     make_custom,
     make_maryland,
-    max_inequality,
     product,
-    solve_recurrence,
 )
 from qpspec.arithmetic import LOG_PREC, SITE_BUDGET, as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
-from qpspec.gordon import GordonLhs, _adj, _log2_norm_bound, _resolved_log
+from qpspec.gordon import (GordonLhs, _adj, _log2_norm_bound, _min_max_direction,
+                           _resolved_log)
+
+from oracles import solution
 
 
 def _mat_close(m1, m2, tol):
@@ -44,24 +46,36 @@ def _mat_close(m1, m2, tol):
 # solution segments
 
 
+def _max_residual(pot, E, theta, alpha, phi):
+    """Largest relative residual of phi_{k+1} + phi_{k-1} + V phi_k = E phi_k
+    over the inner k of phi, with V from ``eval_V`` at theta + k alpha."""
+    worst = 0.0
+    th, av = as_mpf(theta), as_mpf(alpha)
+    for k in range(min(phi) + 1, max(phi)):
+        v = eval_V(pot, th + k * av)
+        lhs = phi[k + 1] + phi[k - 1] + v * phi[k]
+        rhs = E * phi[k]
+        scale = max(abs(lhs), abs(rhs), abs(v * phi[k]), 1)
+        worst = max(worst, float(abs(lhs - rhs) / scale))
+    return worst
+
+
 def test_solve_recurrence_satisfies_three_term(maryland1):
     cf = golden_cf(20)
     with mp.workprec(120):
-        seg = solve_recurrence(maryland1, 0.3, Fraction(1, 7), (1, 0),
-                               (-12, 12), cf.value)
-        assert seg.max_residual(maryland1) < 1e-25
+        phi = solution(maryland1, 0.3, Fraction(1, 7), cf.value, (1, 0), -12, 12)
+        assert _max_residual(maryland1, 0.3, Fraction(1, 7), cf.value, phi) < 1e-25
 
 
 def test_solve_recurrence_matches_product(amo2):
     cf = golden_cf(20)
     with mp.workprec(120):
-        seg = solve_recurrence(amo2, 0.3, Fraction(1, 7), (0.6, 0.8), (-10, 10),
-                               cf.value)
+        v = (mp.mpf(0.6), mp.mpf(0.8))
+        phi = solution(amo2, 0.3, Fraction(1, 7), cf.value, v, -10, 10)
         fwd = product(amo2, mp.mpf(0.3), as_mpf(Fraction(1, 7)), cf.value, 8)
-        expect = fwd.apply(seg.initial)
-        got = seg.vec(8)
-        assert abs(float(got[0] - expect[0])) < 1e-25
-        assert abs(float(got[1] - expect[1])) < 1e-25
+        expect = fwd.apply(v)
+        assert abs(float(phi[8] - expect[0])) < 1e-25
+        assert abs(float(phi[7] - expect[1])) < 1e-25
 
 
 # theta + k alpha hits the tangent model's pole 1/2 exactly at k = -3 (and
@@ -73,24 +87,15 @@ _POLE_AT_MINUS_3 = (Fraction(13, 8), Fraction(3, 8))
 def test_solve_recurrence_ignores_pole_at_k_min(maryland1):
     theta, alpha = _POLE_AT_MINUS_3
     with mp.workprec(120):
-        seg = solve_recurrence(maryland1, 0.3, theta, (1, 0), (-3, 4), alpha)
-        assert seg.max_residual(maryland1) < 1e-25
+        phi = solution(maryland1, 0.3, theta, alpha, (1, 0), -3, 4)
+        assert _max_residual(maryland1, 0.3, theta, alpha, phi) < 1e-25
 
 
 def test_solve_recurrence_names_pole_site(maryland1):
     theta, alpha = _POLE_AT_MINUS_3
     with pytest.raises(OrbitPoleError) as exc:
-        solve_recurrence(maryland1, 0.3, theta, (1, 0), (-4, 4), alpha)
+        solution(maryland1, 0.3, theta, alpha, (1, 0), -4, 4)
     assert exc.value.step == -3
-
-
-def test_solve_recurrence_window_guard(amo2):
-    cf = golden_cf(20)
-    with pytest.raises(RangeError):
-        solve_recurrence(amo2, 0.3, 0.1, (1, 0), (1, 5), cf.value)
-    seg = solve_recurrence(amo2, 0.3, 0.1, (1, 0), (-3, 3), cf.value)
-    with pytest.raises(RangeError):
-        seg.phi(4)
 
 
 # ---------------------------------------------------------------------------
@@ -290,6 +295,15 @@ def test_gordon_lhs_uniform_against_direction_grid(pot):
     assert at_v.max_norm == pytest.approx(lhs.max_norm, rel=1e-12)
 
 
+def test_min_max_direction_of_rotations():
+    # a rotation keeps every norm, so each curve is constant and has no
+    # minimiser of its own (the zero-potential products at E = 0 are such)
+    R = TransferMatrix2(0, -1, 1, 0)
+    value, v = _min_max_direction((R, R, R))
+    assert value == 1
+    assert v[0] ** 2 + v[1] ** 2 == 1
+
+
 @pytest.mark.parametrize("E, theta, alpha", [
     (0.3, Fraction(1, 2), golden_cf(20).value),
     (30.0, *_POLE_AT_MINUS_3),
@@ -305,17 +319,6 @@ def test_pre_passes_stay_finite_with_a_site_on_a_pole(maryland1, E, theta,
     assert math.isfinite(_log2_norm_bound(maryland1, E, theta, alpha, q))
 
 
-# ---------------------------------------------------------------------------
-# the max inequality
-
-
-def test_max_inequality_requires_coverage(amo2):
-    cf = golden_cf(20)
-    seg = solve_recurrence(amo2, 0.5, Fraction(1, 7), (1, 0), (-3, 3), cf.value)
-    with pytest.raises(RangeError):
-        max_inequality(seg, 5)
-
-
 def test_max_inequality_on_frozen_config():
     cf = liouville_cf(1.0, 4)
     pot = make_maryland(0.15)
@@ -323,11 +326,11 @@ def test_max_inequality_on_frozen_config():
     q = cf.q[3]
     mats = gordon_matrices(pot, 0.0, theta, cf.value, q)
     lhs, v = gordon_lhs_uniform(mats)
-    # the closed-form minimiser, checked by stepping the recurrence itself
+    # the closed-form minimiser, checked by stepping the recurrence itself:
+    # the max of ||(phi_k, phi_{k-1})|| over k = q, -q, 2q
     with mp.workprec(600):
-        seg = solve_recurrence(pot, 0.0, theta, v, (-q - 1, 2 * q), cf.value)
-    mx, verdict = max_inequality(seg, q)
-    assert verdict == "excluded"
+        phi = solution(pot, 0.0, theta, cf.value, v, -q - 1, 2 * q)
+        mx = float(max(_vec_norm((phi[k], phi[k - 1])) for k in (q, -q, 2 * q)))
     assert mx >= 0.25 - 1e-6
     assert mx == pytest.approx(lhs.max_norm, rel=1e-9)
 
@@ -393,9 +396,8 @@ def test_gordon_lemma_identities(pot, cf, theta, E, n_i):
         tr = mats.A_q.trace()
         for psi in (0, 0.3, 1.1, 2.5):
             v = (mp.cos(psi), mp.sin(psi))
-            seg = solve_recurrence(pot, E, theta, v, (-q - 1, 2 * q),
-                                   cf.value)
-            phi = {k: seg.vec(k) for k in (-q, 0, q, 2 * q)}
+            sol = solution(pot, E, theta, cf.value, v, -q - 1, 2 * q)
+            phi = {k: (sol[k], sol[k - 1]) for k in (-q, 0, q, 2 * q)}
             for lhs, terms in [
                     (phi[0], [(tr, phi[q]), (-1, phi[2 * q]),
                               (-1, mats.D_fwd.apply(phi[q]))]),

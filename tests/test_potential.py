@@ -16,6 +16,7 @@ from qpspec import (
     eval_V,
     f_product_check,
     golden_cf,
+    gordon_matrices,
     liouville_cf,
     make_amo,
     make_custom,
@@ -23,7 +24,9 @@ from qpspec import (
 )
 from qpspec.arithmetic import as_mpf
 from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _buffers, _phasor,
-                              orbit, site_values)
+                              orbit)
+
+from oracles import log_f_integral, site_values
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -63,9 +66,9 @@ def test_f_is_chord_product(maryland1):
 
 
 def test_log_f_integral_vanishes(maryland1):
-    assert abs(maryland1.log_f_integral()) < 1e-10
+    assert abs(log_f_integral(maryland1)) < 1e-10
     two = make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi", coupling=1.0)
-    assert abs(two.log_f_integral()) < 1e-8
+    assert abs(log_f_integral(two)) < 1e-8
 
 
 def test_two_pole_f_is_chord_product():
@@ -312,11 +315,12 @@ def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(pot):
 
 def test_site_values_refuse_a_non_finite_energy_or_g():
     # the pass reads E and g's coupling as integer mantissas, which would
-    # turn inf or nan into 0; a g is finite at every site once its coupling
-    # is, and a non-finite coupling is refused when the g is made
+    # turn inf or nan into 0, so the certificate refuses such an energy
+    # before its walk; a g is finite at every site once its coupling is, and
+    # a non-finite coupling is refused when the g is made
     alpha = golden_cf(30).value
     with pytest.raises(InvalidInputError, match="energy must be finite"):
-        site_values(make_maryland(1.0), mp.inf, 0.1, alpha, 0, 5)
+        gordon_matrices(make_maryland(1.0), mp.inf, 0.1, alpha, 5)
     with pytest.raises(InvalidInputError, match="coupling must be finite"):
         make_custom([Fraction(1, 3)], "cos2pi", coupling=mp.nan)
 
