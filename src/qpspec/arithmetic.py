@@ -103,15 +103,11 @@ def ln_low(x):
 
 
 def exact_fraction(x):
-    """Exact value of a finite float / mpf / Fraction / int / decimal string."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
+    """Exact value of a finite float / mpf / Fraction / int."""
+    if isinstance(x, (Fraction, int)):
         return Fraction(x)
     if isinstance(x, float) and math.isfinite(x):
         return Fraction(*x.as_integer_ratio())
-    if isinstance(x, str):
-        return Fraction(x)
     if isinstance(x, mp.mpf) and mp.isfinite(x):
         sign, man, exp, _ = x._mpf_
         man = int(man)
@@ -172,9 +168,7 @@ def pair_rounding(prec: int):
 
 
 def torus_norm(x):
-    """Distance from x to the nearest integer; in [0, 1/2]."""
-    if isinstance(x, Fraction):
-        return torus_norm_exact(x)
+    """Distance from x to the nearest integer, as an mpf in [0, 1/2]."""
     x = as_mpf(x)
     r = x - mp.floor(x)
     return min(r, 1 - r)
@@ -293,45 +287,34 @@ def _expand_fraction(x: Fraction, max_terms: int) -> list[int]:
     return coeffs
 
 
-def cf_from_real(alpha, max_terms: int,
-                 precision: int | None = None) -> ContinuedFraction:
+def cf_from_real(alpha, max_terms: int, precision: int) -> ContinuedFraction:
     """Expand a real alpha in (0, 1), emitting only precision-certified terms.
 
-    The input is treated as a dyadic/rational point known to +-1 ulp at
-    ``precision`` bits; coefficients are kept while the expansions of both
-    interval endpoints agree.  A Fraction (or str) input is taken at face
-    value and its terminating expansion is returned.
+    alpha, a float or an mpf, is treated as a dyadic point known to +-1 ulp
+    at ``precision`` bits (53 for a float, the working precision it was read
+    at for an mpf); coefficients are kept while the expansions of both
+    interval endpoints agree.
     """
     if max_terms < 1:
         raise InvalidInputError("max_terms must be >= 1")
-    if precision is None:
-        if isinstance(alpha, mp.mpf):
-            precision = mp.prec
-        elif isinstance(alpha, float):
-            precision = 53
-        else:
-            precision = 64
     x = exact_fraction(alpha)
     if not 0 < x < 1:
         raise InvalidInputError("alpha must lie in (0, 1)")
-    if isinstance(alpha, (Fraction, str)):
-        coeffs = _expand_fraction(x, max_terms)
-    else:
-        ulp = Fraction(1, 1 << precision)
-        if x - ulp <= 0 or x + ulp >= 1:
-            raise PrecisionExhaustedError(
-                f"alpha is within one ulp of the interval boundary at {precision} bits")
-        lo = _expand_fraction(x - ulp, max_terms + 1)
-        hi = _expand_fraction(x + ulp, max_terms + 1)
-        coeffs = []
-        for a, b in zip(lo, hi):
-            if a != b:
-                break
-            coeffs.append(a)
-        coeffs = coeffs[:max_terms]
-        if not coeffs:
-            raise PrecisionExhaustedError(
-                f"precision ({precision} bits) certifies no coefficients")
+    ulp = Fraction(1, 1 << precision)
+    if x - ulp <= 0 or x + ulp >= 1:
+        raise PrecisionExhaustedError(
+            f"alpha is within one ulp of the interval boundary at {precision} bits")
+    lo = _expand_fraction(x - ulp, max_terms + 1)
+    hi = _expand_fraction(x + ulp, max_terms + 1)
+    coeffs = []
+    for a, b in zip(lo, hi):
+        if a != b:
+            break
+        coeffs.append(a)
+    coeffs = coeffs[:max_terms]
+    if not coeffs:
+        raise PrecisionExhaustedError(
+            f"precision ({precision} bits) certifies no coefficients")
     cf = cf_from_coeffs(coeffs)
     work = max(cf.precision, precision)
     with mp.workprec(work):

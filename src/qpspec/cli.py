@@ -201,6 +201,8 @@ class RunConfig:
                               positive=True)
             if hi < lo:
                 raise ConfigError("[energies] max must be >= min")
+            if not math.isfinite(hi - lo):
+                raise ConfigError(f"[energies] max - min overflows ({lo}, {hi})")
             if count == 1:
                 return [lo]
             step = (hi - lo) / (count - 1)

@@ -148,9 +148,7 @@ def step_A(pot: MeromorphicPotential, E, x) -> TransferMatrix2:
     """Unimodular step [[E - V(x), -1], [1, 0]]; raises on pole proximity."""
     from .potential import eval_V
 
-    v = eval_V(pot, x)
-    one = mp.mpf(1) if isinstance(v, mp.mpf) else 1.0
-    return TransferMatrix2(E - v, -one, one, 0 * one)
+    return TransferMatrix2(E - eval_V(pot, x), mp.mpf(-1), mp.mpf(1), mp.mpf(0))
 
 
 # ---------------------------------------------------------------------------

@@ -170,14 +170,13 @@ def _pair_ops(prec: int):
     the values are theirs bit for bit; the pairs skip the sign word, bit
     count and trailing-zero strip of a raw mpf.
 
-    As in mpf_add, when the two exponents (of the canonical forms) lie more
-    than 100 bits apart and the top bits more than prec + 4 apart, the
-    smaller operand is replaced by a sticky bit: the larger mantissa is
-    shifted up by prec + 4 bits and moved one unit toward the smaller one's
-    sign.  So a sum of prec-bit operands builds no integer much wider than
-    2 prec bits, however far apart they lie.
+    The domain is operands of at most ``prec`` significant bits: the loop
+    adds only outputs of ``rnd`` and ``div`` and its (1, 0) and (0, 0)
+    start.  An add forms the exact sum and rounds it once.  mpf_add instead
+    replaces an operand more than prec + 4 bits below the other by a sticky
+    bit; on this domain such an operand lies below half an ulp of a value
+    on the prec-bit grid, so both round to that value.
     """
-    lim = prec + 4
     rnd = pair_rounding(prec)[0]
 
     def mul(x, y):
@@ -193,16 +192,6 @@ def _pair_ops(prec: int):
         if not m1:
             return rnd(m2, e2)
         d = e1 - e2
-        gap = m1.bit_length() + d - m2.bit_length()
-        if gap > lim or gap < -lim:
-            if gap < 0:
-                m1, e1, m2, e2 = m2, e2, m1, e1
-            z1 = (m1 & -m1).bit_length() - 1
-            z2 = (m2 & -m2).bit_length() - 1
-            if e1 + z1 - e2 - z2 > 100:
-                return rnd(((m1 >> z1) << lim) + (1 if m2 > 0 else -1),
-                           e1 + z1 - lim)
-            d = e1 - e2
         if d >= 0:
             return rnd((m1 << d) + m2, e2)
         return rnd(m1 + (m2 << -d), e1)
@@ -295,13 +284,14 @@ def _adj(m: TransferMatrix2) -> TransferMatrix2:
 
 
 def _min_max_direction(matrices):
-    """min over unit v of max_i ||M_i v||^2, with a minimising v.
+    """min over unit v of max_i ||M_i v||^2, with the point (x, y) of the
+    unit circle where it is reached.
 
     At v = (cos psi, sin psi), ||M v||^2 = a + b x + c y is linear in
     (x, y) = (cos 2psi, sin 2psi) on the unit circle.  The minimum of the
     maximum lies at one curve's own minimum -(b, c)/|(b, c)| (anywhere for a
     constant curve) or where two curves cross, i.e. where a line meets the
-    circle.
+    circle.  A minimising v is the half angle of (x, y).
     """
     curves = []
     for m in matrices:
@@ -319,28 +309,25 @@ def _min_max_direction(matrices):
         s = mp.sqrt(m - a * a)
         points += [((-a * b - c * s) / m, (-a * c + b * s) / m),
                    ((-a * b + c * s) / m, (-a * c - b * s) / m)]
-    value, (x, y) = min((max(a + b * x + c * y for a, b, c in curves), (x, y))
-                        for x, y in points)
-    psi = mp.atan2(y, x) / 2
-    return value, (mp.cos(psi), mp.sin(psi))
+    return min((max(a + b * x + c * y for a, b, c in curves), (x, y))
+               for x, y in points)
 
 
-def gordon_lhs_uniform(mats: GordonMatrices) -> tuple[GordonLhs, tuple]:
+def gordon_lhs_uniform(mats: GordonMatrices) -> GordonLhs:
     """The certificate left-hand sides over every unit initial vector v at
     once: their suprema (the spectral norms of A_q^2 - A_{2q} = D_fwd A_q and
     of A_q^{-1}(theta) - A_q^{-1}(theta - q alpha) = adj(D_back)) and the
-    minimum of the three-norm maximum, with a minimising v at the working
-    precision.  The adjugate keeps the spectral norm, so the inverse
-    difference has the norm of D_back.  Raises NumericError when a supremum
-    is exactly zero."""
+    minimum of the three-norm maximum, at the working precision.  The
+    adjugate keeps the spectral norm, so the inverse difference has the
+    norm of D_back.  Raises NumericError when a supremum is exactly zero."""
     with mp.workprec(mats.precision):
         sup_sq = mats.D_fwd.matmul(mats.A_q).norm()
         sup_inv = mats.D_back.norm()
-        min_sq, v = _min_max_direction((mats.A_q, _adj(mats.A_back), mats.A_2q))
+        min_sq, _ = _min_max_direction((mats.A_q, _adj(mats.A_back), mats.A_2q))
         max_norm = float(mp.sqrt(min_sq))
     return GordonLhs(square_log=_resolved_log(sup_sq),
                      inverse_log=_resolved_log(sup_inv),
-                     max_norm=max_norm), v
+                     max_norm=max_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +461,7 @@ def _certificates(pot, energies, theta, cf, levels, c):
             t0 = time.perf_counter()
             mats = gordon_matrices(pot, E, theta, cf.value, q, held)
             matrices_s = time.perf_counter() - t0
-            lhs, _ = gordon_lhs_uniform(mats)
+            lhs = gordon_lhs_uniform(mats)
             thr_log = -c * q
             excluded = (lhs.square_log <= thr_log and lhs.inverse_log <= thr_log
                         and lhs.max_norm >= 0.25 - MAX_NORM_TOL)

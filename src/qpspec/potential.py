@@ -45,7 +45,6 @@ from .arithmetic import (
     ContinuedFraction,
     IndexValue,
     as_mpf,
-    delta_index,
     exact_fraction,
     ln_low,
     pair_rounding,
@@ -74,23 +73,18 @@ __all__ = [
 ]
 
 
-def _is_array(x) -> bool:
-    return isinstance(x, np.ndarray)
-
-
 _HALF_PI = np.pi / 2
 
 
-def _phasor(x: np.ndarray, out=None):
+def _phasor(x: np.ndarray, out):
     """(cos pi x, sin pi x) on an array, from one tangent per site:
     t = tan(pi x / 2), then c = 2/(1 + t^2) - 1 and s = 2t/(1 + t^2).
 
-    ``out`` is two float buffers shaped like x that receive c and s; they
-    are allocated when omitted.  For x in [0, 1] both values are within
-    2e-15 of the exact ones when np.tan is within 4 ulp
-    (``MeromorphicPotential._f_near_pole`` has the bound, and
+    ``out`` is two float buffers shaped like x that receive c and s.  For x
+    in [0, 1] both values are within 2e-15 of the exact ones when np.tan is
+    within 4 ulp (``MeromorphicPotential._f_near_pole`` has the bound, and
     ``tests/test_potential.py`` checks it against mp)."""
-    c, s = out if out is not None else (np.empty(x.shape), np.empty(x.shape))
+    c, s = out
     np.multiply(x, _HALF_PI, out=s)
     np.tan(s, out=s)
     np.multiply(s, s, out=c)
@@ -114,7 +108,9 @@ class MeromorphicPotential:
     """V = g/f with poles listed with multiplicity (repeats).
 
     ``g`` is a registry g (``G_REGISTRY``), which carries ``g.fixed_phasor``;
-    ``f_sign`` fixes the overall sign of the normalised f.
+    ``f_sign`` fixes the overall sign of the normalised f.  With g of degree
+    d in (cos pi x, sin pi x), V(x + 1) = (-1)^(m + d) V(x); an odd m + d,
+    which gives no potential on the torus, is refused.
     """
 
     poles: tuple
@@ -126,6 +122,11 @@ class MeromorphicPotential:
     def __post_init__(self):
         if not hasattr(self.g, "fixed_phasor"):
             raise InvalidInputError("g must be a registry g, carrying fixed_phasor")
+        degree = self.g.fixed_phasor[1]
+        if (self.m + degree) % 2:
+            raise InvalidInputError(
+                f"{self.m} pole(s) and g of degree {degree} give V(x + 1) = "
+                "-V(x): the pole count plus the degree of g must be even")
 
     @property
     def m(self) -> int:
@@ -206,16 +207,16 @@ class MeromorphicPotential:
         return f, np.multiply(poly(c, s), float(coupling), out=s)
 
     def pole_distance(self, x):
-        """Torus distance from x to the nearest pole; +inf when pole-free."""
-        if not self.poles:
-            return math.inf if not _is_array(x) else np.full_like(x, np.inf, dtype=float)
-        if _is_array(x):
+        """Torus distance from x, a float array or a scalar (taken as an
+        mpf), to the nearest pole; +inf when pole-free."""
+        if isinstance(x, np.ndarray):
             d = np.full_like(x, np.inf, dtype=float)
             for pl in self.poles:
                 r = np.mod(x - float(pl), 1.0)
                 d = np.minimum(d, np.minimum(r, 1.0 - r))
             return d
-        return min(torus_norm(as_mpf(x) - as_mpf(pl)) for pl in self.poles)
+        return min((torus_norm(as_mpf(x) - as_mpf(pl)) for pl in self.poles),
+                   default=math.inf)
 
     def V_array(self, x: np.ndarray) -> np.ndarray:
         """Vectorised V for the float engines."""
@@ -482,19 +483,18 @@ def _site_pairs(E, terms: _SiteTerms, prec: int) -> list[tuple[int, int]]:
 
 def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
                     n_i: int, epsilon: float,
-                    delta_iv: IndexValue | None = None) -> tuple[float, float]:
+                    delta_iv: IndexValue) -> tuple[float, float]:
     """Log of both sides of the orbit-product lower bound
 
         prod_{j<q_n} |f(theta + j alpha)|  >=  e^{q_n (delta_hat - eps)} / q_{n+1}
 
-    at a qualifying level n_i.  Returns (lhs_log, bound_log); the caller
-    asserts lhs_log >= bound_log.  Pole-free potentials return trivially.
+    at a qualifying level n_i of ``delta_iv``, the delta index of pot's
+    poles at theta.  Returns (lhs_log, bound_log); the caller asserts
+    lhs_log >= bound_log.  Pole-free potentials return trivially.
     ln|f| is summed over the poles, repeats included, each term the log of
     the orbit sine product of ``arithmetic.sine_product`` at theta - theta_l:
     the orbit runs at cf.precision, its sines and logs at LOG_PREC.
     """
-    if delta_iv is None:
-        delta_iv = delta_index(cf, theta, pot.poles)
     if n_i not in qualifying_levels(delta_iv, epsilon):
         raise SubsequenceError(
             f"level {n_i} not in the qualifying subsequence for eps={epsilon}")

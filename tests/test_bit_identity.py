@@ -87,11 +87,13 @@ _SITE_CASES = {
     "two-pole-cos2pi": (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi",
                                     coupling=0.8),
                         lambda c, s: 0.8 * (c * c - s * s)),
-    "sin2pi": (make_custom([Fraction(1, 5)], "sin2pi", coupling=1.3),
+    "sin2pi": (make_custom([Fraction(1, 5), Fraction(3, 5)], "sin2pi",
+                           coupling=1.3),
                lambda c, s: 1.3 * 2 * c * s),
-    "const": (make_custom([Fraction(1, 4)], "const", coupling=0.9),
+    "const": (make_custom([Fraction(1, 4), Fraction(2, 7)], "const", coupling=0.9),
               lambda c, s: mp.mpf(0.9)),
-    "mpf-coupling": (make_custom([Fraction(1, 3)], "cos2pi", coupling=_LAM_200),
+    "mpf-coupling": (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi",
+                                 coupling=_LAM_200),
                      lambda c, s: _LAM_200 * (c * c - s * s)),
 }
 
@@ -134,21 +136,24 @@ def test_gordon_matrices_match_the_mpf_loop(pot, phasor, cf, level, E, theta):
 
 # the pair arithmetic of the fused loop against libmp, operation by operation
 
-_FAR = 10 ** 5  # exponent gaps up to this many bits reach the sticky path
+_FAR = 10 ** 5  # exponent gaps up to this many bits reach libmp's sticky path
 
 
 @st.composite
 def _pair_operands(draw):
-    """(prec, x, y): a working precision and two (m, e) pairs, which may
-    carry trailing zero bits.  The mantissas are random up to 3 prec bits,
-    zero, x's own negation, exact ties at prec bits with an odd or an even
-    kept part, or a near-tie with a far small operand that takes libmp's
-    sticky path.  The exponents lie up to 10^5 bits apart."""
+    """(prec, x, y): a working precision and two (m, e) pairs of at most
+    prec significant bits, the fused loop's domain: every drawn pair goes
+    through ``rnd``, and may keep trailing zero bits.  The mantissas are
+    random, zero, x's own negation, a product that is an exact tie at prec
+    bits, a sum or difference that is one, or a tie at prec bits broken by
+    a low unit of y.  The exponents lie up to 10^5 bits apart, where
+    mpf_add replaces the smaller operand by a sticky bit."""
     prec = draw(st.integers(53, 2400))
+    rnd = pair_rounding(prec)[0]
     e1 = draw(st.integers(-_FAR, _FAR))
     e2 = e1 + draw(st.integers(-_FAR, _FAR))
     kind = draw(st.sampled_from(["random", "zero", "cancel", "tie", "tie-sum",
-                                 "sticky"]))
+                                 "tie-broken"]))
     sign = st.sampled_from([1, -1])
 
     def mantissa():
@@ -166,26 +171,23 @@ def _pair_operands(draw):
         m1 = mantissa()
         m2, e2 = -m1, e1
     elif kind == "tie":
-        # 2 kept +- 1 ends in the half bit: alone, or times +-1, it rounds
-        # to even; a far +-1 breaks the tie through the sticky path
-        m1, m2 = 2 * kept + draw(sign), draw(st.sampled_from([0, 1, -1]))
+        # an odd prec-bit kept below 2^(prec+1)/3 times 3 has prec + 1 bits
+        # and ends in the half bit: the product rounds to even, however far
+        # apart the exponents lie
+        kept = draw(st.integers(1 << (prec - 2), ((1 << (prec + 1)) - 4) // 6))
+        m1, m2 = (2 * kept + 1) * draw(sign), 3 * draw(sign)
     elif kind == "tie-sum":
         # the sum and the difference are 2 kept +- 1, ties
         m1, m2, e2 = 2 * kept, draw(sign), e1
     else:
-        # m1 = (2 kept + 1) 2^j +- 1 lies one unit beside a tie, and y is
-        # larger than that unit but more than prec + 4 bits below m1's top
-        # and more than 100 bits below its exponent: the exact sum may cross
-        # the tie where libmp's sticky bit does not, so libmp's rule decides
-        j = draw(st.integers(5, 2 * prec))
-        m1 = ((2 * kept + 1) << j) + draw(sign)
-        # near 100 bits, x's trailing zeros put its raw exponent on the
-        # other side of the bound from its canonical one
-        e2 = e1 - draw(st.integers(101, 400) | st.integers(101, _FAR))
-        bits = draw(st.integers(e1 - e2 + 1, e1 - e2 + j - 4))
-        m2 = (draw(st.integers(1 << (bits - 1), (1 << bits) - 1)) | 1) * draw(sign)
+        # y is half an ulp of x plus or minus a unit j bits lower, j < prec
+        # so that y keeps at most prec bits: the sum and the difference lie
+        # one low unit beside a tie, the lowest unit that two prec-bit
+        # operands can put beside one
+        j = draw(st.integers(1, prec - 1))
+        m1, m2, e2 = kept, ((1 << j) + draw(sign)) * draw(sign), e1 - 1 - j
     zeros = draw(st.integers(0, 200))
-    x, y = (m1 << zeros, e1 - zeros), (m2, e2)
+    x, y = rnd(m1 << zeros, e1 - zeros), rnd(m2, e2)
     return (prec, y, x) if draw(st.booleans()) else (prec, x, y)
 
 

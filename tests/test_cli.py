@@ -619,7 +619,7 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
     # a model factory's refusal names the key it comes from
     ("gordon", "name = maryland", "name = custom\npoles = 1/3\ng = nosuch",
      "[model] g: unknown g 'nosuch'"),
-    ("gordon", "name = maryland", "name = custom\npoles = 1/4\ng = cos2pi",
+    ("gordon", "name = maryland", "name = custom\npoles = 1/4 3/4\ng = cos2pi",
      "[model] poles: g vanishes at declared pole 1/4"),
     ("gordon", "coupling = 0.15", "coupling = 0",
      "[model] coupling: tangent model needs a nonzero coupling"),
@@ -636,12 +636,20 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
     ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
      "kind = coefficients\nfile = bad.ini",
      "bad coefficient list in [alpha] file"),
+    # one pole and cos 2 pi x give V(x + 1) = -V(x), no potential on the torus
+    ("gordon", "name = maryland", "name = custom\npoles = 1/3\ng = cos2pi",
+     "[model] poles: 1 pole(s) and g of degree 2 give V(x + 1) = -V(x)"),
+    # the grid's step (max - min) / (count - 1) would be inf
+    ("lyapunov", "kind = list\nvalues = 0.0",
+     "kind = grid\nmin = -1e308\nmax = 1e308\ncount = 3",
+     "[energies] max - min overflows"),
 ], ids=["nan-energy", "inf-energy", "inf-energy-lyapunov", "nan-coupling",
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
         "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
         "alpha-file-missing", "classify-shallow-alpha", "unknown-g",
         "spurious-pole", "maryland-zero-coupling", "coefficient-negative",
-        "coefficients-empty", "coefficients-x", "coefficient-file-x"])
+        "coefficients-empty", "coefficients-x", "coefficient-file-x",
+        "anti-periodic", "energy-grid-overflow"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

@@ -403,9 +403,9 @@ def test_ln_norms_masked_pole_column_is_silent():
 
 @pytest.mark.parametrize("pot", [
     make_maryland(1.0),
-    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5)], "cos2pi",
-                coupling=0.8),
-    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
+                "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
     dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
 ], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
 def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot):

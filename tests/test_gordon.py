@@ -173,7 +173,7 @@ def test_gordon_matrices_match_direct_products(pot, cf, q, E, theta):
         sup_inv = spectral_norm_2x2(inv_fwd.a - inv_back.a, inv_fwd.b - inv_back.b,
                                     inv_fwd.c - inv_back.c, inv_fwd.d - inv_back.d)
         expect_log = float(mp.log(sup_inv))
-    lhs, _ = gordon_lhs_uniform(mats)
+    lhs = gordon_lhs_uniform(mats)
     assert lhs.inverse_log == pytest.approx(expect_log, abs=1e-12)
 
 
@@ -235,8 +235,8 @@ def test_gordon_lhs_rejects_unresolvable_difference(amo2):
 def test_gordon_lhs_log_survives_underflow():
     cf = liouville_cf(math.log(4.0), 4)
     pot = make_amo(2.0)
-    lhs, _ = gordon_lhs_uniform(gordon_matrices(pot, 0.5, Fraction(1, 10),
-                                                cf.value, cf.q[3]))
+    lhs = gordon_lhs_uniform(gordon_matrices(pot, 0.5, Fraction(1, 10),
+                                             cf.value, cf.q[3]))
     # the true differences are far below float64 range but nonzero
     assert -2500 < lhs.square_log < -100
     assert -2500 < lhs.inverse_log < -100
@@ -248,6 +248,20 @@ def test_gordon_lhs_log_survives_underflow():
 
 def _vec_norm(v):
     return mp.sqrt(v[0] * v[0] + v[1] * v[1])
+
+
+def _half_angle(point):
+    """The unit v = (cos psi, sin psi) with (cos 2psi, sin 2psi) = point."""
+    psi = mp.atan2(point[1], point[0]) / 2
+    return mp.cos(psi), mp.sin(psi)
+
+
+def _minimiser(mats):
+    """A unit v at which the three-norm maximum is least, at the working
+    precision: the half angle of ``_min_max_direction``'s point."""
+    with mp.workprec(mats.precision):
+        _, point = _min_max_direction((mats.A_q, _adj(mats.A_back), mats.A_2q))
+        return _half_angle(point)
 
 
 def gordon_lhs(mats, v):
@@ -280,7 +294,7 @@ def test_gordon_lhs_uniform_against_direction_grid(pot):
     cf = golden_cf(20)
     E, theta, q, n = 0.4, Fraction(1, 7), cf.q[4], 90  # q = 5
     mats = gordon_matrices(pot, E, theta, cf.value, q)
-    lhs, v = gordon_lhs_uniform(mats)
+    lhs, v = gordon_lhs_uniform(mats), _minimiser(mats)
     assert float(v[0]) ** 2 + float(v[1]) ** 2 == pytest.approx(1.0, abs=1e-15)
     grid = [gordon_lhs(mats, (math.cos(math.pi * i / n),
                               math.sin(math.pi * i / n)))
@@ -299,8 +313,9 @@ def test_min_max_direction_of_rotations():
     # a rotation keeps every norm, so each curve is constant and has no
     # minimiser of its own (the zero-potential products at E = 0 are such)
     R = TransferMatrix2(0, -1, 1, 0)
-    value, v = _min_max_direction((R, R, R))
+    value, point = _min_max_direction((R, R, R))
     assert value == 1
+    v = _half_angle(point)
     assert v[0] ** 2 + v[1] ** 2 == 1
 
 
@@ -325,7 +340,7 @@ def test_max_inequality_on_frozen_config():
     theta = Fraction(3, 8)
     q = cf.q[3]
     mats = gordon_matrices(pot, 0.0, theta, cf.value, q)
-    lhs, v = gordon_lhs_uniform(mats)
+    lhs, v = gordon_lhs_uniform(mats), _minimiser(mats)
     # the closed-form minimiser, checked by stepping the recurrence itself:
     # the max of ||(phi_k, phi_{k-1})|| over k = q, -q, 2q
     with mp.workprec(600):

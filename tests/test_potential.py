@@ -81,16 +81,42 @@ def test_two_pole_f_is_chord_product():
 
 def test_spurious_pole_rejected():
     # sin(2 pi x) vanishes at 1/2, so a declared pole there is spurious
-    with pytest.raises(InvalidInputError):
-        make_custom([Fraction(1, 2)], "sin2pi", coupling=1.0)
-    # the test is relative to the coupling: cos 2 pi x is -1/2 at 1/3 and 0
-    # at 1/4, so at a coupling of 1e-13 g is far below 1e-12 at both, but
-    # only 1/4 is a zero of g; at coupling 0 every pole is spurious
-    assert make_custom([Fraction(1, 3)], "cos2pi", coupling=1e-13).m == 1
+    with pytest.raises(InvalidInputError, match="g vanishes at declared pole 1/2"):
+        make_custom([Fraction(1, 2), Fraction(1, 4)], "sin2pi", coupling=1.0)
+    # the test is relative to the coupling: cos 2 pi x is -1/2 at 1/3 and 2/3
+    # and 0 at 1/4, so at a coupling of 1e-13 g is far below 1e-12 at all
+    # three, but only 1/4 is a zero of g; at coupling 0 every pole is spurious
+    assert make_custom([Fraction(1, 3), Fraction(2, 3)], "cos2pi",
+                       coupling=1e-13).m == 2
     with pytest.raises(InvalidInputError, match="g vanishes at declared pole 1/4"):
-        make_custom([Fraction(1, 4)], "cos2pi", coupling=1e-13)
+        make_custom([Fraction(1, 3), Fraction(1, 4)], "cos2pi", coupling=1e-13)
     with pytest.raises(InvalidInputError, match="g vanishes at declared pole 1/3"):
-        make_custom([Fraction(1, 3)], "cos2pi", coupling=0.0)
+        make_custom([Fraction(1, 3), Fraction(2, 3)], "cos2pi", coupling=0.0)
+
+
+# dyadic poles at which no registry g vanishes, and the degree of each g in
+# (cos pi x, sin pi x): V(x + 1) = (-1)^(m + degree) V(x)
+_DYADIC_POLES = (Fraction(1, 8), Fraction(3, 8), Fraction(5, 8))
+_DEGREE = {name: G_REGISTRY[name](1.0).fixed_phasor[1] for name in G_REGISTRY}
+_PARITY_CASES = [(name, m) for name in sorted(G_REGISTRY) for m in range(4)]
+
+
+@pytest.mark.parametrize("name, m", [(g, m) for g, m in _PARITY_CASES
+                                     if (m + _DEGREE[g]) % 2])
+def test_anti_periodic_models_are_refused(name, m):
+    with pytest.raises(InvalidInputError, match=r"V\(x \+ 1\) = -V\(x\)"):
+        make_custom(_DYADIC_POLES[:m], name, coupling=0.7)
+
+
+@pytest.mark.parametrize("name, m", [(g, m) for g, m in _PARITY_CASES
+                                     if (m + _DEGREE[g]) % 2 == 0])
+def test_accepted_models_are_one_periodic(name, m):
+    # dyadic sites and poles keep x + 1 and x - p exact at 53 bits, and mp's
+    # sinpi and cospi reduce their arguments exactly, so V repeats bit for bit
+    pot = make_custom(_DYADIC_POLES[:m], name, coupling=0.7)
+    rng = np.random.default_rng(5)
+    for x in (Fraction(int(k), 1 << 40) for k in rng.integers(0, 1 << 40, 40)):
+        assert eval_V(pot, x + 1) == eval_V(pot, x) == eval_V(pot, x - 2)
 
 
 def test_f_product_bound_holds_at_qualifying_level():
@@ -114,7 +140,9 @@ def test_f_product_rejects_non_qualifying_level():
 
 def test_pole_free_product_check_is_trivial(amo2):
     cf = liouville_cf(1.0, 4)
-    lhs_log, bound_log = f_product_check(amo2, Fraction(3, 8), cf, 3, 0.3)
+    d = delta_index(cf, Fraction(3, 8), amo2.poles)
+    lhs_log, bound_log = f_product_check(amo2, Fraction(3, 8), cf, 3, 0.3,
+                                         delta_iv=d)
     assert lhs_log == 0.0
 
 
@@ -158,7 +186,7 @@ def test_tangent_phasor_matches_mp():
     # (cos pi x, sin pi x) from one np.tan per site, against mp at 200 bits;
     # the bound assumes np.tan within 4 ulp (it measured 0.53 ulp and an
     # error of 3.5e-16 here)
-    c, s = _phasor(_ORACLE_X)
+    c, s = _phasor(_ORACLE_X, _buffers(_ORACLE_X)[1:3])
     with mp.workprec(200):
         err = max(max(abs(float(mp.cospi(mp.mpf(x)) - cx)),
                       abs(float(mp.sinpi(mp.mpf(x)) - sx)))
@@ -178,13 +206,15 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
     X = np.concatenate([np.random.default_rng(7).random(996),
                         [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53, 1.0]])
     X = X.reshape(6, 167)
-    c, s = _phasor(X)
+    c, s = _phasor(X, _buffers(X)[1:3])
     for family in ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
                    (Fraction(0), Fraction(1, 2), Fraction(1)),
                    (Fraction(1), Fraction(1, 3), Fraction(0))):
         poles = family[:m]
-        pot = MeromorphicPotential(poles=poles, g=G_REGISTRY["const"](1.0),
-                                   label="custom", f_sign=f_sign)
+        # a g of degree m mod 2 keeps V periodic; f does not read g
+        g = G_REGISTRY["sinpi" if m % 2 else "const"](1.0)
+        pot = MeromorphicPotential(poles=poles, g=g, label="custom",
+                                   f_sign=f_sign)
         old = np.full_like(X, float(f_sign))
         for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
             old = old * (s * cp - c * sp)
@@ -198,11 +228,11 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
     make_maryland(1.0),
     make_amo(2.0),
     make_custom([Fraction(1, 3), Fraction(1, 3)], "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)], "cos2pi",
+    make_custom([Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)], "sinpi",
                 coupling=1.7),
-    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 5)], "sin2pi", coupling=2.5),
-    make_custom([Fraction(2, 7)], "const", coupling=-1.25),
+    make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 5), Fraction(3, 5)], "sin2pi", coupling=2.5),
+    make_custom([Fraction(2, 7), Fraction(3, 4)], "const", coupling=-1.25),
 ], ids=["maryland", "amo", "repeated-pole", "three-poles", "pole-near-0",
         "sin2pi", "const"])
 def test_float_f_and_g_match_mp(pot):
@@ -242,7 +272,8 @@ def test_f_product_check_pinned_at_full_precision():
         0.6931471805599453, -55.89314718055988)
     cf = golden_cf(30)
     pot = make_custom([Fraction(1, 3), Fraction(1, 3)], "cos2pi", coupling=0.8)
-    assert f_product_check(pot, 0.1, cf, 10, 0.2) == (
+    d = delta_index(cf, 0.1, pot.poles)
+    assert f_product_check(pot, 0.1, cf, 10, 0.2, delta_iv=d) == (
         -0.08862378409384158, -22.32184333805511)
 
 
@@ -278,9 +309,9 @@ def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
 
 @pytest.mark.parametrize("pot", [
     make_maryland(1.0),
-    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5)], "cos2pi",
-                coupling=0.8),
-    make_custom([Fraction(1, 10**13)], "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
+                "cos2pi", coupling=0.8),
+    make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
     dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
 ], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
 def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(pot):
