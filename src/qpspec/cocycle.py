@@ -24,17 +24,20 @@ with one renormalisation per link.  The single-orbit base point runs as
 one more phase, so one pass gives both estimates.
 
 The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of the
-16 K columns of one energy) from one tangent per site
-(``potential._phasor``), in site buffers allocated once per call: each
-takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache, and the row
-count never changes a value.  The tangent model's pole factor is one
-multiply.  A-kind chunks read |f| once, for V and for the pole mask: the
-exact pole distance is taken only where |f| admits the floor
-(``MeromorphicPotential._f_near_pole``).  ``spectral.lyapunov_scan`` runs
-up to BATCH = 16 energies per pass: they share a chunk's phases, f, g (or
-V) and pole mask, only S has an energy axis, and F is copied out per
-energy so that no step call broadcasts.  Columns never mix, so an energy's
-values are bit for bit those of a pass of its own (``lyapunov``).
+16 K columns of one energy), in site buffers allocated once per call: each
+takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache.  A site's phasor
+(cos pi x, sin pi x) comes by rotation from exact turns, with no float phase
+and no tangent (``potential._OrbitPhasors``), within 1.6e-15 of that at the
+exact phase theta + j alpha, and depends on its step, phase and n only, so
+the row count never changes a value.  The tangent model's pole factor is
+one multiply.  A-kind chunks read |f| once, for V and for the pole mask:
+the pole distance is taken only where |f| admits the floor
+(``MeromorphicPotential._f_near_pole``), at the exact phase rounded once.
+``spectral.lyapunov_scan`` runs up to BATCH = 16 energies per pass: they
+share a chunk's phasors, f, g (or V) and pole mask, only S has an energy
+axis, and F is copied out per energy so that no step call broadcasts.
+Columns never mix, so an energy's values are bit for bit those of a pass
+of its own (``lyapunov``).
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ import numpy as np
 from .arithmetic import as_mpf
 from .errors import (InvalidInputError, NumericError, OrbitPoleError,
                      PoleProximityError)
-from .potential import MeromorphicPotential, orbit
+from .potential import MeromorphicPotential, _OrbitPhasors
 
 __all__ = [
     "TransferMatrix2",
@@ -251,10 +254,12 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
     unit_f = kind == "A" or not pot.m  # the step's f is 1
     f_peak = 1.0 if unit_f else 2.0 ** pot.m  # |f| <= 2^m
     huge_E = not np.all(np.abs(E) < SAFE_SITE)  # E f may overflow in the site arrays
-    # the phases and the five site buffers of _V_and_near / _f_and_g, as
-    # separate arrays: each stays on the heap, and those that a potential
-    # never writes take no memory
-    X_buf, *work_buf = (np.empty((rows, SEGMENTS, K)) for _ in range(6))
+    # step j of stretch i is orbit step i * stretch + j
+    walk = _OrbitPhasors(xs, alpha, stretch * np.arange(SEGMENTS))
+    # the five site buffers of _V_and_near / _f_and_g, as separate arrays:
+    # each stays on the heap, and those that a potential never writes take
+    # no memory
+    work_buf = [np.empty((rows, SEGMENTS, K)) for _ in range(5)]
     # one energy's S overwrites V or g; a batch has its own S and F copy
     if nE == 1:
         S_buf, F_buf = work_buf[2][:, None], None
@@ -262,20 +267,19 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
         S_buf = np.empty((rows, nE, SEGMENTS, K))
         F_buf = None if unit_f else np.empty((rows, nE, SEGMENTS, K))
     for start in range(0, stretch, rows):
-        # step j of stretch i is orbit step i * stretch + j
         steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
                              stretch * np.arange(SEGMENTS))
         r = steps.shape[0]
         work = [w[:r] for w in work_buf]
         S = S_buf[:r]
-        X = orbit(xs, alpha, steps, out=X_buf[:r], scratch=work[1])
+        walk.fill(start, work[1:3], work[0])
         with _quiet(huge_E):
             if kind == "A":
-                V, near = pot._V_and_near(X, work)
+                V, near = pot._V_and_near(work, lambda idx: walk.phases(start, idx))
                 for e, En in enumerate(E):
                     _sub(En, V, S[:, e])
             else:
-                F, G = pot._f_and_g(X, work)
+                F, G = pot._f_and_g(work)
                 for e, En in enumerate(E):
                     if F is None:
                         _sub(En, G, S[:, e])
@@ -286,7 +290,7 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
             # admits the floor; only sites before n (not the padding) count
             idx, dist = near
             if idx.size:
-                i, j, k = np.unravel_index(idx, X.shape)
+                i, j, k = np.unravel_index(idx, (r, SEGMENTS, K))
                 excluded[k[(dist <= pot.eps_floor) & (steps[i, j] < n)]] = True
             # V at a pole reaches 2e300 and would overflow the column to
             # inf/nan (with numpy warnings); a masked column's value is
@@ -366,10 +370,13 @@ def _estimates(pot: MeromorphicPotential, energies, alpha, n: int, grid: int,
         raise InvalidInputError("grid must be >= 1")
     if kind not in ("A", "D"):
         raise InvalidInputError(f"unknown step kind {kind!r}")
+    alpha = float(as_mpf(alpha))
+    if not math.isfinite(alpha):
+        raise InvalidInputError(f"alpha must be finite, got {alpha!r}")
     Es = [float(E) for E in energies]
     # one engine pass: the grid phases and the single-orbit base point
     xs = np.append(phase_grid(grid), DEFAULT_X0)
-    rows, excl = _ln_norms(pot, np.array(Es), float(as_mpf(alpha)), xs, n, kind)
+    rows, excl = _ln_norms(pot, np.array(Es), alpha, xs, n, kind)
     keep = ~excl[:grid]
     used = int(np.sum(keep))
     ests = []

@@ -9,24 +9,23 @@ Every g is a registry g (``G_REGISTRY``): an mp-scalar callable that carries
 its trig-polynomial form ``g.fixed_phasor``.  Both engines evaluate f and g
 as polynomials in the phasor (cos pi x, sin pi x); ``f`` and ``g`` called on
 mp scalars are the references they are checked against.  The float engines
-take the phasor from one tangent per site (``_phasor``: t = tan(pi x / 2),
-then c = 2/(1 + t^2) - 1 and s = 2t/(1 + t^2)), so a site costs one SIMD
-``np.tan`` and a few multiplies, with no sine or cosine: f is
+share ``MeromorphicPotential._f_and_g``: f is
 f_sign prod_l 2(s cos pi p_l - c sin pi p_l), with the pole constants
-rounded once per potential, and g is coupling * poly(c, s)
-(``MeromorphicPotential._f_and_g``).
+rounded once per potential, and g is coupling * poly(c, s).  ``V_array``
+takes the phasor from one tangent per float phase (``_phasor``); the
+Lyapunov kernel rotates it from exact turns (``_OrbitPhasors``).
 The site pass walks the same phasor as fixed-point integers.  Its
 energy-free part, ``_site_terms``, forms f and g at every site and tests
 for poles on the integer pole factors; its energy step, ``_site_pairs``,
 forms each site as S = (E f - g) / f from the exact integer E f - g, as an
 (m, e) integer pair rounded once.  So several energies can share one walk.
 
-Every walk along an orbit theta + j alpha goes through one of three
+Every walk along an orbit theta + j alpha goes through one of four
 functions: ``orbit`` (float64 phases, vectorised over base points),
+``_OrbitPhasors`` (float64 phasors by exact block rotation),
 ``arithmetic.orbit_norms`` (exact P-bit fixed-point phases mod 2^P, as
-integer torus norms, one at a time) and
-``_site_terms`` (the W-bit phasor walk behind the site values E - V along a
-window at working precision).
+integer torus norms, one at a time) and ``_site_terms`` (the W-bit phasor
+walk behind the site values E - V along a window at working precision).
 """
 
 from __future__ import annotations
@@ -156,39 +155,43 @@ class MeromorphicPotential:
         """A bound on the float |f| at every x in [0, 1] with
         pole_distance(x) <= eps, from the rounding of f on arrays.
 
-        f's factor of pole p is 2 (s cos pi p - c sin pi p) on the phasor
-        (c, s) of ``_phasor``, with both constants rounded once.  (c, s) is
-        (cos, sin) of an angle within 1.3e-15 of pi x: rounding pi x / 2
-        costs 1.7e-16 of the half angle and a tangent within 4 ulp at most
-        4.5e-16 (atan moves by at most half the relative error of t), both
-        doubled; the rational map then adds at most 6.7e-16 to c (2/(1 + t^2)
-        is at most 2 and carries the roundings of t^2, of 1 + t^2 and of the
-        division, 3 ulp; subtracting 1 is exact where 2/(1 + t^2) >= 1/2 and
-        rounds by less than 5.6e-17 elsewhere) and 3.4e-16 to s.
-        With the roundings of the constants and of s cp - c sp, the factor is
-        within e = 5e-15 of 2 sin(pi (x - p)).  pole_distance
-        takes t = fl(x - p) and wraps mod 1 once, so d = pole_distance(x)
-        <= eps puts x within eps + (1 + |p|) 3.4e-16 of p, where the factor
-        is at most 2 pi eps + (1 + |p|) 2.2e-15 + e.  Every other factor is
-        at most 2 + e.  So |f| <= 2^m (4 eps + slack), slack =
-        (1 + max |p|) 1e-14 covering the additive terms with room, and 4 - pi
-        absorbing the relative roundings of the m-factor product.  A site
-        exactly on a pole keeps an |f| of rounding size (4.4e-16 for the
-        tangent model at x = 1/2), not 0.
+        f's factor of pole p is 2 (s cos pi p - c sin pi p) on a float
+        phasor (c, s), with both constants rounded once.  A phasor of
+        ``_phasor`` is (cos, sin) of an angle within 1.3e-15 of pi x:
+        rounding pi x / 2 costs 1.7e-16 of the half angle and a tangent
+        within 4 ulp at most 4.5e-16 (atan moves by at most half the
+        relative error of t), both doubled; the rational map then adds at
+        most 6.7e-16 to c (2/(1 + t^2) is at most 2 and carries the roundings
+        of t^2, of 1 + t^2 and of the division, 3 ulp; subtracting 1 is exact
+        where 2/(1 + t^2) >= 1/2 and rounds by less than 5.6e-17 elsewhere)
+        and 3.4e-16 to s.  With the roundings of the constants and of
+        s cp - c sp, the factor is within e = 5e-15 of 2 sin(pi (x - p)).
+        A phasor of ``_OrbitPhasors`` is within 1.6e-15 of e^{i pi x}, x the
+        exact site; that moves the factor by 3.2e-15 (the constants have
+        modulus 2), the rounded constants by 3.1e-16 and the three roundings
+        of s cp - c sp by 6.7e-16: 4.2e-15 in all.  pole_distance takes
+        t = fl(x - p) and wraps mod 1 once, so d <= eps puts x within
+        eps + (1 + |p|) 3.4e-16 of p (and a rotated site, whose distance is
+        taken at its exact phase rounded once, 5.6e-17 further); there the
+        factor is at most 2 pi eps + (1 + |p|) 2.6e-15 + e.  Every other
+        factor is at most 2 + e.  So |f| <= 2^m (4 eps + slack), slack =
+        (1 + max |p|) 1e-14 covering the additive terms with room, and
+        4 - pi absorbing the relative roundings of the m-factor product.  A
+        site exactly on a pole keeps an |f| of 0 or of rounding size (4.4e-16
+        for the tangent phasor of the tangent model at x = 1/2).
         """
         p_max = max(abs(float(pl)) for pl in self.poles)
         return 2.0 ** self.m * (4.0 * eps + (1.0 + p_max) * 1e-14)
 
-    def _f_and_g(self, x: np.ndarray, work) -> tuple[np.ndarray | None, np.ndarray]:
-        """f (None when pole-free) and g at an array of sites, from one
-        ``_phasor`` pass: the float engines' only f and g.  ``work`` is five
-        float buffers shaped like x: f lands in work[0], the phasor (c, s) in
-        work[1] and work[2], and g = coupling * poly(c, s) from
-        ``g.fixed_phasor`` over s in work[2]; work[3] and work[4] are scratch
-        for the later factors and for a factor with two nonzero constants.
-        A factor with a zero constant (a pole at an integer or half-integer)
-        is one multiply, exact but for the sign of a zero."""
-        c, s = _phasor(x, work[1:3])
+    def _f_and_g(self, work) -> tuple[np.ndarray | None, np.ndarray]:
+        """f (None when pole-free) and g at an array of sites: the float
+        engines' only f and g.  ``work`` is five float buffers shaped like
+        the sites, the phasor (c, s) in work[1] and work[2]; f lands in
+        work[0] and g = coupling * poly(c, s) over s, and work[3] and work[4]
+        are scratch for the later factors and for a factor with two nonzero
+        constants.  A factor with a zero constant (a pole at an integer or
+        half-integer) is one multiply, exact but for the sign of a zero."""
+        c, s = work[1], work[2]
         f = None
         if self.m:
             # f_sign prod_l 2 (s cos pi p_l - c sin pi p_l)
@@ -219,30 +222,31 @@ class MeromorphicPotential:
                    default=math.inf)
 
     def V_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised V for the float engines."""
-        return self._V_and_near(x)[0]
+        """Vectorised V for the float engines, from the tangent phasor."""
+        work = _buffers(x)
+        _phasor(x, work[1:3])
+        return self._V_and_near(work, lambda idx: x.flat[idx])[0]
 
-    def _V_and_near(self, x: np.ndarray, work=None):
-        """V on an array, and (flat index, pole distance) of the sites whose
-        |f| admits ``_f_near_pole(eps_floor)`` (None when pole-free), so the
-        A-kind pole mask reads |f| once with V.  With ``work`` (as for
-        ``_f_and_g``), f lands in work[0] and V in work[2].
+    def _V_and_near(self, work, phases: Callable):
+        """V at an array of sites (``work`` as for ``_f_and_g``; V lands in
+        work[2]), and (flat index, pole distance) of the sites whose |f|
+        admits ``_f_near_pole(eps_floor)`` (None when pole-free), so the
+        A-kind pole mask reads |f| once with V; ``phases(idx)`` gives the
+        float phases of the sites at flat indices idx.
 
-        At a site exactly on a pole (pole_distance 0), where f keeps an |f|
-        of rounding size, and wherever |f| < 1e-300, f is set to 1e-300, so
-        such a site reads as a pole whatever the coupling; as eps_floor >= 0,
-        the sites under ``_f_near_pole(0)`` that this tests are among those
-        returned."""
-        if work is None:
-            work = _buffers(x)
-        fv, gv = self._f_and_g(x, work)
+        At a site exactly on a pole (pole_distance 0), where f is 0 or of
+        rounding size, and wherever |f| < 1e-300, f is set to 1e-300, so
+        such a site reads as a pole whatever the coupling; as
+        eps_floor >= 0, the sites under ``_f_near_pole(0)`` that this tests
+        are among those returned."""
+        fv, gv = self._f_and_g(work)
         if fv is None:
             return gv, None
         absf = np.abs(fv, out=work[1])
         idx = np.flatnonzero(absf <= self._f_near_pole(self.eps_floor))
         dist = np.empty(0)
         if idx.size:
-            dist = self.pole_distance(x.flat[idx])
+            dist = self.pole_distance(phases(idx))
             af = absf.flat[idx]
             hit = (af <= self._f_near_pole(0.0)) & ((af < 1e-300) | (dist == 0))
             fv.flat[idx[hit]] = 1e-300
@@ -358,24 +362,90 @@ def eval_V(pot: MeromorphicPotential, x):
     return pot.g(xv)
 
 
-def orbit(theta, alpha: float, start, stop: int | None = None,
-          out: np.ndarray | None = None,
-          scratch: np.ndarray | None = None) -> np.ndarray:
-    """Float phases (theta + j alpha) mod 1 for j in [start, stop); a 1-D
-    array of base points theta gives one column per base point.
-
-    With ``stop`` omitted, ``start`` is an array of steps j of any shape,
-    and the base points' axis comes last.  Either way the phase at step j
-    is mod(float(j) alpha + theta, 1).  ``out`` and ``scratch``, arrays of
-    the result's shape, receive the phases and their floor when given, so a
-    caller stepping through chunks allocates no site array."""
-    ks = (np.arange(start, stop, dtype=float) if stop is not None
-          else np.asarray(start, dtype=float))
-    y = np.add.outer(ks * alpha, theta, out=out)
+def orbit(theta, alpha: float, start: int, stop: int) -> np.ndarray:
+    """Float phases (theta + j alpha) mod 1 for j in [start, stop), each
+    mod(float(j) alpha + theta, 1); a 1-D array of base points theta gives
+    one column per base point."""
+    y = np.add.outer(np.arange(start, stop, dtype=float) * alpha, theta)
     # y - floor(y) is the exact fractional part rounded once, as np.mod(y, 1)
     # gives it, at a fraction of the cost
-    y -= np.floor(y, out=scratch)
+    y -= np.floor(y)
     return y
+
+
+# rows of the phasor table of ``_OrbitPhasors``: a fixed constant, so that a
+# site's phasor depends on its step and base point only, never on how a
+# caller cuts the rows into chunks
+PHASOR_ROWS = 8
+
+
+def _half_turn_phasor(num: int, den: int) -> tuple[float, float]:
+    """(cos pi y, sin pi y) at y = num / den for integers num and den > 0.
+    y is reduced exactly, to the nearest multiple k/2 and a rest r with
+    |r| <= 1/4, r is rounded once, and math.cos and math.sin take pi r; the
+    k quarter turns are exact."""
+    v = (2 * num) % (4 * den)  # 2 y mod 4: quarter turns are multiples of den
+    k = (2 * v + den) // (2 * den)
+    a = math.pi * ((v - k * den) / (2 * den))
+    c, s = math.cos(a), math.sin(a)
+    return ((c, s), (-s, c), (-c, -s), (s, -c))[k % 4]
+
+
+class _OrbitPhasors:
+    """Phasors (cos pi x, sin pi x) at x = theta_k + (i + o_g) alpha, laid
+    out as (rows i, offsets o_g, base points theta_k), with no float phase
+    and no tangent.  A table of PHASOR_ROWS rows, built once, holds
+    e^{i pi theta_k} e^{i pi (r + o_g) alpha}; row i = b PHASOR_ROWS + r is
+    table row r times e^{i pi b PHASOR_ROWS alpha}, four multiplies by a
+    scalar and two adds per site.  Each scalar phasor comes from its exact
+    turn (``_half_turn_phasor``; theta and alpha are binary fractions) and
+    is within 3.62e-16: 2.05e-16 from the rest angle pi r (the roundings of
+    r and of pi r, and the error of the float pi) and 1.57e-16 from
+    math.cos and math.sin within 1 ulp.  A complex product adds
+    sqrt(5) 2^-53 = 2.48e-16 to the errors of its factors, so a table entry
+    is within 9.72e-16 and a site within 1.59e-15 of its phasor, at any
+    step (``tests/test_potential.py`` checks it against mp).  A site's
+    value depends only on (i, o_g, theta_k)."""
+
+    def __init__(self, theta: np.ndarray, alpha: float, offsets: Sequence[int]):
+        self._p, self._q = float(alpha).as_integer_ratio()
+        self._theta = [t.as_integer_ratio() for t in map(float, theta)]
+        self._offsets = [int(o) for o in offsets]
+        tc, ts = np.array([_half_turn_phasor(*t) for t in self._theta]).T
+        jc, js = np.moveaxis(np.array([[_half_turn_phasor((r + o) * self._p, self._q)
+                                        for o in self._offsets]
+                                       for r in range(PHASOR_ROWS)]), -1, 0)[..., None]
+        self._table = (jc * tc - js * ts, js * tc + jc * ts)
+
+    def fill(self, start: int, out, scratch: np.ndarray):
+        """The phasors of rows [start, start + r) into ``out``, two float
+        buffers shaped (r, offsets, base points) that receive c and s;
+        ``scratch`` is one more such buffer.  Returns out."""
+        c, s = out
+        tc, ts = self._table
+        r = c.shape[0]
+        i = 0
+        while i < r:
+            b, lo = divmod(start + i, PHASOR_ROWS)
+            hi = min(PHASOR_ROWS, lo + r - i)
+            rc, rs = _half_turn_phasor(b * PHASOR_ROWS * self._p, self._q)
+            rows = slice(i, i + hi - lo)
+            np.multiply(tc[lo:hi], rc, out=c[rows])
+            c[rows] -= np.multiply(ts[lo:hi], rs, out=scratch[rows])
+            np.multiply(ts[lo:hi], rc, out=s[rows])
+            s[rows] += np.multiply(tc[lo:hi], rs, out=scratch[rows])
+            i += hi - lo
+        return out
+
+    def phases(self, start: int, idx: np.ndarray) -> np.ndarray:
+        """The phases x mod 1 of the sites at flat indices idx of rows
+        [start, ...), each exact before one rounding."""
+        K, G = len(self._theta), len(self._offsets)
+        alpha = Fraction(self._p, self._q)
+        return np.array([
+            float((Fraction(*self._theta[f % K])
+                   + (start + f // (G * K) + self._offsets[f // K % G]) * alpha) % 1)
+            for f in idx.tolist()])
 
 
 def check_energy(E) -> None:

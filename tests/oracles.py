@@ -1,14 +1,15 @@
 """Reference computations that tests compare the package against.
 
 Plain forms of quantities that no command needs: the site values as mpf
-numbers, a formal solution by the three-term recurrence, and the mean of
-ln|f| by quadrature.
+numbers, a formal solution by the three-term recurrence, the mean of ln|f|
+by quadrature, and a cocycle's growth at the exact orbit phases.
 """
 
 import mpmath as mp
 from mpmath.libmp import from_man_exp
 
 from qpspec.arithmetic import as_mpf
+from qpspec.cocycle import spectral_norm_2x2
 from qpspec.potential import _site_pairs, _site_terms
 
 
@@ -42,3 +43,20 @@ def log_f_integral(pot):
     with mp.workdps(30):
         pts = sorted({mp.mpf(0), mp.mpf(1), *(as_mpf(pl) for pl in pot.poles)})
         return float(mp.quad(lambda t: mp.log(abs(pot.f(t))), pts))
+
+
+def ln_norm(pot, E, theta, alpha, n, kind):
+    """(1/n) ln||M_n(theta)|| of the A cocycle (steps [[E - V, -1], [1, 0]])
+    or of its regular part D (steps [[E f - g, -f], [f, 0]]) at the exact
+    phases theta + j alpha, j < n, theta and alpha taken as their binary
+    values, from the step-by-step product at 40 digits with the reference
+    f and g."""
+    with mp.workdps(40):
+        x, a, E = as_mpf(theta), as_mpf(alpha), as_mpf(E)
+        p, q, r, s = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
+        for j in range(n):
+            xj = x + j * a
+            f, g = (pot.f(xj) if pot.m else mp.mpf(1)), pot.g(xj)
+            st, ft = (E - g / f, 1) if kind == "A" else (E * f - g, f)
+            p, q, r, s = st * p - ft * r, st * q - ft * s, ft * p, ft * q
+        return float(mp.log(spectral_norm_2x2(p, q, r, s)) / n)

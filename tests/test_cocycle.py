@@ -32,7 +32,9 @@ from qpspec.cocycle import (
     phase_grid,
     spectral_norm_2x2,
 )
-from qpspec.potential import _buffers, orbit
+from qpspec.potential import PHASOR_ROWS, _OrbitPhasors, _buffers, _phasor, orbit
+
+from oracles import ln_norm
 
 
 def _ln_norms1(pot, E, alpha, xs, n, kind):
@@ -190,31 +192,27 @@ def test_ln_norms_columns_are_independent_phases(pot, kind):
 
 
 # repr of the estimates of the time-split engine (16 stretches per orbit,
-# chained) on the tangent site values, then of the plain step-by-step
-# product on the sine site values it replaced: chaining reassociates the
-# product and the tangent moves the site values' last bits, which moved the
-# last bits of the estimates only
-@pytest.mark.parametrize("pot,E,kind,value,discrepancy,seq_value,seq_discrepancy", [
-    (make_maryland(1.0), 0.0, "A", 0.4812429016663172, 0.00010316320246378519,
-     0.48124290166631717, 0.00010316320246389621),
-    (make_maryland(1.0), 0.0, "D", 0.48124843313253873, 0.00017183919376279055,
-     0.4812484331325386, 0.00017183919376234646),
-    (make_amo(2.0), 0.5, "A", 0.4257559273887207, 2.7113372381537548e-05,
-     0.42575592738872076, 2.7113372381759593e-05),
-    (make_amo(2.0), 0.5, "D", 0.4257559273887207, 2.7113372381537548e-05,
-     0.42575592738872076, 2.7113372381759593e-05),
+# chained) on sites from the rotated phasor walk; the single-orbit base
+# point, whose gap to the phase average is the discrepancy, is checked
+# against a 40-digit product at its exact phases
+@pytest.mark.parametrize("pot,E,kind,value,discrepancy", [
+    (make_maryland(1.0), 0.0, "A", 0.4812429016659198, 0.00010316320222225617),
+    (make_maryland(1.0), 0.0, "D", 0.48124843313222476, 0.0001718391936022523),
+    (make_amo(2.0), 0.5, "A", 0.42575592738872076, 2.7113372384424128e-05),
+    (make_amo(2.0), 0.5, "D", 0.42575592738872076, 2.7113372384424128e-05),
 ], ids=["maryland-A", "maryland-D", "amo-A", "amo-D"])
-def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy, seq_value,
-                                   seq_discrepancy):
-    est = lyapunov(pot, E, golden_cf(30).value, 20000, kind=kind)
+def test_lyapunov_pinned_estimates(pot, E, kind, value, discrepancy):
+    alpha, n = golden_cf(30).value, 20000
+    est = lyapunov(pot, E, alpha, n, kind=kind)
     assert est.value == value
     assert est.discrepancy == discrepancy
     assert est.phases_used == 64
-    assert est.value == pytest.approx(seq_value, rel=1e-13, abs=0)
-    # the discrepancy is the gap between two estimates, so it is held to the
-    # same absolute error as they are
-    assert est.discrepancy == pytest.approx(seq_discrepancy, rel=0,
-                                            abs=1e-13 * seq_value)
+    # columns never mix, so the base point's column of its own is the one
+    # the estimate read
+    base, _ = _ln_norms1(pot, E, float(alpha), np.array([DEFAULT_X0]), n, kind)
+    assert est.discrepancy == abs(est.value - base[0])
+    assert base[0] == pytest.approx(ln_norm(pot, E, DEFAULT_X0, float(alpha), n, kind),
+                                    rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("kind", ["A", "D"])
@@ -271,12 +269,15 @@ def test_lyapunov_scan_is_lyapunov_per_energy_bit_for_bit(pot, kind):
 
 def test_a_site_on_the_pole_is_masked_at_small_coupling():
     # theta = 1/2 puts the orbit's site 0 exactly on the tangent model's
-    # pole, where the float f is of rounding size, not 0; V there still
-    # reads as a pole, so the A kernel masks the phase however small the
-    # coupling (the spectrum's flag is tested in test_spectral)
+    # pole, where the float f on the tangent phasor is of rounding size, not
+    # 0 (on the kernel's rotated phasor it is 0); V there still reads as a
+    # pole, so the A kernel masks the phase however small the coupling (the
+    # spectrum's flag is tested in test_spectral)
     pot = make_maryland(1e-6)
     X = np.array([0.5])
-    assert 0 < abs(pot._f_and_g(X, _buffers(X))[0][0]) <= 1e-15
+    work = _buffers(X)
+    _phasor(X, work[1:3])
+    assert 0 < abs(pot._f_and_g(work)[0][0]) <= 1e-15
     assert abs(pot.V_array(np.array([0.5]))[0]) > 1e290
     alpha = float(golden_cf(30).value)
     with warnings.catch_warnings():
@@ -292,6 +293,11 @@ def test_lyapunov_argument_validation(amo2):
         lyapunov(amo2, 0.0, cf.value, 0)
     with pytest.raises(InvalidInputError):
         lyapunov(amo2, 0.0, cf.value, 10, kind="Z")
+    # the phasor walk reduces alpha's exact turn, which a non-finite alpha
+    # (or an mpf past the float range) does not have
+    for alpha in (math.inf, math.nan, mp.mpf("1e400")):
+        with pytest.raises(InvalidInputError, match="alpha must be finite"):
+            lyapunov(amo2, 0.0, alpha, 10)
 
 
 def test_lyapunov_n_not_multiple_of_renorm(amo2):
@@ -311,12 +317,22 @@ def test_uniform_bound_margins(amo2):
 
 
 def _sequential_ln_norm(pot, E, alpha, x, n, kind):
-    """Oracle: (1/n) ln||M_n(x)|| from the plain step-by-step float product."""
-    X = orbit(x, alpha, 0, n)
-    F, G = pot._f_and_g(X, _buffers(X))
-    if F is None or kind == "A":
-        F = np.ones(n)
-    S = E - pot.V_array(X) if kind == "A" else E * F - G
+    """Oracle: (1/n) ln||M_n(x)|| from the plain step-by-step float product
+    over the engine's own site values, taken from the same phasor walk, so
+    that it checks the engine's product order and chaining only."""
+    stretch = -(-n // SEGMENTS)
+    walk = _OrbitPhasors(np.array([x]), alpha, stretch * np.arange(SEGMENTS))
+    work = [np.empty((stretch, SEGMENTS, 1)) for _ in range(5)]
+    walk.fill(0, work[1:3], work[0])
+    if kind == "A":
+        V, _ = pot._V_and_near(work, lambda idx: walk.phases(0, idx))
+        S, F = E - V, np.ones_like(V)
+    else:
+        F, G = pot._f_and_g(work)
+        F = np.ones_like(G) if F is None else F
+        S = E * F - G
+    # site i + stretch g sits at row i of column g; put the steps in order
+    S, F = (v.transpose(1, 0, 2).reshape(-1)[:n] for v in (S, F))
     a, b, c, d, log = 1.0, 0.0, 0.0, 1.0, 0.0
     for s, f in zip(S.tolist(), F.tolist()):
         a, b, c, d = s * a - f * c, s * b - f * d, f * a, f * b
@@ -355,13 +371,18 @@ def test_ln_norms_where_the_exponent_vanishes():
     assert max(oracle) < 10 / n  # the estimates themselves are O(1/n)
 
 
-@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 32 + 5, 4096 * 32])
+@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 13, 16 * 10 * 32 + 5,
+                                    4096 * 32])
 def test_ln_norms_values_do_not_depend_on_the_chunk_rows(monkeypatch, budget):
-    # 1, 3 and 32 rows per chunk and the earlier 4096 * 32 site budget
-    # against the default, for one energy and inside a batch of three
+    # 1, 3, 13 and 32 rows per chunk and the earlier 4096 * 32 site budget
+    # against the default, for one energy and inside a batch of three; 3
+    # and 13 rows are coprime to PHASOR_ROWS, so blocks of the phasor walk
+    # straddle chunk boundaries at every offset within a block
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
     pot = make_maryland(1.0)
+    if budget in (16 * 10 * 3, 16 * 10 * 13):
+        assert math.gcd(budget // (SEGMENTS * len(xs)), PHASOR_ROWS) == 1
     ref = [_ln_norms1(pot, 0.7, alpha, xs, 1031, kind) for kind in "AD"]
     monkeypatch.setattr(cocycle, "CHUNK", budget)
     for kind, (vals, excl) in zip("AD", ref):

@@ -23,8 +23,8 @@ from qpspec import (
     make_maryland,
 )
 from qpspec.arithmetic import as_mpf
-from qpspec.potential import (G_REGISTRY, MeromorphicPotential, _buffers, _phasor,
-                              orbit)
+from qpspec.potential import (G_REGISTRY, PHASOR_ROWS, MeromorphicPotential,
+                              _buffers, _OrbitPhasors, _phasor, orbit)
 
 from oracles import log_f_integral, site_values
 
@@ -149,28 +149,17 @@ def test_pole_free_product_check_is_trivial(amo2):
 def test_orbit_matches_open_coded_walks():
     # orbit is bit for bit the walks it replaced: the scalar form
     # (theta + ks alpha) mod 1 and the phase-grid form with one column per
-    # base point, here over a window that starts below zero
+    # base point, here over a window that starts below zero, and for a base
+    # point just below 1 (1 - 2^-53 wraps at once)
     alpha = float(liouville_cf(1.0, 4).value)
     ks = np.arange(-17, 40, dtype=float)
-    for theta in (0.1, 0.8731, 0.0):
+    for theta in (0.1, 0.8731, 0.0, 1.0 - 2.0 ** -53):
         assert np.array_equal(orbit(theta, alpha, -17, 40),
                               np.mod(theta + ks * alpha, 1.0))
     xs = np.array([0.5, 0.013, 0.999, math.sqrt(2.0) - 1.0])
     got = orbit(xs, alpha, -17, 40)
     assert got.shape == (57, 4)
     assert np.array_equal(got, np.mod(xs[None, :] + ks[:, None] * alpha, 1.0))
-    # a (rows, 16) step array as the Lyapunov engine builds it, out to steps
-    # near 1e6, and base points just below 1 (1 - 2^-53 wraps at once)
-    steps = np.add.outer(np.arange(-3, 40), 62500 * np.arange(16))
-    assert steps.max() > 0.9e6
-    for theta in (0.999999, 1.0 - 2.0 ** -53):
-        assert np.array_equal(
-            orbit(theta, alpha, steps),
-            np.mod(np.add.outer(steps * alpha, theta), 1.0))
-    xs = np.array([0.999999, 1.0 - 2.0 ** -53, 0.0, 0.5])
-    got = orbit(xs, alpha, steps)
-    assert got.shape == steps.shape + (4,)
-    assert np.array_equal(got, np.mod(np.add.outer(steps * alpha, xs), 1.0))
 
 
 # the points the float site values are checked at: both ends of [0, 1),
@@ -180,6 +169,14 @@ _ORACLE_X = np.concatenate([
     [0.0, 2.0 ** -60, 1.0 / 3.0, 0.5, 0.5 + 1e-13, 0.5 - 1e-13, 0.5 - 1e-9,
      1.0 - 2.0 ** -53],
     np.random.default_rng(11).random(400)])
+
+
+def _tangent_f_and_g(pot, X):
+    """f and g at the sites X on the tangent phasor, as ``V_array`` forms
+    them."""
+    work = _buffers(X)
+    _phasor(X, work[1:3])
+    return pot._f_and_g(work)
 
 
 def test_tangent_phasor_matches_mp():
@@ -192,6 +189,55 @@ def test_tangent_phasor_matches_mp():
                       abs(float(mp.sinpi(mp.mpf(x)) - sx)))
                   for x, cx, sx in zip(_ORACLE_X.tolist(), c.tolist(), s.tolist()))
     assert err <= 2e-15, f"np.tan on this host is too inaccurate: phasor error {err:.3g}"
+
+
+@pytest.mark.parametrize("alpha", [golden_cf(40).value, liouville_cf(1.0, 4).value],
+                         ids=["golden", "liouville"])
+def test_orbit_phasors_match_mp_at_the_exact_phases(alpha):
+    # the rotated phasor at theta_k + (i + o_g) alpha against e^{i pi x} in
+    # mp at 40 digits at the exact phase x (theta and alpha as their binary
+    # values), at steps up to 1e6 that are never formed as floats: within
+    # the 1.6e-15 that _OrbitPhasors derives (it measured 2.7e-16), and the
+    # pole factor of f on it within the 4.2e-15 of _f_near_pole (6.4e-16),
+    # for a factor of one multiply (pole 1/2) and one of two (pole 1/3).  Rows
+    # [start, start + 48) are filled whole and in pieces of 3 and 13 rows,
+    # coprime to PHASOR_ROWS, so the pieces straddle its blocks, and all
+    # three fills agree bit for bit
+    alpha = float(alpha)
+    xs = np.array([0.0, 0.5, 1.0 - 2.0 ** -53, math.sqrt(2.0) - 1.0, 0.8731])
+    offsets = [0, 5, 437_500, 937_500]
+    pots = [make_maryland(1.0), make_custom([Fraction(1, 3)], "sinpi")]
+    walk = _OrbitPhasors(xs, alpha, offsets)
+    rows, err, f_err = 48, 0.0, 0.0
+    assert math.gcd(3, PHASOR_ROWS) == math.gcd(13, PHASOR_ROWS) == 1
+    for start in (0, 62_480):
+        shape = (rows, len(offsets), len(xs))
+        work = [np.empty(shape) for _ in range(5)]
+        c, s = (v.copy() for v in walk.fill(start, work[1:3], work[0]))
+        for piece in (3, 13):
+            pc, ps, scratch = (np.empty(shape) for _ in range(3))
+            for lo in range(0, rows, piece):
+                hi = min(rows, lo + piece)
+                walk.fill(start + lo, (pc[lo:hi], ps[lo:hi]), scratch[lo:hi])
+            assert np.array_equal(pc, c) and np.array_equal(ps, s)
+        F = []
+        for pot in pots:
+            work[1][...], work[2][...] = c, s
+            F.append(pot._f_and_g(work)[0].copy())
+        with mp.workdps(40):
+            for (i, g, k), cv in np.ndenumerate(c):
+                x = mp.mpf(xs[k]) + (start + i + offsets[g]) * mp.mpf(alpha)
+                err = max(err, float(abs(mp.mpc(cv, s[i, g, k]) - mp.expjpi(x))))
+                f_err = max([f_err] + [abs(float(pot.f(x) - f[i, g, k]))
+                                       for pot, f in zip(pots, F)])
+        # the exact phases of a sample of sites, rounded once
+        idx = np.arange(0, c.size, 37)
+        exact = [float((Fraction(xs[k]) + (start + i + offsets[g]) * Fraction(alpha)) % 1)
+                 for i, g, k in zip(*np.unravel_index(idx, shape))]
+        assert walk.phases(start, idx).tolist() == exact
+    assert start + rows + offsets[-1] > 10 ** 6
+    assert err <= 1.6e-15, f"phasor error {err:.3g}: check math.cos"
+    assert f_err <= 4.2e-15, f"pole factor error {f_err:.3g}"
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -218,7 +264,7 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
         old = np.full_like(X, float(f_sign))
         for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
             old = old * (s * cp - c * sp)
-        F = pot._f_and_g(X, _buffers(X))[0]
+        F = _tangent_f_and_g(pot, X)[0]
         assert F is None if not poles else np.array_equal(F, old), poles
         if poles and poles[0] in (0, 1):
             assert np.any(old == 0)  # x = 0 sits on the pole: an exact zero
@@ -241,7 +287,7 @@ def test_float_f_and_g_match_mp(pot):
     # bounds are absolute (a relative one cannot hold beside a pole or a
     # zero of g): 2^m 4e-15 for f, |coupling| 4e-15 for g, about six times
     # what they measured
-    F, G = pot._f_and_g(_ORACLE_X, _buffers(_ORACLE_X))
+    F, G = _tangent_f_and_g(pot, _ORACLE_X)
     if F is None:
         F = np.ones_like(_ORACLE_X)
     coupling = float(pot.g.fixed_phasor[0])
