@@ -107,9 +107,6 @@ class TransferMatrix2:
             self.a * o.a + self.b * o.c, self.a * o.b + self.b * o.d,
             self.c * o.a + self.d * o.c, self.c * o.b + self.d * o.d)
 
-    def apply(self, v):
-        return (self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1])
-
     def det(self):
         return self.a * self.d - self.b * self.c
 

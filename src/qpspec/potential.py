@@ -1,17 +1,17 @@
 """Meromorphic sampling potentials V = g/f on the torus.
 
-f is normalised as the product over poles of 2 sin(pi (x - theta_l)) times a
-fixed sign, so that |f(x)| = prod_l |e^{2 pi i x} - e^{2 pi i theta_l}| and
-the mean of ln|f| over the torus vanishes.  Built-in families: the cosine
+f is the product over poles of 2 sin(pi (x - theta_l)), so that |f(x)| =
+prod_l |e^{2 pi i x} - e^{2 pi i theta_l}| and the mean of ln|f| over the
+torus vanishes.  g is a coupling times a registry polynomial
+(``G_REGISTRY``) in the phasor (cos pi x, sin pi x), so a potential is its
+poles, the name of its g and the coupling.  Built-in families: the cosine
 model (no poles) and the tangent model (single pole at 1/2).
 
-Every g is a registry g (``G_REGISTRY``): an mp-scalar callable that carries
-its trig-polynomial form ``g.fixed_phasor``.  Both engines evaluate f and g
-as polynomials in the phasor (cos pi x, sin pi x); ``f`` and ``g`` called on
-mp scalars are the references they are checked against.  The float engines
-share ``MeromorphicPotential._f_and_g``: f is
-f_sign prod_l 2(s cos pi p_l - c sin pi p_l), with the pole constants
-rounded once per potential, and g is coupling * poly(c, s).  ``V_array``
+Every engine evaluates f and g as polynomials in the phasor (cos pi x,
+sin pi x): ``f`` and ``g`` on mp scalars, the float engines through
+``MeromorphicPotential._f_and_g``, where f is
+prod_l 2(s cos pi p_l - c sin pi p_l), with the pole constants rounded
+once per potential, and g is coupling * poly(c, s).  ``V_array``
 takes the phasor from one tangent per float phase (``_phasor``); the
 Lyapunov kernel rotates it from exact turns (``_OrbitPhasors``).
 The site pass walks the same phasor as fixed-point integers.  Its
@@ -34,7 +34,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, ClassVar, NamedTuple, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -102,26 +102,44 @@ def _buffers(x: np.ndarray) -> list[np.ndarray]:
     return [np.empty(x.shape) for _ in range(5)]
 
 
+# name -> (degree, poly), g = coupling * poly(c, s) at the phasor
+# (c, s) = (cos pi x, sin pi x): poly is an integer polynomial, homogeneous
+# of the given degree, so for c and s as W-bit fixed-point integers
+# g(x) = coupling * poly(c, s) * 2^(-degree W).  ``_site_terms`` evaluates g
+# along an orbit through it on integers, without trig calls, the float
+# engines on the float phasor (W = 0) and ``MeromorphicPotential.g`` on mp
+# scalars.
+G_REGISTRY: dict[str, tuple[int, Callable]] = {
+    "cos2pi": (2, lambda c, s: (c - s) * (c + s)),
+    "sin2pi": (2, lambda c, s: 2 * c * s),
+    "sinpi": (1, lambda c, s: s),
+    "const": (0, lambda c, s: 1),
+}
+
+
 @dataclass(frozen=True)
 class MeromorphicPotential:
-    """V = g/f with poles listed with multiplicity (repeats).
-
-    ``g`` is a registry g (``G_REGISTRY``), which carries ``g.fixed_phasor``;
-    ``f_sign`` fixes the overall sign of the normalised f.  With g of degree
-    d in (cos pi x, sin pi x), V(x + 1) = (-1)^(m + d) V(x); an odd m + d,
-    which gives no potential on the torus, is refused.
+    """V = g/f with poles listed with multiplicity (repeats) and
+    g = coupling * poly(cos pi x, sin pi x), poly the registry polynomial
+    named ``g_name`` (``G_REGISTRY``).  An unknown name and a non-finite
+    coupling are refused.  With poly of degree d, V(x + 1) = (-1)^(m + d)
+    V(x); an odd m + d, which gives no potential on the torus, is refused.
+    ``eps_floor`` is the pole floor of every engine.
     """
 
     poles: tuple
-    g: Callable
+    g_name: str
+    coupling: object
     label: str
-    f_sign: int = 1
-    eps_floor: float = 1e-12
+    eps_floor: ClassVar[float] = 1e-12
 
     def __post_init__(self):
-        if not hasattr(self.g, "fixed_phasor"):
-            raise InvalidInputError("g must be a registry g, carrying fixed_phasor")
-        degree = self.g.fixed_phasor[1]
+        if self.g_name not in G_REGISTRY:
+            raise InvalidInputError(
+                f"unknown g {self.g_name!r}; registry: {sorted(G_REGISTRY)}")
+        if not mp.isfinite(self.coupling):
+            raise InvalidInputError(f"coupling must be finite, got {self.coupling!r}")
+        degree = G_REGISTRY[self.g_name][0]
         if (self.m + degree) % 2:
             raise InvalidInputError(
                 f"{self.m} pole(s) and g of degree {degree} give V(x + 1) = "
@@ -132,24 +150,33 @@ class MeromorphicPotential:
         return len(self.poles)
 
     def f(self, x):
-        """Signed normalised f at an mp scalar; |f| is the product of chord
+        """Normalised f at an mp scalar; |f| is the product of chord
         lengths."""
-        acc = mp.mpf(self.f_sign)
+        acc = mp.mpf(1)
         for pl in self.poles:
             acc *= 2 * mp.sinpi(as_mpf(x) - as_mpf(pl))
         return acc
 
+    def g(self, x):
+        """g at an mp scalar: coupling * poly(cos pi x, sin pi x)."""
+        x = as_mpf(x)
+        poly = G_REGISTRY[self.g_name][1]
+        return self.coupling * mp.mpf(poly(mp.cospi(x), mp.sinpi(x)))
+
     @functools.cached_property
     def _pole_phasors(self) -> tuple[tuple[float, float], ...]:
         """(2 cos pi p, 2 sin pi p) per pole, each rounded once from mp
-        (exact at half-integers), f_sign folded into the first pair: negating
-        both constants negates the factor exactly, as the sign did."""
+        (exact at half-integers)."""
         with mp.workprec(113):
-            pairs = [(float(2 * mp.cospi(as_mpf(pl))), float(2 * mp.sinpi(as_mpf(pl))))
-                     for pl in self.poles]
-        if pairs and self.f_sign < 0:
-            pairs[0] = (-pairs[0][0], -pairs[0][1])
-        return tuple(pairs)
+            return tuple((float(2 * mp.cospi(p)), float(2 * mp.sinpi(p)))
+                         for p in map(as_mpf, self.poles))
+
+    @functools.cached_property
+    def _near_pole_terms(self) -> tuple[float, float]:
+        """2^m and the slack (1 + max |p|) 1e-14 of ``_f_near_pole``, which
+        do not depend on eps."""
+        p_max = max(abs(float(pl)) for pl in self.poles)
+        return 2.0 ** self.m, (1.0 + p_max) * 1e-14
 
     def _f_near_pole(self, eps: float) -> float:
         """A bound on the float |f| at every x in [0, 1] with
@@ -180,8 +207,8 @@ class MeromorphicPotential:
         site exactly on a pole keeps an |f| of 0 or of rounding size (4.4e-16
         for the tangent phasor of the tangent model at x = 1/2).
         """
-        p_max = max(abs(float(pl)) for pl in self.poles)
-        return 2.0 ** self.m * (4.0 * eps + (1.0 + p_max) * 1e-14)
+        scale, slack = self._near_pole_terms
+        return scale * (4.0 * eps + slack)
 
     def _f_and_g(self, work) -> tuple[np.ndarray | None, np.ndarray]:
         """f (None when pole-free) and g at an array of sites: the float
@@ -194,7 +221,7 @@ class MeromorphicPotential:
         c, s = work[1], work[2]
         f = None
         if self.m:
-            # f_sign prod_l 2 (s cos pi p_l - c sin pi p_l)
+            # prod_l 2 (s cos pi p_l - c sin pi p_l)
             f = work[0]
             for i, (cp, sp) in enumerate(self._pole_phasors):
                 fac = work[3] if i else f
@@ -206,8 +233,8 @@ class MeromorphicPotential:
                         fac -= np.multiply(c, sp, out=work[4])
                 if i:
                     f *= fac
-        coupling, _, poly = self.g.fixed_phasor
-        return f, np.multiply(poly(c, s), float(coupling), out=s)
+        poly = G_REGISTRY[self.g_name][1]
+        return f, np.multiply(poly(c, s), float(self.coupling), out=s)
 
     def pole_distance(self, x):
         """Torus distance from x, a float array or a scalar (taken as an
@@ -235,10 +262,10 @@ class MeromorphicPotential:
         float phases of the sites at flat indices idx.
 
         At a site exactly on a pole (pole_distance 0), where f is 0 or of
-        rounding size, and wherever |f| < 1e-300, f is set to 1e-300, so
-        such a site reads as a pole whatever the coupling; as
-        eps_floor >= 0, the sites under ``_f_near_pole(0)`` that this tests
-        are among those returned."""
+        rounding size, and wherever |f| < 1e-300, f is set to +1e-300, so
+        such a site reads as a pole whatever the coupling, and V there takes
+        the sign of g; as eps_floor >= 0, the sites under ``_f_near_pole(0)``
+        that this tests are among those returned."""
         fv, gv = self._f_and_g(work)
         if fv is None:
             return gv, None
@@ -254,81 +281,31 @@ class MeromorphicPotential:
 
 
 # ---------------------------------------------------------------------------
-# built-in families and the custom registry
-
-
-def _registry_g(coupling, degree: int, poly: Callable, mp_form: Callable) -> Callable:
-    """A registry g: ``mp_form`` on mp scalars, carrying its trig-polynomial
-    form ``g.fixed_phasor = (coupling, degree, poly)``.  For c = cos(pi x) 2^W
-    and s = sin(pi x) 2^W as W-bit fixed-point integers, poly(c, s) is an
-    integer polynomial, homogeneous of the given degree, with
-    g(x) = coupling * poly(c, s) * 2^(-degree W).  ``_site_terms`` evaluates
-    g along an orbit through it on integers, without trig calls, and the
-    float engines evaluate the same poly on the float phasor (W = 0)."""
-    if not mp.isfinite(coupling):
-        raise InvalidInputError(f"coupling must be finite, got {coupling!r}")
-
-    def g(x):
-        return mp_form(as_mpf(x))
-    g.fixed_phasor = (coupling, degree, poly)
-    return g
-
-
-def _g_const(val):
-    return _registry_g(val, 0, lambda c, s: 1, lambda x: mp.mpf(val))
-
-
-def _g_cos2pi(lam):
-    return _registry_g(lam, 2, lambda c, s: (c - s) * (c + s),
-                       lambda x: lam * mp.cospi(2 * x))
-
-
-def _g_sin2pi(lam):
-    return _registry_g(lam, 2, lambda c, s: 2 * c * s,
-                       lambda x: lam * mp.sinpi(2 * x))
-
-
-def _g_sinpi(lam):
-    return _registry_g(lam, 1, lambda c, s: s, lambda x: lam * mp.sinpi(x))
-
-
-# factories coupling -> g; every g they return carries its fixed-point form
-G_REGISTRY: dict[str, Callable[[float], Callable]] = {
-    "cos2pi": _g_cos2pi,
-    "sin2pi": _g_sin2pi,
-    "sinpi": _g_sinpi,
-    "const": _g_const,
-}
+# built-in families and custom potentials
 
 
 def make_amo(lam: float) -> MeromorphicPotential:
     """Cosine model: no poles, V(x) = lam * cos 2 pi x."""
-    lam = float(lam)
-    return MeromorphicPotential(poles=(), g=_g_cos2pi(lam), label="amo")
+    return MeromorphicPotential((), "cos2pi", float(lam), "amo")
 
 
 def make_maryland(lam: float) -> MeromorphicPotential:
     """Tangent model: single pole at 1/2, V(x) = lam * tan pi x.
 
-    Factored as g(x) = 2 lam sin pi x (positive at x = 1/4 for lam > 0) over
-    f(x) = 2 cos pi x, whose |f| matches the normalised single-pole product.
+    Factored as g(x) = -2 lam sin pi x over the normalised single-pole
+    f(x) = 2 sin(pi (x - 1/2)) = -2 cos pi x.
     """
     lam = float(lam)
     if lam == 0:
         raise DegenerateModelError("tangent model needs a nonzero coupling")
-    return MeromorphicPotential(poles=(Fraction(1, 2),), g=_g_sinpi(2 * lam),
-                                label="maryland", f_sign=-1)
+    return MeromorphicPotential((Fraction(1, 2),), "sinpi", -2 * lam, "maryland")
 
 
 def make_custom(poles: Sequence, g_name: str,
                 coupling: float = 1.0) -> MeromorphicPotential:
     """Custom potential from a pole list and the registry g named ``g_name``
     at ``coupling``.  Poles may repeat to encode multiplicity."""
-    if g_name not in G_REGISTRY:
-        raise InvalidInputError(
-            f"unknown g {g_name!r}; registry: {sorted(G_REGISTRY)}")
-    pot = MeromorphicPotential(poles=tuple(poles), g=G_REGISTRY[g_name](coupling),
-                               label="custom")
+    pot = MeromorphicPotential(tuple(poles), g_name, coupling, "custom")
     _check_no_spurious_pole(pot)
     return pot
 
@@ -336,9 +313,8 @@ def make_custom(poles: Sequence, g_name: str,
 def _check_no_spurious_pole(pot: MeromorphicPotential):
     """Refuse a pole where g vanishes, relative to the coupling: a zero
     coupling, or |g(p)| < 1e-12 |coupling|."""
-    coupling = pot.g.fixed_phasor[0]
     for pl in pot.poles:
-        if coupling == 0 or abs(pot.g(as_mpf(pl)) / coupling) < 1e-12:
+        if pot.coupling == 0 or abs(pot.g(pl) / pot.coupling) < 1e-12:
             raise InvalidInputError(
                 f"g vanishes at declared pole {pl}: the pole is spurious")
 
@@ -473,10 +449,10 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
     + ceil(log2(n)) + 32 over the n sites, and return f and g at each site.
     Each site rotates the phasor by (cos pi alpha, sin pi alpha) with three
     integer multiplies, each coordinate rounded to nearest, so its absolute
-    error stays about n 2^-W.  f is f_sign times the pole factors
+    error stays about n 2^-W.  f is the product of the pole factors
     2 sin(pi (x_j - p)) = 2 (s cos pi p - c sin pi p), each an integer
     rounded to W bits (f = 1 without poles, as in ``eval_V``), and g is
-    lam poly(c, s) from ``g.fixed_phasor``, exact.
+    coupling * poly(c, s) from ``G_REGISTRY``, exact.
 
     The pole test reads the same factors: |2 sin(pi (x - p))| rises with the
     torus distance from x to p, so the first site with a factor no larger
@@ -486,7 +462,7 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
     the energy, so several energies can share one walk."""
     theta = exact_fraction(theta) % 2  # exactly, mod the phasor's period
     n = stop - start
-    lam, degree, poly = pot.g.fixed_phasor
+    lam, (degree, poly) = pot.coupling, G_REGISTRY[pot.g_name]
     W = prec + (n - 1).bit_length() + 32
     half = 1 << (W - 1)
     with mp.workprec(W):
@@ -505,12 +481,11 @@ def _site_terms(pot: MeromorphicPotential, theta, alpha, start: int,
         poles = [(fix(2 * mp.cospi(as_mpf(pl))), fix(2 * mp.sinpi(as_mpf(pl))))
                  for pl in pot.poles]
         floor = fix(2 * mp.sinpi(min(pot.eps_floor, 0.5)))
-        f_sign = pot.f_sign
         fs, gs = ([] if poles else None), []
         for i in range(n):
             gs.append(lam_man * poly(c, s))
             if poles:
-                fv = f_sign
+                fv = 1
                 for cp, sp in poles:
                     fac = (s * cp - c * sp + half) >> W
                     if abs(fac) <= floor:

@@ -1,8 +1,9 @@
 """Reference computations that tests compare the package against.
 
-Plain forms of quantities that no command needs: the site values as mpf
-numbers, a formal solution by the three-term recurrence, the mean of ln|f|
-by quadrature, and a cocycle's growth at the exact orbit phases.
+Plain forms of quantities that no command needs: each registry g in
+closed form, the site values as mpf numbers, a formal solution by the
+three-term recurrence, the mean of ln|f| by quadrature, and a cocycle's
+growth at the exact orbit phases.
 """
 
 import mpmath as mp
@@ -11,6 +12,20 @@ from mpmath.libmp import from_man_exp
 from qpspec.arithmetic import as_mpf
 from qpspec.cocycle import spectral_norm_2x2
 from qpspec.potential import _site_pairs, _site_terms
+
+# each registry g at coupling 1 in closed form, independent of its
+# polynomial in (cos pi x, sin pi x)
+_G_CLOSED = {
+    "cos2pi": lambda x: mp.cospi(2 * x),
+    "sin2pi": lambda x: mp.sinpi(2 * x),
+    "sinpi": mp.sinpi,
+    "const": lambda x: mp.mpf(1),
+}
+
+
+def g_closed(pot, x):
+    """pot's g at an mp scalar x from the closed form of its registry g."""
+    return pot.coupling * _G_CLOSED[pot.g_name](as_mpf(x))
 
 
 def site_values(pot, E, theta, alpha, start, stop):
@@ -50,13 +65,13 @@ def ln_norm(pot, E, theta, alpha, n, kind):
     or of its regular part D (steps [[E f - g, -f], [f, 0]]) at the exact
     phases theta + j alpha, j < n, theta and alpha taken as their binary
     values, from the step-by-step product at 40 digits with the reference
-    f and g."""
+    f and the closed-form g."""
     with mp.workdps(40):
         x, a, E = as_mpf(theta), as_mpf(alpha), as_mpf(E)
         p, q, r, s = mp.mpf(1), mp.mpf(0), mp.mpf(0), mp.mpf(1)
         for j in range(n):
             xj = x + j * a
-            f, g = (pot.f(xj) if pot.m else mp.mpf(1)), pot.g(xj)
+            f, g = (pot.f(xj) if pot.m else mp.mpf(1)), g_closed(pot, xj)
             st, ft = (E - g / f, 1) if kind == "A" else (E * f - g, f)
             p, q, r, s = st * p - ft * r, st * q - ft * s, ft * p, ft * q
         return float(mp.log(spectral_norm_2x2(p, q, r, s)) / n)

@@ -49,7 +49,7 @@ def _oracle_sites(pot, E, theta, alpha, start, stop, phasor):
         for i in range(n):
             gv = phasor(c, s)
             if pot.m:
-                fv = mp.mpf(pot.f_sign)
+                fv = mp.mpf(1)
                 for cp, sp in poles:
                     fv *= s * cp - c * sp
                 gv = gv / fv
@@ -83,7 +83,7 @@ with mp.workprec(200):
 # potentials with the mpf phasor of their g as the mpf-object pass wrote it
 _SITE_CASES = {
     "amo": (make_amo(2.0), lambda c, s: 2.0 * (c * c - s * s)),
-    "maryland": (make_maryland(0.7), lambda c, s: 1.4 * s),
+    "maryland": (make_maryland(0.7), lambda c, s: -1.4 * s),
     "two-pole-cos2pi": (make_custom([Fraction(1, 3), Fraction(7, 10)], "cos2pi",
                                     coupling=0.8),
                         lambda c, s: 0.8 * (c * c - s * s)),
@@ -115,7 +115,7 @@ def test_site_values_match_the_mpf_phasor_walk(name, prec):
     (make_amo(2.0), _SITE_CASES["amo"][1], golden_cf(20), 6, 0.4, Fraction(1, 7)),
     (make_amo(2.0), _SITE_CASES["amo"][1], liouville_cf(1.12, 4), 3, 0.5,
      Fraction(1, 10)),
-    (make_maryland(0.15), lambda c, s: 0.3 * s, liouville_cf(1.0, 4), 3, 0.0,
+    (make_maryland(0.15), lambda c, s: -0.3 * s, liouville_cf(1.0, 4), 3, 0.0,
      Fraction(3, 8)),
     (make_amo(2.0), _SITE_CASES["amo"][1], liouville_cf(math.log(4), 4), 3, 0.5,
      Fraction(1, 10)),

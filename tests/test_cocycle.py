@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 from fractions import Fraction
@@ -32,7 +31,8 @@ from qpspec.cocycle import (
     phase_grid,
     spectral_norm_2x2,
 )
-from qpspec.potential import PHASOR_ROWS, _OrbitPhasors, _buffers, _phasor, orbit
+from qpspec.potential import (PHASOR_ROWS, MeromorphicPotential, _buffers,
+                              _OrbitPhasors, _phasor, orbit)
 
 from oracles import ln_norm
 
@@ -422,20 +422,23 @@ def test_ln_norms_masked_pole_column_is_silent():
     assert np.isfinite(vals[1])
 
 
-@pytest.mark.parametrize("pot", [
-    make_maryland(1.0),
-    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
-                "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
-    dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
+@pytest.mark.parametrize("pot, eps_floor", [
+    (make_maryland(1.0), MeromorphicPotential.eps_floor),
+    (make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
+                 "cos2pi", coupling=0.8), MeromorphicPotential.eps_floor),
+    (make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
+     MeromorphicPotential.eps_floor),
+    (make_maryland(1.0), 1e-6),
 ], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
-def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot):
+def test_ln_norms_mask_is_the_brute_force_mask_at_the_floor(pot, eps_floor,
+                                                           monkeypatch):
     # phases whose orbit passes each pole, on either side, at eps_floor
     # (1 -+ 1e-3) at step j: the engine reads f to pick the sites it measures,
     # so its mask must equal the exact distance test at every site; the pole
     # near 0 puts sites just below 1, where the distance wraps.  A small
     # alpha keeps j alpha below 1, so the sites land within an ulp of where
     # they are placed, in the first and in a later chunk
+    monkeypatch.setattr(MeromorphicPotential, "eps_floor", eps_floor)
     alpha, n, eps = float(golden_cf(30).value) / 1024, 1031, pot.eps_floor
     xs = []
     for pl in pot.poles:

@@ -37,6 +37,11 @@ from qpspec.gordon import (GordonLhs, _adj, _log2_norm_bound, _min_max_direction
 from oracles import solution
 
 
+def _apply(m, v):
+    """The 2x2 matrix m times the vector v."""
+    return (m.a * v[0] + m.b * v[1], m.c * v[0] + m.d * v[1])
+
+
 def _mat_close(m1, m2, tol):
     return max(abs(float(m1.a - m2.a)), abs(float(m1.b - m2.b)),
                abs(float(m1.c - m2.c)), abs(float(m1.d - m2.d))) < tol
@@ -73,7 +78,7 @@ def test_solve_recurrence_matches_product(amo2):
         v = (mp.mpf(0.6), mp.mpf(0.8))
         phi = solution(amo2, 0.3, Fraction(1, 7), cf.value, v, -10, 10)
         fwd = product(amo2, mp.mpf(0.3), as_mpf(Fraction(1, 7)), cf.value, 8)
-        expect = fwd.apply(v)
+        expect = _apply(fwd, v)
         assert abs(float(phi[8] - expect[0])) < 1e-25
         assert abs(float(phi[7] - expect[1])) < 1e-25
 
@@ -272,11 +277,11 @@ def gordon_lhs(mats, v):
         vv = (as_mpf(v[0]), as_mpf(v[1]))
         nrm = _vec_norm(vv)
         vv = (vv[0] / nrm, vv[1] / nrm)
-        w_q = mats.A_q.apply(vv)
-        w_2q = mats.A_2q.apply(vv)
-        u1 = _adj(mats.A_back).apply(vv)
-        d_sq = mats.D_fwd.apply(w_q)
-        d_inv = _adj(mats.D_back).apply(vv)
+        w_q = _apply(mats.A_q, vv)
+        w_2q = _apply(mats.A_2q, vv)
+        u1 = _apply(_adj(mats.A_back), vv)
+        d_sq = _apply(mats.D_fwd, w_q)
+        d_inv = _apply(_adj(mats.D_back), vv)
     # the products above need the full precision; their norms do not
     with mp.workprec(LOG_PREC):
         return GordonLhs(
@@ -415,10 +420,10 @@ def test_gordon_lemma_identities(pot, cf, theta, E, n_i):
             phi = {k: (sol[k], sol[k - 1]) for k in (-q, 0, q, 2 * q)}
             for lhs, terms in [
                     (phi[0], [(tr, phi[q]), (-1, phi[2 * q]),
-                              (-1, mats.D_fwd.apply(phi[q]))]),
+                              (-1, _apply(mats.D_fwd, phi[q]))]),
                     ((tr * phi[0][0], tr * phi[0][1]),
                      [(1, phi[q]), (1, phi[-q]),
-                      (1, _adj(mats.D_back).apply(phi[0]))])]:
+                      (1, _apply(_adj(mats.D_back), phi[0]))])]:
                 res = [lhs[i] - sum(c * t[i] for c, t in terms)
                        for i in (0, 1)]
                 scale = max(_vec_norm(lhs),

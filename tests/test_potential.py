@@ -1,4 +1,3 @@
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,7 +25,7 @@ from qpspec.arithmetic import as_mpf
 from qpspec.potential import (G_REGISTRY, PHASOR_ROWS, MeromorphicPotential,
                               _buffers, _OrbitPhasors, _phasor, orbit)
 
-from oracles import log_f_integral, site_values
+from oracles import g_closed, log_f_integral, site_values
 
 
 def test_amo_is_plain_cosine(amo2):
@@ -97,7 +96,7 @@ def test_spurious_pole_rejected():
 # dyadic poles at which no registry g vanishes, and the degree of each g in
 # (cos pi x, sin pi x): V(x + 1) = (-1)^(m + degree) V(x)
 _DYADIC_POLES = (Fraction(1, 8), Fraction(3, 8), Fraction(5, 8))
-_DEGREE = {name: G_REGISTRY[name](1.0).fixed_phasor[1] for name in G_REGISTRY}
+_DEGREE = {name: degree for name, (degree, _) in G_REGISTRY.items()}
 _PARITY_CASES = [(name, m) for name in sorted(G_REGISTRY) for m in range(4)]
 
 
@@ -241,14 +240,12 @@ def test_orbit_phasors_match_mp_at_the_exact_phases(alpha):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-@pytest.mark.parametrize("f_sign", [1, -1])
-def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
-    # f folds its sign into the first pole's constants and takes a factor
-    # with a zero constant (a pole at 0, 1/2 or 1) as one product; both are
-    # exact but for the sign of an exact zero, which np.array_equal does not
-    # see, so f is bit for bit the open-coded product of the factors
-    # s (2 cos pi p) - c (2 sin pi p) on the same tangent phasor, with the
-    # sign applied first
+def test_f_on_arrays_matches_the_open_coded_product(m):
+    # f takes a factor with a zero constant (a pole at 0, 1/2 or 1) as one
+    # product, exact but for the sign of an exact zero, which
+    # np.array_equal does not see, so f is bit for bit the open-coded
+    # product of the factors s (2 cos pi p) - c (2 sin pi p) on the same
+    # tangent phasor
     X = np.concatenate([np.random.default_rng(7).random(996),
                         [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53, 1.0]])
     X = X.reshape(6, 167)
@@ -258,11 +255,10 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
                    (Fraction(1), Fraction(1, 3), Fraction(0))):
         poles = family[:m]
         # a g of degree m mod 2 keeps V periodic; f does not read g
-        g = G_REGISTRY["sinpi" if m % 2 else "const"](1.0)
-        pot = MeromorphicPotential(poles=poles, g=g, label="custom",
-                                   f_sign=f_sign)
-        old = np.full_like(X, float(f_sign))
-        for cp, sp in dataclasses.replace(pot, f_sign=1)._pole_phasors:
+        pot = MeromorphicPotential(poles, "sinpi" if m % 2 else "const", 1.0,
+                                   "custom")
+        old = np.ones_like(X)
+        for cp, sp in pot._pole_phasors:
             old = old * (s * cp - c * sp)
         F = _tangent_f_and_g(pot, X)[0]
         assert F is None if not poles else np.array_equal(F, old), poles
@@ -282,22 +278,26 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
 ], ids=["maryland", "amo", "repeated-pole", "three-poles", "pole-near-0",
         "sin2pi", "const"])
 def test_float_f_and_g_match_mp(pot):
-    # the float f and g are polynomials in the tangent phasor;
-    # mp at 200 bits gives the exact values at the same binary x.  The
-    # bounds are absolute (a relative one cannot hold beside a pole or a
-    # zero of g): 2^m 4e-15 for f, |coupling| 4e-15 for g, about six times
-    # what they measured
+    # the float f and g are polynomials in the tangent phasor; mp at 200
+    # bits gives the exact values at the same binary x, f as its product of
+    # sines and g in closed form.  The bounds are absolute (a relative one
+    # cannot hold beside a pole or a zero of g): 2^m 4e-15 for f,
+    # |coupling| 4e-15 for g, about six times what they measured.  The mp g,
+    # the registry polynomial at mp's phasor, is the closed form up to the
+    # roundings at 200 bits
     F, G = _tangent_f_and_g(pot, _ORACLE_X)
     if F is None:
         F = np.ones_like(_ORACLE_X)
-    coupling = float(pot.g.fixed_phasor[0])
+    coupling = abs(float(pot.coupling))
     with mp.workprec(200):
-        f_err = max(abs(float(pot.f(mp.mpf(x)) - fx))
-                    for x, fx in zip(_ORACLE_X.tolist(), F.tolist()))
-        g_err = max(abs(float(pot.g(mp.mpf(x)) - gx))
-                    for x, gx in zip(_ORACLE_X.tolist(), G.tolist()))
+        xs = [mp.mpf(x) for x in _ORACLE_X.tolist()]
+        f_err = max(abs(float(pot.f(x) - fx)) for x, fx in zip(xs, F.tolist()))
+        g_err = max(abs(float(g_closed(pot, x) - gx))
+                    for x, gx in zip(xs, G.tolist()))
+        mp_g_err = max(abs(pot.g(x) - g_closed(pot, x)) for x in xs)
     assert f_err <= 2 ** pot.m * 4e-15, f"f error {f_err:.3g}: check np.tan"
-    assert g_err <= abs(coupling) * 4e-15, f"g error {g_err:.3g}: check np.tan"
+    assert g_err <= coupling * 4e-15, f"g error {g_err:.3g}: check np.tan"
+    assert mp_g_err <= coupling * 2 ** -195
 
 
 def test_f_product_check_pinned(maryland1):
@@ -353,19 +353,25 @@ def test_site_values_pole_check_matches_the_mp_walk(maryland1, offset):
     assert (expect is None) == (abs(float(offset)) > maryland1.eps_floor)
 
 
-@pytest.mark.parametrize("pot", [
-    make_maryland(1.0),
-    make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
-                "cos2pi", coupling=0.8),
-    make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
-    dataclasses.replace(make_maryland(1.0), eps_floor=1e-6),
+_FLOOR = MeromorphicPotential.eps_floor
+
+
+@pytest.mark.parametrize("pot, eps_floor", [
+    (make_maryland(1.0), _FLOOR),
+    (make_custom([Fraction(1, 3), Fraction(1, 3), Fraction(4, 5), Fraction(1, 10)],
+                 "cos2pi", coupling=0.8), _FLOOR),
+    (make_custom([Fraction(1, 10**13), Fraction(1, 2)], "cos2pi", coupling=0.8),
+     _FLOOR),
+    (make_maryland(1.0), 1e-6),
 ], ids=["maryland", "repeated-pole", "pole-near-0", "eps-floor-1e-6"])
-def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(pot):
+def test_site_values_pole_test_is_the_mp_distance_test_at_the_floor(
+        pot, eps_floor, monkeypatch):
     # the first, a middle and the last site of the window pass each pole, on
     # either side, at eps_floor (1 -+ 1e-3): the pass reads its pole factors,
     # so it must raise exactly when the 200-bit distance is within the
     # floor, naming that site and its distance; the pole near 0 puts sites
     # on both sides of 0, where the distance wraps
+    monkeypatch.setattr(MeromorphicPotential, "eps_floor", eps_floor)
     start, stop, eps = -13, 26, pot.eps_floor
     hits, placed = [], []
     with mp.workprec(200):
@@ -394,7 +400,7 @@ def test_site_values_refuse_a_non_finite_energy_or_g():
     # the pass reads E and g's coupling as integer mantissas, which would
     # turn inf or nan into 0, so the certificate refuses such an energy
     # before its walk; a g is finite at every site once its coupling is, and
-    # a non-finite coupling is refused when the g is made
+    # a non-finite coupling is refused when the potential is made
     alpha = golden_cf(30).value
     with pytest.raises(InvalidInputError, match="energy must be finite"):
         gordon_matrices(make_maryland(1.0), mp.inf, 0.1, alpha, 5)
@@ -402,18 +408,32 @@ def test_site_values_refuse_a_non_finite_energy_or_g():
         make_custom([Fraction(1, 3)], "cos2pi", coupling=mp.nan)
 
 
-def test_a_potential_refuses_a_g_without_its_phasor_form():
-    # every engine reads g through g.fixed_phasor, so a plain callable is
-    # refused when the potential is made
-    with pytest.raises(InvalidInputError, match="registry g"):
-        MeromorphicPotential(poles=(), g=lambda x: 1 + mp.cospi(2 * x),
-                             label="custom")
-
-
 @pytest.mark.parametrize("name", sorted(G_REGISTRY))
 def test_a_registry_g_refuses_a_non_finite_coupling(name):
-    # the site pass reads a registry g's coupling as a mantissa and exponent,
-    # which would turn inf or nan into 0
+    # the site pass reads the coupling as a mantissa and exponent, which
+    # would turn inf or nan into 0; the constructor refuses it, and a name
+    # outside the registry, for every way of making a potential
     for coupling in (mp.inf, float("nan")):
         with pytest.raises(InvalidInputError, match="coupling must be finite"):
             make_custom([], name, coupling=coupling)
+        with pytest.raises(InvalidInputError, match="coupling must be finite"):
+            MeromorphicPotential((), name, coupling, "custom")
+    for make in (lambda: make_custom([], name + "x"),
+                 lambda: MeromorphicPotential((), name + "x", 1.0, "custom")):
+        with pytest.raises(InvalidInputError,
+                           match=rf"unknown g '{name}x'; registry: \['const', "):
+            make()
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_a_site_on_a_pole_takes_the_sign_of_g(lam):
+    # the on-pole rule: at a site on a pole f is set to +1e-300, so V there
+    # is g / 1e-300 and takes the sign of g.  The tangent model's g is
+    # -2 lam sin pi x, so V(1/2) is about -2e300 lam; a cos2pi model with
+    # poles at 0 and 1/2 has g = coupling at 0 and -coupling at 1/2
+    V = make_maryland(lam).V_array(np.array([0.5]))
+    assert V.tolist() == [-lam * 1.9999999999999998e300]
+    pot = make_custom([Fraction(0), Fraction(1, 2)], "cos2pi", coupling=0.8 * lam)
+    V = pot.V_array(np.array([0.0, 0.5]))
+    assert np.sign(V).tolist() == [lam, -lam]
+    assert np.all(np.abs(V) > 7e299)
