@@ -240,12 +240,14 @@ def test_orbit_phasors_match_mp_at_the_exact_phases(alpha):
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
-def test_f_on_arrays_matches_the_open_coded_product(m):
+@pytest.mark.parametrize("f_sign", [1, -1])
+def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
     # f takes a factor with a zero constant (a pole at 0, 1/2 or 1) as one
     # product, exact but for the sign of an exact zero, which
     # np.array_equal does not see, so f is bit for bit the open-coded
     # product of the factors s (2 cos pi p) - c (2 sin pi p) on the same
-    # tangent phasor
+    # tangent phasor.  The sign of V is the sign of the coupling, applied
+    # first to g: f does not see it, and g flips exactly
     X = np.concatenate([np.random.default_rng(7).random(996),
                         [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53, 1.0]])
     X = X.reshape(6, 167)
@@ -255,15 +257,18 @@ def test_f_on_arrays_matches_the_open_coded_product(m):
                    (Fraction(1), Fraction(1, 3), Fraction(0))):
         poles = family[:m]
         # a g of degree m mod 2 keeps V periodic; f does not read g
-        pot = MeromorphicPotential(poles, "sinpi" if m % 2 else "const", 1.0,
-                                   "custom")
+        g_name = "sinpi" if m % 2 else "const"
+        pot = MeromorphicPotential(poles, g_name, float(f_sign), "custom")
         old = np.ones_like(X)
         for cp, sp in pot._pole_phasors:
             old = old * (s * cp - c * sp)
-        F = _tangent_f_and_g(pot, X)[0]
+        F, G = _tangent_f_and_g(pot, X)
         assert F is None if not poles else np.array_equal(F, old), poles
         if poles and poles[0] in (0, 1):
             assert np.any(old == 0)  # x = 0 sits on the pole: an exact zero
+        G_plus = _tangent_f_and_g(
+            MeromorphicPotential(poles, g_name, 1.0, "custom"), X)[1]
+        assert np.array_equal(G, f_sign * G_plus), poles
 
 
 @pytest.mark.parametrize("pot", [
