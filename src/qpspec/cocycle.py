@@ -23,15 +23,18 @@ separate accumulator; the 16 stretch products of a phase are then chained
 with one renormalisation per link.  The single-orbit base point runs as
 one more phase, so one pass gives both estimates.
 
-The site arrays are built per chunk of CHUNK = 4096 * 4 sites (rows of the
-16 K columns of one energy), in site buffers allocated once per call: each
-takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache.  A site's phasor
-(cos pi x, sin pi x) comes by rotation from exact turns, with no float phase
-and no tangent (``potential._OrbitPhasors``), within 1.6e-15 of that at the
-exact phase theta + j alpha, and depends on its step, phase and n only, so
-the row count never changes a value.  The tangent model's pole factor is
-one multiply.  A-kind chunks read |f| once, for V and for the pole mask:
-the pole distance is taken only where |f| admits the floor
+The site arrays are built per chunk of about CHUNK = 4096 * 4 sites (rows
+of the 16 K columns of one energy), in site buffers allocated once per
+call, so a chunk's arrays stay in a 2 MB L2 cache.  A chunk is whole 8-row
+phasor blocks or a piece of one (``_chunk_rows``), so six numpy calls give
+its phasors (cos pi x, sin pi x), by rotation from exact turns, with no
+float phase and no tangent (``potential._OrbitPhasors``): within 1.6e-15 of
+those at the exact phases theta + j alpha, they depend on step, phase and
+n only, so the row count never changes a value.  The chunk loop runs under
+one ``np.errstate``: an overflow (a huge E or coupling) only gives the
+non-finite norm that the caller reports.  The tangent model's pole factor
+is one multiply.  A-kind chunks read |f| once, for V and for the pole
+mask: the pole distance is taken only where |f| admits the floor
 (``MeromorphicPotential._f_near_pole``), at the exact phase rounded once.
 ``spectral.lyapunov_scan`` runs up to BATCH = 16 energies per pass: they
 share a chunk's phasors, f, g (or V) and pole mask, only S has an energy
@@ -42,7 +45,6 @@ of its own (``lyapunov``).
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -52,7 +54,7 @@ import numpy as np
 from .arithmetic import as_mpf
 from .errors import (InvalidInputError, NumericError, OrbitPoleError,
                      PoleProximityError)
-from .potential import MeromorphicPotential, _OrbitPhasors
+from .potential import PHASOR_ROWS, MeromorphicPotential, _OrbitPhasors
 
 __all__ = [
     "TransferMatrix2",
@@ -71,8 +73,6 @@ SEGMENTS = 16  # stretches of each orbit that the float engine steps side by sid
 # sites (rows x columns) whose arrays the float engine builds at once: each
 # site array then takes 128 KB, so a chunk's arrays stay in a 2 MB L2 cache
 CHUNK = 4096 * 4
-# largest |s| + |f| for which RENORM_EVERY steps stay below 2^992
-SAFE_SITE = 2.0 ** 31
 # energies per engine pass in spectral.lyapunov_scan (16 beat 8 and 41)
 BATCH = 16
 
@@ -225,9 +225,14 @@ def _step_chunk(state: np.ndarray, M: tuple, S: np.ndarray,
     return a, b, c, d
 
 
-def _quiet(on: bool):
-    """Silence overflow and the invalid values it leads to when ``on``."""
-    return np.errstate(over="ignore", invalid="ignore") if on else contextlib.nullcontext()
+def _chunk_rows(width: int) -> int:
+    """Rows per chunk for rows of ``width`` sites: whole phasor blocks, the
+    multiple of PHASOR_ROWS nearest CHUNK / width, or below PHASOR_ROWS a
+    piece of one block, the largest of 4, 2 and 1 rows that fits."""
+    x = CHUNK / width
+    if x >= PHASOR_ROWS:
+        return PHASOR_ROWS * round(x / PHASOR_ROWS)
+    return next((k for k in (4, 2) if k <= x), 1)
 
 
 def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
@@ -240,7 +245,7 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
     nE, K = E.shape[0], xs.shape[0]
     stretch = -(-n // SEGMENTS)  # steps per stretch
     cols = nE * SEGMENTS * K
-    rows = max(1, CHUNK // (SEGMENTS * K))
+    rows = _chunk_rows(SEGMENTS * K)
     # the state (a, b, c, d) as four rows of one buffer, stepped in place
     state = np.zeros((4, cols))
     state[0] = state[3] = 1.0
@@ -249,13 +254,10 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
     logs = np.zeros(cols)
     excluded = np.zeros(K, dtype=bool)
     unit_f = kind == "A" or not pot.m  # the step's f is 1
-    f_peak = 1.0 if unit_f else 2.0 ** pot.m  # |f| <= 2^m
-    huge_E = not np.all(np.abs(E) < SAFE_SITE)  # E f may overflow in the site arrays
     # step j of stretch i is orbit step i * stretch + j
     walk = _OrbitPhasors(xs, alpha, stretch * np.arange(SEGMENTS))
     # the five site buffers of _V_and_near / _f_and_g, as separate arrays:
-    # each stays on the heap, and those that a potential never writes take
-    # no memory
+    # those that a potential never writes take no memory
     work_buf = [np.empty((rows, SEGMENTS, K)) for _ in range(5)]
     # one energy's S overwrites V or g; a batch has its own S and F copy
     if nE == 1:
@@ -263,14 +265,15 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
     else:
         S_buf = np.empty((rows, nE, SEGMENTS, K))
         F_buf = None if unit_f else np.empty((rows, nE, SEGMENTS, K))
-    for start in range(0, stretch, rows):
-        steps = np.add.outer(np.arange(start, min(start + rows, stretch)),
-                             stretch * np.arange(SEGMENTS))
-        r = steps.shape[0]
-        work = [w[:r] for w in work_buf]
-        S = S_buf[:r]
-        walk.fill(start, work[1:3], work[0])
-        with _quiet(huge_E):
+    work, S, r = work_buf, S_buf, rows
+    # an overflow only gives the non-finite norm that the caller reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, stretch, rows):
+            # whole blocks or a piece of one, as start is a multiple of rows
+            walk.fill(start, work_buf[1:3], work_buf[0])
+            if start + rows > stretch:  # the last chunk: r rows are steps
+                r = stretch - start
+                work, S = [w[:r] for w in work_buf], S_buf[:r]
             if kind == "A":
                 V, near = pot._V_and_near(work, lambda idx: walk.phases(start, idx))
                 for e, En in enumerate(E):
@@ -282,34 +285,32 @@ def _ln_norms(pot: MeromorphicPotential, E: np.ndarray, alpha: float,
                         _sub(En, G, S[:, e])
                     else:
                         _sub(_mul(F, En, work[1]), G, S[:, e])
-        if kind == "A" and pot.m:
-            # the exact pole distance, taken by _V_and_near only where |f|
-            # admits the floor; only sites before n (not the padding) count
-            idx, dist = near
-            if idx.size:
-                i, j, k = np.unravel_index(idx, (r, SEGMENTS, K))
-                excluded[k[(dist <= pot.eps_floor) & (steps[i, j] < n)]] = True
-            # V at a pole reaches 2e300 and would overflow the column to
-            # inf/nan (with numpy warnings); a masked column's value is
-            # discarded, so it steps with s = 0 instead
-            if excluded.any():
-                S[..., excluded] = 0.0
-        if steps[-1, -1] >= n:
-            pad = (steps >= n)[:, :, None]
-            np.copyto(S, 0.0, where=pad[:, None])
+            if kind == "A" and pot.m:
+                # the exact pole distance, taken by _V_and_near only where |f|
+                # admits the floor; only sites before n (not the padding) count
+                idx, dist = near
+                if idx.size:
+                    i, j, k = np.unravel_index(idx, (r, SEGMENTS, K))
+                    before_n = start + i + stretch * j < n
+                    excluded[k[(dist <= pot.eps_floor) & before_n]] = True
+                # V at a pole reaches 2e300 and would overflow the column;
+                # a masked column's value is discarded, so it steps s = 0
+                if excluded.any():
+                    S[..., excluded] = 0.0
+            if start + r - 1 + (SEGMENTS - 1) * stretch >= n:
+                # padding: steps n and on of the last stretches
+                steps = np.add.outer(np.arange(start, start + r),
+                                     stretch * np.arange(SEGMENTS))
+                pad = (steps >= n)[:, :, None]
+                np.copyto(S, 0.0, where=pad[:, None])
+                if not unit_f:
+                    np.copyto(F, 1.0, where=pad)
+            F_rows = None
             if not unit_f:
-                np.copyto(F, 1.0, where=pad)
-        F_rows = None
-        if not unit_f:
-            if F_buf is not None:
-                np.copyto(F_buf[:r], F[:, None])
-                F = F_buf[:r]
-            F_rows = F.reshape(r, cols)
-        # a step multiplies the largest entry by at most |s| + |f|, so with
-        # sites below SAFE_SITE no RENORM_EVERY steps can overflow; larger
-        # sites (a huge E or coupling) step with overflow silenced, and the
-        # non-finite result is the caller's to report
-        with _quiet(not max(S.max(), -S.min()) + f_peak <= SAFE_SITE):
+                if F_buf is not None:
+                    np.copyto(F_buf[:r], F[:, None])
+                    F = F_buf[:r]
+                F_rows = F.reshape(r, cols)
             M = _step_chunk(state, M, S.reshape(r, cols), F_rows, tmp, start, logs)
     # chain the stretch products of each phase, the first one rightmost
     # (elementwise, so a value depends on neither K nor nE); a product that

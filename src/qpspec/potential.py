@@ -296,6 +296,9 @@ def make_maryland(lam: float) -> MeromorphicPotential:
     f(x) = 2 sin(pi (x - 1/2)) = -2 cos pi x.
     """
     lam = float(lam)
+    if not abs(lam) < 2.0 ** 1023:  # inf, nan, or -2 lam overflows
+        raise InvalidInputError(
+            f"coupling must be finite with |coupling| < 2**1023, got {lam!r}")
     if lam == 0:
         raise DegenerateModelError("tangent model needs a nonzero coupling")
     return MeromorphicPotential((Fraction(1, 2),), "sinpi", -2 * lam, "maryland")
@@ -396,21 +399,23 @@ class _OrbitPhasors:
     def fill(self, start: int, out, scratch: np.ndarray):
         """The phasors of rows [start, start + r) into ``out``, two float
         buffers shaped (r, offsets, base points) that receive c and s;
-        ``scratch`` is one more such buffer.  Returns out."""
-        c, s = out
-        tc, ts = self._table
-        r = c.shape[0]
-        i = 0
-        while i < r:
-            b, lo = divmod(start + i, PHASOR_ROWS)
-            hi = min(PHASOR_ROWS, lo + r - i)
-            rc, rs = _half_turn_phasor(b * PHASOR_ROWS * self._p, self._q)
-            rows = slice(i, i + hi - lo)
-            np.multiply(tc[lo:hi], rc, out=c[rows])
-            c[rows] -= np.multiply(ts[lo:hi], rs, out=scratch[rows])
-            np.multiply(ts[lo:hi], rc, out=s[rows])
-            s[rows] += np.multiply(tc[lo:hi], rs, out=scratch[rows])
-            i += hi - lo
+        ``scratch`` is one more such buffer.  The rows are whole blocks or a
+        piece of one (else ValueError), each block rotated by its own scalar
+        in one broadcast call per operation.  Returns out."""
+        r = out[0].shape[0]
+        b, lo = divmod(start, PHASOR_ROWS)
+        if lo + r > PHASOR_ROWS and (lo or r % PHASOR_ROWS):
+            raise ValueError(f"rows [{start}, {start + r}) straddle a phasor block")
+        hi = min(PHASOR_ROWS, lo + r)
+        rc, rs = np.array([_half_turn_phasor(i * PHASOR_ROWS * self._p, self._q)
+                           for i in range(b, b + max(1, r // PHASOR_ROWS))]
+                          ).T.reshape(2, -1, 1, 1, 1)
+        tc, ts = (v[lo:hi] for v in self._table)
+        c, s, scratch = (v.reshape(-1, hi - lo, *v.shape[1:]) for v in (*out, scratch))
+        np.multiply(tc, rc, out=c)
+        c -= np.multiply(ts, rs, out=scratch)
+        np.multiply(ts, rc, out=s)
+        s += np.multiply(tc, rs, out=scratch)
         return out
 
     def phases(self, start: int, idx: np.ndarray) -> np.ndarray:

@@ -623,6 +623,10 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
      "[model] poles: g vanishes at declared pole 1/4"),
     ("gordon", "coupling = 0.15", "coupling = 0",
      "[model] coupling: tangent model needs a nonzero coupling"),
+    # -2 * 1e308 overflows: the refusal names the coupling given
+    ("gordon", "coupling = 0.15", "coupling = 1e308",
+     "[model] coupling: coupling must be finite with |coupling| < 2**1023, "
+     "got 1e+308"),
     ("cf", "kind = named\nname = liouville\nbeta_target = 1.0",
      "kind = coefficients\ncoefficients = 1 -3",
      "[alpha] coefficients: coefficient a_2 = -3 must be >= 1"),
@@ -647,9 +651,9 @@ def test_unread_keys_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
         "pole-mult-x", "pole-mult-0", "pole-mult-negative", "decimal-alpha-abc",
         "decimal-alpha-1.5", "decimal-alpha-nan", "theta-abc", "pole-location-x",
         "alpha-file-missing", "classify-shallow-alpha", "unknown-g",
-        "spurious-pole", "maryland-zero-coupling", "coefficient-negative",
-        "coefficients-empty", "coefficients-x", "coefficient-file-x",
-        "anti-periodic", "energy-grid-overflow"])
+        "spurious-pole", "maryland-zero-coupling", "maryland-huge-coupling",
+        "coefficient-negative", "coefficients-empty", "coefficients-x",
+        "coefficient-file-x", "anti-periodic", "energy-grid-overflow"])
 def test_bad_numbers_exit_2_naming_key(gordon_cfg, tmp_path, capsys,
                                        sub, old, new, key):
     cfg = tmp_path / "bad.ini"

@@ -322,8 +322,11 @@ def _sequential_ln_norm(pot, E, alpha, x, n, kind):
     that it checks the engine's product order and chaining only."""
     stretch = -(-n // SEGMENTS)
     walk = _OrbitPhasors(np.array([x]), alpha, stretch * np.arange(SEGMENTS))
-    work = [np.empty((stretch, SEGMENTS, 1)) for _ in range(5)]
+    # fill whole phasor blocks, then keep the stretch's rows
+    blocks = -(-stretch // PHASOR_ROWS) * PHASOR_ROWS
+    work = [np.empty((blocks, SEGMENTS, 1)) for _ in range(5)]
     walk.fill(0, work[1:3], work[0])
+    work = [w[:stretch] for w in work]
     if kind == "A":
         V, _ = pot._V_and_near(work, lambda idx: walk.phases(0, idx))
         S, F = E - V, np.ones_like(V)
@@ -371,20 +374,37 @@ def test_ln_norms_where_the_exponent_vanishes():
     assert max(oracle) < 10 / n  # the estimates themselves are O(1/n)
 
 
-@pytest.mark.parametrize("budget", [1, 16 * 10 * 3, 16 * 10 * 13, 16 * 10 * 32 + 5,
-                                    4096 * 32])
+@pytest.mark.parametrize("K,rows", [
+    (65, 16), (10, 104), (85, 16), (100, 8), (130, 4), (201, 4), (257, 2),
+    (600, 1), (4097, 1)])
+def test_chunk_rows_are_whole_phasor_blocks_or_a_piece_of_one(K, rows):
+    # from PHASOR_ROWS up the multiple of PHASOR_ROWS nearest CHUNK / width
+    # (15.75 rows at the default 65 phases give 16, 12.05 at 85 give 16 and
+    # 10.24 at 100 give 8), below it the largest of 4, 2 and 1 that fits
+    width = SEGMENTS * K
+    assert cocycle._chunk_rows(width) == rows
+    assert rows % PHASOR_ROWS == 0 or PHASOR_ROWS % rows == 0
+
+
+# site budgets (CHUNK) and the rows per chunk they give at 10 phases
+_BUDGET_ROWS = {1: 1, 16 * 10 * 2: 2, 16 * 10 * 4: 4, 16 * 10 * 8: 8, 16 * 10 * 16: 16,
+                16 * 10 * 24: 24, 16 * 10 * 32 + 5: 32, 4096 * 32: 816}
+
+
+@pytest.mark.parametrize("budget", list(_BUDGET_ROWS))
 def test_ln_norms_values_do_not_depend_on_the_chunk_rows(monkeypatch, budget):
-    # 1, 3, 13 and 32 rows per chunk and the earlier 4096 * 32 site budget
-    # against the default, for one energy and inside a batch of three; 3
-    # and 13 rows are coprime to PHASOR_ROWS, so blocks of the phasor walk
-    # straddle chunk boundaries at every offset within a block
+    # 1, 2 and 4 rows per chunk (pieces of a phasor block), 8, 16, 24 and 32
+    # (whole blocks) and the 816 of the earlier 4096 * 32 site budget
+    # against the default 104, for one energy and inside a batch of three.
+    # n = 1031 runs 65 steps per stretch, so every count but 1 ends on a
+    # short last chunk (1 row, 17 rows for 24, and one chunk of 65 rows for
+    # 104 and 816), and the padding's 9 rows span chunks up to 8 rows
     alpha = float(golden_cf(30).value)
     xs = np.append(phase_grid(8), [0.5, DEFAULT_X0])
     pot = make_maryland(1.0)
-    if budget in (16 * 10 * 3, 16 * 10 * 13):
-        assert math.gcd(budget // (SEGMENTS * len(xs)), PHASOR_ROWS) == 1
     ref = [_ln_norms1(pot, 0.7, alpha, xs, 1031, kind) for kind in "AD"]
     monkeypatch.setattr(cocycle, "CHUNK", budget)
+    assert cocycle._chunk_rows(SEGMENTS * len(xs)) == _BUDGET_ROWS[budget]
     for kind, (vals, excl) in zip("AD", ref):
         v, e = _ln_norms1(pot, 0.7, alpha, xs, 1031, kind)
         assert np.array_equal(v, vals, equal_nan=True)
@@ -471,3 +491,14 @@ def test_ln_norms_overflow_is_a_numeric_error_naming_the_energy(kind):
     for n in (17, 5003):
         with pytest.raises(NumericError, match=r"E = 1e\+300"):
             lyapunov(make_maryland(1.0), 1e300, golden_cf(30).value, n, kind=kind)
+
+
+@pytest.mark.parametrize("kind", ["A", "D"])
+def test_lyapunov_with_sites_past_any_safe_size_is_a_silent_numeric_error(kind):
+    # at coupling 1e15 the tangent model's sites reach 1e15 and more, so 32
+    # steps overflow between renormalisations: the engine steps with the
+    # overflow silenced and reports the non-finite norm, with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError, match="non-finite product norm"):
+            lyapunov(make_maryland(1e15), 0.3, golden_cf(40).value, 2000, kind=kind)

@@ -1,12 +1,17 @@
-"""Byte-identity guard: the sha256 of every file that `qpspec gordon` and
-`qpspec indices` write on three fixed configs.
+"""Byte-identity guard: the sha256 of every file that `qpspec gordon`,
+`qpspec indices`, `qpspec lyapunov` and `qpspec classify` write on fixed
+configs.
 
-These runs take only exact and mp paths (the certificate's site pass and
-integer products, the orbit index scans), whose bytes do not depend on the
-platform, so a refactor that means to keep the outputs must keep these
-hashes.  No float-kernel output (`lyapunov`, `classify`) is pinned here.
-A change that moves a hash must explain each changed digit and capture
-the hash again.
+The `gordon` and `indices` runs take only exact and mp paths (the
+certificate's site pass and integer products, the orbit index scans), whose
+bytes do not depend on the platform.  The `lyapunov` (A and D kinds) and
+`classify` runs take the float Lyapunov kernel: 21 energies, so a full
+batch of 16 and a short one of 5, at n = 10001, so the last stretch is
+padded and the last chunk is short.  Their bytes rest on numpy's correctly
+rounded elementwise arithmetic and on this platform's libm (math.cos,
+math.sin, np.log), so a refactor that means to keep the outputs must keep
+every hash here.  A change that moves a hash must explain each changed
+digit and capture the hash again.
 """
 
 import hashlib
@@ -59,6 +64,33 @@ theta = 3/8
 gamma_nmax = 10000
 """
 
+_KERNEL = """\
+[model]
+name = maryland
+coupling = 0.15
+
+[alpha]
+kind = named
+name = golden
+terms = 40
+
+[phase]
+theta = 3/8
+
+[energies]
+kind = grid
+min = -3.0
+max = 3.0
+count = 21
+
+[depths]
+lyapunov_n = 10001
+
+[run]
+lyapunov_grid = 64
+lyapunov_kind = {kind}
+"""
+
 # (subcommand, config, {file name: sha256})
 _CASES = {
     # tangent model at q = 57, three energies, 360 directions
@@ -88,6 +120,21 @@ _CASES = {
             "d93717da2606f7a0305d2da3ed0104cae4dbc5a9917cc119d81cff9fd0e84da8",
         "indices.json":
             "553a061851b048f9b5904fae3aef869863e761b8b4495400d8150c544bf80357",
+    }),
+    # tangent model at golden 40, 21 energies on [-3, 3], n = 10001, 64 phases
+    "lyapunov-A": ("lyapunov", _KERNEL.format(kind="A"), {
+        "lyapunov.csv":
+            "042598ebe81fd0bd06557f231ded28924310d2747c8721f198108fe7331131aa",
+    }),
+    "lyapunov-D": ("lyapunov", _KERNEL.format(kind="D"), {
+        "lyapunov.csv":
+            "4aaf8ee1834f1833e80bc208432674123c4982b564f27abd51a9dd85416e1455",
+    }),
+    "classify": ("classify", _KERNEL.format(kind="D"), {
+        "classify.csv":
+            "961451084fb9a6af36da2a0531e896f1307da358e26b6c366d530f8d678dc709",
+        "classify.json":
+            "c60c65bc45e2f31cad29f04d7a93c9444fd4bd4858fe7ed7dba28b3f16096aff",
     }),
 }
 

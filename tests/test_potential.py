@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import mpmath as mp
@@ -199,26 +200,32 @@ def test_orbit_phasors_match_mp_at_the_exact_phases(alpha):
     # the 1.6e-15 that _OrbitPhasors derives (it measured 2.7e-16), and the
     # pole factor of f on it within the 4.2e-15 of _f_near_pole (6.4e-16),
     # for a factor of one multiply (pole 1/2) and one of two (pole 1/3).  Rows
-    # [start, start + 48) are filled whole and in pieces of 3 and 13 rows,
-    # coprime to PHASOR_ROWS, so the pieces straddle its blocks, and all
-    # three fills agree bit for bit
+    # [start, start + 48) are filled whole and in the chunks the kernel cuts
+    # (cocycle._chunk_rows): pieces of 1, 2 or 4 rows inside a block and
+    # runs of 8, 16 or 24 rows of whole blocks, also with a short last piece
+    # inside a block, and every fill agrees bit for bit
     alpha = float(alpha)
     xs = np.array([0.0, 0.5, 1.0 - 2.0 ** -53, math.sqrt(2.0) - 1.0, 0.8731])
     offsets = [0, 5, 437_500, 937_500]
     pots = [make_maryland(1.0), make_custom([Fraction(1, 3)], "sinpi")]
     walk = _OrbitPhasors(xs, alpha, offsets)
     rows, err, f_err = 48, 0.0, 0.0
-    assert math.gcd(3, PHASOR_ROWS) == math.gcd(13, PHASOR_ROWS) == 1
+    assert rows % PHASOR_ROWS == 0
     for start in (0, 62_480):
+        assert start % PHASOR_ROWS == 0
         shape = (rows, len(offsets), len(xs))
         work = [np.empty(shape) for _ in range(5)]
         c, s = (v.copy() for v in walk.fill(start, work[1:3], work[0]))
-        for piece in (3, 13):
+        # (piece, rows filled): 46 rows in pieces of 4 end with a piece of
+        # 2, 45 rows in pieces of 8 with a piece of 5
+        for piece, filled in [(1, 48), (2, 48), (4, 48), (8, 48), (16, 48),
+                              (24, 48), (4, 46), (8, 45)]:
             pc, ps, scratch = (np.empty(shape) for _ in range(3))
-            for lo in range(0, rows, piece):
-                hi = min(rows, lo + piece)
+            for lo in range(0, filled, piece):
+                hi = min(filled, lo + piece)
                 walk.fill(start + lo, (pc[lo:hi], ps[lo:hi]), scratch[lo:hi])
-            assert np.array_equal(pc, c) and np.array_equal(ps, s)
+            assert np.array_equal(pc[:filled], c[:filled])
+            assert np.array_equal(ps[:filled], s[:filled])
         F = []
         for pot in pots:
             work[1][...], work[2][...] = c, s
@@ -237,6 +244,15 @@ def test_orbit_phasors_match_mp_at_the_exact_phases(alpha):
     assert start + rows + offsets[-1] > 10 ** 6
     assert err <= 1.6e-15, f"phasor error {err:.3g}: check math.cos"
     assert f_err <= 4.2e-15, f"pole factor error {f_err:.3g}"
+
+
+@pytest.mark.parametrize("start,r", [(6, 4), (0, 12), (4, 8), (3, 13)])
+def test_orbit_phasors_refuse_rows_straddling_a_block(start, r):
+    # a fill is a piece of one block or whole blocks from a block start
+    walk = _OrbitPhasors(np.array([0.25]), float(golden_cf(40).value), [0, 7])
+    bufs = [np.empty((r, 2, 1)) for _ in range(3)]
+    with pytest.raises(ValueError, match="straddle a phasor block"):
+        walk.fill(start, bufs[:2], bufs[2])
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3])
@@ -411,6 +427,24 @@ def test_site_values_refuse_a_non_finite_energy_or_g():
         gordon_matrices(make_maryland(1.0), mp.inf, 0.1, alpha, 5)
     with pytest.raises(InvalidInputError, match="coupling must be finite"):
         make_custom([Fraction(1, 3)], "cos2pi", coupling=mp.nan)
+
+
+@pytest.mark.parametrize("lam,shown", [
+    (1e308, "1e+308"), (-1e308, "-1e+308"), (2.0 ** 1023, "8.98846567431158e+307"),
+    (math.inf, "inf"), (-math.inf, "-inf"), (math.nan, "nan")])
+def test_make_maryland_refuses_a_coupling_naming_the_value_given(lam, shown):
+    # g carries -2 lam, which overflows from |lam| = 2^1023 on; the refusal
+    # names lam itself, not the overflowed -2 lam
+    with pytest.raises(InvalidInputError,
+                       match=rf"coupling must be finite with \|coupling\| < "
+                             rf"2\*\*1023, got {re.escape(shown)}$"):
+        make_maryland(lam)
+
+
+def test_make_maryland_takes_the_largest_coupling_below_the_overflow():
+    lam = math.nextafter(2.0 ** 1023, 0.0)
+    assert make_maryland(lam).coupling == make_maryland(-lam).coupling * -1 == -2 * lam
+    assert math.isfinite(-2 * lam)
 
 
 @pytest.mark.parametrize("name", sorted(G_REGISTRY))
