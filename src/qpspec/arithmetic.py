@@ -7,12 +7,14 @@ pole/denominator index) as finite-depth limsup surrogates.  The exact orbit
 walks (the phase index, the resonant-phase check and the sine product) all
 step through ``orbit_norms``, the exact member of the orbit layer: a P-bit
 fixed-point integer walk mod 2^P, P = cf.precision, that yields torus norms
-as integers in units of 2^-P.  Its float64 member is ``potential.orbit`` and
-its site-value walk ``potential._site_terms``.  The phase index takes the
-logs of those norms in a longdouble pass over blocks of them, and sends the
-few terms that Ziv's rounding test cannot round to the libmp line; ``gamma``
-derives the bound, and imports numpy in its body, so the module needs none
-at import.
+as integers in units of 2^-P.  Its float64 members are ``potential.orbit``
+(phases, for the truncated spectrum) and ``potential._OrbitPhasors``
+(phasors from exact turns, for the Lyapunov kernel and the certificate's
+precision pre-pass), and its site-value walk is ``potential._site_terms``.
+The phase index takes the logs of those norms in a longdouble pass over
+blocks of them, and sends the few terms that Ziv's rounding test cannot
+round to the libmp line; ``gamma`` derives the bound, and imports numpy in
+its body, so the module needs none at import.
 ``sine_product`` is the one walk that forms the orbit sine product, for both
 ``sine_product_check`` and, one pole at a time,
 ``potential.f_product_check``, since |f(x)| = prod_l 2 sin(pi ||x - theta_l||).

@@ -44,8 +44,9 @@ without a libmp call or an mpf value per operation.  A level whose 3q
 sites exceed ``arithmetic.SITE_BUDGET`` is refused before any work
 (``_check_levels``).
 
-The float walk of the precision pre-pass takes its phases from
-``potential.orbit``.
+The float walk of the precision pre-pass takes the Lyapunov kernel's
+phasors, rotated from exact turns (``potential._OrbitPhasors``), and its V
+from ``MeromorphicPotential._V_and_near``.
 
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
@@ -75,8 +76,8 @@ from .arithmetic import (SITE_BUDGET, ContinuedFraction, IndexValue, as_mpf,
 from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
                      SubsequenceError)
-from .potential import (MeromorphicPotential, _site_pairs, _site_terms,
-                        check_energy, orbit)
+from .potential import (PHASOR_ROWS, MeromorphicPotential, _OrbitPhasors,
+                        _site_pairs, _site_terms, check_energy)
 
 __all__ = [
     "GordonCertificate",
@@ -130,11 +131,13 @@ def _shift_bits(alpha, q: int) -> int:
 
 
 def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
-                     q: int) -> float:
-    """Float pre-pass: an upper estimate of log2 of the largest of
-    ||A_q(theta - q alpha)||, ||A_q|| and ||A_{2q}||, from one float walk
-    over the window [-q, 2q).  A state (a, b, c, d, scale) stands for
-    [[a, b], [c, d]] 2^scale, rescaled whenever the top row passes 2^64.
+                     q: int) -> list[float]:
+    """Float pre-pass: upper estimates of log2 ||A_q||, log2 ||A_{2q}|| and
+    log2 ||A_q(theta - q alpha)||, in that order, from one float walk over
+    the window [-q, 2q), on the Lyapunov kernel's phasors (``_OrbitPhasors``
+    at theta with offset -q) and V from ``_V_and_near``.  A state
+    (a, b, c, d, scale) stands for [[a, b], [c, d]] 2^scale, rescaled
+    whenever the top row passes 2^64.
 
     A_q and A_{2q} are the forward states after sites 0..q-1 and q..2q-1.
     The inverse steps [[0, 1], [-1, s]] are the steps [[s, -1], [1, 0]]
@@ -142,9 +145,13 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
     sites -1..-q is A_q(theta - q alpha)^{-1} with its rows swapped: the
     adjugate of A_q(theta - q alpha), whose entries it holds up to sign.
     """
-    x = orbit(float_phase(theta), float(as_mpf(alpha)), -q, 2 * q)
+    n = 3 * q
+    phasors = _OrbitPhasors(np.array([float_phase(theta)]), float(as_mpf(alpha)), [-q])
+    work = [np.empty((-(-n // PHASOR_ROWS) * PHASOR_ROWS, 1, 1)) for _ in range(5)]
+    phasors.fill(0, work[1:3], work[0])  # whole phasor blocks
+    V = pot._V_and_near([w[:n] for w in work], lambda idx: phasors.phases(0, idx))[0]
     # a site on a pole reads about 1e300; the cap keeps s a - c finite
-    S = (float(E) - np.clip(pot.V_array(x), -1e250, 1e250)).tolist()
+    S = (float(E) - np.clip(V.ravel(), -1e250, 1e250)).tolist()
 
     def walk(sites, a, b, c, d, scale=0.0):
         for s in sites:
@@ -159,8 +166,8 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
     fwd = walk(S[q:2 * q], 1.0, 0.0, 0.0, 1.0)
     ends = (fwd, walk(S[2 * q:], *fwd), walk(S[q - 1::-1], 0.0, 1.0, 1.0, 0.0))
     # the largest entry is within a factor 2 of the spectral norm
-    return max(scale + math.log2(max(abs(a), abs(b), abs(c), abs(d)))
-               for a, b, c, d, scale in ends) + 1
+    return [scale + math.log2(max(abs(a), abs(b), abs(c), abs(d))) + 1
+            for a, b, c, d, scale in ends]
 
 
 def _pair_ops(prec: int):
@@ -222,7 +229,7 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
     if q < 1:
         raise InvalidInputError("q must be >= 1")
     h_bits = _shift_bits(alpha, q)
-    norm_bits = _log2_norm_bound(pot, E, theta, alpha, q)
+    norm_bits = max(_log2_norm_bound(pot, E, theta, alpha, q))
     precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     if held is None:
         held = {}

@@ -11,9 +11,11 @@ Every engine evaluates f and g as polynomials in the phasor (cos pi x,
 sin pi x): ``f`` and ``g`` on mp scalars, the float engines through
 ``MeromorphicPotential._f_and_g``, where f is
 prod_l 2(s cos pi p_l - c sin pi p_l), with the pole constants rounded
-once per potential, and g is coupling * poly(c, s).  ``V_array``
-takes the phasor from one tangent per float phase (``_phasor``); the
-Lyapunov kernel rotates it from exact turns (``_OrbitPhasors``).
+once per potential, and g is coupling * poly(c, s).  Every float phasor
+comes from an exact turn (``_half_turn_phasor``): ``V_array`` takes one per
+float phase (``_exact_phasor``), and the Lyapunov kernel and the
+certificate's precision pre-pass rotate them along the orbit
+(``_OrbitPhasors``).
 The site pass walks the same phasor as fixed-point integers.  Its
 energy-free part, ``_site_terms``, forms f and g at every site and tests
 for poles on the integer pole factors; its energy step, ``_site_pairs``,
@@ -21,8 +23,9 @@ forms each site as S = (E f - g) / f from the exact integer E f - g, as an
 (m, e) integer pair rounded once.  So several energies can share one walk.
 
 Every walk along an orbit theta + j alpha goes through one of four
-functions: ``orbit`` (float64 phases, vectorised over base points),
-``_OrbitPhasors`` (float64 phasors by exact block rotation),
+functions: ``orbit`` (float64 phases, vectorised over base points, for
+the truncated spectrum), ``_OrbitPhasors`` (float64 phasors by exact block
+rotation, for the Lyapunov kernel and the certificate's pre-pass),
 ``arithmetic.orbit_norms`` (exact P-bit fixed-point phases mod 2^P, as
 integer torus norms, one at a time) and ``_site_terms`` (the W-bit phasor
 walk behind the site values E - V along a window at working precision).
@@ -70,29 +73,6 @@ __all__ = [
     "f_product_check",
     "G_REGISTRY",
 ]
-
-
-_HALF_PI = np.pi / 2
-
-
-def _phasor(x: np.ndarray, out):
-    """(cos pi x, sin pi x) on an array, from one tangent per site:
-    t = tan(pi x / 2), then c = 2/(1 + t^2) - 1 and s = 2t/(1 + t^2).
-
-    ``out`` is two float buffers shaped like x that receive c and s.  For x
-    in [0, 1] both values are within 2e-15 of the exact ones when np.tan is
-    within 4 ulp (``MeromorphicPotential._f_near_pole`` has the bound, and
-    ``tests/test_potential.py`` checks it against mp)."""
-    c, s = out
-    np.multiply(x, _HALF_PI, out=s)
-    np.tan(s, out=s)
-    np.multiply(s, s, out=c)
-    c += 1.0
-    s += s
-    s /= c
-    np.divide(2.0, c, out=c)
-    c -= 1.0
-    return c, s
 
 
 def _buffers(x: np.ndarray) -> list[np.ndarray]:
@@ -183,20 +163,13 @@ class MeromorphicPotential:
         pole_distance(x) <= eps, from the rounding of f on arrays.
 
         f's factor of pole p is 2 (s cos pi p - c sin pi p) on a float
-        phasor (c, s), with both constants rounded once.  A phasor of
-        ``_phasor`` is (cos, sin) of an angle within 1.3e-15 of pi x:
-        rounding pi x / 2 costs 1.7e-16 of the half angle and a tangent
-        within 4 ulp at most 4.5e-16 (atan moves by at most half the
-        relative error of t), both doubled; the rational map then adds at
-        most 6.7e-16 to c (2/(1 + t^2) is at most 2 and carries the roundings
-        of t^2, of 1 + t^2 and of the division, 3 ulp; subtracting 1 is exact
-        where 2/(1 + t^2) >= 1/2 and rounds by less than 5.6e-17 elsewhere)
-        and 3.4e-16 to s.  With the roundings of the constants and of
-        s cp - c sp, the factor is within e = 5e-15 of 2 sin(pi (x - p)).
-        A phasor of ``_OrbitPhasors`` is within 1.6e-15 of e^{i pi x}, x the
-        exact site; that moves the factor by 3.2e-15 (the constants have
-        modulus 2), the rounded constants by 3.1e-16 and the three roundings
-        of s cp - c sp by 6.7e-16: 4.2e-15 in all.  pole_distance takes
+        phasor (c, s), with both constants rounded once.  Every float phasor
+        is within 1.6e-15 of e^{i pi x}: one of ``_exact_phasor`` within
+        3.62e-16 of its float phase, one of ``_OrbitPhasors`` within 1.59e-15
+        of its exact site.  That moves the factor by 3.2e-15 (the constants
+        have modulus 2), the rounded constants by 3.1e-16 and the three
+        roundings of s cp - c sp by 6.7e-16, so the factor is within
+        e = 4.2e-15 of 2 sin(pi (x - p)).  pole_distance takes
         t = fl(x - p) and wraps mod 1 once, so d <= eps puts x within
         eps + (1 + |p|) 3.4e-16 of p (and a rotated site, whose distance is
         taken at its exact phase rounded once, 5.6e-17 further); there the
@@ -204,8 +177,8 @@ class MeromorphicPotential:
         factor is at most 2 + e.  So |f| <= 2^m (4 eps + slack), slack =
         (1 + max |p|) 1e-14 covering the additive terms with room, and
         4 - pi absorbing the relative roundings of the m-factor product.  A
-        site exactly on a pole keeps an |f| of 0 or of rounding size (4.4e-16
-        for the tangent phasor of the tangent model at x = 1/2).
+        site exactly on a pole keeps an |f| of 0 or of rounding size (0 for
+        a pole at a multiple of 1/2, where the phasor is exact).
         """
         scale, slack = self._near_pole_terms
         return scale * (4.0 * eps + slack)
@@ -249,9 +222,10 @@ class MeromorphicPotential:
                    default=math.inf)
 
     def V_array(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised V for the float engines, from the tangent phasor."""
+        """Vectorised V at the float phases x, each phasor from the exact
+        turn of its float (``_exact_phasor``)."""
         work = _buffers(x)
-        _phasor(x, work[1:3])
+        work[1][...], work[2][...] = _exact_phasor(x)
         return self._V_and_near(work, lambda idx: x.flat[idx])[0]
 
     def _V_and_near(self, work, phases: Callable):
@@ -370,10 +344,21 @@ def _half_turn_phasor(num: int, den: int) -> tuple[float, float]:
     return ((c, s), (-s, c), (-c, -s), (s, -c))[k % 4]
 
 
+def _exact_phasor(x: np.ndarray) -> np.ndarray:
+    """(cos pi x, sin pi x) at the floats of the array x, stacked as an
+    array of shape (2, *x.shape), each from the exact turn of its float
+    (``_half_turn_phasor``).  A non-finite x has no exact turn and is
+    refused (InvalidInputError)."""
+    if not np.isfinite(x).all():
+        raise InvalidInputError("phase must be finite")
+    turns = (v.as_integer_ratio() for v in x.ravel().tolist())
+    return np.array([_half_turn_phasor(*t) for t in turns]).T.reshape(2, *x.shape)
+
+
 class _OrbitPhasors:
     """Phasors (cos pi x, sin pi x) at x = theta_k + (i + o_g) alpha, laid
-    out as (rows i, offsets o_g, base points theta_k), with no float phase
-    and no tangent.  A table of PHASOR_ROWS rows, built once, holds
+    out as (rows i, offsets o_g, base points theta_k), with no float
+    phase.  A table of PHASOR_ROWS rows, built once, holds
     e^{i pi theta_k} e^{i pi (r + o_g) alpha}; row i = b PHASOR_ROWS + r is
     table row r times e^{i pi b PHASOR_ROWS alpha}, four multiplies by a
     scalar and two adds per site.  Each scalar phasor comes from its exact
@@ -390,7 +375,7 @@ class _OrbitPhasors:
         self._p, self._q = float(alpha).as_integer_ratio()
         self._theta = [t.as_integer_ratio() for t in map(float, theta)]
         self._offsets = [int(o) for o in offsets]
-        tc, ts = np.array([_half_turn_phasor(*t) for t in self._theta]).T
+        tc, ts = _exact_phasor(theta)
         jc, js = np.moveaxis(np.array([[_half_turn_phasor((r + o) * self._p, self._q)
                                         for o in self._offsets]
                                        for r in range(PHASOR_ROWS)]), -1, 0)[..., None]

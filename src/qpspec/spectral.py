@@ -37,7 +37,10 @@ V_CAP = 1e12
 
 def _orbit_diagonal(pot: MeromorphicPotential, theta, alpha,
                     N: int) -> tuple[np.ndarray, list[int]]:
-    V = pot.V_array(orbit(float_phase(theta), float(as_mpf(alpha)), 0, N))
+    alpha = float(as_mpf(alpha))
+    if not math.isfinite(alpha):
+        raise InvalidInputError(f"alpha must be finite, got {alpha!r}")
+    V = pot.V_array(orbit(float_phase(theta), alpha, 0, N))
     flagged = [int(i) for i in np.nonzero(np.abs(V) > V_CAP)[0]]
     V = np.clip(V, -V_CAP, V_CAP)
     if not np.all(np.isfinite(V)):

@@ -32,7 +32,7 @@ from qpspec.cocycle import (
     spectral_norm_2x2,
 )
 from qpspec.potential import (PHASOR_ROWS, MeromorphicPotential, _buffers,
-                              _OrbitPhasors, _phasor, orbit)
+                              _exact_phasor, _OrbitPhasors, orbit)
 
 from oracles import ln_norm
 
@@ -269,15 +269,15 @@ def test_lyapunov_scan_is_lyapunov_per_energy_bit_for_bit(pot, kind):
 
 def test_a_site_on_the_pole_is_masked_at_small_coupling():
     # theta = 1/2 puts the orbit's site 0 exactly on the tangent model's
-    # pole, where the float f on the tangent phasor is of rounding size, not
-    # 0 (on the kernel's rotated phasor it is 0); V there still reads as a
-    # pole, so the A kernel masks the phase however small the coupling (the
-    # spectrum's flag is tested in test_spectral)
+    # pole, where the float f on the exact-turn phasor is exactly 0, as on
+    # the kernel's rotated phasor; V there reads as a pole, so the A kernel
+    # masks the phase however small the coupling (the spectrum's flag is
+    # tested in test_spectral)
     pot = make_maryland(1e-6)
     X = np.array([0.5])
     work = _buffers(X)
-    _phasor(X, work[1:3])
-    assert 0 < abs(pot._f_and_g(work)[0][0]) <= 1e-15
+    work[1][...], work[2][...] = _exact_phasor(X)
+    assert pot._f_and_g(work)[0][0] == 0
     assert abs(pot.V_array(np.array([0.5]))[0]) > 1e290
     alpha = float(golden_cf(30).value)
     with warnings.catch_warnings():

@@ -204,7 +204,7 @@ def test_gordon_precision_is_sized_from_norms_and_shift(pot, beta, E, theta,
 def test_norm_bound_is_the_largest_product_norm(pot, q, E, theta,
                                                 back_largest):
     cf = golden_cf(20)
-    bound = _log2_norm_bound(pot, E, theta, cf.value, q)
+    bound = max(_log2_norm_bound(pot, E, theta, cf.value, q))
     with mp.workprec(200):
         Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
         back, fwd, fwd2 = (product(pot, Ev, th - q * av, av, q).norm(),
@@ -215,6 +215,29 @@ def test_norm_bound_is_the_largest_product_norm(pot, q, E, theta,
     assert (back > 2 * max(fwd, fwd2)) == back_largest
     # the largest entry is within a factor 2 of the spectral norm
     assert log2_max <= bound <= log2_max + 1 + 1e-9
+
+
+@pytest.mark.parametrize("pot, cf, q, E, theta", [
+    (make_amo(2.0), liouville_cf(1.12, 4), 276, 0.5, Fraction(1, 10)),
+    (make_maryland(0.15), liouville_cf(1.0, 4), 57, -0.4375, Fraction(3, 8)),
+    (make_custom([Fraction(1, 5), Fraction(3, 5)], "sin2pi", coupling=2.5),
+     golden_cf(20), 89, 0.7, Fraction(1, 7)),
+], ids=["amo-q276", "maryland-q57", "two-poles-q89"])
+def test_pre_pass_states_match_the_mp_products(pot, cf, q, E, theta):
+    # the pre-pass's three states (A_q, A_{2q} and the adjugate of
+    # A_q(theta - q alpha), walked on the kernel's phasors) against the mp
+    # products at 200 bits, in log2 of the largest entry (each bound is
+    # that plus 1), to 1e-6: a window shifted by one site, or a backward
+    # walk one site short, misses that on at least two of the three models
+    assert q in cf.q
+    got = [b - 1 for b in _log2_norm_bound(pot, E, theta, cf.value, q)]
+    with mp.workprec(200):
+        Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
+        want = [float(mp.log(max(abs(M.a), abs(M.b), abs(M.c), abs(M.d)), 2))
+                for M in (product(pot, Ev, th, av, q),
+                          product(pot, Ev, th, av, 2 * q),
+                          product(pot, Ev, th - q * av, av, q))]
+    assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-6, (got, want)
 
 
 def test_gordon_matrices_pole_in_backward_window(maryland1):
@@ -336,7 +359,7 @@ def test_pre_passes_stay_finite_with_a_site_on_a_pole(maryland1, E, theta,
     # Capped, it keeps the float pre-pass finite
     q = 13
     assert abs(maryland1.V_array(np.array([0.5]))[0]) > 1e290
-    assert math.isfinite(_log2_norm_bound(maryland1, E, theta, alpha, q))
+    assert all(map(math.isfinite, _log2_norm_bound(maryland1, E, theta, alpha, q)))
 
 
 def test_max_inequality_on_frozen_config():

@@ -24,7 +24,7 @@ from qpspec import (
 )
 from qpspec.arithmetic import as_mpf
 from qpspec.potential import (G_REGISTRY, PHASOR_ROWS, MeromorphicPotential,
-                              _buffers, _OrbitPhasors, _phasor, orbit)
+                              _buffers, _exact_phasor, _OrbitPhasors, orbit)
 
 from oracles import g_closed, log_f_integral, site_values
 
@@ -171,24 +171,45 @@ _ORACLE_X = np.concatenate([
     np.random.default_rng(11).random(400)])
 
 
-def _tangent_f_and_g(pot, X):
-    """f and g at the sites X on the tangent phasor, as ``V_array`` forms
-    them."""
+def _exact_f_and_g(pot, X):
+    """f and g at the float phases X on their exact-turn phasors, as
+    ``V_array`` forms them."""
     work = _buffers(X)
-    _phasor(X, work[1:3])
+    work[1][...], work[2][...] = _exact_phasor(X)
     return pot._f_and_g(work)
 
 
-def test_tangent_phasor_matches_mp():
-    # (cos pi x, sin pi x) from one np.tan per site, against mp at 200 bits;
-    # the bound assumes np.tan within 4 ulp (it measured 0.53 ulp and an
-    # error of 3.5e-16 here)
-    c, s = _phasor(_ORACLE_X, _buffers(_ORACLE_X)[1:3])
+def test_exact_phasor_matches_mp():
+    # (cos pi x, sin pi x) from the exact turn of each float phase, against
+    # e^{i pi x} in mp at 200 bits at the same binary x: within the
+    # 3.62e-16 that _OrbitPhasors derives for _half_turn_phasor (it
+    # measured 1.5e-16).  The pole factor of f on it stays within the
+    # 4.2e-15 of _f_near_pole at sites within 1e-4 of a pole (3.3e-16), for
+    # a factor of one multiply (pole 1/2) and one of two (pole 1/3), and |f|
+    # there within _f_near_pole at the site's pole distance
+    c, s = _exact_phasor(_ORACLE_X)
     with mp.workprec(200):
-        err = max(max(abs(float(mp.cospi(mp.mpf(x)) - cx)),
-                      abs(float(mp.sinpi(mp.mpf(x)) - sx)))
+        err = max(float(abs(mp.mpc(cx, sx) - mp.expjpi(mp.mpf(x))))
                   for x, cx, sx in zip(_ORACLE_X.tolist(), c.tolist(), s.tolist()))
-    assert err <= 2e-15, f"np.tan on this host is too inaccurate: phasor error {err:.3g}"
+    assert err <= 3.62e-16, f"phasor error {err:.3g}: check math.cos"
+    offsets = np.concatenate([np.linspace(-1e-4, 1e-4, 201), [1e-13, -1e-13, 0.0]])
+    for pot in (make_maryland(1.0), make_custom([Fraction(1, 3)], "sinpi")):
+        p = float(pot.poles[0])
+        X = p + offsets
+        F = _exact_f_and_g(pot, X)[0]
+        with mp.workprec(200):
+            f_err = max(abs(float(pot.f(mp.mpf(x)) - fx))
+                        for x, fx in zip(X.tolist(), F.tolist()))
+        assert f_err <= 4.2e-15, f"pole factor error {f_err:.3g}"
+        assert np.all(np.abs(F) <= [pot._f_near_pole(d) for d in pot.pole_distance(X)])
+
+
+@pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+def test_V_array_refuses_a_non_finite_phase(x):
+    # a non-finite float has no exact turn to take the phasor from
+    for pot in (make_maryland(1.0), make_amo(2.0)):
+        with pytest.raises(InvalidInputError, match="^phase must be finite$"):
+            pot.V_array(np.array([0.25, x]))
 
 
 @pytest.mark.parametrize("alpha", [golden_cf(40).value, liouville_cf(1.0, 4).value],
@@ -262,12 +283,12 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
     # product, exact but for the sign of an exact zero, which
     # np.array_equal does not see, so f is bit for bit the open-coded
     # product of the factors s (2 cos pi p) - c (2 sin pi p) on the same
-    # tangent phasor.  The sign of V is the sign of the coupling, applied
+    # exact-turn phasor.  The sign of V is the sign of the coupling, applied
     # first to g: f does not see it, and g flips exactly
     X = np.concatenate([np.random.default_rng(7).random(996),
                         [0.0, 0.5, 0.5 + 1e-13, 1.0 / 3.0, 1.0 - 2.0 ** -53, 1.0]])
     X = X.reshape(6, 167)
-    c, s = _phasor(X, _buffers(X)[1:3])
+    c, s = _exact_phasor(X)
     for family in ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3)),
                    (Fraction(0), Fraction(1, 2), Fraction(1)),
                    (Fraction(1), Fraction(1, 3), Fraction(0))):
@@ -278,11 +299,11 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
         old = np.ones_like(X)
         for cp, sp in pot._pole_phasors:
             old = old * (s * cp - c * sp)
-        F, G = _tangent_f_and_g(pot, X)
+        F, G = _exact_f_and_g(pot, X)
         assert F is None if not poles else np.array_equal(F, old), poles
         if poles and poles[0] in (0, 1):
             assert np.any(old == 0)  # x = 0 sits on the pole: an exact zero
-        G_plus = _tangent_f_and_g(
+        G_plus = _exact_f_and_g(
             MeromorphicPotential(poles, g_name, 1.0, "custom"), X)[1]
         assert np.array_equal(G, f_sign * G_plus), poles
 
@@ -299,14 +320,14 @@ def test_f_on_arrays_matches_the_sign_first_product(m, f_sign):
 ], ids=["maryland", "amo", "repeated-pole", "three-poles", "pole-near-0",
         "sin2pi", "const"])
 def test_float_f_and_g_match_mp(pot):
-    # the float f and g are polynomials in the tangent phasor; mp at 200
+    # the float f and g are polynomials in the exact-turn phasor; mp at 200
     # bits gives the exact values at the same binary x, f as its product of
     # sines and g in closed form.  The bounds are absolute (a relative one
     # cannot hold beside a pole or a zero of g): 2^m 4e-15 for f,
-    # |coupling| 4e-15 for g, about six times what they measured.  The mp g,
+    # |coupling| 4e-15 for g, about eleven times what they measured.  The mp g,
     # the registry polynomial at mp's phasor, is the closed form up to the
     # roundings at 200 bits
-    F, G = _tangent_f_and_g(pot, _ORACLE_X)
+    F, G = _exact_f_and_g(pot, _ORACLE_X)
     if F is None:
         F = np.ones_like(_ORACLE_X)
     coupling = abs(float(pot.coupling))
@@ -316,8 +337,8 @@ def test_float_f_and_g_match_mp(pot):
         g_err = max(abs(float(g_closed(pot, x) - gx))
                     for x, gx in zip(xs, G.tolist()))
         mp_g_err = max(abs(pot.g(x) - g_closed(pot, x)) for x in xs)
-    assert f_err <= 2 ** pot.m * 4e-15, f"f error {f_err:.3g}: check np.tan"
-    assert g_err <= coupling * 4e-15, f"g error {g_err:.3g}: check np.tan"
+    assert f_err <= 2 ** pot.m * 4e-15, f"f error {f_err:.3g}: check math.cos"
+    assert g_err <= coupling * 4e-15, f"g error {g_err:.3g}: check math.cos"
     assert mp_g_err <= coupling * 2 ** -195
 
 

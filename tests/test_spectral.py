@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -91,9 +92,8 @@ def test_pole_policy_cap_flags_sites(maryland1):
 
 
 def test_a_site_on_the_pole_is_flagged_at_small_coupling():
-    # on the pole the float f is of rounding size (4.4e-16), not 0, so g/f
-    # would read only about 5e9 at coupling 1e-6, under the cap; the site
-    # still reads as a pole
+    # on the pole the float f is exactly 0, and the on-pole rule sets it to
+    # 1e-300, so the site reads as a pole at coupling 1e-6 too
     pot = make_maryland(1e-6)
     eigs, flagged = truncated_spectrum(pot, Fraction(1, 2), golden_cf(20).value, 8)
     assert flagged == [0]
@@ -129,6 +129,16 @@ def test_truncation_argument_validation(amo2):
     cf = golden_cf(20)
     with pytest.raises(InvalidInputError):
         truncated_spectrum(amo2, 0.1, cf.value, 1)
+
+
+@pytest.mark.parametrize("alpha", [math.inf, -math.inf, math.nan])
+def test_truncation_refuses_a_non_finite_alpha(amo2, alpha):
+    # refused as the Lyapunov engine refuses it, before the orbit's phases
+    # (nan all along) reach the phasor's exact turns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidInputError, match="^alpha must be finite, got "):
+            truncated_spectrum(amo2, 0.1, alpha, 8)
 
 
 # ---------------------------------------------------------------------------
