@@ -17,9 +17,9 @@ every step has determinant 1 the inverses are adjugates [[d, -b], [-c, a]]:
 the inverse difference is adj(D-), with the norm of D-.
 
 Working precision is max(2 log2||M||, log2(1/|h|)) + 192 bits.  ||M|| bounds
-the three products, read off one float walk over [-q, 2q)
-(``_log2_norm_bound``): A_q and A_{2q} are forward states, and a backward
-state holds the adjugate of A_q(theta - q a).  The min-max over directions
+the three products, read off float walks forward from the identity
+(``_log2_norm_bound``): A_q(theta - q a) over sites -q..-1, A_q over
+0..q-1, and A_{2q} on from A_q over q..2q-1.  The min-max over directions
 needs about 2 log2||M|| + 128 bits.  The log2(1/|h|) term (h taken exactly
 from alpha's value) keeps at least 192 bits of every site difference
 s - s+- under plain subtraction, so the differences come out to about 128
@@ -44,9 +44,10 @@ without a libmp call or an mpf value per operation.  A level whose 3q
 sites exceed ``arithmetic.SITE_BUDGET`` is refused before any work
 (``_check_levels``).
 
-The float walk of the precision pre-pass takes the Lyapunov kernel's
-phasors, rotated from exact turns (``potential._OrbitPhasors``), and its V
-from ``MeromorphicPotential._V_and_near``.
+The precision pre-pass's float sites V take the Lyapunov kernel's
+phasors (``potential._OrbitPhasors``) and ``_V_and_near``
+(``_window_sites``).  They do not depend on E either: a level's one record
+(``_Level``) keeps them with the walk, and only S = E - V is per energy.
 
 The certificate quantifies over every initial direction v in closed form
 (``gordon_lhs_uniform``): the two left-hand sides are linear in v, so their
@@ -77,7 +78,7 @@ from .cocycle import TransferMatrix2
 from .errors import (BudgetError, InvalidInputError, NumericError, RangeError,
                      SubsequenceError)
 from .potential import (PHASOR_ROWS, MeromorphicPotential, _OrbitPhasors,
-                        _site_pairs, _site_terms, check_energy)
+                        _site_pairs, _site_terms, _SiteTerms, check_energy)
 
 __all__ = [
     "GordonCertificate",
@@ -130,30 +131,29 @@ def _shift_bits(alpha, q: int) -> int:
     return h.denominator.bit_length() - abs(h.numerator).bit_length() + 1
 
 
-def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
-                     q: int) -> list[float]:
-    """Float pre-pass: upper estimates of log2 ||A_q||, log2 ||A_{2q}|| and
-    log2 ||A_q(theta - q alpha)||, in that order, from one float walk over
-    the window [-q, 2q), on the Lyapunov kernel's phasors (``_OrbitPhasors``
-    at theta with offset -q) and V from ``_V_and_near``.  A state
-    (a, b, c, d, scale) stands for [[a, b], [c, d]] 2^scale, rescaled
-    whenever the top row passes 2^64.
-
-    A_q and A_{2q} are the forward states after sites 0..q-1 and q..2q-1.
-    The inverse steps [[0, 1], [-1, s]] are the steps [[s, -1], [1, 0]]
-    conjugated by the row swap, so the walk started from the row swap over
-    sites -1..-q is A_q(theta - q alpha)^{-1} with its rows swapped: the
-    adjugate of A_q(theta - q alpha), whose entries it holds up to sign.
-    """
+def _window_sites(pot: MeromorphicPotential, theta, alpha, q: int) -> np.ndarray:
+    """V at the 3q float sites of the window [-q, 2q), site k at index
+    k + q, on the kernel's phasors (``_OrbitPhasors`` at theta with offset
+    -q) and from ``_V_and_near``."""
     n = 3 * q
     phasors = _OrbitPhasors(np.array([float_phase(theta)]), float(as_mpf(alpha)), [-q])
     work = [np.empty((-(-n // PHASOR_ROWS) * PHASOR_ROWS, 1, 1)) for _ in range(5)]
     phasors.fill(0, work[1:3], work[0])  # whole phasor blocks
     V = pot._V_and_near([w[:n] for w in work], lambda idx: phasors.phases(0, idx))[0]
     # a site on a pole reads about 1e300; the cap keeps s a - c finite
-    S = (float(E) - np.clip(V.ravel(), -1e250, 1e250)).tolist()
+    return np.clip(V.ravel(), -1e250, 1e250)
 
-    def walk(sites, a, b, c, d, scale=0.0):
+
+def _log2_norm_bound(E, V, q: int) -> list[float]:
+    """Float pre-pass: upper estimates of log2 ||A_q||, log2 ||A_{2q}|| and
+    log2 ||A_q(theta - q alpha)||, in that order, from forward walks over
+    S = E - V at the window's sites V (``_window_sites``).  A state
+    (a, b, c, d, scale) stands for [[a, b], [c, d]] 2^scale, rescaled
+    whenever the top row passes 2^64.
+    """
+    S = (float(E) - V).tolist()
+
+    def walk(sites, a=1.0, b=0.0, c=0.0, d=1.0, scale=0.0):
         for s in sites:
             a, b, c, d = s * a - c, s * b - d, a, b
             m = max(abs(a), abs(b))
@@ -163,11 +163,10 @@ def _log2_norm_bound(pot: MeromorphicPotential, E, theta, alpha,
         return a, b, c, d, scale
 
     # site k sits at S[k + q]
-    fwd = walk(S[q:2 * q], 1.0, 0.0, 0.0, 1.0)
-    ends = (fwd, walk(S[2 * q:], *fwd), walk(S[q - 1::-1], 0.0, 1.0, 1.0, 0.0))
+    back, fwd = walk(S[:q]), walk(S[q:2 * q])
     # the largest entry is within a factor 2 of the spectral norm
     return [scale + math.log2(max(abs(a), abs(b), abs(c), abs(d))) + 1
-            for a, b, c, d, scale in ends]
+            for a, b, c, d, scale in (fwd, walk(S[2 * q:], *fwd), back)]
 
 
 def _pair_ops(prec: int):
@@ -209,6 +208,23 @@ def _pair_ops(prec: int):
     return mul, add, sub
 
 
+@dataclass
+class _Level:
+    """A window's energy-free record: its float sites (``_window_sites``)
+    and its walk (``_site_terms``) at the working precision last made."""
+
+    V: np.ndarray
+    precision: int = 0
+    terms: _SiteTerms | None = None
+
+
+def _check_window(q: int, name: str = "the window") -> None:
+    """Refuse a window of 3q orbit sites over SITE_BUDGET (BudgetError)."""
+    if 3 * q > SITE_BUDGET:
+        raise BudgetError(f"{name} needs 3q = {3 * q} orbit sites (q = {q}), "
+                          f"over the site budget {SITE_BUDGET}")
+
+
 def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
                     held: dict | None = None) -> GordonMatrices:
     """Build A_q(theta - q alpha), A_q, A_{2q} and the two differences from
@@ -220,23 +236,30 @@ def gordon_matrices(pot: MeromorphicPotential, E, theta, alpha, q: int,
     integer pairs: ``_site_terms`` walks the window and ``_site_pairs``
     turns its terms into the sites at E.  ``held``, a dict that a caller
     with several energies keeps between calls (``exclusion_certificates``),
-    maps q to the (precision, terms) last made for it: energies at the same
-    precision share one walk, and a new precision replaces it.  A_q and the
-    differences are stepped with ``_pair_ops``, 22 operations a site, and
-    wrapped in TransferMatrix2 once, at the end, with A_q - D for each D.
+    maps q to the level's one record (``_Level``): the float sites, made
+    once, and the walk, which energies at one precision share and a new
+    precision replaces.  A_q and the differences are stepped with
+    ``_pair_ops``, 22 operations a site, and wrapped in TransferMatrix2
+    once, at the end, with A_q - D for each D.  A window over SITE_BUDGET
+    is refused first (BudgetError).
     """
     check_energy(E)
     if q < 1:
         raise InvalidInputError("q must be >= 1")
+    _check_window(q)
     h_bits = _shift_bits(alpha, q)
-    norm_bits = max(_log2_norm_bound(pot, E, theta, alpha, q))
-    precision = max(2 * math.ceil(norm_bits), h_bits) + 192
     if held is None:
         held = {}
-    if held.get(q, (None,))[0] != precision:
-        held.pop(q, None)  # the old walk goes before the new one is made
-        held[q] = precision, _site_terms(pot, theta, alpha, -q, 2 * q, precision)
-    S = _site_pairs(E, held[q][1], precision)
+    level = held.get(q)
+    if level is None:
+        level = held[q] = _Level(_window_sites(pot, theta, alpha, q))
+    norm_bits = max(_log2_norm_bound(E, level.V, q))
+    precision = max(2 * math.ceil(norm_bits), h_bits) + 192
+    if level.precision != precision:
+        level.terms = None  # the old walk goes before the new one is made
+        level.terms = _site_terms(pot, theta, alpha, -q, 2 * q, precision)
+        level.precision = precision
+    S = _site_pairs(E, level.terms, precision)
     # (a..d) = A_k(theta); (xa..xd) and (ya..yd) are its differences from
     # A_k(theta + q alpha) and A_k(theta - q alpha).  A(s) differs from A(s')
     # only in its corner, so A(s) P - A(s') P' = A(s') (P - P') + (s - s') e_1
@@ -428,10 +451,7 @@ def _check_levels(cf: ContinuedFraction, levels) -> None:
     for n_i in levels:
         if not 1 <= n_i <= cf.depth:
             raise RangeError(f"level {n_i} outside 1..{cf.depth}")
-        q = cf.q[n_i]
-        if 3 * q > SITE_BUDGET:
-            raise BudgetError(f"level {n_i} needs 3q = {3 * q} orbit sites "
-                              f"(q = {q}), over the site budget {SITE_BUDGET}")
+        _check_window(cf.q[n_i], f"level {n_i}")
 
 
 def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
@@ -443,12 +463,14 @@ def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
     A level is excluded when, for every unit initial vector, both left-hand
     sides are <= e^{-c q} and the generated solution's three-norm maximum is
     >= 1/4 - tol; ``gordon_lhs_uniform`` gives the suprema and the minimum in
-    closed form.  The energies share each level's walk (``_site_terms``):
-    it is made once per working precision, and at most one per level is
-    held, until the generator finishes.  The levels and the energies are
+    closed form.  The energies share one record per level (``_Level``)
+    until the generator finishes: the window's float sites, made once, and
+    one walk (``_site_terms``), made again at each change of working
+    precision.  The levels and the energies are
     checked here, before any work: an empty list of levels raises
     InvalidInputError, a bad level as ``_check_levels`` does, and an
-    infinite or NaN energy InvalidInputError.
+    energy whose float is infinite or NaN InvalidInputError
+    (``check_energy``).
     """
     if not levels:
         raise InvalidInputError("levels must be nonempty")
@@ -460,7 +482,7 @@ def exclusion_certificates(pot: MeromorphicPotential, energies, theta,
 
 
 def _certificates(pot, energies, theta, cf, levels, c):
-    held = {}  # q -> (precision, site terms), shared by the energies
+    held = {}  # q -> _Level, shared by the energies
     for E in energies:
         certs = []
         for n_i in levels:

@@ -46,6 +46,7 @@ from mpmath.libmp import to_fixed
 from .arithmetic import (
     ContinuedFraction,
     IndexValue,
+    _window,
     as_mpf,
     exact_fraction,
     ln_low,
@@ -415,8 +416,10 @@ class _OrbitPhasors:
 
 
 def check_energy(E) -> None:
-    """Refuse an infinite or NaN energy (InvalidInputError)."""
-    if not mp.isfinite(as_mpf(E)):
+    """Refuse an energy whose float is infinite or NaN (InvalidInputError):
+    the float engines take E as a float, and an E past the float range, such
+    as 1e400, overflows there."""
+    if not math.isfinite(float(as_mpf(E))):
         raise InvalidInputError(f"energy must be finite, got {E}")
 
 
@@ -525,7 +528,8 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
 
     at a qualifying level n_i of ``delta_iv``, the delta index of pot's
     poles at theta.  Returns (lhs_log, bound_log); the caller asserts
-    lhs_log >= bound_log.  Pole-free potentials return trivially.
+    lhs_log >= bound_log.  Pole-free potentials return trivially.  A window
+    over SITE_BUDGET raises BudgetError first (``arithmetic._window``).
     ln|f| is summed over the poles, repeats included, each term the log of
     the orbit sine product of ``arithmetic.sine_product`` at theta - theta_l:
     the orbit runs at cf.precision, its sines and logs at LOG_PREC.
@@ -533,7 +537,7 @@ def f_product_check(pot: MeromorphicPotential, theta, cf: ContinuedFraction,
     if n_i not in qualifying_levels(delta_iv, epsilon):
         raise SubsequenceError(
             f"level {n_i} not in the qualifying subsequence for eps={epsilon}")
-    qn = cf.q[n_i]
+    qn = _window(cf, n_i)
     bound_log = float(qn * (delta_iv.value - epsilon) - math.log(cf.q[n_i + 1]))
     if pot.m == 0:
         return 0.0, bound_log

@@ -14,6 +14,7 @@ from qpspec import (
     OrbitPoleError,
     RangeError,
     SubsequenceError,
+    cf_from_coeffs,
     delta_index,
     eval_V,
     exclusion_certificate,
@@ -31,8 +32,9 @@ from qpspec import (
 )
 from qpspec.arithmetic import LOG_PREC, SITE_BUDGET, as_mpf
 from qpspec.cocycle import TransferMatrix2, spectral_norm_2x2
+from qpspec import gordon
 from qpspec.gordon import (GordonLhs, _adj, _log2_norm_bound, _min_max_direction,
-                           _resolved_log)
+                           _resolved_log, _window_sites)
 
 from oracles import solution
 
@@ -204,14 +206,15 @@ def test_gordon_precision_is_sized_from_norms_and_shift(pot, beta, E, theta,
 def test_norm_bound_is_the_largest_product_norm(pot, q, E, theta,
                                                 back_largest):
     cf = golden_cf(20)
-    bound = max(_log2_norm_bound(pot, E, theta, cf.value, q))
+    bound = max(_log2_norm_bound(E, _window_sites(pot, theta, cf.value, q), q))
     with mp.workprec(200):
         Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
         back, fwd, fwd2 = (product(pot, Ev, th - q * av, av, q).norm(),
                            product(pot, Ev, th, av, q).norm(),
                            product(pot, Ev, th, av, 2 * q).norm())
         log2_max = float(mp.log(max(back, fwd, fwd2), 2))
-    # A_q(theta - q alpha) is read off the backward walk
+    # on the maryland model the bound comes from A_q(theta - q alpha), the
+    # walk over sites -q..-1
     assert (back > 2 * max(fwd, fwd2)) == back_largest
     # the largest entry is within a factor 2 of the spectral norm
     assert log2_max <= bound <= log2_max + 1 + 1e-9
@@ -224,13 +227,14 @@ def test_norm_bound_is_the_largest_product_norm(pot, q, E, theta,
      golden_cf(20), 89, 0.7, Fraction(1, 7)),
 ], ids=["amo-q276", "maryland-q57", "two-poles-q89"])
 def test_pre_pass_states_match_the_mp_products(pot, cf, q, E, theta):
-    # the pre-pass's three states (A_q, A_{2q} and the adjugate of
+    # the pre-pass's three forward states (A_q, A_{2q} and
     # A_q(theta - q alpha), walked on the kernel's phasors) against the mp
     # products at 200 bits, in log2 of the largest entry (each bound is
-    # that plus 1), to 1e-6: a window shifted by one site, or a backward
-    # walk one site short, misses that on at least two of the three models
+    # that plus 1), to 1e-6: a window shifted by one site, or a walk one
+    # site short, misses that on at least two of the three models
     assert q in cf.q
-    got = [b - 1 for b in _log2_norm_bound(pot, E, theta, cf.value, q)]
+    V = _window_sites(pot, theta, cf.value, q)
+    got = [b - 1 for b in _log2_norm_bound(E, V, q)]
     with mp.workprec(200):
         Ev, th, av = mp.mpf(E), as_mpf(theta), as_mpf(cf.value)
         want = [float(mp.log(max(abs(M.a), abs(M.b), abs(M.c), abs(M.d)), 2))
@@ -354,12 +358,13 @@ def test_min_max_direction_of_rotations():
 def test_pre_passes_stay_finite_with_a_site_on_a_pole(maryland1, E, theta,
                                                       alpha):
     # a site exactly on the tangent model's pole reads about 1e300: site 0,
-    # where the walks start, at theta = 1/2, and sites 8k - 3 for
+    # where the A_q walk starts, at theta = 1/2, and sites 8k - 3 for
     # _POLE_AT_MINUS_3, where the walks' entries have grown at E = 30.
     # Capped, it keeps the float pre-pass finite
     q = 13
     assert abs(maryland1.V_array(np.array([0.5]))[0]) > 1e290
-    assert all(map(math.isfinite, _log2_norm_bound(maryland1, E, theta, alpha, q)))
+    V = _window_sites(maryland1, theta, alpha, q)
+    assert all(map(math.isfinite, _log2_norm_bound(E, V, q)))
 
 
 def test_max_inequality_on_frozen_config():
@@ -469,6 +474,40 @@ def test_exclusion_certificate_level_guard():
         exclusion_certificate(pot, 0.0, Fraction(3, 8), cf, [1, 2, 3, 4], 1e-2)
 
 
+def _no_work(*args):
+    raise AssertionError("the window was walked")
+
+
+def test_over_budget_window_is_refused_before_any_work(monkeypatch):
+    # q_3 = 3e12 + 1: its window would take 65.5 TiB of float sites, so
+    # gordon_matrices, and smallness_check through it, refuse it first, with
+    # the rule and message of _check_levels
+    monkeypatch.setattr(gordon, "_window_sites", _no_work)
+    monkeypatch.setattr(gordon, "_site_terms", _no_work)
+    cf = cf_from_coeffs([1, 2, 10 ** 12, 3, 5])
+    pot, theta = make_maryland(0.15), 0.3
+    d = delta_index(cf, theta, pot.poles)
+    budget = r"^the window needs 3q = 9000000000003 orbit sites \(q = 3000000000001\)"
+    with pytest.raises(BudgetError, match=budget):
+        gordon_matrices(pot, 0.3, theta, cf.value, cf.q[3])
+    with pytest.raises(BudgetError, match=budget):
+        smallness_check(pot, 0.3, theta, cf, 3, 1000.0, 0.1, d)
+    with pytest.raises(BudgetError, match=r"^level 3 needs 3q = 9000000000003 "):
+        exclusion_certificate(pot, 0.3, theta, cf, [3], 1e-2)
+
+
+def test_energy_past_the_float_range_is_refused_before_any_work(monkeypatch):
+    # mp.mpf("1e400") is finite, but its float is not, and the pre-pass
+    # takes E as a float
+    monkeypatch.setattr(gordon, "_window_sites", _no_work)
+    cf, pot = liouville_cf(1.12, 4), make_amo(2.0)
+    for E in (mp.mpf("1e400"), -mp.mpf("1e400")):
+        with pytest.raises(InvalidInputError, match="energy must be finite"):
+            gordon_matrices(pot, E, Fraction(1, 10), cf.value, cf.q[3])
+        with pytest.raises(InvalidInputError, match="energy must be finite"):
+            exclusion_certificates(pot, [0.5, E], Fraction(1, 10), cf, [3], 0.01)
+
+
 # certificate digits pinned exactly: how the products and their inverses
 # are formed must not move a single one
 _FROZEN_CERTIFICATES = [
@@ -531,6 +570,31 @@ def test_certificate_batch_across_two_working_precisions():
                                      [2, 3], 0.01) for E in energies]
     assert batch == singles
     assert [certs[1].precision for certs in batch] == [276, 294, 276, 294]
+
+
+def test_certificate_batch_builds_each_levels_sites_once(monkeypatch):
+    # one record per level: the 33 energies of the certify-maryland pool
+    # share each level's float sites and phasors, and so do E = 2 and 0,
+    # which move level 3's working precision from 276 to 294 bits and back
+    made, phasors = [], []
+
+    def window_sites(pot, theta, alpha, q):
+        made.append(q)
+        return _window_sites(pot, theta, alpha, q)
+
+    class Phasors(gordon._OrbitPhasors):
+        def __init__(self, *args):
+            phasors.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(gordon, "_window_sites", window_sites)
+    monkeypatch.setattr(gordon, "_OrbitPhasors", Phasors)
+    pot, cf = make_maryland(0.15), liouville_cf(1.0, 4)
+    batch = list(exclusion_certificates(pot, _MARYLAND_POOL + [2.0, 0.0],
+                                        Fraction(3, 8), cf, [2, 3], 0.01))
+    assert [certs[1].precision for certs in batch[-3:]] == [276, 294, 276]
+    assert made == [cf.q[2], cf.q[3]]
+    assert len(phasors) == 2
 
 
 def test_certificate_batch_raises_the_pole_of_the_single_path(maryland1):

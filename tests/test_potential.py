@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from qpspec import (
+    BudgetError,
     DegenerateModelError,
     InvalidInputError,
     OrbitPoleError,
     PoleProximityError,
     SubsequenceError,
+    cf_from_coeffs,
     delta_index,
     eval_V,
     f_product_check,
@@ -144,6 +146,16 @@ def test_pole_free_product_check_is_trivial(amo2):
     lhs_log, bound_log = f_product_check(amo2, Fraction(3, 8), cf, 3, 0.3,
                                          delta_iv=d)
     assert lhs_log == 0.0
+
+
+def test_f_product_refuses_an_over_budget_window():
+    # q_3 = 3e12 + 1, past SITE_BUDGET: refused as sine_product_check
+    # refuses it, before the sine-product walk
+    cf = cf_from_coeffs([1, 2, 10 ** 12, 3, 5])
+    pot = make_maryland(0.15)
+    d = delta_index(cf, 0.3, pot.poles)
+    with pytest.raises(BudgetError, match=r"^q_3 = 3000000000001 exceeds step budget"):
+        f_product_check(pot, 0.3, cf, 3, 1000.0, delta_iv=d)
 
 
 def test_orbit_matches_open_coded_walks():
